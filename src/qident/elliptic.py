@@ -11,16 +11,15 @@ at every sampled parameter point.
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 from .errors import ConsistencyError, DegenerateInputError, PoleOrderError, UsageError
 from .exactnum import (
     PSeries, pochhammer, pochhammer_p, theta, triple_pochhammer_p)
 from .linalg import mat_det, mat_inverse, mat_mul
 from .partitions import binom, enumerate_partitions, enumerate_window, x_point, y_point
-from .polyweights import eta_constraint
+from .polyweights import eta_constraint, pair_table, sample_t, symmetrize
 from .reporting import run_trials
-from .residues import d_exponent
+from .residues import d_exponent, gram_matrix, point_family, residue_sum
 
 
 class EllParams:
@@ -83,10 +82,6 @@ def sample_ell_params(sampler, ell, n, k, constrain=None):
     return EllParams(x, y, eta, alpha, ell, n, k, fld)
 
 
-def sample_t(sampler, ell):
-    return tuple(sampler.draw_distinct(ell, (), "t"))
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -133,23 +128,22 @@ def xi_weight(lam, t, params, primed=False):
     if len(t) != ell:
         raise UsageError("point has %d coordinates, partition has %d parts" % (len(t), ell))
     eta = params.eta
-    total = params.zero
-    for sigma in permutations(range(ell)):
-        term = params.one
-        for a in range(1, ell + 1):
-            shift = params.alpha * eta ** (2 * a - 2 * ell)
-            term = term * z_factor(t[sigma[a - 1]], lam.entries[a - 1], params, shift, primed)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                ta, tb = t[sigma[a]], t[sigma[b]]
-                if ta == tb:
-                    raise DegenerateInputError("coincident t coordinates")
-                if primed:
-                    term = term * params.th(eta * ta / tb) / params.th(ta / tb)
-                else:
-                    term = term * params.th(eta * tb / ta) / params.th(tb / ta)
-        total = total + term
+    single = []
+    for a, part in enumerate(lam.entries, start=1):
+        shift = params.alpha * eta ** (2 * a - 2 * ell)
+        single.append([z_factor(u, part, params, shift, primed) for u in t])
+    total = symmetrize(ell, single, theta_pair_table(t, params, primed),
+                       params.one, params.zero)
     return rho_lambda(lam, params) * total
+
+
+def theta_pair_table(t, params, primed=False):
+    """The pair factors of the theta weights: theta(eta t_a/t_b)/theta(t_a/t_b)
+    (primed) or theta(eta t_b/t_a)/theta(t_b/t_a) for t_a placed before t_b."""
+    eta, th = params.eta, params.th
+    if primed:
+        return pair_table(t, lambda ta, tb: th(eta * ta / tb) / th(ta / tb))
+    return pair_table(t, lambda ta, tb: th(eta * tb / ta) / th(tb / ta))
 
 
 def norm_d(lam, params):
@@ -223,7 +217,14 @@ def idp2_value(params, t, mutate=False):
     eta = params.eta
     ell = len(t)
     beta = eta ** (1 - 2 * ell) * params.alpha * params.x[0] / params.y[0]
-    one = params.field.one
+    one, th = params.field.one, params.th
+    pair = theta_pair_table(t, params)
+    # the single factor at position a (1-based) inside, resp. after, the
+    # first k positions
+    low = [[th(u) * th(eta ** (2 - 2 * a - ell) * u / beta) for u in t]
+           for a in range(1, ell + 1)]
+    high = [[th(eta ** (1 - ell) * u) * th(eta ** (1 - 2 * b) * u / beta) for u in t]
+            for b in range(1, ell + 1)]
     total = params.zero
     for k in range(ell + 1):
         pref = params.th(eta ** (2 * k) * beta) * (-one) ** k
@@ -232,20 +233,7 @@ def idp2_value(params, t, mutate=False):
             pref = pref / (params.th(eta ** (s + 1)) * params.th(eta ** (s + ell + 1) * beta))
         if mutate and k == 1:
             pref = pref * 2
-        inner = params.zero
-        for sigma in permutations(range(ell)):
-            term = params.one
-            for a in range(1, k + 1):
-                ta = t[sigma[a - 1]]
-                term = term * params.th(ta) * params.th(eta ** (2 - 2 * a - ell) * ta / beta)
-            for b in range(k + 1, ell + 1):
-                tb = t[sigma[b - 1]]
-                term = term * params.th(eta ** (1 - ell) * tb) * params.th(eta ** (1 - 2 * b) * tb / beta)
-            for a in range(ell):
-                for b in range(a + 1, ell):
-                    ta, tb = t[sigma[a]], t[sigma[b]]
-                    term = term * params.th(eta * tb / ta) / params.th(tb / ta)
-            inner = inner + term
+        inner = symmetrize(ell, low[:k] + high[k:], pair, params.one, params.zero)
         total = total + pref * inner
     return total
 
@@ -350,19 +338,13 @@ def omega_residue(params, point):
 
 
 def x_residue_sum_omega(f, g, params, ell):
-    total = params.zero
-    for lam in enumerate_partitions(ell, params.n):
-        pt = x_point(lam, params)
-        total = total + f(pt.coords) * g(pt.coords) * omega_residue(params, pt)
-    return total
+    return residue_sum(f, g, params, point_family(x_point, params, ell),
+                       omega_residue, params.zero)
 
 
 def y_residue_sum_omega(f, g, params, ell):
-    total = params.zero
-    for lam in enumerate_partitions(ell, params.n):
-        pt = y_point(lam, params)
-        total = total + f(pt.coords) * g(pt.coords) * omega_residue(params, pt)
-    return total
+    return residue_sum(f, g, params, point_family(y_point, params, ell),
+                       omega_residue, params.zero)
 
 
 def scalar_product_omega(f, g, params, ell, check_y=True):
@@ -377,16 +359,11 @@ def scalar_product_omega(f, g, params, ell, check_y=True):
 
 
 def gram_xx(ell, n, params, check_y=True):
-    parts = enumerate_partitions(ell, n)
-    out = []
-    for lam in parts:
-        fp = lambda t, lam=lam: xi_weight(lam, t, params, primed=True)
-        row = []
-        for mu in parts:
-            gm = lambda t, mu=mu: xi_weight(mu, t, params)
-            row.append(scalar_product_omega(fp, gm, params, ell, check_y=check_y))
-        out.append(row)
-    return out
+    """The matrix [<Xi'_lam, Xi_mu>] over all partitions, in enumeration
+    order."""
+    return gram_matrix(enumerate_partitions(ell, n), ell, xi_weight, omega_residue,
+                       params, params.zero, check_y,
+                       "x- and y-side theta residue sums disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +404,9 @@ def theta_lambda(lam, t, params):
     norm = 1
     for w in lam.multiplicities():
         norm *= math.factorial(w)
-    total = params.zero
-    for sigma in permutations(range(lam.ell)):
-        term = params.one
-        for a, part in enumerate(lam.entries):
-            term = term * vartheta(part, t[sigma[a]], params)
-        total = total + term
+    cols = {part: [vartheta(part, u, params) for u in t] for part in set(lam.entries)}
+    total = symmetrize(lam.ell, [cols[part] for part in lam.entries], None,
+                       params.one, params.zero)
     return total / norm
 
 
@@ -592,10 +566,11 @@ def verify_xt(cfg):
         entries = []
         for fresh in range(3):
             t = sample_t(sampler, cfg.ell)
+            basis = [theta_lambda(nu, t, params) for nu in parts]
             for r, lam in enumerate(parts):
                 resid = xi_weight(lam, t, params)
-                for c, nu in enumerate(parts):
-                    resid = resid - a[r][c] * theta_lambda(nu, t, params)
+                for c in range(len(parts)):
+                    resid = resid - a[r][c] * basis[c]
                 entries.append(("fresh%d[%d]" % (fresh, r), resid))
         flat = _series_residual_list(entries)
         return flat, not flat, []

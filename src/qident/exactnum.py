@@ -92,9 +92,11 @@ class PrimeScalar:
         return PrimeScalar(-self.value, self.p)
 
     def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return PrimeScalar(pow(self.value, self.p - 2, self.p), self.p)
+        try:
+            return PrimeScalar(pow(self.value, -1, self.p), self.p)
+        except ValueError:
+            raise NonInvertibleError(
+                "%d has no inverse modulo %d" % (self.value, self.p)) from None
 
     def __truediv__(self, other):
         o = self._lift(other)

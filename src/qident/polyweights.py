@@ -3,9 +3,12 @@ weights P and P' with their eta-dependent prefactor, monomial symmetric
 polynomials, biorthogonality norms, window coefficients, and the drivers
 for the combinatorial identities built out of them.
 
-Symmetrized sums are evaluated term by term over all ell! permutations; no
-closed-form simplification is attempted, which keeps every evaluation an
-exact transcription of the defining sum.
+Every sum over S_ell here (and in the elliptic layer) goes through
+`symmetrize`: its terms are products of position-dependent single factors
+and pair factors that depend only on which of two variables comes first, so
+the exact sum is accumulated over subsets of variables in O(2^ell ell^2)
+ring operations.  No closed-form simplification is attempted; the tests
+keep the literal permutation sums as oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import DegenerateInputError, UsageError
 from .exactnum import scalar_str
@@ -59,6 +61,54 @@ def sample_t(sampler, ell):
 
 
 # ---------------------------------------------------------------------------
+# symmetrization
+# ---------------------------------------------------------------------------
+
+def symmetrize(ell, single, pair, one, zero):
+    """sum over sigma in S_ell of
+    prod_a single[a][sigma_a] * prod_{a<b} pair[sigma_a][sigma_b], exactly.
+
+    single[a][v] is the factor of variable v at position a; pair[w][v] is
+    the factor of variable w placed anywhere before v, or pair is None when
+    there are no pair factors.  The sum over the orderings of a set S of
+    variables filling the first |S| positions, F(S), obeys
+    F(S + v) += F(S) single[|S|][v] prod_{w in S} pair[w][v], which costs
+    O(2^ell ell^2) ring operations in place of O(ell! ell^2).
+    """
+    full = (1 << ell) - 1
+    f = [zero] * (full + 1)
+    f[0] = one
+    for s in range(full):           # every proper subset of s is below s
+        fs = f[s]
+        placed = [w for w in range(ell) if s >> w & 1]
+        row = single[len(placed)]
+        for v in range(ell):
+            if s >> v & 1:
+                continue
+            term = fs * row[v]
+            if pair is not None:
+                for w in placed:
+                    term = term * pair[w][v]
+            f[s | 1 << v] = f[s | 1 << v] + term
+    return f[full]
+
+
+def pair_table(t, ratio):
+    """ratio(t_w, t_v) for every ordered pair w != v of coordinates (the
+    diagonal is unused); coincident coordinates are rejected."""
+    ell = len(t)
+    table = [[None] * ell for _ in range(ell)]
+    for w in range(ell):
+        for v in range(ell):
+            if w != v:
+                if t[w] == t[v]:
+                    raise DegenerateInputError(
+                        "coincident t coordinates in symmetrized sum")
+                table[w][v] = ratio(t[w], t[v])
+    return table
+
+
+# ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
 
@@ -92,20 +142,15 @@ def _pair_ratio(ta, tb, eta, zero, primed):
 
 
 def weight(lam, t, params, primed=False):
-    """P (or P') at an explicit point: the full sum over S_ell."""
+    """P (or P') at an explicit point: the symmetrized sum over S_ell."""
     ell = lam.ell
     if len(t) != ell:
         raise UsageError("point has %d coordinates, partition has %d parts" % (len(t), ell))
     zero, one = params.field.zero, params.field.one
-    total = zero
-    for sigma in permutations(range(ell)):
-        term = one
-        for a in range(ell):
-            term = term * x_factor(t[sigma[a]], lam.entries[a], params, primed)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                term = term * _pair_ratio(t[sigma[a]], t[sigma[b]], params.eta, zero, primed)
-        total = total + term
+    cols = {part: [x_factor(u, part, params, primed) for u in t]
+            for part in set(lam.entries)}
+    pair = pair_table(t, lambda ta, tb: _pair_ratio(ta, tb, params.eta, zero, primed))
+    total = symmetrize(ell, [cols[part] for part in lam.entries], pair, one, zero)
     return r_lambda(lam, params.eta, one) * total
 
 
@@ -132,16 +177,14 @@ def weight_at_special(lam, params, kind, primed=False):
 def monomial_symmetric(exponents, t, one, zero):
     """(1/prod_k mult_k!) sum_sigma t_{sigma_1}^{e_1} ... ; exponents may
     repeat and may be zero (the latter is used by the residue-sum sweeps)."""
+    if len(exponents) != len(t):
+        raise UsageError("%d exponents for a point with %d coordinates"
+                         % (len(exponents), len(t)))
     norm = 1
     for c in Counter(exponents).values():
         norm *= math.factorial(c)
-    total = zero
-    for sigma in permutations(range(len(t))):
-        term = one
-        for a, e in enumerate(exponents):
-            term = term * t[sigma[a]] ** e
-        total = total + term
-    return total / norm
+    cols = {e: [u ** e for u in t] for e in set(exponents)}
+    return symmetrize(len(t), [cols[e] for e in exponents], None, one, zero) / norm
 
 
 def q_monomial(lam, t, params):
@@ -190,6 +233,9 @@ def jing_value(eta, t, one, zero, mutate=False):
     """The double sum over k and S_ell whose vanishing is the base
     combinatorial identity; a mutated run perturbs the k = 1 prefactor."""
     ell = len(t)
+    pair = pair_table(t, lambda ta, tb: _pair_ratio(ta, tb, eta, zero, False))
+    low = [u - one for u in t]
+    high = [u - eta ** (ell - 1) for u in t]
     total = zero
     for k in range(ell + 1):
         pref = one
@@ -197,17 +243,7 @@ def jing_value(eta, t, one, zero, mutate=False):
             pref = pref * (eta ** ell - eta ** s) / (one - eta ** (s + 1))
         if mutate and k == 1:
             pref = pref * 2
-        inner = zero
-        for sigma in permutations(range(ell)):
-            term = one
-            for a in range(k):
-                term = term * (t[sigma[a]] - one)
-            for b in range(k, ell):
-                term = term * (t[sigma[b]] - eta ** (ell - 1))
-            for a in range(ell):
-                for b in range(a + 1, ell):
-                    term = term * _pair_ratio(t[sigma[a]], t[sigma[b]], eta, zero, False)
-            inner = inner + term
+        inner = symmetrize(ell, [low] * k + [high] * (ell - k), pair, one, zero)
         total = total + pref * inner
     return total
 

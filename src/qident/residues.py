@@ -142,14 +142,20 @@ def kernel_residue_parts(params, point, plan=None):
     return scale_inv, nval, dval
 
 
+def kernel_residue(params, point):
+    """Res(1/S (dt/t)^ell) at the point."""
+    scale_inv, nval, dval = kernel_residue_parts(params, point)
+    if nval == params.field.zero:
+        raise PoleOrderError("kernel residue is singular at %r" % (point.partition,))
+    return dval / (nval * scale_inv)
+
+
 def iterated_residue(f, g, params, point):
     """Res of f * g / S * (dt/t)^ell at the point.  f and g are black-box
     evaluators on full coordinate tuples (they carry no poles of their own,
     so they factor out of every step)."""
-    scale_inv, nval, dval = kernel_residue_parts(params, point)
-    if nval == params.field.zero:
-        raise PoleOrderError("kernel residue is singular at %r" % (point.partition,))
-    return f(point.coords) * g(point.coords) * dval / (nval * scale_inv)
+    r = kernel_residue(params, point)
+    return f(point.coords) * g(point.coords) * r
 
 
 def m_kappa(params, lam):
@@ -163,18 +169,30 @@ def m_kappa(params, lam):
     return scale_inv * nval / dval
 
 
-def x_residue_sum(f, g, params, ell):
-    total = params.field.zero
-    for lam in enumerate_partitions(ell, params.n):
-        total = total + iterated_residue(f, g, params, x_point(lam, params))
+def point_family(make_point, params, ell):
+    """The special points of one side (`x_point` or `y_point`), one per
+    partition, in enumeration order."""
+    return [make_point(lam, params) for lam in enumerate_partitions(ell, params.n)]
+
+
+def residue_sum(f, g, params, points, residue, zero):
+    """sum over the points of f * g * residue(params, point); shared by the
+    rational kernel and the theta kernel."""
+    total = zero
+    for pt in points:
+        r = residue(params, pt)
+        total = total + f(pt.coords) * g(pt.coords) * r
     return total
+
+
+def x_residue_sum(f, g, params, ell):
+    return residue_sum(f, g, params, point_family(x_point, params, ell),
+                       kernel_residue, params.field.zero)
 
 
 def y_residue_sum(f, g, params, ell):
-    total = params.field.zero
-    for lam in enumerate_partitions(ell, params.n):
-        total = total + iterated_residue(f, g, params, y_point(lam, params))
-    return total
+    return residue_sum(f, g, params, point_family(y_point, params, ell),
+                       kernel_residue, params.field.zero)
 
 
 def scalar_product(f, g, params, ell, check_y=True):
@@ -190,18 +208,50 @@ def scalar_product(f, g, params, ell, check_y=True):
     return xs
 
 
+def gram_matrix(parts, ell, weight_fn, residue, params, zero, check_y, mismatch):
+    """[<W'_lam, W_mu>] for lam, mu in `parts` (partitions of ell), for a
+    weight family `weight_fn(lam, t, params, primed)` and the residue of
+    its kernel.
+
+    Each side evaluates its tables once: r[kap] = residue at the special
+    point of kap, W'[lam][kap] and W[mu][kap], and forms
+    sum_kap W'[lam][kap] r[kap] W[mu][kap].  The y side checks every entry
+    against (-1)^ell times the x side and raises ConsistencyError(mismatch)
+    on any difference.
+    """
+    def side(make_point):
+        scaled, plain = [], []     # per point: [W'[lam] r], [W[mu]]
+        for pt in point_family(make_point, params, ell):
+            r = residue(params, pt)
+            scaled.append([weight_fn(lam, pt.coords, params, primed=True) * r
+                           for lam in parts])
+            plain.append([weight_fn(mu, pt.coords, params) for mu in parts])
+        out = []
+        for a in range(len(parts)):
+            row = []
+            for b in range(len(parts)):
+                total = zero
+                for wr, w in zip(scaled, plain):
+                    total = total + wr[a] * w[b]
+                row.append(total)
+            out.append(row)
+        return out
+
+    xs = side(x_point)
+    if check_y:
+        sign = (-params.field.one) ** ell
+        ys = side(y_point)
+        for x_row, y_row in zip(xs, ys):
+            if any(x != sign * y for x, y in zip(x_row, y_row)):
+                raise ConsistencyError(mismatch)
+    return xs
+
+
 def gram_pp(ell, n, params, check_y=True):
     """The matrix [<P'_lam, P_mu>] over all partitions, in enumeration order."""
-    parts = enumerate_partitions(ell, n)
-    out = []
-    for lam in parts:
-        fp = lambda t, lam=lam: weight(lam, t, params, primed=True)
-        row = []
-        for mu in parts:
-            gm = lambda t, mu=mu: weight(mu, t, params)
-            row.append(scalar_product(fp, gm, params, ell, check_y=check_y))
-        out.append(row)
-    return out
+    return gram_matrix(enumerate_partitions(ell, n), ell, weight, kernel_residue,
+                       params, params.field.zero, check_y,
+                       "x- and y-side residue sums disagree; f*g is not admissible")
 
 
 def transition_matrix(ell, n, params):
@@ -405,13 +455,15 @@ def verify_resi(cfg):
 
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
-        one = lambda t: fld.one
+        sides = []
+        for make_point in (x_point, y_point):
+            pts = point_family(make_point, params, cfg.ell)
+            sides.append([(pt.coords, kernel_residue(params, pt)) for pt in pts])
         findings = []
         ok = True
         for exps in admissible_exponent_tuples(cfg.ell, cfg.n):
-            g = lambda t, exps=exps: monomial_symmetric(exps, t, fld.one, fld.zero)
-            xs = x_residue_sum(one, g, params, cfg.ell)
-            ys = y_residue_sum(one, g, params, cfg.ell)
+            xs, ys = (sum((monomial_symmetric(exps, t, fld.one, fld.zero) * r
+                           for t, r in side), fld.zero) for side in sides)
             if cfg.mutate:
                 ys = ys * 2
             agree = xs == (-fld.one) ** cfg.ell * ys

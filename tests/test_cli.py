@@ -119,3 +119,11 @@ def test_suite(tmp_path):
 
     manifest.write_text("not json {")
     assert run(["suite", str(manifest)]) == 2
+
+
+def test_small_prime_resamples_draws_that_vanish_mod_p():
+    # with p = 101 under the height bound 1000 some draws are 0 mod p; the
+    # inverse of such a value must be resampled, not crash the run
+    for argv in (["pp", "--ell", "2", "--n", "2"], ["rll", "--n", "2"]):
+        assert run(argv + ["--field", "prime", "--prime", "101",
+                           "--trials", "3", "--seed", "1"]) == 0, argv[0]

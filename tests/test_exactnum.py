@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qident.errors import DegenerateInputError, NonInvertibleError, SamplingError
 from qident.exactnum import (
-    PSeries, PrimeField, QQ, Sampler, SamplerConfig, pochhammer, pochhammer_p,
+    PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, pochhammer, pochhammer_p,
     theta, theta_reduced, to_prime_field, triple_pochhammer_p)
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -41,8 +41,18 @@ def test_prime_scalar_arithmetic():
     assert (a + b) - b == a
     assert (a * b) / b == a
     assert a ** -1 * a == gf.one
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(NonInvertibleError):
         gf.one / gf.zero
+
+
+def test_prime_scalar_inverse_rejects_non_invertible_values():
+    # a non-invertible value is a NonInvertibleError, which `resample` sees;
+    # modulo a composite, Fermat's a^(p-2) would return a wrong "inverse"
+    with pytest.raises(NonInvertibleError):
+        PrimeField(101).zero.inverse()
+    with pytest.raises(NonInvertibleError):
+        PrimeScalar(6, 9).inverse()
+    assert PrimeScalar(4, 9).inverse() == PrimeScalar(7, 9)
 
 
 # ---------------------------------------------------------------------------
