@@ -97,8 +97,8 @@ def validate(cfg):
         raise UsageError("need at least one trial")
     if cfg.ell < 0 or cfg.n < 1 or cfg.k < 0 or cfg.bound < 1:
         raise UsageError("ell, n, k, bound out of range")
-    if cfg.field == "prime" and cfg.prime < 2:
-        raise UsageError("prime must be >= 2")
+    if cfg.field == "prime":
+        cfg.scalar_field()   # a UsageError unless the modulus is prime
 
 
 def dispatch(cfg):
@@ -172,15 +172,15 @@ def run(argv):
             return run_suite(args.manifest, args.out)
         cfg = config_from_args(args)
         report = run_one(cfg)
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(report.to_json())
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
     print("%s: %s (%.3fs)" % (cfg.check, report.verdict, report.timing_s))
     return report.exit_code
 

@@ -11,6 +11,7 @@ at every sampled parameter point.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .errors import ConsistencyError, DegenerateInputError, PoleOrderError, UsageError
 from .exactnum import (
@@ -25,9 +26,12 @@ from .residues import d_exponent, gram_matrix, point_family, residue_sum
 class EllParams:
     """Ground parameters plus the dynamical parameter and truncation order.
 
-    Carries a cache of theta values at scalar arguments; every theta that
-    ends up in a denominator must have nonzero constant term, i.e. argument
-    different from 1, which the arithmetic enforces by raising.
+    Memoizes theta values at scalar arguments, the basis functions and the
+    per-point tables of the theta weights (pair tables and Z-factor
+    columns), which every partition evaluated at a point shares.  Every
+    theta that ends up in a denominator must have nonzero constant term,
+    i.e. argument different from 1, which the arithmetic enforces by
+    raising.
     """
 
     def __init__(self, x, y, eta, alpha, ell, n, k, fld):
@@ -39,20 +43,29 @@ class EllParams:
         self.n = n
         self.k = k
         self.field = fld
-        self._theta_cache = {}
-        self._vartheta_cache = {}
+        self._memo = {}
         self.one = PSeries.constant(fld, fld.one, k)
         self.zero = PSeries.constant(fld, fld.zero, k)
         self.triple_poch = triple_pochhammer_p(fld, k)
 
+    def memo(self, key, make):
+        """make(), computed once per key; keys start with a family tag."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = make()
+        return out
+
     def th(self, arg, e=1):
         """theta(arg; p^e) truncated, cached for scalar arguments."""
-        key = (arg, e)
-        out = self._theta_cache.get(key)
-        if out is None:
-            out = theta(arg, e, self.k)
-            self._theta_cache[key] = out
-        return out
+        return self.memo(("theta", arg, e), lambda: theta(arg, e, self.k))
+
+    @cached_property
+    def basis_norm(self):
+        """(p^n; p^n)_inf^(-1) (p; p)_inf^n, the normalization of every
+        basis function `vartheta`."""
+        fld, k, n = self.field, self.k, self.n
+        pn = PSeries.constant(fld, fld.one, k).shift(n)
+        return pochhammer(pn, n, k).inverse() * pochhammer_p(fld, k) ** n
 
     def alpha_static(self, m):
         """alpha_m = alpha prod_{j<m} x_j/y_j."""
@@ -127,23 +140,34 @@ def xi_weight(lam, t, params, primed=False):
     ell = lam.ell
     if len(t) != ell:
         raise UsageError("point has %d coordinates, partition has %d parts" % (len(t), ell))
-    eta = params.eta
-    single = []
-    for a, part in enumerate(lam.entries, start=1):
-        shift = params.alpha * eta ** (2 * a - 2 * ell)
-        single.append([z_factor(u, part, params, shift, primed) for u in t])
+    t = tuple(t)
+    single = [z_column(t, part, 2 * a - 2 * ell, params, primed)
+              for a, part in enumerate(lam.entries, start=1)]
     total = symmetrize(ell, single, theta_pair_table(t, params, primed),
                        params.one, params.zero)
     return rho_lambda(lam, params) * total
 
 
+def z_column(t, part, s, params, primed=False):
+    """[Z_part(u) for u in t] at the dynamical shift alpha eta^s, memoized
+    on params per (point, primed, s, part)."""
+    def make():
+        shift = params.alpha * params.eta ** s
+        return [z_factor(u, part, params, shift, primed) for u in t]
+    return params.memo(("z", t, primed, s, part), make)
+
+
 def theta_pair_table(t, params, primed=False):
     """The pair factors of the theta weights: theta(eta t_a/t_b)/theta(t_a/t_b)
-    (primed) or theta(eta t_b/t_a)/theta(t_b/t_a) for t_a placed before t_b."""
-    eta, th = params.eta, params.th
-    if primed:
-        return pair_table(t, lambda ta, tb: th(eta * ta / tb) / th(ta / tb))
-    return pair_table(t, lambda ta, tb: th(eta * tb / ta) / th(tb / ta))
+    (primed) or theta(eta t_b/t_a)/theta(t_b/t_a) for t_a placed before t_b,
+    memoized on params per (point, primed)."""
+    def make():
+        eta, th = params.eta, params.th
+        if primed:
+            return pair_table(t, lambda ta, tb: th(eta * ta / tb) / th(ta / tb))
+        return pair_table(t, lambda ta, tb: th(eta * tb / ta) / th(tb / ta))
+    t = tuple(t)
+    return params.memo(("pair", t, primed), make)
 
 
 def norm_d(lam, params):
@@ -382,21 +406,15 @@ def vartheta(m, u, params):
     """
     if not (1 <= m <= params.n):
         raise UsageError("basis index %d outside [1, %d]" % (m, params.n))
-    key = (m, u)
-    out = params._vartheta_cache.get(key)
-    if out is not None:
-        return out
-    fld, k, n = params.field, params.k, params.n
-    lead = params.eta ** (params.ell - 1) / params.alpha
-    for xm in params.x:
-        lead = lead / xm
-    arg_scalar = -lead * (-u) ** n
-    arg = PSeries.constant(fld, arg_scalar, k).shift(m - 1)
-    pn = PSeries.constant(fld, fld.one, k).shift(n)
-    out = theta(arg, n, k) * pochhammer(pn, n, k).inverse() * pochhammer_p(fld, k) ** n
-    out = out * u ** (m - 1)
-    params._vartheta_cache[key] = out
-    return out
+
+    def make():
+        fld, k, n = params.field, params.k, params.n
+        lead = params.eta ** (params.ell - 1) / params.alpha
+        for xm in params.x:
+            lead = lead / xm
+        arg = PSeries.constant(fld, -lead * (-u) ** n, k).shift(m - 1)
+        return theta(arg, n, k) * params.basis_norm * u ** (m - 1)
+    return params.memo(("vartheta", m, u), make)
 
 
 def theta_lambda(lam, t, params):

@@ -4,12 +4,14 @@ truncated formal power series ring in the nome p.
 Scalars live either in the field of big rationals (authoritative) or in a
 prime field GF(p) (fast mode; an unlucky prime can produce spurious zeros,
 so rational mode has the final word).  Series are lists of exact
-coefficients modulo p^(K+1); the q-Pochhammer and Jacobi theta factors are
-built as finite truncated products, so no convergence questions ever arise.
+coefficients modulo p^(K+1); the q-Pochhammer factors are finite truncated
+products and theta is a finite truncated sum (the Jacobi triple product), so
+no convergence questions ever arise.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,15 +135,54 @@ class PrimeScalar:
         return "%d mod %d" % (self.value, self.p)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
+@functools.cache   # field_of builds a PrimeField for every PrimeScalar it sees
+def is_probable_prime(n):
+    """Miller-Rabin to the bases MR_BASES: exact for n < MR_EXACT_BELOW, a
+    strong-probable-prime test above it."""
+    if n < 2:
+        return False
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """GF(p) for a configured prime p (default 2**61 - 1 in the CLI)."""
+    """GF(p) for a configured prime p (default 2**61 - 1 in the CLI).
+
+    A composite modulus is a UsageError: modulo a composite, nonzero values
+    can lack inverses and a zero residue proves nothing.  Primality is
+    proven for p < MR_EXACT_BELOW; `proven_prime` records whether it was.
+    """
 
     name = "prime"
 
     def __init__(self, p):
         if p < 2:
             raise UsageError("prime modulus must be >= 2, got %d" % p)
+        if not is_probable_prime(p):
+            raise UsageError("modulus %d is not prime" % p)
         self.p = p
+        self.proven_prime = p < MR_EXACT_BELOW
         self.zero = PrimeScalar(0, p)
         self.one = PrimeScalar(1, p)
 
@@ -398,36 +439,62 @@ def pochhammer(u, e, order):
 
 def theta(u, e, order):
     """Truncation of the Jacobi theta function
-    theta(u; p^e) = (u; p^e)_inf (p^e u^{-1}; p^e)_inf (p^e; p^e)_inf.
+    theta(u; p^e) = (u; p^e)_inf (p^e u^{-1}; p^e)_inf (p^e; p^e)_inf,
+    summed from the Jacobi triple product
+    theta(u; q) = sum_{n in Z} (-1)^n q^{n(n-1)/2} u^n
+    (Gasper-Rahman, Basic Hypergeometric Series, eq. 1.6.1).
 
-    Accepts scalar u or a series of the same order.  A series argument of
-    valuation j is allowed as long as j <= e, so that every reciprocal
-    factor p^{es}/u still lies in the power series ring.
+    Accepts a scalar u or a monomial series u = c p^v of the same order
+    with 0 <= v <= e, so that every term lies in the power series ring:
+    term n lands at p^(e n(n-1)/2 + v n).  Any other series argument is a
+    UsageError.  The terms n and 1 - n share the factor q^{n(n-1)/2}, so
+    one pass over n >= 1 fills every coefficient; only O(sqrt(order/e)) of
+    them are nonzero.
     """
     if e < 1:
         raise UsageError("theta nome exponent must be a positive integer")
-    us = _as_series(u, order)
-    fld = us.field
-    one = PSeries.constant(fld, fld.one, order)
-    val = us.valuation()
-    if val is None:
+    if isinstance(u, PSeries):
+        fld, val = u.field, _as_series(u, order).valuation()
+        c = fld.zero if val is None else u.coeffs[val]
+        if c != fld.zero and any(x != fld.zero for x in u.coeffs[val + 1:]):
+            raise UsageError("theta needs a scalar or monomial series argument c*p^v")
+    else:   # a scalar; building and scanning a constant series costs more than the sum
+        fld, val, c = field_of(u), 0, u
+    if c == fld.zero:
         raise DegenerateInputError("theta of the zero series is undefined")
-    out = pochhammer(us, e, order)
-    # reciprocal factors 1 - p^{es}/u = 1 - p^{es-val} * w^{-1}, u = p^val w
-    if e * 1 <= order + val:
-        if val > e:
-            raise DegenerateInputError(
-                "theta argument has valuation %d > nome exponent %d" % (val, e))
-        w_inv = us.shifted_down(val).inverse()
-        s = 1
-        while e * s - val <= order:
-            out = out * (one - w_inv.shift(e * s - val))
-            s += 1
-    s = 1
-    while e * s <= order:
-        out = out * (one - PSeries.nome(fld, order).shift(e * s - 1))
-        s += 1
-    return out
+    if val > e:
+        raise DegenerateInputError(
+            "theta argument has valuation %d > nome exponent %d" % (val, e))
+    # c = a/b with a, b integers, so the powers below are integer products
+    # and each coefficient costs one exact division
+    if isinstance(c, PrimeScalar):
+        a, b, p = c.value, 1, c.p
+
+        def ratio(x, y):   # y is a power of a, a unit mod the prime p
+            return PrimeScalar(x * pow(y, -1, p), p)
+    else:
+        a, b, ratio = c.numerator, c.denominator, Fraction
+    out = [None] * (order + 1)
+
+    def put(i, x):
+        out[i] = x if out[i] is None else out[i] + x
+
+    am, bm = 1, 1                  # a^(n-1), b^(n-1)
+    n, low, high = 1, 0, val       # exponents of the terms 1 - n and n
+    while low <= order:
+        an, bn = am * a, bm * b
+        sign = 1 if n % 2 else -1  # (-1)^(1-n)
+        if low == high:
+            put(low, ratio(sign * (bm * bn - am * an), am * bn))
+        else:
+            put(low, ratio(sign * bm, am))
+            if high <= order:
+                put(high, ratio(-sign * an, bn))
+        am, bm = an, bn
+        low += e * n - val
+        high += e * n + val
+        n += 1
+    return PSeries(fld, [fld.zero if x is None else x for x in out], order)
 
 
 def theta_reduced(u, order):
@@ -528,7 +595,8 @@ class Sampler:
                 value = self.field.of(q)
             except DegenerateInputError:
                 continue
-            if all(c(value) for c in constraints):
+            # a zero value (numerator divisible by p) is rejected as well
+            if value and all(c(value) for c in constraints):
                 entry = (self.draw_index, str(q))
                 self.log.append(entry)
                 self.draw_index += 1

@@ -13,7 +13,9 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .errors import SamplingError, UsageError, VerifierError
-from .exactnum import PRNG_DESCRIPTION, PrimeField, QQ, Sampler, SamplerConfig, resample
+from .exactnum import (
+    MR_BASES, MR_EXACT_BELOW, PRNG_DESCRIPTION, PrimeField, QQ, Sampler, SamplerConfig,
+    resample)
 
 SCHEMA_VERSION = 1
 
@@ -126,12 +128,17 @@ def run_trials(cfg, constraints_desc, trial_fn, notes=None):
     resampled attempts stay in the log, so replays are bit-identical.
     """
     start = time.perf_counter()
-    sampler = Sampler(SamplerConfig(cfg.seed, cfg.bound), cfg.scalar_field())
+    fld = cfg.scalar_field()
+    sampler = Sampler(SamplerConfig(cfg.seed, cfg.bound), fld)
     notes = list(notes or [])
     if cfg.field == "prime":
         notes.append("prime-field fast mode (p = %d): an unlucky prime can "
                      "produce spurious zeros; rational mode is authoritative"
                      % cfg.prime)
+        if not fld.proven_prime:
+            notes.append("p is only a strong probable prime to the bases %s; "
+                         "primality is proven below %d"
+                         % (", ".join(map(str, MR_BASES)), MR_EXACT_BELOW))
     trials = []
     all_zero = True
     try:

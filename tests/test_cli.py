@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
+import qident
 from qident.cli import CHECKS, run, run_one
 from qident.reporting import RunConfig
 
@@ -127,3 +132,41 @@ def test_small_prime_resamples_draws_that_vanish_mod_p():
     for argv in (["pp", "--ell", "2", "--n", "2"], ["rll", "--n", "2"]):
         assert run(argv + ["--field", "prime", "--prime", "101",
                            "--trials", "3", "--seed", "1"]) == 0, argv[0]
+
+
+def test_prime_mode_rejects_draws_that_vanish_mod_p():
+    # 202 = 2 * 101 used to be accepted as a zero parameter
+    report = run_one(RunConfig(check="rll", n=2, field="prime", prime=101,
+                               seed=1, trials=3))
+    assert report.verdict == "verified"
+    draws = [Fraction(q) for trial in report.trials for _, q in trial.draws]
+    assert draws and all(q.numerator % 101 for q in draws)
+
+
+def test_composite_prime_modulus_is_a_usage_error():
+    for modulus in ("1001", "1000", "561"):
+        assert run(["jing", "--ell", "3", "--field", "prime", "--prime", modulus,
+                    "--trials", "1"]) == 2, modulus
+    assert run(["jing", "--ell", "3", "--field", "prime", "--prime", "1009",
+                "--trials", "1"]) == 0
+
+
+def test_large_prime_modulus_records_a_probable_prime_note():
+    proven = run_one(RunConfig(check="jing", ell=2, trials=1, field="prime"))
+    assert not any("probable prime" in note for note in proven.notes)
+    large = run_one(RunConfig(check="jing", ell=2, trials=1, field="prime",
+                              prime=2 ** 89 - 1))
+    assert large.verdict == "verified"
+    assert any("probable prime" in note for note in large.notes)
+
+
+def test_unwritable_json_path_exits_3_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qident.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qident", "jing", "--ell", "2", "--trials", "1",
+         "--json", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

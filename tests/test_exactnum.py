@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.errors import DegenerateInputError, NonInvertibleError, SamplingError
+from qident.errors import (
+    DegenerateInputError, NonInvertibleError, SamplingError, UsageError)
 from qident.exactnum import (
-    PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, pochhammer, pochhammer_p,
-    theta, theta_reduced, to_prime_field, triple_pochhammer_p)
+    MR_EXACT_BELOW, PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, _as_series,
+    is_probable_prime, pochhammer, pochhammer_p, theta, theta_reduced, to_prime_field,
+    triple_pochhammer_p)
+from qident.reporting import DEFAULT_PRIME
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_fractions = fractions_st.filter(lambda q: q != 0)
@@ -15,6 +18,34 @@ nonzero_fractions = fractions_st.filter(lambda q: q != 0)
 
 def const(v, k):
     return PSeries.constant(QQ, Fraction(v), k)
+
+
+def theta_product_oracle(u, e, order):
+    """Test oracle for `theta`: the defining truncated product
+    (u; p^e)_inf (p^e u^{-1}; p^e)_inf (p^e; p^e)_inf, factor by factor.
+    Accepts a scalar or a series argument of valuation at most e."""
+    us = _as_series(u, order)
+    fld = us.field
+    one = PSeries.constant(fld, fld.one, order)
+    val = us.valuation()
+    if val is None:
+        raise DegenerateInputError("theta of the zero series is undefined")
+    out = pochhammer(us, e, order)
+    # reciprocal factors 1 - p^{es}/u = 1 - p^{es-val} * w^{-1}, u = p^val w
+    if e * 1 <= order + val:
+        if val > e:
+            raise DegenerateInputError(
+                "theta argument has valuation %d > nome exponent %d" % (val, e))
+        w_inv = us.shifted_down(val).inverse()
+        s = 1
+        while e * s - val <= order:
+            out = out * (one - w_inv.shift(e * s - val))
+            s += 1
+    s = 1
+    while e * s <= order:
+        out = out * (one - PSeries.nome(fld, order).shift(e * s - 1))
+        s += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +86,36 @@ def test_prime_scalar_inverse_rejects_non_invertible_values():
     assert PrimeScalar(4, 9).inverse() == PrimeScalar(7, 9)
 
 
+def test_primality_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(is_probable_prime(n) == trial_division(n) for n in range(5000))
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and to the bases 2..37
+    assert not is_probable_prime(3215031751)
+    assert not is_probable_prime(318665857834031151167461)
+    # the least strong pseudoprime to all 13 bases sits at the exactness bound
+    assert is_probable_prime(MR_EXACT_BELOW)
+    assert MR_EXACT_BELOW % 1287836182261 == 0
+    assert is_probable_prime(2 ** 61 - 1) and is_probable_prime(2 ** 89 - 1)
+
+
+def test_prime_field_rejects_composite_moduli():
+    for modulus in (1, 4, 1000, 1001, 561):
+        with pytest.raises(UsageError):
+            PrimeField(modulus)
+    assert PrimeField(101).proven_prime
+    assert not PrimeField(2 ** 89 - 1).proven_prime
+
+
+def test_prime_sampler_never_draws_zero():
+    # numerators up to the height bound include multiples of a small prime
+    s = Sampler(SamplerConfig(1), PrimeField(101))
+    assert all(s.draw() for _ in range(300))
+
+
 # ---------------------------------------------------------------------------
 # series ring
 # ---------------------------------------------------------------------------
@@ -81,6 +142,26 @@ def test_theta_rejects_bad_arguments():
     # valuation beyond the nome exponent would leave the series ring
     with pytest.raises(DegenerateInputError):
         theta(PSeries.nome(QQ, 4).shift(1), 1, 4)
+
+
+@given(st.sampled_from([QQ, PrimeField(DEFAULT_PRIME)]), st.integers(0, 24),
+       st.integers(1, 4), st.integers(0, 4), nonzero_fractions)
+@settings(max_examples=60, deadline=None)
+def test_theta_triple_product_sum_matches_product_oracle(fld, order, e, v, c):
+    # a monomial argument c p^v with v <= e, over both fields
+    v = min(v, e, order)
+    arg = PSeries(fld, [fld.zero] * v + [fld.of(c)], order)
+    got = theta(arg, e, order)
+    want = theta_product_oracle(arg, e, order)
+    assert got.coeffs == want.coeffs
+    if v == 0:
+        assert theta(fld.of(c), e, order).coeffs == want.coeffs
+
+
+def test_theta_rejects_non_monomial_series():
+    arg = PSeries(QQ, [2, 0, 3], 4)
+    with pytest.raises(UsageError):
+        theta(arg, 2, 4)
 
 
 def test_theta_reduced():
