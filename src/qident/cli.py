@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import elliptic, polyweights, residues, uqrep
-from .errors import UsageError, VerifierError
+from .errors import UsageError
 from .reporting import (
     DEFAULT_PRIME, ERROR, EXIT_ERROR, EXIT_FALSIFIED, EXIT_USAGE, EXIT_VERIFIED,
     Report, RunConfig, TrialRecord, VERIFIED)
@@ -97,8 +97,7 @@ def validate(cfg):
         raise UsageError("need at least one trial")
     if cfg.ell < 0 or cfg.n < 1 or cfg.k < 0 or cfg.bound < 1:
         raise UsageError("ell, n, k, bound out of range")
-    if cfg.field == "prime":
-        cfg.scalar_field()   # a UsageError unless the modulus is prime
+    cfg.scalar_field()   # a UsageError for an unknown field or a composite modulus
 
 
 def dispatch(cfg):
@@ -115,11 +114,14 @@ def error_report(cfg, exc):
 
 
 def run_one(cfg):
+    """The report of one run.  A usage error propagates; any other
+    exception, a bug included, becomes an `error` report (exit 3), never a
+    traceback."""
     try:
         report = dispatch(cfg)
     except UsageError:
         raise
-    except VerifierError as exc:
+    except Exception as exc:
         report = error_report(cfg, exc)
     return report
 
@@ -132,10 +134,15 @@ def run_suite(path, out):
             raise UsageError("manifest is not valid JSON: %s" % exc)
     if not isinstance(entries, list) or not entries:
         raise UsageError("manifest must be a nonempty JSON list of run configurations")
+    configs = []
+    for idx, entry in enumerate(entries):
+        try:
+            configs.append(RunConfig.from_dict(entry))
+        except UsageError as exc:
+            raise UsageError("manifest entry %d: %s" % (idx, exc))
     started = time.perf_counter()
     reports = []
-    for entry in entries:
-        cfg = RunConfig.from_dict(entry)
+    for cfg in configs:
         try:
             reports.append(run_one(cfg))
         except UsageError as exc:
@@ -178,8 +185,8 @@ def run(argv):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except Exception as exc:
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_ERROR
     print("%s: %s (%.3fs)" % (cfg.check, report.verdict, report.timing_s))
     return report.exit_code

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 from .errors import SamplingError, UsageError, VerifierError
 from .exactnum import (
@@ -54,15 +55,31 @@ class RunConfig:
             return QQ
         if self.field == "prime":
             return PrimeField(self.prime)
-        raise ValueError("unknown field mode %r" % self.field)
+        raise UsageError("unknown field mode %r" % self.field)
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        """The configuration a manifest entry or an embedded report config
+        names.  A non-object, a missing check, an unknown key or a value of
+        the wrong type (a bool where an int is due included) is a usage
+        error, never silently dropped."""
+        if not isinstance(d, dict):
+            raise UsageError("a run configuration must be a JSON object, not %r" % (d,))
+        types = get_type_hints(cls)
+        unknown = sorted(map(repr, set(d) - set(types)))
+        if unknown:
+            raise UsageError("unknown configuration key(s): %s" % ", ".join(unknown))
+        if "check" not in d:
+            raise UsageError("a run configuration needs a 'check'")
+        for key, value in d.items():
+            want = types[key]
+            if type(value) is not want:
+                raise UsageError("configuration key %r must be of type %s, not %r"
+                                 % (key, want.__name__, value))
+        return cls(**d)
 
 
 @dataclass

@@ -5,8 +5,23 @@ relation, the string expansions, and the singular-vector statements.
 
 The highest-weight parameter enters only through s = q^Lambda, kept as a
 free scalar, so every exponent q^(a*Lambda + b) is written s^a q^b and the
-ground field stays rational.  Depth caps are hard errors: in-contract
-computations provably stay below them, so an overflow is a bug.
+ground field stays rational.
+
+An operator entry acts on a tensor vector by one transfer-matrix sweep over
+the slots (`tensor_entry`), not by a walk over each of the 2^(n-1) index
+chains.  The per-slot values that depend only on the module and the depth
+(s q^-k, q^k/s and the lowering coefficient -(q - 1/q) gamma_k) sit in
+lazily filled tables on the `Module` objects that `modules_of` builds once
+per trial; per call only u/z and the raising coefficient are new.  The
+submodule sweep of `singular` applies its lowering string once per distinct
+basis key and combines the images by linearity (`apply_string_by_basis`).
+
+Depth caps are hard errors: in-contract computations provably stay below
+them, so an overflow is a bug.  The mutated lowering operator of the
+negative controls keeps a depth where the true one lowers it, so a mutated
+run making M mutated applications on n slots widens the caps by M per slot
+and by M * ceil(n/2) in total (`mutated_caps`); in-contract caps are
+unchanged.
 """
 
 from __future__ import annotations
@@ -59,7 +74,8 @@ def param_map(wp, ell):
 
 def gamma(k, s, q):
     """E F^k v = gamma_k F^(k-1) v, derived recursively from the commutator
-    [E, F] = (q^(2H) - q^(-2H))/(q - q^(-1))."""
+    [E, F] = (q^(2H) - q^(-2H))/(q - q^(-1)).  The operators read gamma_k
+    from the `Module` depth tables; this direct sum is their reference."""
     out = 0 * q
     for r in range(k):
         out = out + (s * s * q ** (-2 * r) - q ** (2 * r) / (s * s)) / (q - 1 / q)
@@ -88,9 +104,9 @@ class TensorVector:
         return TensorVector(self.field, self.nslots, self.cap, self.total_cap)
 
     def add_term(self, key, coeff):
-        if any(k > self.cap for k in key) or sum(key) > self.total_cap:
+        if max(key) > self.cap or sum(key) > self.total_cap:
             raise DepthOverflowError("depth cap exceeded at key %r" % (key,))
-        if any(k < 0 for k in key):
+        if min(key) < 0:
             raise DepthOverflowError("negative depth at key %r" % (key,))
         cur = self.data.get(key, self.field.zero)
         new = cur + coeff
@@ -122,56 +138,110 @@ class TensorVector:
     def nonzero_items(self):
         return sorted(self.data.items())
 
-    def fmt(self):
-        return ["%r: %s" % (k, v) for k, v in self.nonzero_items()]
+    def fmt(self, limit=None):
+        """One line per nonzero coefficient in key order, the first `limit`
+        of them if given."""
+        return ["%r: %s" % (k, v) for k, v in self.nonzero_items()[:limit]]
 
     def __repr__(self):
         return "TensorVector(%s)" % (", ".join(self.fmt()) or "0")
 
 
-def _slot_action(a, b, u, s, z, q, k, one, mutate=False):
-    """Matrix entry (a, b) of the evaluation operator on F^k of one factor:
-    the list of (new depth, coefficient) it produces."""
-    if a == 1 and b == 1:
-        return [(k, -((u / z) * s * q ** (-k) - q ** k / s))]
-    if a == 1 and b == 2:
-        return [(k + 1, -(u / z) * (q - 1 / q))]
-    if a == 2 and b == 1:
-        out = []
-        if k > 0:
-            out.append((k - 1, -(q - 1 / q) * gamma(k, s, q)))
+class Module:
+    """One evaluation module of the tensor product: its highest-weight
+    scalar s, its evaluation point z, and q.  The depth tables
+
+        A_k = s q^(-k),   B_k = q^k / s,   L_k = -(q - 1/q) gamma_k
+
+    are filled lazily, one depth at a time, and live as long as the module
+    object (one trial).  L_k comes from L_(k+1) = L_k + B_k^2 - A_k^2,
+    which is the recursion of `gamma` times -(q - 1/q), so no depth costs
+    more than a few products."""
+
+    __slots__ = ("s", "z", "q", "_a", "_b", "_low")
+
+    def __init__(self, s, z, q):
+        self.s = s
+        self.z = z
+        self.q = q
+        self._a = [s]
+        self._b = [1 / s]
+        self._low = [0 * q]
+
+    def row(self, k):
+        """(A_k, B_k, L_k)."""
+        a, b, low = self._a, self._b, self._low
+        while len(a) <= k:
+            ak, bk = a[-1], b[-1]
+            low.append(low[-1] + bk * bk - ak * ak)
+            a.append(ak / self.q)
+            b.append(bk * self.q)
+        return a[k], b[k], low[k]
+
+    def action(self, a, b, k, w, raise_c, one, mutate):
+        """Matrix entry (a, b) of the evaluation operator at argument u on
+        F^k, with w = u/z and raise_c = -w (q - 1/q): the list of (new
+        depth, coefficient) it produces."""
+        if a == 1 and b == 2:
+            return [(k + 1, raise_c)]
+        ak, bk, low = self.row(k)
+        if a == 1 and b == 1:
+            return [(k, bk - w * ak)]
+        if a == 2 and b == 2:
+            return [(k, ak - w * bk)]
+        out = [(k - 1, low)] if k > 0 else []
         if mutate:
             # deliberately broken lowering operator for negative controls:
             # an extra depth-preserving term
             out.append((k, one))
         return out
-    return [(k, -((u / z) * q ** k / s - s * q ** (-k)))]
 
 
 def tensor_entry(vec, i, j, u, modules, q, mutate=False):
     """Apply the (i, j) entry of the coproduct-extended operator at
     argument u: the sum over all index chains i = k_0, ..., k_n = j of the
-    per-slot entry products."""
+    per-slot entry products.
+
+    The chain sum is a transfer-matrix contraction: one sweep over the
+    slots carries, per chain index c in {1, 2}, a sparse vector whose keys
+    hold the new depths in the slots already swept and the old ones after;
+    slot m moves c to d by the slot action (c, d), and the last slot is
+    forced to d = j.  Paths that meet in a state are summed there.  Every
+    key a chain reaches goes through `TensorVector.add_term`, so the cap
+    checks see the same keys as the literal chain sum."""
     n = vec.nslots
     if len(modules) != n:
         raise UsageError("module list does not match slot count")
-    out = vec.copy_empty()
+    if i not in (1, 2) or j not in (1, 2):
+        raise UsageError("operator entry (%r, %r) out of range" % (i, j))
     one = vec.field.one
-    for chain_mid in iproduct((1, 2), repeat=n - 1):
-        chain = (i,) + chain_mid + (j,)
-        for key, coeff in vec.data.items():
-            partial = [(tuple(), coeff)]
-            for slot in range(n):
-                s, z = modules[slot]
-                steps = _slot_action(chain[slot], chain[slot + 1], u, s, z, q,
-                                     key[slot], one, mutate=mutate)
-                if not steps:
-                    partial = []
-                    break
-                partial = [(kk + (k2,), cc * c2)
-                           for kk, cc in partial for k2, c2 in steps]
-            for kk, cc in partial:
-                out.add_term(kk, cc)
+    qq = q - 1 / q
+    states = {i: vec.data}
+    for slot, mod in enumerate(modules):
+        if mod.q is not q and mod.q != q:
+            raise UsageError("module tables were built for another q")
+        w = u / mod.z
+        raise_c = -w * qq
+        memo = {}
+        targets = (j,) if slot == n - 1 else (1, 2)
+        new = {d: {} for d in targets}
+        for c, part in states.items():
+            for d in targets:
+                dest = new[d]
+                for key, coeff in part.items():
+                    k = key[slot]
+                    steps = memo.get((c, d, k))
+                    if steps is None:
+                        steps = memo[c, d, k] = mod.action(c, d, k, w, raise_c,
+                                                           one, mutate)
+                    for k2, c2 in steps:
+                        nk = key[:slot] + (k2,) + key[slot + 1:]
+                        prev = dest.get(nk)
+                        dest[nk] = coeff * c2 if prev is None else prev + coeff * c2
+        states = new
+    out = vec.copy_empty()
+    for key, coeff in states[j].items():
+        out.add_term(key, coeff)
     return out
 
 
@@ -182,9 +252,44 @@ def apply_string(vec, entries, modules, q, mutate=False):
     return vec
 
 
+def apply_string_by_basis(vectors, entries, modules, q, mutate=False):
+    """Yield `apply_string` of each of `vectors` in turn, by linearity: the
+    string acts once on each distinct basis key (per cap pair), and each
+    output is the same combination of those images as its vector is of the
+    keys."""
+    images = {}
+    for vec in vectors:
+        acc = {}
+        for key, coeff in vec.data.items():
+            ident = (vec.cap, vec.total_cap, key)
+            image = images.get(ident)
+            if image is None:
+                basis = TensorVector(vec.field, vec.nslots, vec.cap, vec.total_cap,
+                                     {key: vec.field.one})
+                image = images[ident] = apply_string(basis, entries, modules, q,
+                                                    mutate=mutate).data
+            for k2, c2 in image.items():
+                prev = acc.get(k2)
+                acc[k2] = coeff * c2 if prev is None else prev + coeff * c2
+        out = vec.copy_empty()
+        for k2, c2 in acc.items():
+            out.add_term(k2, c2)
+        yield out
+
+
+def mutated_caps(cap, total_cap, nslots, applications):
+    """Depth caps for a run whose strings make `applications` mutated
+    operator applications.  The mutated lowering entry keeps the depth of a
+    slot where the true one lowers it by one, so each mutated application
+    raises every slot by at most one and the total depth by at most
+    ceil(n/2) (the most 2 -> 1 steps an index chain over n slots can take)
+    beyond the in-contract entry.  The caps widen by exactly that."""
+    return cap + applications, total_cap + applications * ((nslots + 1) // 2)
+
+
 def modules_of(wp, reverse=False):
-    mods = list(zip(wp.s, wp.z))
-    return tuple(reversed(mods)) if reverse else tuple(mods)
+    mods = tuple(Module(s, z, wp.q) for s, z in zip(wp.s, wp.z))
+    return tuple(reversed(mods)) if reverse else mods
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +510,15 @@ def verify_bc(cfg):
             wp = impose_resonance(wp, cfg.i, cfg.j, cfg.ell)
         t = tuple(sampler.draw_distinct(cfg.ell, (), "t"))
         args = bc_strings(cfg, wp)
-        cap = cfg.ell + 2
         if cfg.check == "bc1":
             mods = modules_of(wp)
-            vec = TensorVector.generating(fld, wp.n, cap, cap)
             entries = [(2, 1, u) for u in args] + [(1, 2, ta) for ta in t]
         else:
             mods = modules_of(wp, reverse=True)
-            vec = TensorVector.generating(fld, wp.n, cap, cap)
             entries = [(2, 1, ta) for ta in t] + [(1, 2, u) for u in args]
+        cap, total_cap = mutated_caps(cfg.ell + 2, cfg.ell + 2, wp.n,
+                                      len(entries) if cfg.mutate else 0)
+        vec = TensorVector.generating(fld, wp.n, cap, total_cap)
         out = apply_string(vec, entries, mods, wp.q, mutate=cfg.mutate)
         return out.fmt(), out.is_zero(), []
 
@@ -428,6 +533,12 @@ def verify_bc(cfg):
             "resonance lifted (negative control)" if cfg.no_constraint
             else "imposed z_i = s_i^2 s_j^2 q^(-2 ell) z_j"]
     return run_trials(cfg, desc, trial, notes=notes)
+
+
+# Under a mutation the submodule sweep of `singular` leaves thousands of
+# nonzero images, each line a large exact rational; a report lists this many
+# residual lines and counts the rest.
+MAX_LISTED_RESIDUALS = 200
 
 
 def verify_singular(cfg):
@@ -448,19 +559,31 @@ def verify_singular(cfg):
             wp = impose_resonance(wp, cfg.i, cfg.j, cfg.ell)
         args = bc_strings(cfg, wp)
         residuals = []
+        unlisted = 0
+
+        def record(prefix, out):
+            nonlocal unlisted
+            lines = out.fmt(limit=max(0, MAX_LISTED_RESIDUALS - len(residuals)))
+            residuals.extend(prefix + line for line in lines)
+            unlisted += len(out.data) - len(lines)
+
         # (b) the singular vector
-        cap = cfg.ell + 3
+        cap, total_cap = mutated_caps(cfg.ell + 3, cfg.ell + 3, wp.n,
+                                      1 if cfg.mutate else 0)
         mods_rev = modules_of(wp, reverse=True)
-        vtil = apply_string(TensorVector.generating(fld, wp.n, cap, cap),
+        vtil = apply_string(TensorVector.generating(fld, wp.n, cap, total_cap),
                             [(1, 2, u) for u in args], mods_rev, wp.q)
         for r in range(cfg.n + cfg.ell + 2):
             u = sampler.draw((), "u")
             out = tensor_entry(vtil, 2, 1, u, mods_rev, wp.q, mutate=cfg.mutate)
-            residuals.extend("singular u#%d %s" % (r, line) for line in out.fmt())
+            record("singular u#%d " % r, out)
         # (a) word-bounded spanning set of the forward submodule
         mods = modules_of(wp)
+        lower = [(2, 1, u) for u in args]
         wcap = max(cfg.ell + 2, word_len + 1)
-        spanning = [TensorVector.generating(fld, wp.n, wcap, wcap * wp.n)]
+        wcap, total_cap = mutated_caps(wcap, wcap * wp.n, wp.n,
+                                       len(lower) if cfg.mutate else 0)
+        spanning = [TensorVector.generating(fld, wp.n, wcap, total_cap)]
         frontier = list(spanning)
         for _ in range(word_len):
             new = []
@@ -472,10 +595,11 @@ def verify_singular(cfg):
                         new.append(w)
             spanning.extend(new)
             frontier = new
-        lower = [(2, 1, u) for u in args]
-        for idx, vec in enumerate(spanning):
-            out = apply_string(vec, lower, mods, wp.q, mutate=cfg.mutate)
-            residuals.extend("word#%d %s" % (idx, line) for line in out.fmt())
+        for idx, out in enumerate(apply_string_by_basis(spanning, lower, mods, wp.q,
+                                                        mutate=cfg.mutate)):
+            record("word#%d " % idx, out)
+        if unlisted:
+            residuals.append("%d further nonzero residuals not listed" % unlisted)
         return residuals, not residuals, ["spanning set size %d" % len(spanning)]
 
     desc = ["q^2 != 1", "s, z nonzero",

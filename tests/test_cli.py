@@ -4,8 +4,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import qident
 from qident.cli import CHECKS, run, run_one
+from qident.errors import UsageError
 from qident.reporting import RunConfig
 
 
@@ -124,6 +127,40 @@ def test_suite(tmp_path):
 
     manifest.write_text("not json {")
     assert run(["suite", str(manifest)]) == 2
+
+
+def test_suite_unknown_field_mode_is_an_error_report_not_a_traceback(tmp_path):
+    manifest = tmp_path / "m.json"
+    aggregate = tmp_path / "agg.json"
+    manifest.write_text(json.dumps([{"check": "jing", "field": "fast"}]))
+    assert run(["suite", str(manifest), "--json", str(aggregate)]) == 3
+    assert json.loads(aggregate.read_text())["verdicts"] == ["error"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"check": "jing", "ell": "3"},      # a string where an int is due
+    {"check": "jing", "ell": True},     # a bool where an int is due
+    {"check": "jing", "elll": 9},       # an unknown key (a typo of ell)
+    {"ell": 2},                         # no check
+    5,                                  # not an object
+])
+def test_malformed_manifest_entry_is_a_usage_error(tmp_path, entry):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"check": "jing", "ell": 2, "trials": 1}, entry]))
+    assert run(["suite", str(manifest)]) == 2
+    with pytest.raises(UsageError):
+        RunConfig.from_dict(entry)
+
+
+def test_unexpected_exception_is_an_error_report(monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(CHECKS, "jing", broken)
+    report = run_one(RunConfig(check="jing"))
+    assert report.verdict == "error"
+    assert report.trials[0].notes == ["RuntimeError: a bug"]
+    assert run(["jing"]) == 3
 
 
 def test_small_prime_resamples_draws_that_vanish_mod_p():

@@ -1,7 +1,9 @@
-"""Replay of the benchmark's `poly` mix at seed 1, in-process through
-`cli.run_one`: every canonical report must hash to its golden digest in
-benchmarks/goldens.json, so a faster evaluation path that changes any
-reported value fails here, not only in the benchmark run."""
+"""Replay of the benchmark's `poly` and `uq` mixes at seed 1, in-process
+through `cli.run_one`: every canonical report must hash to its golden digest
+in benchmarks/goldens.json, so a faster evaluation path that changes any
+reported value fails here, not only in the benchmark run.  An entry without
+a golden digest (the mutated `singular` of `uq`) is checked by its verdict
+alone."""
 
 import os
 import sys
@@ -17,13 +19,25 @@ from worker import build_manifest, digest, load_goldens   # noqa: E402
 from qident.cli import run_one   # noqa: E402
 
 SEED = 1
-MANIFEST = build_manifest("poly", SEED, smoke=False)
-GOLDENS = load_goldens("poly", SEED, smoke=False)
+MANIFESTS = {mix: build_manifest(mix, SEED, smoke=False) for mix in ("poly", "uq")}
+GOLDENS = {mix: load_goldens(mix, SEED, smoke=False) for mix in MANIFESTS}
 
 
-@pytest.mark.parametrize("index", range(len(MANIFEST)))
-def test_poly_report_matches_golden_digest(index):
-    cfg, expect = MANIFEST[index]
+def replay(mix, index):
+    cfg, expect = MANIFESTS[mix][index]
     report = run_one(cfg)
     assert report.verdict == expect
-    assert digest(report)[0] == GOLDENS[index]
+    golden = GOLDENS[mix][index]
+    if golden is not None:
+        assert digest(report)[0] == golden
+
+
+@pytest.mark.parametrize("index", range(len(MANIFESTS["poly"])))
+def test_poly_report_matches_golden_digest(index):
+    assert GOLDENS["poly"][index] is not None
+    replay("poly", index)
+
+
+@pytest.mark.parametrize("index", range(len(MANIFESTS["uq"])))
+def test_uq_report_matches_golden_digest(index):
+    replay("uq", index)

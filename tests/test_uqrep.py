@@ -1,19 +1,97 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident.errors import DepthOverflowError, UsageError
-from qident.exactnum import QQ, Sampler, SamplerConfig
+from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
 from qident.partitions import enumerate_partitions
-from qident.reporting import RunConfig
+from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.uqrep import (
-    TensorVector, WeightParams, apply_string, gamma, impose_resonance,
-    kbi_lowering_rhs, kbi_raising_rhs, modules_of, param_map, sample_weight_params,
-    tensor_entry, verify_bc, verify_kbi, verify_rll, verify_singular)
+    MAX_LISTED_RESIDUALS, TensorVector, WeightParams, apply_string,
+    apply_string_by_basis, gamma, impose_resonance, kbi_lowering_rhs,
+    kbi_raising_rhs, modules_of, param_map, sample_weight_params, tensor_entry,
+    verify_bc, verify_kbi, verify_rll, verify_singular)
 
 
 def wp_for(n, seed=2):
     return sample_weight_params(Sampler(SamplerConfig(seed)), n)
+
+
+def chain_sum_tensor_entry(vec, i, j, u, modules, q, mutate=False):
+    """Test oracle for `tensor_entry`: the literal sum over all 2^(n-1)
+    index chains i = k_0, ..., k_n = j of the per-slot entry products, each
+    slot value recomputed from s, z, q and the direct sum `gamma`."""
+    one = vec.field.one
+
+    def slot_action(a, b, s, z, k):
+        if a == 1 and b == 1:
+            return [(k, -((u / z) * s * q ** (-k) - q ** k / s))]
+        if a == 1 and b == 2:
+            return [(k + 1, -(u / z) * (q - 1 / q))]
+        if a == 2 and b == 1:
+            out = [(k - 1, -(q - 1 / q) * gamma(k, s, q))] if k > 0 else []
+            if mutate:
+                out.append((k, one))
+            return out
+        return [(k, -((u / z) * q ** k / s - s * q ** (-k)))]
+
+    out = vec.copy_empty()
+    for chain_mid in product((1, 2), repeat=vec.nslots - 1):
+        chain = (i,) + chain_mid + (j,)
+        for key, coeff in vec.data.items():
+            partial = [((), coeff)]
+            for slot, mod in enumerate(modules):
+                steps = slot_action(chain[slot], chain[slot + 1], mod.s, mod.z, key[slot])
+                partial = [(kk + (k2,), cc * c2) for kk, cc in partial for k2, c2 in steps]
+            for kk, cc in partial:
+                out.add_term(kk, cc)
+    return out
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+nonzero_small = small_fractions.filter(lambda v: v != 0)
+
+
+@given(st.sampled_from([QQ, PrimeField(DEFAULT_PRIME)]), st.integers(1, 4),
+       st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_transfer_matrix_matches_chain_sum_oracle(fld, n, i, j, mutate, data):
+    q = data.draw(nonzero_small.filter(lambda v: v * v != 1))
+    s = data.draw(st.lists(nonzero_small, min_size=n, max_size=n))
+    z = data.draw(st.lists(nonzero_small, min_size=n, max_size=n))
+    u = data.draw(small_fractions)
+    keys = st.tuples(*[st.integers(0, 3)] * n).filter(lambda k: sum(k) <= 3)
+    terms = data.draw(st.dictionaries(keys, nonzero_small, min_size=1, max_size=4))
+    wp = WeightParams(fld.of(q), tuple(map(fld.of, s)), tuple(map(fld.of, z)), fld)
+    mods = modules_of(wp)
+    vec = TensorVector(fld, n, 8, 8 * n, {k: fld.of(c) for k, c in terms.items()})
+    got = tensor_entry(vec, i, j, fld.of(u), mods, wp.q, mutate=mutate)
+    want = chain_sum_tensor_entry(vec, i, j, fld.of(u), mods, wp.q, mutate=mutate)
+    assert got.data == want.data
+    # the depth bound that `mutated_caps` widens the caps by
+    extra = (n + 1) // 2 if mutate else 0
+    for key in got.data:
+        assert sum(key) <= max(map(sum, terms)) + (j - i) + extra
+        assert all(k <= max(t[m] for t in terms) + 1 for m, k in enumerate(key))
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_linear_reuse_matches_direct_strings(mutate):
+    wp = impose_resonance(wp_for(3, seed=21), 1, 3, 1)
+    mods = modules_of(wp)
+    us = Sampler(SamplerConfig(22)).draw_distinct(8)
+    spanning = [TensorVector.generating(QQ, 3, 6, 18)]
+    for u, (i, j) in zip(us, [(1, 2), (1, 1), (2, 2), (1, 2)]):
+        spanning.extend(tensor_entry(vec, i, j, u, mods, wp.q) for vec in list(spanning))
+    lower = [(2, 1, u) for u in us[4:6]]
+    outs = list(apply_string_by_basis(spanning, lower, mods, wp.q, mutate=mutate))
+    assert len(outs) == len(spanning) == 16
+    assert any(not out.is_zero() for out in outs)
+    for vec, out in zip(spanning, outs):
+        assert out.data == apply_string(vec, lower, mods, wp.q, mutate=mutate).data
 
 
 def basis_vec(fld, key, cap=6):
@@ -194,6 +272,27 @@ def test_bc_and_singular_drivers():
                                      no_constraint=True)).verdict == "condition-not-satisfied"
     assert verify_singular(RunConfig(check="singular", ell=1, n=2, trials=1, seed=1,
                                      mutate=True)).verdict == "falsified"
+
+
+@pytest.mark.parametrize("check, ell, seed", [
+    ("bc1", 2, 1), ("bc2", 1, 1), ("bc2", 3, 1), ("singular", 1, 1)])
+def test_mutated_runs_fit_their_widened_caps(check, ell, seed):
+    # with three factors a mutated chain 2 -> 1 -> 2 -> 1 raises the depth
+    # past the in-contract caps
+    verify = verify_singular if check == "singular" else verify_bc
+    report = verify(RunConfig(check=check, ell=ell, n=3, i=1, j=3, trials=1,
+                              seed=seed, mutate=True))
+    assert report.verdict == "falsified"
+
+
+def test_singular_lists_a_bounded_number_of_residuals():
+    report = verify_singular(RunConfig(check="singular", ell=3, n=3, i=1, j=3,
+                                       trials=1, seed=10, mutate=True))
+    assert report.verdict == "falsified"
+    value = report.trials[0].value
+    assert len(value) == MAX_LISTED_RESIDUALS + 1
+    assert value[-1].endswith("further nonzero residuals not listed")
+    assert int(value[-1].split()[0]) > 1000
 
 
 def test_rll_driver_and_field_agreement():
