@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import ConsistencyError, DegenerateInputError, PoleOrderError, UsageError
+from .errors import DegenerateInputError, UsageError
 from .exactnum import (
     PSeries, pochhammer, pochhammer_p, theta, triple_pochhammer_p)
 from .linalg import mat_det, mat_inverse, mat_mul
-from .partitions import binom, enumerate_partitions, enumerate_window, x_point, y_point
+from .partitions import binom, enumerate_partitions, enumerate_window, x_point
 from .polyweights import eta_constraint, pair_table, sample_t, symmetrize
 from .reporting import run_trials
-from .residues import d_exponent, gram_matrix, point_family, residue_sum
+from .residues import cancel_poles, checked_scalar_product, d_exponent, gram_matrix
 
 
 class EllParams:
@@ -266,120 +266,31 @@ def idp2_value(params, t, mutate=False):
 # theta kernel and residues
 # ---------------------------------------------------------------------------
 
-class ThetaFactor:
-    """theta(c * t_i / t_j) with scalar c; either variable slot may be
-    absent or already substituted.  A factor vanishes at a substitution
-    exactly when its argument becomes 1."""
-
-    __slots__ = ("i", "j", "c", "tag")
-
-    def __init__(self, i, j, c, tag):
-        self.i, self.j, self.c, self.tag = i, j, c, tag
-
-    def substitute(self, a, value):
-        if self.i == a:
-            self.c = self.c * value
-            self.i = None
-        if self.j == a:
-            self.c = self.c / value
-            self.j = None
-
-    def mul_in(self, a):
-        return self.i == a and self.j is None
-
-    def div_in(self, a):
-        return self.j == a and self.i is None
-
-    def vanishes_at(self, a, value, one):
-        if self.mul_in(a):
-            return self.c * value == one
-        if self.div_in(a):
-            return self.c / value == one
-        return False
-
-    def is_scalar(self):
-        return self.i is None and self.j is None
-
-    def __repr__(self):
-        return "ThetaFactor(%r)" % (self.tag,)
-
-
-def build_omega(params, ell):
-    """Factor lists of Omega(t) = prod_a prod_m theta(t_a/x_m) theta(t_a/y_m)
-    prod_{a != b} theta(eta t_a/t_b)/theta(t_a/t_b)."""
-    one = params.field.one
-    numer, denom = [], []
-    for a in range(ell):
-        for m in range(params.n):
-            numer.append(ThetaFactor(a, None, one / params.x[m], ("x", a, m + 1)))
-            numer.append(ThetaFactor(a, None, one / params.y[m], ("y", a, m + 1)))
-    for i in range(ell):
-        for j in range(ell):
-            if i != j:
-                numer.append(ThetaFactor(i, j, params.eta, ("pair", i, j)))
-                denom.append(ThetaFactor(i, j, one, ("den", i, j)))
-    return numer, denom
-
-
 def omega_residue(params, point):
     """Res(1/Omega (dt/t)^ell) at a special point, as a truncated series.
 
-    Each step cancels the unique numerator theta whose argument hits 1,
-    contributing -1/(p;p)^3 for an argument linear in the variable and
-    +1/(p;p)^3 for one linear in its reciprocal.
+    `cancel_poles` removes the unique numerator theta whose argument hits 1
+    at each step; the step contributes -1/(p;p)^3 for an argument linear in
+    the variable and +1/(p;p)^3 for one linear in its reciprocal.
     """
-    ell = point.ell
-    numer, denom = build_omega(params, ell)
+    sign, numer, denom = cancel_poles(params, point)
     one = params.field.one
-    sign = one
-    for a in reversed(range(ell)):
-        c = point.coords[a]
-        hits = [f for f in numer if f.vanishes_at(a, c, one)]
-        if len(hits) != 1:
-            raise PoleOrderError(
-                "step t_%d -> %s: %d vanishing theta factors (need exactly 1)"
-                % (a + 1, c, len(hits)))
-        bad = [f for f in denom if f.vanishes_at(a, c, one)]
-        if bad:
-            raise PoleOrderError("step t_%d: denominator theta %r vanishes" % (a + 1, bad[0].tag))
-        f = hits[0]
-        sign = -sign if f.mul_in(a) else sign
-        numer.remove(f)
-        for g in numer:
-            g.substitute(a, c)
-        for g in denom:
-            g.substitute(a, c)
     out = params.one * sign
-    for g in denom:
-        out = out * params.th(g.c)
-    inv_part = params.triple_poch ** ell
-    for g in numer:
-        if g.c == one:
-            raise DegenerateInputError(
-                "residual kernel theta %r vanishes at the point" % (g.tag,))
-        inv_part = inv_part * params.th(g.c)
+    for c in denom:
+        out = out * params.th(c)
+    inv_part = params.triple_poch ** point.ell
+    for c in numer:
+        if c == one:
+            raise DegenerateInputError("a residual kernel theta vanishes at the point")
+        inv_part = inv_part * params.th(c)
     return out * inv_part.inverse()
-
-
-def x_residue_sum_omega(f, g, params, ell):
-    return residue_sum(f, g, params, point_family(x_point, params, ell),
-                       omega_residue, params.zero)
-
-
-def y_residue_sum_omega(f, g, params, ell):
-    return residue_sum(f, g, params, point_family(y_point, params, ell),
-                       omega_residue, params.zero)
 
 
 def scalar_product_omega(f, g, params, ell, check_y=True):
     """<f, g> as the x-side theta residue sum, with the (-1)^ell y-side
     self-check."""
-    xs = x_residue_sum_omega(f, g, params, ell)
-    if check_y:
-        ys = y_residue_sum_omega(f, g, params, ell)
-        if not (xs - (-params.field.one) ** ell * ys).is_zero():
-            raise ConsistencyError("x- and y-side theta residue sums disagree")
-    return xs
+    return checked_scalar_product(f, g, params, ell, omega_residue, params.zero, check_y,
+                                  "x- and y-side theta residue sums disagree")
 
 
 def gram_xx(ell, n, params, check_y=True):

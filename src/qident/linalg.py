@@ -89,7 +89,3 @@ def mat_det(a, one, zero, invertible=None, is_zero=None):
                 continue
             work[r] = [v - f * w for v, w in zip(work[r], work[col])]
     return det
-
-
-def identity_matrix(n, one, zero):
-    return [[one if r == c else zero for c in range(n)] for r in range(n)]

@@ -175,17 +175,3 @@ def aligned_coords(lam, params, kind, primed=False):
             raise UsageError("kind must be 'x' or 'y'")
     return tuple(coords)
 
-
-def embed_same(lam, n):
-    """The embedding of partitions bounded by n-1 into those bounded by n
-    that keeps entries as they are."""
-    if lam.n != n - 1:
-        raise UsageError("embedding expects a partition bounded by %d" % (n - 1))
-    return Partition(lam.entries, n)
-
-
-def embed_shift(lam, n):
-    """The embedding lam -> (lam_1 + 1, ..., lam_ell + 1)."""
-    if lam.n != n - 1:
-        raise UsageError("embedding expects a partition bounded by %d" % (n - 1))
-    return Partition(tuple(e + 1 for e in lam.entries), n)

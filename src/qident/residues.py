@@ -1,13 +1,33 @@
-"""Iterated residues against the factorized rational kernel, the residue-sum
-scalar product, biorthogonality of the primed/unprimed weights, transition
-matrices to the monomial basis, and the closed determinant formulas.
+"""Iterated residues against the factorized kernel, the residue-sum scalar
+product, biorthogonality of the primed/unprimed weights, transition matrices
+to the monomial basis, and the closed determinant formulas.
 
-The kernel is stored fully factorized and residues are taken by symbolic
-factor cancellation, never by numeric limiting: at each step (innermost
-variable first) exactly one numerator factor of the kernel vanishes at the
-target coordinate; it is removed, the variable is substituted, and the step
-contributes 1/(t * slope).  The scalar product is defined operationally by
-the residue sums; the torus contour it replaces is never integrated.
+One pole-cancellation engine serves the rational and the theta kernel.
+Both are stored as the factors phi(c t_i/t_j) of
+
+    Omega(t) = prod_a prod_m phi(t_a/x_m) phi(t_a/y_m)
+               prod_{a != b} phi(eta t_a/t_b) / phi(t_a/t_b),
+
+with phi = theta for the elliptic layer and phi(z) = 1 - z for the
+polynomial one.  Since theta(z; 0) = 1 - z (Jacobi triple product), the
+rational kernel is the p = 0 form of the theta kernel times a constant:
+
+    S(t) = prod_a prod_m (t_a - x_m)(t_a - y_m)
+           prod_{a != b} (t_a - eta t_b)/(t_a - t_b)
+         = prod_m (x_m y_m)^ell * Omega(t)|_{p = 0},
+
+by t_a - x_m = -x_m (1 - t_a/x_m) and (t_a - eta t_b)/(t_a - t_b) =
+(1 - eta t_b/t_a)/(1 - t_b/t_a).
+
+Residues are taken by symbolic factor cancellation, never by numeric
+limiting: at each step (innermost variable first) exactly one numerator
+factor vanishes at the target coordinate (its argument becomes 1); it is
+removed and the variable is substituted.  A step contributes -1 when t_a
+stands in the numerator of the cancelled argument and +1 when it stands in
+the denominator, divided by the derivative constant of phi at 1, which is 1
+for 1 - z and (p; p)^3 for theta (`elliptic.omega_residue`).  The scalar product
+is defined operationally by the residue sums; the torus contour it replaces
+is never integrated.
 """
 
 from __future__ import annotations
@@ -21,81 +41,56 @@ from .polyweights import (
 from .reporting import run_trials
 
 
-class LinFactor:
-    """A factor ci*t_i + cj*t_j + d, linear in at most two variables.
+class KernelFactor:
+    """phi(c * t_i / t_j) with scalar c; either variable slot may be absent
+    or already substituted.  The factor vanishes at a substitution exactly
+    when its argument becomes 1."""
 
-    Substituting a coordinate folds that variable into the constant; once
-    both variables are gone the factor is a plain scalar prefactor.
-    """
+    __slots__ = ("i", "j", "c", "tag")
 
-    __slots__ = ("i", "ci", "j", "cj", "d", "tag")
-
-    def __init__(self, i, ci, j, cj, d, tag):
-        self.i, self.ci, self.j, self.cj, self.d, self.tag = i, ci, j, cj, d, tag
+    def __init__(self, i, j, c, tag):
+        self.i, self.j, self.c, self.tag = i, j, c, tag
 
     def substitute(self, a, value):
         if self.i == a:
-            self.d = self.d + self.ci * value
-            self.i, self.ci = None, None
+            self.c = self.c * value
+            self.i = None
         if self.j == a:
-            self.d = self.d + self.cj * value
-            self.j, self.cj = None, None
-        if self.i is None and self.j is not None:
-            self.i, self.ci, self.j, self.cj = self.j, self.cj, None, None
+            self.c = self.c / value
+            self.j = None
 
-    def single_in(self, a):
-        return self.i == a and self.j is None
-
-    def eval_single(self, c):
-        return self.ci * c + self.d
-
-    def is_scalar(self):
-        return self.i is None and self.j is None
-
-    def __repr__(self):
-        return "LinFactor(%r)" % (self.tag,)
+    def vanishes_at(self, a, value, one):
+        if self.i == a and self.j is None:
+            return self.c * value == one
+        if self.j == a and self.i is None:
+            return self.c / value == one
+        return False
 
 
-def build_kernel(params, ell):
-    """Numerator and denominator factor lists of the kernel
-    S(t) = prod_a prod_m (t_a - x_m)(t_a - y_m) prod_{a != b} (t_a - eta t_b)/(t_a - t_b)."""
-    one, zero = params.field.one, params.field.zero
+def kernel_factors(params, ell):
+    """Numerator and denominator factor lists of Omega: (a, m) factors at
+    c = 1/x_m and 1/y_m, pair factors (i, j) at c = eta over c = 1."""
+    one = params.field.one
+    inv_x = [one / v for v in params.x]
+    inv_y = [one / v for v in params.y]
     numer, denom = [], []
     for a in range(ell):
         for m in range(params.n):
-            numer.append(LinFactor(a, one, None, None, -params.x[m], ("x", a, m + 1)))
-            numer.append(LinFactor(a, one, None, None, -params.y[m], ("y", a, m + 1)))
+            numer.append(KernelFactor(a, None, inv_x[m], ("x", a, m + 1)))
+            numer.append(KernelFactor(a, None, inv_y[m], ("y", a, m + 1)))
     for i in range(ell):
         for j in range(ell):
             if i != j:
-                numer.append(LinFactor(i, one, j, -params.eta, zero, ("pair", i, j)))
-                denom.append(LinFactor(i, one, j, -one, zero, ("den", i, j)))
+                numer.append(KernelFactor(i, j, params.eta, ("pair", i, j)))
+                denom.append(KernelFactor(i, j, one, ("den", i, j)))
     return numer, denom
 
 
-def cancellation_plan(point):
-    """The structurally designated vanishing factor for each residue step of
-    a special point: the anchor (t_a - x_m) or (t_a - y_m) at the end of a
-    geometric block, the adjacent pair factor inside a block."""
-    lam = point.partition
-    plan = {}
-    a = 0
-    for m, w in enumerate(lam.multiplicities(), start=1):
-        for r in range(w):
-            last = r == w - 1
-            if point.kind == "x":
-                plan[a] = ("x", a, m) if last else ("pair", a + 1, a)
-            else:
-                plan[a] = ("y", a, m) if last else ("pair", a, a + 1)
-            a += 1
-    return plan
-
-
-def kernel_residue_parts(params, point, plan=None):
-    """Cancel one kernel factor per variable (innermost last variable
-    first) and return (scale_inv, numer_value, denom_value), so that
-
-        Res(1/S (dt/t)^ell) = denom_value / (numer_value * scale_inv).
+def cancel_poles(params, point, plan=None):
+    """Cancel one kernel factor per variable, innermost last variable
+    first, and return (sign, numerator arguments, denominator arguments):
+    sign is -1 per cancelled factor with t_a in the numerator of its
+    argument, the argument lists are those of the remaining factors.
 
     Without a plan the vanishing factor is discovered and must be unique,
     with no vanishing denominator factor (the simple-pole condition).  With
@@ -103,20 +98,18 @@ def kernel_residue_parts(params, point, plan=None):
     meaningful as a rational function even when a remaining factor happens
     to vanish at specialized parameters.
     """
-    ell = point.ell
-    coords = point.coords
-    numer, denom = build_kernel(params, ell)
-    zero, one = params.field.zero, params.field.one
-    scale_inv = one
-    for a in reversed(range(ell)):
-        c = coords[a]
+    numer, denom = kernel_factors(params, point.ell)
+    one = params.field.one
+    sign = one
+    for a in reversed(range(point.ell)):
+        c = point.coords[a]
         if plan is None:
-            hits = [f for f in numer if f.single_in(a) and f.eval_single(c) == zero]
+            hits = [f for f in numer if f.vanishes_at(a, c, one)]
             if len(hits) != 1:
                 raise PoleOrderError(
                     "step t_%d -> %s: %d vanishing numerator factors (need exactly 1)"
                     % (a + 1, c, len(hits)))
-            bad = [f for f in denom if f.single_in(a) and f.eval_single(c) == zero]
+            bad = [f for f in denom if f.vanishes_at(a, c, one)]
             if bad:
                 raise PoleOrderError(
                     "step t_%d -> %s: denominator factor %r vanishes"
@@ -125,20 +118,55 @@ def kernel_residue_parts(params, point, plan=None):
         else:
             want = plan[a]
             f = next(g for g in numer if g.tag == want)
-            if not (f.single_in(a) and f.eval_single(c) == zero):
+            if not f.vanishes_at(a, c, one):
                 raise PoleOrderError(
                     "designated factor %r does not vanish at step t_%d" % (want, a + 1))
+        if f.i == a:
+            sign = -sign
         numer.remove(f)
-        scale_inv = scale_inv * (f.ci * c)
         for g in numer:
             g.substitute(a, c)
         for g in denom:
             g.substitute(a, c)
+    return sign, [g.c for g in numer], [g.c for g in denom]
+
+
+def cancellation_plan(point):
+    """The structurally designated vanishing factor for each residue step of
+    a special point: the anchor phi(t_a/x_m) or phi(t_a/y_m) at the end of
+    a geometric block, the adjacent pair factor inside a block."""
+    lam = point.partition
+    plan = {}
+    a = 0
+    for m, w in enumerate(lam.multiplicities(), start=1):
+        for r in range(w):
+            last = r == w - 1
+            if point.kind == "x":
+                plan[a] = ("x", a, m) if last else ("pair", a, a + 1)
+            else:
+                plan[a] = ("y", a, m) if last else ("pair", a + 1, a)
+            a += 1
+    return plan
+
+
+def kernel_residue_parts(params, point, plan=None):
+    """Cancel one kernel factor per variable (see `cancel_poles`) and return
+    (scale_inv, numer_value, denom_value), so that
+
+        Res(1/S (dt/t)^ell) = denom_value / (numer_value * scale_inv),
+
+    with phi(z) = 1 - z and scale_inv = sign * prod_m (x_m y_m)^ell.
+    """
+    sign, numer, denom = cancel_poles(params, point, plan)
+    one = params.field.one
+    scale_inv = sign
+    for xm, ym in zip(params.x, params.y):
+        scale_inv = scale_inv * (xm * ym) ** point.ell
     nval, dval = one, one
-    for g in numer:
-        nval = nval * g.d
-    for g in denom:
-        dval = dval * g.d
+    for c in numer:
+        nval = nval * (one - c)
+    for c in denom:
+        dval = dval * (one - c)
     return scale_inv, nval, dval
 
 
@@ -148,14 +176,6 @@ def kernel_residue(params, point):
     if nval == params.field.zero:
         raise PoleOrderError("kernel residue is singular at %r" % (point.partition,))
     return dval / (nval * scale_inv)
-
-
-def iterated_residue(f, g, params, point):
-    """Res of f * g / S * (dt/t)^ell at the point.  f and g are black-box
-    evaluators on full coordinate tuples (they carry no poles of their own,
-    so they factor out of every step)."""
-    r = kernel_residue(params, point)
-    return f(point.coords) * g(point.coords) * r
 
 
 def m_kappa(params, lam):
@@ -185,27 +205,25 @@ def residue_sum(f, g, params, points, residue, zero):
     return total
 
 
-def x_residue_sum(f, g, params, ell):
-    return residue_sum(f, g, params, point_family(x_point, params, ell),
-                       kernel_residue, params.field.zero)
-
-
-def y_residue_sum(f, g, params, ell):
-    return residue_sum(f, g, params, point_family(y_point, params, ell),
-                       kernel_residue, params.field.zero)
+def checked_scalar_product(f, g, params, ell, residue, zero, check_y, mismatch):
+    """<f, g> as the x-side residue sum of a kernel's `residue`; self-checks
+    the y-side equality (x-sum = (-1)^ell y-sum) and raises
+    ConsistencyError(mismatch) on a difference, which flags an inadmissible
+    f*g rather than a bug downstream."""
+    xs = residue_sum(f, g, params, point_family(x_point, params, ell), residue, zero)
+    if check_y:
+        ys = residue_sum(f, g, params, point_family(y_point, params, ell), residue, zero)
+        if xs != (-params.field.one) ** ell * ys:
+            raise ConsistencyError(mismatch)
+    return xs
 
 
 def scalar_product(f, g, params, ell, check_y=True):
-    """<f, g> as the x-side residue sum; self-checks the y-side equality
-    (x-sum = (-1)^ell y-sum) and fails loudly on mismatch, which flags an
-    inadmissible f*g rather than a bug downstream."""
-    xs = x_residue_sum(f, g, params, ell)
-    if check_y:
-        ys = y_residue_sum(f, g, params, ell)
-        if xs != (-params.field.one) ** ell * ys:
-            raise ConsistencyError(
-                "x- and y-side residue sums disagree; f*g is not admissible")
-    return xs
+    """<f, g> against the rational kernel, with the (-1)^ell y-side
+    self-check."""
+    return checked_scalar_product(
+        f, g, params, ell, kernel_residue, params.field.zero, check_y,
+        "x- and y-side residue sums disagree; f*g is not admissible")
 
 
 def gram_matrix(parts, ell, weight_fn, residue, params, zero, check_y, mismatch):
@@ -258,7 +276,7 @@ def transition_matrix(ell, n, params):
     """A with P_lam = sum_mu A[lam][mu] Q_mu, solved exactly at the special
     points, together with B, the inverse of [Q_lam(x |> kap)]_{kap, lam}."""
     parts = enumerate_partitions(ell, n)
-    pts = [x_point(lam, params) for lam in parts]
+    pts = point_family(x_point, params, ell)
     q_kl = [[q_monomial(lam, pt.coords, params) for lam in parts] for pt in pts]
     p_lk = [[weight(lam, pt.coords, params) for pt in pts] for lam in parts]
     fld = params.field
@@ -372,16 +390,11 @@ def verify_mn(cfg):
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        pts = [x_point(lam, params) for lam in parts]
+        pts = point_family(x_point, params, cfg.ell)
         a, _, q_kl, _ = transition_matrix(cfg.ell, cfg.n, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
-        minv = []
-        for pt in pts:
-            scale_inv, nval, dval = kernel_residue_parts(params, pt)
-            if nval == fld.zero:
-                raise DegenerateInputError("singular kernel residue")
-            minv.append(dval / (nval * scale_inv))
+        minv = [kernel_residue(params, pt) for pt in pts]
         pn = [[weight(lam, pt.coords, params, primed=True) * norm_n(lam, params)
                for pt in pts] for lam in parts]
         size = len(parts)

@@ -132,9 +132,6 @@ class TensorVector:
     def is_zero(self):
         return not self.data
 
-    def __eq__(self, other):
-        return isinstance(other, TensorVector) and (self - other).is_zero()
-
     def nonzero_items(self):
         return sorted(self.data.items())
 

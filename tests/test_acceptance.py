@@ -14,10 +14,10 @@ from fractions import Fraction
 from qident.cli import run_one
 from qident.exactnum import (
     PSeries, QQ, Sampler, SamplerConfig, theta, theta_reduced, triple_pochhammer_p)
-from qident.elliptic import (
-    norm_d, sample_ell_params, x_residue_sum_omega, xi_weight, y_residue_sum_omega)
-from qident.partitions import Partition
+from qident.elliptic import norm_d, omega_residue, sample_ell_params, xi_weight
+from qident.partitions import Partition, x_point, y_point
 from qident.reporting import RunConfig
+from qident.residues import point_family, residue_sum
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -118,8 +118,8 @@ def test_criterion_07_elliptic_biorthogonality():
     lam = Partition((1,), 1)
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
-    xs = x_residue_sum_omega(f, g, p, 1)
-    ys = y_residue_sum_omega(f, g, p, 1)
+    xs, ys = (residue_sum(f, g, p, point_family(make_point, p, 1), omega_residue, p.zero)
+              for make_point in (x_point, y_point))
     ok = ok and (xs + ys).is_zero() and (xs - norm_d(lam, p).inverse()).is_zero()
     report_line(7, ok, "theta-weight Gram equals diag(1/D) to order 6; "
                 "residue-sum sign relation holds")

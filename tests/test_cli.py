@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qident
 from qident.cli import CHECKS, run, run_one
 from qident.errors import UsageError
-from qident.reporting import RunConfig
+from qident.reporting import DEFAULT_PRIME, RunConfig
 
 
 def test_every_check_routes_and_verifies(tmp_path):
@@ -207,3 +211,91 @@ def test_unwritable_json_path_exits_3_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: every argv and every manifest ends in an exit code of the
+# contract and never in a traceback.  Sizes stay capped (ell <= 2, n <= 3,
+# k <= 3, trials = 1, word length <= 2, bound <= 50), so no case is expensive.
+# ---------------------------------------------------------------------------
+
+CHECK_NAMES = st.sampled_from(sorted(CHECKS))
+PRIMES = st.sampled_from([2, 7, 101, DEFAULT_PRIME])
+CAPPED_INTS = {
+    "ell": st.integers(0, 2), "n": st.integers(1, 3), "k": st.integers(0, 3),
+    "i": st.integers(1, 3), "j": st.integers(1, 3), "seed": st.integers(0, 3),
+    "trials": st.just(1), "word_len": st.sampled_from([-1, 1, 2]),
+    "bound": st.integers(1, 50),
+}
+MUST_CAP = ("k", "trials", "word_len", "bound")   # defaults exceed the caps
+# one corruption per malformed input: (key, value)
+BAD_VALUES = st.sampled_from([
+    ("check", "nope"), ("ell", -1), ("n", 0), ("k", -1), ("trials", 0), ("bound", 0),
+    ("field", "fast"), ("prime", 561), ("prime", 1), ("prime", -5),
+    ("ell", "x"), ("n", "1.5"), ("seed", ""), ("bound", True), ("k", None),
+    ("elll", 9),
+])
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+def configs():
+    """A capped configuration as a dict, with one corruption one time in four."""
+    valid = st.fixed_dictionaries(
+        {"check": CHECK_NAMES, **{key: CAPPED_INTS[key] for key in MUST_CAP}},
+        optional={**{key: CAPPED_INTS[key] for key in CAPPED_INTS if key not in MUST_CAP},
+                  "field": st.sampled_from(["rational", "prime"]), "prime": PRIMES,
+                  "mutate": st.booleans(), "no_constraint": st.booleans()})
+    return st.tuples(valid, st.integers(0, 3), BAD_VALUES).map(
+        lambda t: dict(t[0], **{t[2][0]: t[2][1]}) if t[1] == 0 else t[0])
+
+
+def to_argv(cfg):
+    argv = [str(cfg["check"])]
+    for key, value in cfg.items():
+        if key == "check" or value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append("" if value is None else str(value))
+    return argv
+
+
+MALFORMED_ENTRIES = st.one_of(
+    st.none(), st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+    configs().map(lambda d: {k: v for k, v in d.items() if k != "check"}))
+ENTRIES = st.tuples(configs(), st.integers(0, 3), MALFORMED_ENTRIES).map(
+    lambda t: t[2] if t[1] == 0 else t[0])
+MANIFESTS = st.one_of(
+    st.lists(ENTRIES, min_size=1, max_size=3).map(json.dumps),
+    st.sampled_from(['{"check": "jing"}', "7", "[]", "not json {", ""]))
+
+
+@given(cfg=configs(), unwritable_json=st.sampled_from([False, False, False, True]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_keeps_the_exit_code_contract(tmp_path, cfg, unwritable_json):
+    argv = to_argv(cfg)
+    if unwritable_json:
+        argv += ["--json", str(tmp_path / "missing" / "r.json")]
+    code, output = run_captured(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in output
+
+
+@given(text=MANIFESTS, with_json=st.booleans())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_manifest_keeps_the_exit_code_contract(tmp_path, text, with_json):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(text)
+    argv = ["suite", str(manifest)] + (["--json", str(tmp_path / "agg.json")]
+                                       if with_json else [])
+    code, output = run_captured(argv)
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in output

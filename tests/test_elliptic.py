@@ -6,14 +6,15 @@ import pytest
 from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig, theta, triple_pochhammer_p
 from qident.linalg import mat_det
-from qident.partitions import Partition, binom, enumerate_partitions, x_point
+from qident.partitions import Partition, binom, enumerate_partitions, x_point, y_point
 from qident.reporting import RunConfig
+from qident.residues import point_family, residue_sum
 from qident.elliptic import (
     EllParams, aell_matrix, c_coeff_ell, d_lattice, d_lattice_bruteforce,
     detae_rhs_nokappa, dett_rhs_nokappa, gram_xx, idp1_value, idp2_value, norm_d,
     omega_residue, rho_lambda, sample_ell_params, sample_t,
     theta_lambda, vartheta, verify_detprod, verify_idp, verify_xt, verify_xx,
-    x_residue_sum_omega, xi_weight, y_residue_sum_omega, z_factor)
+    xi_weight, z_factor)
 
 K = 4
 
@@ -135,8 +136,8 @@ def test_gram_xx_and_res_sign():
 
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
-    xs = x_residue_sum_omega(f, g, p, 1)
-    ys = y_residue_sum_omega(f, g, p, 1)
+    xs, ys = (residue_sum(f, g, p, point_family(make_point, p, 1), omega_residue, p.zero)
+              for make_point in (x_point, y_point))
     assert (xs + ys).is_zero()  # (-1)^ell with ell = 1
 
     p12 = params_for(1, 2, seed=22)

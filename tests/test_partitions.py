@@ -5,8 +5,8 @@ import pytest
 from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import (
-    BOTH, GE, INCOMPARABLE, LE, Partition, binom, embed_same, embed_shift,
-    enumerate_partitions, enumerate_window, kappa, leq, x_point, y_point)
+    BOTH, GE, INCOMPARABLE, LE, Partition, binom, enumerate_partitions,
+    enumerate_window, kappa, leq, x_point, y_point)
 from qident.polyweights import sample_poly_params
 
 
@@ -108,12 +108,3 @@ def test_kappa():
     p = _params(2, 2)
     assert x_point(kappa(2, 2, 2), p).coords == (p.x[1] / p.eta, p.x[1])
 
-
-def test_embeddings_are_injective():
-    for ell, n in [(2, 3), (3, 4)]:
-        smaller = enumerate_partitions(ell, n - 1)
-        for embed in (embed_same, embed_shift):
-            images = [embed(lam, n).entries for lam in smaller]
-            assert len(set(images)) == len(smaller)
-            for img in images:
-                assert Partition(img, n) in enumerate_partitions(ell, n)

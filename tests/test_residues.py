@@ -1,19 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qident.elliptic import omega_residue, sample_ell_params
 from qident.errors import ConsistencyError, PoleOrderError
-from qident.exactnum import QQ, Sampler, SamplerConfig
-from qident.linalg import identity_matrix, mat_det, mat_mul
+from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
+from qident.linalg import mat_det, mat_mul
 from qident.partitions import Partition, enumerate_partitions, kappa, x_point, y_point
 from qident.polyweights import (
     PolyParams, monomial_symmetric, norm_n, q_monomial, sample_poly_params, weight)
-from qident.reporting import RunConfig
+from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
     admissible_exponent_tuples, cancellation_plan, d_exponent, d_exponent_bruteforce,
-    deta_rhs, detq_rhs, gram_pp, iterated_residue, kernel_residue_parts, m_kappa,
-    scalar_product, transition_matrix, verify_det, verify_mn, verify_pp, verify_resi,
-    x_residue_sum, y_residue_sum)
+    deta_rhs, detq_rhs, gram_pp, kernel_residue, kernel_residue_parts, m_kappa,
+    point_family, residue_sum, scalar_product, transition_matrix, verify_det, verify_mn,
+    verify_pp, verify_resi)
 
 
 def params_for(ell, n, seed=2, constrain=None):
@@ -24,16 +27,111 @@ def one_fn(t):
     return QQ.one
 
 
+# ---------------------------------------------------------------------------
+# oracle: the kernel S(t) in linear factors c_i t_i + c_j t_j + d, cancelled
+# and substituted step by step with no reference to the theta kernel
+# ---------------------------------------------------------------------------
+
+class LinFactor:
+    def __init__(self, i, ci, j, cj, d, tag):
+        self.i, self.ci, self.j, self.cj, self.d, self.tag = i, ci, j, cj, d, tag
+
+    def substitute(self, a, value):
+        if self.i == a:
+            self.d = self.d + self.ci * value
+            self.i, self.ci = None, None
+        if self.j == a:
+            self.d = self.d + self.cj * value
+            self.j, self.cj = None, None
+        if self.i is None and self.j is not None:
+            self.i, self.ci, self.j, self.cj = self.j, self.cj, None, None
+
+    def vanishes_at(self, a, c, zero):
+        return self.i == a and self.j is None and self.ci * c + self.d == zero
+
+
+def linear_kernel_residue_oracle(params, point, plan=None):
+    """(scale_inv, numer_value, denom_value) of S(t) = prod_a prod_m
+    (t_a - x_m)(t_a - y_m) prod_{a != b} (t_a - eta t_b)/(t_a - t_b), each
+    step contributing 1/(t * slope).  `plan` uses the theta tags of
+    `cancellation_plan`: theta(eta t_i/t_j) is the linear (t_j - eta t_i)."""
+    one, zero = params.field.one, params.field.zero
+    numer, denom = [], []
+    for a in range(point.ell):
+        for m in range(params.n):
+            numer.append(LinFactor(a, one, None, None, -params.x[m], ("x", a, m + 1)))
+            numer.append(LinFactor(a, one, None, None, -params.y[m], ("y", a, m + 1)))
+    for i in range(point.ell):
+        for j in range(point.ell):
+            if i != j:
+                numer.append(LinFactor(i, one, j, -params.eta, zero, ("pair", j, i)))
+                denom.append(LinFactor(i, one, j, -one, zero, ("den", j, i)))
+    scale_inv = one
+    for a in reversed(range(point.ell)):
+        c = point.coords[a]
+        if plan is None:
+            hits = [f for f in numer if f.vanishes_at(a, c, zero)]
+            if len(hits) != 1 or any(f.vanishes_at(a, c, zero) for f in denom):
+                raise PoleOrderError("not a simple pole at step %d" % a)
+            f = hits[0]
+        else:
+            f = next(g for g in numer if g.tag == plan[a])
+            assert f.vanishes_at(a, c, zero)
+        numer.remove(f)
+        scale_inv = scale_inv * (f.ci * c)
+        for g in numer + denom:
+            g.substitute(a, c)
+    nval, dval = one, one
+    for g in numer:
+        nval = nval * g.d
+    for g in denom:
+        dval = dval * g.d
+    return scale_inv, nval, dval
+
+
+FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 3), st.integers(1, 5),
+       st.sampled_from([x_point, y_point]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_kernel_residue_parts_matches_linear_oracle(fld, ell, n, seed, make_point, planned):
+    p = sample_poly_params(Sampler(SamplerConfig(seed), fld), ell, n)
+    for pt in point_family(make_point, p, ell):
+        plan = cancellation_plan(pt) if planned else None
+        s, nv, dv = kernel_residue_parts(p, pt, plan=plan)
+        o_s, o_n, o_d = linear_kernel_residue_oracle(p, pt, plan=plan)
+        if planned:
+            # the m_kappa product, exact 0 allowed
+            assert s * nv / dv == o_s * o_n / o_d
+        else:
+            assert dv / (nv * s) == o_d / (o_n * o_s)
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
+       st.sampled_from([x_point, y_point]))
+@settings(max_examples=30, deadline=None)
+def test_theta_residue_reduces_to_rational_residue_at_p0(fld, ell, n, seed, make_point):
+    # theta(z; 0) = 1 - z, so the constant term of Res 1/Omega is
+    # prod_m (x_m y_m)^ell times Res 1/S at the same parameters
+    p = sample_ell_params(Sampler(SamplerConfig(seed), fld), ell, n, 2)
+    scale = fld.one
+    for xm, ym in zip(p.x, p.y):
+        scale = scale * (xm * ym) ** ell
+    for pt in point_family(make_point, p, ell):
+        assert omega_residue(p, pt).coeffs[0] == scale * kernel_residue(p, pt)
+
+
 def test_single_pole_residue_by_hand():
     p = params_for(1, 1)
     lam = Partition((1,), 1)
     pt = x_point(lam, p)
     # Res 1/((t - x)(t - y)) dt/t at t = x is 1/(x (x - y))
-    val = iterated_residue(one_fn, one_fn, p, pt)
+    val = kernel_residue(p, pt)
     assert val == 1 / (p.x[0] * (p.x[0] - p.y[0]))
     assert m_kappa(p, lam) == p.x[0] * (p.x[0] - p.y[0])
     # y-side residue at t = y: 1/(y (y - x)); the signed sum relation at ell=1
-    yv = iterated_residue(one_fn, one_fn, p, y_point(lam, p))
+    yv = kernel_residue(p, y_point(lam, p))
     assert yv == 1 / (p.y[0] * (p.y[0] - p.x[0]))
 
 
@@ -55,7 +153,7 @@ def test_pole_order_error_on_engineered_collision():
     p = params_for(2, 2)
     bad = PolyParams((p.x[0], p.x[0]), p.y, p.eta, 2, 2, QQ)
     with pytest.raises(PoleOrderError):
-        iterated_residue(one_fn, one_fn, bad, x_point(Partition((2, 1), 2), bad))
+        kernel_residue(bad, x_point(Partition((2, 1), 2), bad))
 
 
 def test_gram_pp_is_diagonal_of_inverse_norms():
@@ -76,8 +174,9 @@ def test_resi_agreement_exactly_on_divisible_bounded_monomials():
         p = params_for(ell, n, seed=50 + 10 * ell + n)
         for exps in admissible_exponent_tuples(ell, n):
             g = lambda t, e=exps: monomial_symmetric(e, t, QQ.one, QQ.zero)
-            xs = x_residue_sum(one_fn, g, p, ell)
-            ys = y_residue_sum(one_fn, g, p, ell)
+            xs, ys = (residue_sum(one_fn, g, p, point_family(make_point, p, ell),
+                                  kernel_residue, QQ.zero)
+                      for make_point in (x_point, y_point))
             assert (xs == (-QQ.one) ** ell * ys) == (min(exps) >= 1)
 
 
@@ -92,7 +191,7 @@ def test_transition_matrix_small_case():
     p = params_for(1, 2, seed=3)
     a, b, q_kl, _ = transition_matrix(1, 2, p)
     assert a == [[-p.x[1], Fraction(1)], [-p.y[0], Fraction(1)]]
-    assert mat_mul(b, q_kl) == identity_matrix(2, QQ.one, QQ.zero)
+    assert mat_mul(b, q_kl) == [[QQ.one, QQ.zero], [QQ.zero, QQ.one]]
     # the row of lam=(1) is y-independent; resolving with fresh y reproduces it
     p_alt = PolyParams(p.x, params_for(1, 2, seed=99).y, p.eta, 1, 2, QQ)
     a_alt, _, _, _ = transition_matrix(1, 2, p_alt)
