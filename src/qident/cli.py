@@ -43,6 +43,25 @@ CHECKS = {
     "singular": uqrep.verify_singular,
 }
 
+# The options a check reads besides trials, seed, field, prime, bound and
+# mutate, which every check reads.  Giving any other of CHECK_OPTIONS, on
+# the command line or as a manifest key, is a usage error: the check would
+# ignore it and still report a verdict.
+CHECK_OPTIONS = ("ell", "n", "i", "j", "k", "no_constraint", "word_len")
+_WINDOW = ("ell", "n", "i", "j", "no_constraint")
+READS = {
+    "jing": ("ell",),
+    "id1": _WINDOW, "id2": _WINDOW,
+    "pp": ("ell", "n"), "mn": ("ell", "n"), "detq": ("ell", "n"),
+    "deta": ("ell", "n"), "resI": ("ell", "n"),
+    "idp1": _WINDOW + ("k",), "idp2": _WINDOW + ("k",),
+    "xx": ("ell", "n", "k"), "xt": ("ell", "n", "k"), "detprod": ("ell", "n", "k"),
+    "rll": ("n",),
+    "kbi": ("ell", "n"),
+    "bc1": _WINDOW, "bc2": _WINDOW,
+    "singular": _WINDOW + ("word_len",),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -55,39 +74,52 @@ def build_parser():
     run.add_argument("--json", dest="out", default=None,
                      help="write the aggregate report to this path")
 
+    # CHECK_OPTIONS stay off the namespace unless given; RunConfig has
+    # their defaults
     for name in CHECKS:
-        c = sub.add_parser(name, help="verify the '%s' check" % name)
-        c.add_argument("--ell", type=int, default=1)
-        c.add_argument("--n", type=int, default=2)
-        c.add_argument("--i", type=int, default=1)
-        c.add_argument("--j", type=int, default=2)
-        c.add_argument("--k", type=int, default=6,
+        c = sub.add_parser(name, help="verify the '%s' check" % name,
+                           argument_default=argparse.SUPPRESS)
+        c.add_argument("--ell", type=int)
+        c.add_argument("--n", type=int)
+        c.add_argument("--i", type=int)
+        c.add_argument("--j", type=int)
+        c.add_argument("--k", type=int,
                        help="series truncation order for elliptic checks")
         c.add_argument("--trials", type=int, default=3)
         c.add_argument("--seed", type=int, default=None)
         c.add_argument("--field", choices=("rational", "prime"), default="rational")
         c.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         c.add_argument("--bound", type=int, default=1000)
-        c.add_argument("--mutate", action="store_true",
+        c.add_argument("--mutate", action="store_true", default=False,
                        help="perturb one internal coefficient (negative control)")
         c.add_argument("--no-constraint", action="store_true",
                        help="skip the theorem's parameter constraint (negative control)")
-        c.add_argument("--word-len", type=int, default=0,
+        c.add_argument("--word-len", type=int,
                        help="word length for the submodule spanning set (0 = ell+1)")
         c.add_argument("--json", dest="out", default=None,
                        help="write the report to this path")
     return parser
 
 
+def reject_unused(check, given):
+    """A UsageError if `given` names one of CHECK_OPTIONS that `check`
+    does not read.  An unknown check is left to `validate`."""
+    if check not in READS:
+        return
+    unused = [key for key in CHECK_OPTIONS if key in given and key not in READS[check]]
+    if unused:
+        raise UsageError("%s does not read option(s) %s" % (check, ", ".join(unused)))
+
+
 def config_from_args(args):
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "1"))
+    given = {key: getattr(args, key) for key in CHECK_OPTIONS if hasattr(args, key)}
+    reject_unused(args.command, given)
     return RunConfig(
-        check=args.command, ell=args.ell, n=args.n, i=args.i, j=args.j, k=args.k,
-        trials=args.trials, seed=seed, field=args.field, prime=args.prime,
-        bound=args.bound, mutate=args.mutate, no_constraint=args.no_constraint,
-        word_len=args.word_len)
+        check=args.command, trials=args.trials, seed=seed, field=args.field,
+        prime=args.prime, bound=args.bound, mutate=args.mutate, **given)
 
 
 def validate(cfg):
@@ -138,6 +170,7 @@ def run_suite(path, out):
     for idx, entry in enumerate(entries):
         try:
             configs.append(RunConfig.from_dict(entry))
+            reject_unused(entry["check"], entry)
         except UsageError as exc:
             raise UsageError("manifest entry %d: %s" % (idx, exc))
     started = time.perf_counter()

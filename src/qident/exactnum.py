@@ -3,15 +3,19 @@ truncated formal power series ring in the nome p.
 
 Scalars live either in the field of big rationals (authoritative) or in a
 prime field GF(p) (fast mode; an unlucky prime can produce spurious zeros,
-so rational mode has the final word).  Series are lists of exact
-coefficients modulo p^(K+1); the q-Pochhammer factors are finite truncated
-products and theta is a finite truncated sum (the Jacobi triple product), so
-no convergence questions ever arise.
+so rational mode has the final word).  Series are exact modulo p^(K+1) and
+fraction-free: integer numerators over one common denominator over QQ, raw
+residues over GF(p), turned into field scalars only at the report boundary
+(`PSeries.coeffs`).  The q-Pochhammer factors are finite truncated products
+and theta is a finite truncated sum (the Jacobi triple product), so no
+convergence questions ever arise.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -246,49 +250,100 @@ def scalar_str(x):
 # truncated power series in the nome p
 # ---------------------------------------------------------------------------
 
+def _modulus(fld):
+    """p for GF(p), 0 for QQ."""
+    return fld.p if isinstance(fld, PrimeField) else 0
+
+
 class PSeries:
     """A formal power series in p truncated at a fixed order K.
 
-    All ring operations happen modulo p^(K+1) with exact coefficients.
-    Binary operations require matching orders; this is deliberate, since
-    silently mixing truncation orders is how elliptic checks go wrong.
+    All ring operations happen modulo p^(K+1).  The coefficients are stored
+    without `Fraction`s: over QQ as a list `num` of K+1 integers over one
+    positive integer `den`, normalized so that gcd(den, *num) == 1; over
+    GF(p) as residues in [0, p) with `den` 1.  That form is canonical, so
+    equality and hashing compare (order, den, num) directly.  Field scalars
+    appear only at the boundary: the constructor takes them and `coeffs`
+    returns them.  Binary operations require matching orders; this is
+    deliberate, since silently mixing truncation orders is how elliptic
+    checks go wrong.
     """
 
-    __slots__ = ("field", "coeffs", "order")
+    __slots__ = ("field", "mod", "num", "den", "order")
 
     def __init__(self, fld, coeffs, order=None):
         if order is None:
             order = len(coeffs) - 1
-        cs = [fld.of(c) if isinstance(c, int) else c for c in coeffs[: order + 1]]
-        cs.extend(fld.zero for _ in range(order + 1 - len(cs)))
-        self.field = fld
-        self.coeffs = cs
-        self.order = order
+        cs = [fld.of(c) for c in coeffs[: order + 1]]
+        mod = _modulus(fld)
+        if mod:
+            num, den = [c.value for c in cs], 1
+        else:
+            # the lcm of reduced denominators leaves gcd(den, *num) == 1
+            den = math.lcm(*(c.denominator for c in cs))
+            num = [c.numerator * (den // c.denominator) for c in cs]
+        num.extend([0] * (order + 1 - len(num)))
+        self.field, self.mod, self.num, self.den, self.order = fld, mod, num, den, order
+
+    @classmethod
+    def _from_ints(cls, fld, num, den, order):
+        """The series with coefficients num[i]/den (den > 0; ignored over
+        GF(p)) for i <= order, brought to canonical form once."""
+        out = object.__new__(cls)
+        mod = _modulus(fld)
+        if mod:
+            num, den = [x % mod for x in num], 1
+        else:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [x // g for x in num], den // g
+        out.field, out.mod, out.num, out.den, out.order = fld, mod, num, den, order
+        return out
+
+    def _new(self, num, den=1):
+        return PSeries._from_ints(self.field, num, den, self.order)
 
     @classmethod
     def constant(cls, fld, value, order):
-        return cls(fld, [fld.of(value) if isinstance(value, int) else value], order)
+        return cls(fld, [value], order)
 
     @classmethod
     def nome(cls, fld, order):
         """The series p itself."""
-        return cls(fld, [fld.zero, fld.one], order)
+        return cls(fld, [0, 1], order)
+
+    @property
+    def coeffs(self):
+        """The coefficients as field scalars (`Fraction` or `PrimeScalar`)."""
+        if self.mod:
+            return [PrimeScalar(x, self.mod) for x in self.num]
+        return [Fraction(x, self.den) for x in self.num]
 
     def _coerce(self, other):
         if isinstance(other, PSeries):
             if other.order != self.order:
                 raise UsageError(
                     "mixed truncation orders %d and %d" % (self.order, other.order))
+            if other.mod != self.mod:
+                raise UsageError("mixed fields %r and %r" % (self.field, other.field))
             return other
         if isinstance(other, (int, Fraction, PrimeScalar)):
-            return PSeries.constant(self.field, self.field.of(other) if isinstance(other, (int, Fraction)) else other, self.order)
+            return PSeries(self.field, [other], self.order)
         return None
+
+    def _combine(self, other, op):
+        da, db = self.den, other.den
+        if da == db:
+            return self._new(list(map(op, self.num, other.num)), da)
+        lcm = da // math.gcd(da, db) * db
+        ma, mb = lcm // da, lcm // db
+        return self._new([op(x * ma, y * mb) for x, y in zip(self.num, other.num)], lcm)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PSeries(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)], self.order)
+        return self._combine(o, operator.add)
 
     __radd__ = __add__
 
@@ -296,57 +351,70 @@ class PSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PSeries(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)], self.order)
+        return self._combine(o, operator.sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._combine(self, operator.sub)
 
     def __neg__(self):
-        return PSeries(self.field, [-a for a in self.coeffs], self.order)
+        return self._new([-x for x in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, PSeries):
             o = self._coerce(other)
-            out = [self.field.zero] * (self.order + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == self.field.zero:
-                    continue
-                for j in range(self.order + 1 - i):
-                    b = o.coeffs[j]
-                    if b == self.field.zero:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return PSeries(self.field, out, self.order)
+            a, b = self.num, o.num
+            if a.count(0) < b.count(0):   # the outer loop skips zeros
+                a, b = b, a
+            size = self.order + 1
+            out = [0] * size
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b[: size - i], i):
+                        out[k] += x * y
+            return self._new(out, self.den * o.den)
         if isinstance(other, (int, Fraction, PrimeScalar)):
-            c = self.field.of(other) if isinstance(other, (int, Fraction)) else other
-            return PSeries(self.field, [a * c for a in self.coeffs], self.order)
+            c = self.field.of(other)
+            if self.mod:
+                return self._new([x * c.value for x in self.num])
+            return self._new([x * c.numerator for x in self.num], self.den * c.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        c0 = self.coeffs[0]
-        if c0 == self.field.zero:
+        num, order, mod = self.num, self.order, self.mod
+        n0 = num[0]
+        if not n0:
             raise NonInvertibleError(
                 "series with zero constant term has no inverse mod p^%d" % (self.order + 1))
-        inv0 = self.field.one / c0
-        out = [inv0] + [self.field.zero] * self.order
-        for k in range(1, self.order + 1):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return PSeries(self.field, out, self.order)
+        if mod:
+            inv0 = pow(n0, -1, mod)
+            out = [inv0]
+            for k in range(1, order + 1):
+                out.append(-inv0 * sum(map(operator.mul, num[1:k + 1], out[::-1])) % mod)
+            return self._new(out)
+        # num/den = N(p)/D, so its inverse is D/N(p), whose coefficient k is
+        # D M_k / N_0^(k+1) with M_0 = 1, M_k = -sum_{j=1..k} N_j N_0^(j-1) M_{k-j}
+        powers = [1]
+        for _ in range(order + 1):
+            powers.append(powers[-1] * n0)
+        t = [num[j] * powers[j - 1] for j in range(1, order + 1)]
+        m = [1]
+        for k in range(1, order + 1):
+            m.append(-sum(map(operator.mul, t[:k], m[::-1])))
+        den = powers[order + 1]
+        sign = -1 if den < 0 else 1
+        return self._new([sign * self.den * m[k] * powers[order - k] for k in range(order + 1)],
+                         sign * den)
 
     def __truediv__(self, other):
         if isinstance(other, PSeries):
             return self * other.inverse()
         if isinstance(other, (int, Fraction, PrimeScalar)):
-            c = self.field.of(other) if isinstance(other, (int, Fraction)) else other
-            return self * (self.field.one / c)
+            return self * (self.field.one / self.field.of(other))
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -368,35 +436,29 @@ class PSeries:
         """Multiply by p^m (truncating)."""
         if m < 0:
             raise UsageError("negative shift would leave the power series ring")
-        return PSeries(self.field, [self.field.zero] * m + self.coeffs, self.order)
+        return self._new(([0] * m + self.num)[: self.order + 1], self.den)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c != self.field.zero:
+        for i, x in enumerate(self.num):
+            if x:
                 return i
         return None
 
-    def shifted_down(self, m):
-        """Divide by p^m; requires the first m coefficients to vanish."""
-        if any(c != self.field.zero for c in self.coeffs[:m]):
-            raise UsageError("series is not divisible by p^%d" % m)
-        return PSeries(self.field, self.coeffs[m:] + [self.field.zero] * m, self.order)
-
     def is_zero(self):
-        return all(c == self.field.zero for c in self.coeffs)
+        return not any(self.num)
 
     def invertible(self):
-        return self.coeffs[0] != self.field.zero
+        return self.num[0] != 0
 
     def __eq__(self, other):
         if not isinstance(other, PSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        return (self.order == other.order and self.mod == other.mod
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.order, tuple(str(c) for c in self.coeffs)))
+        return hash((self.order, self.den, tuple(self.num)))
 
     def coeff_strings(self):
         return [str(c) for c in self.coeffs]
@@ -404,7 +466,7 @@ class PSeries:
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
-            if c != self.field.zero:
+            if c:
                 terms.append("%s*p^%d" % (c, i) if i else str(c))
         body = " + ".join(terms) if terms else "0"
         return "PSeries(%s; mod p^%d)" % (body, self.order + 1)
@@ -454,69 +516,51 @@ def theta(u, e, order):
     if e < 1:
         raise UsageError("theta nome exponent must be a positive integer")
     if isinstance(u, PSeries):
-        fld, val = u.field, _as_series(u, order).valuation()
-        c = fld.zero if val is None else u.coeffs[val]
-        if c != fld.zero and any(x != fld.zero for x in u.coeffs[val + 1:]):
+        us = _as_series(u, order)
+        fld, val = us.field, us.valuation()
+        if val is None:
+            raise DegenerateInputError("theta of the zero series is undefined")
+        if any(us.num[val + 1:]):
             raise UsageError("theta needs a scalar or monomial series argument c*p^v")
+        a, b = us.num[val], us.den      # coprime: the only nonzero entry
     else:   # a scalar; building and scanning a constant series costs more than the sum
-        fld, val, c = field_of(u), 0, u
-    if c == fld.zero:
-        raise DegenerateInputError("theta of the zero series is undefined")
+        fld, val = field_of(u), 0
+        if u == 0:
+            raise DegenerateInputError("theta of the zero series is undefined")
+        a, b = (u.value, 1) if isinstance(u, PrimeScalar) else (u.numerator, u.denominator)
     if val > e:
         raise DegenerateInputError(
             "theta argument has valuation %d > nome exponent %d" % (val, e))
-    # c = a/b with a, b integers, so the powers below are integer products
-    # and each coefficient costs one exact division
-    if isinstance(c, PrimeScalar):
-        a, b, p = c.value, 1, c.p
-
-        def ratio(x, y):   # y is a power of a, a unit mod the prime p
-            return PrimeScalar(x * pow(y, -1, p), p)
-    else:
-        a, b, ratio = c.numerator, c.denominator, Fraction
-    out = [None] * (order + 1)
-
-    def put(i, x):
-        out[i] = x if out[i] is None else out[i] + x
-
+    # c = a/b: the terms of step n are integers over a^(n-1) b^n, so after
+    # the last step `last` everything sits over a^(last-1) b^last
+    terms = []                     # (index, numerator over a^(n-1) b^n, n)
     am, bm = 1, 1                  # a^(n-1), b^(n-1)
     n, low, high = 1, 0, val       # exponents of the terms 1 - n and n
     while low <= order:
         an, bn = am * a, bm * b
         sign = 1 if n % 2 else -1  # (-1)^(1-n)
         if low == high:
-            put(low, ratio(sign * (bm * bn - am * an), am * bn))
+            terms.append((low, sign * (bm * bn - am * an), n))
         else:
-            put(low, ratio(sign * bm, am))
+            terms.append((low, sign * bm * bn, n))
             if high <= order:
-                put(high, ratio(-sign * an, bn))
+                terms.append((high, -sign * an * am, n))
         am, bm = an, bn
         low += e * n - val
         high += e * n + val
         n += 1
-    return PSeries(fld, [fld.zero if x is None else x for x in out], order)
-
-
-def theta_reduced(u, order):
-    """theta(u; p) / (1 - u) with the vanishing factor cancelled symbolically:
-    (pu; p)_inf (p u^{-1}; p)_inf (p; p)_inf.  Regular at u = 1, where it
-    equals ((p; p)_inf)^3.
-    """
-    us = _as_series(u, order)
-    fld = us.field
-    one = PSeries.constant(fld, fld.one, order)
-    val = us.valuation()
-    if val is None:
-        raise DegenerateInputError("theta_reduced of zero is undefined")
-    if val > 0:
-        raise DegenerateInputError("theta_reduced needs an invertible argument")
-    u_inv = us.inverse()
-    out = one
-    for s in range(1, order + 1):
-        out = out * (one - us.shift(s))
-        out = out * (one - u_inv.shift(s))
-        out = out * (one - PSeries.nome(fld, order).shift(s - 1))
-    return out
+    last = n - 1
+    num = [0] * (order + 1)
+    for i, x, k in terms:
+        num[i] += x * (a * b) ** (last - k)
+    den = am // a * bm
+    mod = _modulus(fld)
+    if mod:   # b == 1 and a is a unit mod p
+        inv = pow(den, -1, mod)
+        return PSeries._from_ints(fld, [x * inv for x in num], 1, order)
+    if den < 0:
+        num, den = [-x for x in num], -den
+    return PSeries._from_ints(fld, num, den, order)
 
 
 def pochhammer_p(fld, order):

@@ -13,11 +13,13 @@ from fractions import Fraction
 
 from qident.cli import run_one
 from qident.exactnum import (
-    PSeries, QQ, Sampler, SamplerConfig, theta, theta_reduced, triple_pochhammer_p)
+    PSeries, QQ, Sampler, SamplerConfig, theta, triple_pochhammer_p)
 from qident.elliptic import norm_d, omega_residue, sample_ell_params, xi_weight
 from qident.partitions import Partition, x_point, y_point
 from qident.reporting import RunConfig
 from qident.residues import point_family, residue_sum
+
+from test_exactnum import theta_reduced
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qident
-from qident.cli import CHECKS, run, run_one
+from qident.cli import CHECK_OPTIONS, CHECKS, READS, run, run_one
 from qident.errors import UsageError
 from qident.reporting import DEFAULT_PRIME, RunConfig
 
@@ -156,6 +156,24 @@ def test_malformed_manifest_entry_is_a_usage_error(tmp_path, entry):
         RunConfig.from_dict(entry)
 
 
+def test_an_option_the_check_never_reads_is_a_usage_error(tmp_path):
+    assert set(READS) == set(CHECKS)
+    assert run(["jing", "--ell", "2", "--i", "5", "--j", "1", "--k", "9"]) == 2
+    assert run(["rll", "--n", "2", "--ell", "7"]) == 2
+    # explicit counts, not the value: the default value is rejected as well
+    assert run(["rll", "--n", "2", "--ell", "1"]) == 2
+    assert run(["xx", "--ell", "1", "--n", "1", "--k", "2", "--no-constraint"]) == 2
+    manifest = tmp_path / "m.json"
+    for entry in ({"check": "jing", "ell": 2, "i": 5, "j": 1, "k": 9},
+                  {"check": "rll", "n": 2, "ell": 7},
+                  {"check": "pp", "ell": 1, "n": 2, "no_constraint": False}):
+        manifest.write_text(json.dumps([{"check": "jing", "ell": 2, "trials": 1}, entry]))
+        assert run(["suite", str(manifest)]) == 2, entry
+    # a replayed report config names every option; it stays valid
+    report = run_one(RunConfig(check="rll", n=2, trials=1))
+    assert RunConfig.from_dict(report.config.to_dict()) == report.config
+
+
 def test_unexpected_exception_is_an_error_report(monkeypatch):
     def broken(cfg):
         raise RuntimeError("a bug")
@@ -228,6 +246,7 @@ CAPPED_INTS = {
     "bound": st.integers(1, 50),
 }
 MUST_CAP = ("k", "trials", "word_len", "bound")   # defaults exceed the caps
+OPTION_VALUES = dict(CAPPED_INTS, no_constraint=st.booleans())
 # one corruption per malformed input: (key, value)
 BAD_VALUES = st.sampled_from([
     ("check", "nope"), ("ell", -1), ("n", 0), ("k", -1), ("trials", 0), ("bound", 0),
@@ -244,15 +263,42 @@ def run_captured(argv):
     return code, out.getvalue() + err.getvalue()
 
 
-def configs():
-    """A capped configuration as a dict, with one corruption one time in four."""
-    valid = st.fixed_dictionaries(
-        {"check": CHECK_NAMES, **{key: CAPPED_INTS[key] for key in MUST_CAP}},
-        optional={**{key: CAPPED_INTS[key] for key in CAPPED_INTS if key not in MUST_CAP},
+def valid_config(check):
+    """A capped configuration of `check` giving only options it reads."""
+    def given(key):
+        return key not in CHECK_OPTIONS or key in READS[check]
+    return st.fixed_dictionaries(
+        {"check": st.just(check),
+         **{key: CAPPED_INTS[key] for key in MUST_CAP if given(key)}},
+        optional={**{key: OPTION_VALUES[key] for key in OPTION_VALUES
+                     if key not in MUST_CAP and given(key)},
                   "field": st.sampled_from(["rational", "prime"]), "prime": PRIMES,
-                  "mutate": st.booleans(), "no_constraint": st.booleans()})
-    return st.tuples(valid, st.integers(0, 3), BAD_VALUES).map(
-        lambda t: dict(t[0], **{t[2][0]: t[2][1]}) if t[1] == 0 else t[0])
+                  "mutate": st.booleans()})
+
+
+def unused_option(check):
+    """(key, value) for an option `check` never reads."""
+    return st.sampled_from([key for key in CHECK_OPTIONS if key not in READS[check]]) \
+        .flatmap(lambda key: OPTION_VALUES[key].map(lambda value: (key, value)))
+
+
+def configs():
+    """A capped configuration as a dict, with one corruption one time in
+    four: a malformed value, or an option the check never reads."""
+    def corrupt(cfg, kind, bad, unused):
+        change = (None, bad, unused)[kind]
+        return cfg if change is None else dict(cfg, **{change[0]: change[1]})
+
+    return CHECK_NAMES.flatmap(lambda check: st.tuples(
+        valid_config(check), st.sampled_from([0] * 6 + [1, 2]), BAD_VALUES,
+        unused_option(check))).map(lambda t: corrupt(*t))
+
+
+def unused_options(cfg):
+    """The options of a manifest entry that its (known) check never reads."""
+    if not isinstance(cfg, dict) or cfg.get("check") not in READS:
+        return []
+    return [key for key in cfg if key in CHECK_OPTIONS and key not in READS[cfg["check"]]]
 
 
 def to_argv(cfg):
@@ -272,7 +318,7 @@ MALFORMED_ENTRIES = st.one_of(
 ENTRIES = st.tuples(configs(), st.integers(0, 3), MALFORMED_ENTRIES).map(
     lambda t: t[2] if t[1] == 0 else t[0])
 MANIFESTS = st.one_of(
-    st.lists(ENTRIES, min_size=1, max_size=3).map(json.dumps),
+    st.lists(ENTRIES, min_size=1, max_size=3),
     st.sampled_from(['{"check": "jing"}', "7", "[]", "not json {", ""]))
 
 
@@ -286,12 +332,16 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(tmp_path, cfg, unwritable_json
     code, output = run_captured(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in output
+    # a False flag is not passed on the command line
+    if any(cfg[key] is not False for key in unused_options(cfg)):
+        assert code == 2, argv
 
 
-@given(text=MANIFESTS, with_json=st.booleans())
+@given(manifest_doc=MANIFESTS, with_json=st.booleans())
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_fuzzed_manifest_keeps_the_exit_code_contract(tmp_path, text, with_json):
+def test_fuzzed_manifest_keeps_the_exit_code_contract(tmp_path, manifest_doc, with_json):
+    text = manifest_doc if isinstance(manifest_doc, str) else json.dumps(manifest_doc)
     manifest = tmp_path / "m.json"
     manifest.write_text(text)
     argv = ["suite", str(manifest)] + (["--json", str(tmp_path / "agg.json")]
@@ -299,3 +349,5 @@ def test_fuzzed_manifest_keeps_the_exit_code_contract(tmp_path, text, with_json)
     code, output = run_captured(argv)
     assert code in (0, 1, 2, 3), text
     assert "Traceback" not in output
+    if isinstance(manifest_doc, list) and any(map(unused_options, manifest_doc)):
+        assert code == 2, text

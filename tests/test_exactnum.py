@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,92 @@ from qident.errors import (
     DegenerateInputError, NonInvertibleError, SamplingError, UsageError)
 from qident.exactnum import (
     MR_EXACT_BELOW, PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, _as_series,
-    is_probable_prime, pochhammer, pochhammer_p, theta, theta_reduced, to_prime_field,
-    triple_pochhammer_p)
+    is_probable_prime, pochhammer, pochhammer_p, theta, to_prime_field, triple_pochhammer_p)
 from qident.reporting import DEFAULT_PRIME
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_fractions = fractions_st.filter(lambda q: q != 0)
+fields_st = st.sampled_from([QQ, PrimeField(DEFAULT_PRIME)])
 
 
 def const(v, k):
     return PSeries.constant(QQ, Fraction(v), k)
+
+
+def fraction_series_oracle(op, fld, *args):
+    """Test oracle for `PSeries`: the list-of-field-scalars arithmetic
+    (`Fraction` or `PrimeScalar` coefficients) that the integer form
+    replaced.  Series operands are coefficient lists of one length K+1;
+    "scale" takes a field scalar and "pow" an int exponent.  Returns the
+    coefficient list of the result."""
+    zero, one = fld.zero, fld.one
+
+    def mul(a, b):
+        out = [zero] * len(a)
+        for i, x in enumerate(a):
+            for j in range(len(a) - i):
+                out[i + j] = out[i + j] + x * b[j]
+        return out
+
+    def inverse(a):
+        if a[0] == zero:
+            raise NonInvertibleError("zero constant term")
+        inv0 = one / a[0]
+        out = [inv0] + [zero] * (len(a) - 1)
+        for k in range(1, len(a)):
+            acc = zero
+            for j in range(1, k + 1):
+                acc = acc + a[j] * out[k - j]
+            out[k] = -inv0 * acc
+        return out
+
+    def power(a, exponent):
+        base = inverse(a) if exponent < 0 else a
+        out = [one] + [zero] * (len(a) - 1)
+        for _ in range(abs(exponent)):
+            out = mul(out, base)
+        return out
+
+    ops = {
+        "mul": mul,
+        "add": lambda a, b: [x + y for x, y in zip(a, b)],
+        "sub": lambda a, b: [x - y for x, y in zip(a, b)],
+        "scale": lambda a, c: [x * c for x in a],
+        "inverse": inverse,
+        "pow": power,
+    }
+    return ops[op](*args)
+
+
+def shifted_down(series, m):
+    """Test helper: divide by p^m; requires the first m coefficients to
+    vanish."""
+    cs = series.coeffs
+    if any(cs[:m]):
+        raise UsageError("series is not divisible by p^%d" % m)
+    return PSeries(series.field, cs[m:] + [series.field.zero] * m, series.order)
+
+
+def theta_reduced(u, order):
+    """Test oracle: theta(u; p) / (1 - u) with the vanishing factor
+    cancelled symbolically, (pu; p)_inf (p u^{-1}; p)_inf (p; p)_inf.
+    Regular at u = 1, where it equals ((p; p)_inf)^3.
+    """
+    us = _as_series(u, order)
+    fld = us.field
+    one = PSeries.constant(fld, fld.one, order)
+    val = us.valuation()
+    if val is None:
+        raise DegenerateInputError("theta_reduced of zero is undefined")
+    if val > 0:
+        raise DegenerateInputError("theta_reduced needs an invertible argument")
+    u_inv = us.inverse()
+    out = one
+    for s in range(1, order + 1):
+        out = out * (one - us.shift(s))
+        out = out * (one - u_inv.shift(s))
+        out = out * (one - PSeries.nome(fld, order).shift(s - 1))
+    return out
 
 
 def theta_product_oracle(u, e, order):
@@ -36,7 +113,7 @@ def theta_product_oracle(u, e, order):
         if val > e:
             raise DegenerateInputError(
                 "theta argument has valuation %d > nome exponent %d" % (val, e))
-        w_inv = us.shifted_down(val).inverse()
+        w_inv = shifted_down(us, val).inverse()
         s = 1
         while e * s - val <= order:
             out = out * (one - w_inv.shift(e * s - val))
@@ -221,6 +298,70 @@ def test_series_division_inverts_multiplication(a, b):
 def test_series_division_requires_invertible_constant_term():
     with pytest.raises(NonInvertibleError):
         PSeries.nome(QQ, 3).inverse()
+
+
+def assert_canonical(s):
+    assert len(s.num) == s.order + 1
+    if s.mod:
+        assert s.den == 1 and all(0 <= x < s.mod for x in s.num)
+    else:
+        assert s.den > 0 and math.gcd(s.den, *s.num) == 1
+
+
+def assert_matches(got, want, fld):
+    assert_canonical(got)
+    assert got.coeffs == want
+    rebuilt = PSeries(fld, want, got.order)
+    assert rebuilt == got and hash(rebuilt) == hash(got)
+
+
+@given(fields_st, st.integers(0, 24), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pseries_matches_fraction_series_oracle(fld, order, data):
+    def coeff_list(first):
+        return data.draw(st.lists(fractions_st, min_size=order, max_size=order)
+                         .map(lambda rest: [fld.of(q) for q in [first] + rest]))
+
+    a = coeff_list(data.draw(fractions_st))
+    b = coeff_list(data.draw(nonzero_fractions))
+    c = fld.of(data.draw(nonzero_fractions))
+    exponent = data.draw(st.integers(-3, 3))
+    sa, sb = PSeries(fld, a, order), PSeries(fld, b, order)
+    assert_matches(sa, a, fld)
+    assert_matches(sa * sb, fraction_series_oracle("mul", fld, a, b), fld)
+    assert_matches(sa + sb, fraction_series_oracle("add", fld, a, b), fld)
+    assert_matches(sa - sb, fraction_series_oracle("sub", fld, a, b), fld)
+    assert_matches(-sa, fraction_series_oracle("scale", fld, a, -fld.one), fld)
+    assert_matches(sa * c, fraction_series_oracle("scale", fld, a, c), fld)
+    assert_matches(c * sa, fraction_series_oracle("scale", fld, a, c), fld)
+    assert_matches(sa / c, fraction_series_oracle("scale", fld, a, fld.one / c), fld)
+    assert_matches(sb.inverse(), fraction_series_oracle("inverse", fld, b), fld)
+    assert_matches(sb ** exponent, fraction_series_oracle("pow", fld, b, exponent), fld)
+    assert_matches(sa / sb, fraction_series_oracle(
+        "mul", fld, a, fraction_series_oracle("inverse", fld, b)), fld)
+    assert sa * sb == sb * sa and hash(sa * sb) == hash(sb * sa)
+    assert (sa + sb) - sb == sa and hash((sa + sb) - sb) == hash(sa)
+
+
+@given(fields_st, st.integers(0, 24), st.integers(1, 3), nonzero_fractions, nonzero_fractions)
+@settings(max_examples=40, deadline=None)
+def test_theta_products_match_fraction_series_oracle(fld, order, e, u, w):
+    tu, tw = theta(fld.of(u), e, order), theta(fld.of(w), e, order)
+    assert_canonical(tu)
+    assert_matches(tu * tw, fraction_series_oracle("mul", fld, tu.coeffs, tw.coeffs), fld)
+    assert_matches(tu * tw * tu, fraction_series_oracle(
+        "mul", fld, fraction_series_oracle("mul", fld, tu.coeffs, tw.coeffs), tu.coeffs), fld)
+
+
+def test_prime_series_coerces_every_coefficient():
+    # a Fraction coefficient over GF(p) is reduced into the field, not kept
+    gf = PrimeField(101)
+    s = PSeries(gf, [Fraction(1, 2), 3])
+    assert s.coeffs == [PrimeScalar(51, 101), PrimeScalar(3, 101)]
+    assert s == PSeries(gf, [PrimeScalar(51, 101), 3])
+    assert (s * s).coeffs == [gf.of(Fraction(1, 4)), gf.of(3)]
+    with pytest.raises(DegenerateInputError):
+        PSeries(gf, [Fraction(1, 101)])
 
 
 def test_pochhammer_p_matches_direct_product():

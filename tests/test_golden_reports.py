@@ -1,9 +1,10 @@
 """Replay of the benchmark's four mixes (`poly`, `elliptic`, `uq`, `prime`)
-at seed 1, in-process through `cli.run_one`: every canonical report must
-hash to its golden digest in benchmarks/goldens.json, so a faster evaluation
-path that changes any reported value fails here, not only in the benchmark
-run.  An entry without a golden digest (the mutated `singular` of `uq`) is
-checked by its verdict alone."""
+at seed 1, and of the two mixes that run the series ring (`elliptic`,
+`prime`) at seed 2 as well, in-process through `cli.run_one`: every
+canonical report must hash to its golden digest in benchmarks/goldens.json,
+so a faster evaluation path that changes any reported value fails here, not
+only in the benchmark run.  An entry without a golden digest (the mutated
+`singular` of `uq`) is checked by its verdict alone."""
 
 import os
 import sys
@@ -18,39 +19,51 @@ from worker import build_manifest, digest, load_goldens   # noqa: E402
 
 from qident.cli import run_one   # noqa: E402
 
-SEED = 1
-MIXES = ("poly", "elliptic", "uq", "prime")
-MANIFESTS = {mix: build_manifest(mix, SEED, smoke=False) for mix in MIXES}
-GOLDENS = {mix: load_goldens(mix, SEED, smoke=False) for mix in MANIFESTS}
+RUNS = [(mix, 1) for mix in ("poly", "elliptic", "uq", "prime")] + \
+    [("elliptic", 2), ("prime", 2)]
+MANIFESTS = {run: build_manifest(*run, smoke=False) for run in RUNS}
+GOLDENS = {run: load_goldens(*run, smoke=False) for run in RUNS}
 
 
-def replay(mix, index):
-    cfg, expect = MANIFESTS[mix][index]
+def replay(mix, index, seed=1):
+    cfg, expect = MANIFESTS[mix, seed][index]
     report = run_one(cfg)
     assert report.verdict == expect
-    golden = GOLDENS[mix][index]
+    golden = GOLDENS[mix, seed][index]
     if golden is not None:
         assert digest(report)[0] == golden
 
 
-@pytest.mark.parametrize("index", range(len(MANIFESTS["poly"])))
+@pytest.mark.parametrize("index", range(len(MANIFESTS["poly", 1])))
 def test_poly_report_matches_golden_digest(index):
-    assert GOLDENS["poly"][index] is not None
+    assert GOLDENS["poly", 1][index] is not None
     replay("poly", index)
 
 
-@pytest.mark.parametrize("index", range(len(MANIFESTS["elliptic"])))
+@pytest.mark.parametrize("index", range(len(MANIFESTS["elliptic", 1])))
 def test_elliptic_report_matches_golden_digest(index):
-    assert GOLDENS["elliptic"][index] is not None
+    assert GOLDENS["elliptic", 1][index] is not None
     replay("elliptic", index)
 
 
-@pytest.mark.parametrize("index", range(len(MANIFESTS["uq"])))
+@pytest.mark.parametrize("index", range(len(MANIFESTS["uq", 1])))
 def test_uq_report_matches_golden_digest(index):
     replay("uq", index)
 
 
-@pytest.mark.parametrize("index", range(len(MANIFESTS["prime"])))
+@pytest.mark.parametrize("index", range(len(MANIFESTS["prime", 1])))
 def test_prime_report_matches_golden_digest(index):
-    assert GOLDENS["prime"][index] is not None
+    assert GOLDENS["prime", 1][index] is not None
     replay("prime", index)
+
+
+@pytest.mark.parametrize("index", range(len(MANIFESTS["elliptic", 2])))
+def test_elliptic_seed_2_report_matches_golden_digest(index):
+    assert GOLDENS["elliptic", 2][index] is not None
+    replay("elliptic", index, seed=2)
+
+
+@pytest.mark.parametrize("index", range(len(MANIFESTS["prime", 2])))
+def test_prime_seed_2_report_matches_golden_digest(index):
+    assert GOLDENS["prime", 2][index] is not None
+    replay("prime", index, seed=2)
