@@ -127,8 +127,8 @@ def validate(cfg):
         raise UsageError("unknown check %r" % cfg.check)
     if cfg.trials < 1:
         raise UsageError("need at least one trial")
-    if cfg.ell < 0 or cfg.n < 1 or cfg.k < 0 or cfg.bound < 1:
-        raise UsageError("ell, n, k, bound out of range")
+    if cfg.ell < 0 or cfg.n < 1 or cfg.k < 0 or cfg.bound < 1 or cfg.word_len < 0:
+        raise UsageError("ell, n, k, bound, word_len out of range")
     cfg.scalar_field()   # a UsageError for an unknown field or a composite modulus
 
 
@@ -169,17 +169,19 @@ def run_suite(path, out):
     configs = []
     for idx, entry in enumerate(entries):
         try:
-            configs.append(RunConfig.from_dict(entry))
-            reject_unused(entry["check"], entry)
+            cfg = RunConfig.from_dict(entry)
+            reject_unused(cfg.check, entry)
+            validate(cfg)
         except UsageError as exc:
             raise UsageError("manifest entry %d: %s" % (idx, exc))
+        configs.append(cfg)
     started = time.perf_counter()
     reports = []
-    for cfg in configs:
+    for idx, cfg in enumerate(configs):
         try:
             reports.append(run_one(cfg))
         except UsageError as exc:
-            reports.append(error_report(cfg, exc))
+            raise UsageError("manifest entry %d: %s" % (idx, exc))
     aggregate = {
         "schema_version": reports[0].schema_version,
         "entries": [r.to_dict() for r in reports],

@@ -20,7 +20,7 @@ from .linalg import mat_det, mat_inverse, mat_mul
 from .partitions import binom, enumerate_partitions, enumerate_window, x_point
 from .polyweights import eta_constraint, pair_table, sample_t, symmetrize
 from .reporting import run_trials
-from .residues import cancel_poles, checked_scalar_product, d_exponent, gram_matrix
+from .residues import cancel_poles, d_exponent, gram_matrix
 
 
 class EllParams:
@@ -286,19 +286,23 @@ def omega_residue(params, point):
     return out * inv_part.inverse()
 
 
+THETA_MISMATCH = "x- and y-side theta residue sums disagree"
+
+
 def scalar_product_omega(f, g, params, ell, check_y=True):
     """<f, g> as the x-side theta residue sum, with the (-1)^ell y-side
     self-check."""
-    return checked_scalar_product(f, g, params, ell, omega_residue, params.zero, check_y,
-                                  "x- and y-side theta residue sums disagree")
+    return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], ell, omega_residue,
+                       params, params.zero, check_y, THETA_MISMATCH)[0][0]
 
 
 def gram_xx(ell, n, params, check_y=True):
     """The matrix [<Xi'_lam, Xi_mu>] over all partitions, in enumeration
     order."""
-    return gram_matrix(enumerate_partitions(ell, n), ell, xi_weight, omega_residue,
-                       params, params.zero, check_y,
-                       "x- and y-side theta residue sums disagree")
+    parts = enumerate_partitions(ell, n)
+    return gram_matrix(lambda t: [xi_weight(lam, t, params, primed=True) for lam in parts],
+                       lambda t: [xi_weight(mu, t, params) for mu in parts],
+                       ell, omega_residue, params, params.zero, check_y, THETA_MISMATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +364,6 @@ def d_lattice(n, m, ell, s):
         j = i - s
         if j >= 0 and i + j < ell:
             total += binom(m - 1 + i, m - 1) * binom(n - m - 1 + j, n - m - 1)
-    return total
-
-
-def d_lattice_bruteforce(n, m, ell, s):
-    total = 0
-    for i in range(ell + abs(s) + 1):
-        for j in range(ell + abs(s) + 1):
-            if i + j < ell and i - j == s:
-                total += binom(m - 1 + i, m - 1) * binom(n - m - 1 + j, n - m - 1)
     return total
 
 

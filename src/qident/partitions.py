@@ -1,5 +1,5 @@
-"""Partitions with bounded parts, their multiplicities, the componentwise
-order, and the special evaluation points attached to them.
+"""Partitions with bounded parts, their multiplicities, and the special
+evaluation points attached to them.
 
 A partition here is a weakly decreasing tuple (lam_1 >= ... >= lam_ell) with
 entries in [1, n].  The special x-point lists, block by block in ascending
@@ -16,12 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import UsageError
-
-LE = "le"
-GE = "ge"
-BOTH = "both"
-INCOMPARABLE = "incomparable"
-
 
 def binom(a, b):
     """Binomial coefficient, zero outside 0 <= b <= a."""
@@ -77,12 +71,11 @@ def enumerate_partitions(ell, n):
     return out
 
 
-def enumerate_window(ell, i, j, n=None):
-    """Partitions with j >= lam_1 >= ... >= lam_ell >= i."""
+def enumerate_window(ell, i, j, n):
+    """Partitions with j >= lam_1 >= ... >= lam_ell >= i and parts bounded
+    by n."""
     if not (1 <= i <= j):
         raise UsageError("window needs 1 <= i <= j")
-    if n is None:
-        n = j
     if j > n:
         raise UsageError("window top %d exceeds entry bound %d" % (j, n))
     out = []
@@ -96,21 +89,6 @@ def kappa(ell, j, n):
     if not (1 <= j <= n):
         raise UsageError("kappa needs 1 <= j <= n")
     return Partition((j,) * ell, n)
-
-
-def leq(lam, mu):
-    """Componentwise comparison; partitions must have equal length."""
-    if lam.ell != mu.ell:
-        raise UsageError("cannot compare partitions of lengths %d and %d" % (lam.ell, mu.ell))
-    le = all(a <= b for a, b in zip(lam.entries, mu.entries))
-    ge = all(a >= b for a, b in zip(lam.entries, mu.entries))
-    if le and ge:
-        return BOTH
-    if le:
-        return LE
-    if ge:
-        return GE
-    return INCOMPARABLE
 
 
 @dataclass(frozen=True)
@@ -146,32 +124,3 @@ def y_point(lam, params):
         for r in range(w):
             coords.append(eta ** (w - 1 - r) * ym)
     return EvalPoint(tuple(coords), "y", lam)
-
-
-def aligned_coords(lam, params, kind, primed=False):
-    """The same multiset of coordinates as x_point/y_point but ordered so
-    that position a pairs with entry lam_a (blocks in descending m).  This
-    is the order in which the single surviving permutation of a symmetrized
-    weight sum at its own special point is the identity.
-
-    The primed weights carry the eta of the pairwise factor on the earlier
-    variable, which reverses the surviving order inside each geometric run;
-    hence the flag."""
-    eta = params.eta
-    mults = lam.multiplicities()
-    runs = {}
-    coords = []
-    for a, part in enumerate(lam.entries):
-        r = runs.get(part, 0)
-        runs[part] = r + 1
-        w = mults[part - 1]
-        if kind == "x":
-            e = -r if primed else 1 - w + r
-            coords.append(eta ** e * params.x[part - 1])
-        elif kind == "y":
-            e = w - 1 - r if primed else r
-            coords.append(eta ** e * params.y[part - 1])
-        else:
-            raise UsageError("kind must be 'x' or 'y'")
-    return tuple(coords)
-

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, UsageError
 from .exactnum import scalar_str
-from .partitions import (
-    aligned_coords, enumerate_partitions, enumerate_window, kappa, x_point)
+from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
 from .reporting import run_trials
 
 
@@ -152,26 +151,6 @@ def weight(lam, t, params, primed=False):
     pair = pair_table(t, lambda ta, tb: _pair_ratio(ta, tb, params.eta, zero, primed))
     total = symmetrize(ell, [cols[part] for part in lam.entries], pair, one, zero)
     return r_lambda(lam, params.eta, one) * total
-
-
-def weight_at_special(lam, params, kind, primed=False):
-    """P (or P') at the partition's own special point, via the single
-    surviving term.
-
-    The surviving permutation is the identity once the coordinates are
-    listed in the order aligned with the (weakly decreasing) parts; the
-    naive sum has 0/0-free but wasteful cancelling terms there, so the
-    shortcut is both the licensed and the cheap route.
-    """
-    t = aligned_coords(lam, params, kind, primed=primed)
-    zero, one = params.field.zero, params.field.one
-    term = one
-    for a, part in enumerate(lam.entries):
-        term = term * x_factor(t[a], part, params, primed)
-    for a in range(lam.ell):
-        for b in range(a + 1, lam.ell):
-            term = term * _pair_ratio(t[a], t[b], params.eta, zero, primed)
-    return r_lambda(lam, params.eta, one) * term
 
 
 def monomial_symmetric(exponents, t, one, zero):

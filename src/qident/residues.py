@@ -32,7 +32,7 @@ is never integrated.
 
 from __future__ import annotations
 
-from .errors import ConsistencyError, DegenerateInputError, PoleOrderError, UsageError
+from .errors import ConsistencyError, PoleOrderError, UsageError
 from .exactnum import scalar_str
 from .linalg import mat_det, mat_inverse, mat_mul
 from .partitions import binom, enumerate_partitions, x_point, y_point
@@ -86,41 +86,31 @@ def kernel_factors(params, ell):
     return numer, denom
 
 
-def cancel_poles(params, point, plan=None):
+def cancel_poles(params, point):
     """Cancel one kernel factor per variable, innermost last variable
     first, and return (sign, numerator arguments, denominator arguments):
     sign is -1 per cancelled factor with t_a in the numerator of its
     argument, the argument lists are those of the remaining factors.
 
-    Without a plan the vanishing factor is discovered and must be unique,
-    with no vanishing denominator factor (the simple-pole condition).  With
-    a plan the designated factors are cancelled, which keeps the value
-    meaningful as a rational function even when a remaining factor happens
-    to vanish at specialized parameters.
+    The vanishing factor is discovered and must be unique, with no
+    vanishing denominator factor (the simple-pole condition).
     """
     numer, denom = kernel_factors(params, point.ell)
     one = params.field.one
     sign = one
     for a in reversed(range(point.ell)):
         c = point.coords[a]
-        if plan is None:
-            hits = [f for f in numer if f.vanishes_at(a, c, one)]
-            if len(hits) != 1:
-                raise PoleOrderError(
-                    "step t_%d -> %s: %d vanishing numerator factors (need exactly 1)"
-                    % (a + 1, c, len(hits)))
-            bad = [f for f in denom if f.vanishes_at(a, c, one)]
-            if bad:
-                raise PoleOrderError(
-                    "step t_%d -> %s: denominator factor %r vanishes"
-                    % (a + 1, c, bad[0].tag))
-            f = hits[0]
-        else:
-            want = plan[a]
-            f = next(g for g in numer if g.tag == want)
-            if not f.vanishes_at(a, c, one):
-                raise PoleOrderError(
-                    "designated factor %r does not vanish at step t_%d" % (want, a + 1))
+        hits = [f for f in numer if f.vanishes_at(a, c, one)]
+        if len(hits) != 1:
+            raise PoleOrderError(
+                "step t_%d -> %s: %d vanishing numerator factors (need exactly 1)"
+                % (a + 1, c, len(hits)))
+        bad = [f for f in denom if f.vanishes_at(a, c, one)]
+        if bad:
+            raise PoleOrderError(
+                "step t_%d -> %s: denominator factor %r vanishes"
+                % (a + 1, c, bad[0].tag))
+        f = hits[0]
         if f.i == a:
             sign = -sign
         numer.remove(f)
@@ -131,25 +121,7 @@ def cancel_poles(params, point, plan=None):
     return sign, [g.c for g in numer], [g.c for g in denom]
 
 
-def cancellation_plan(point):
-    """The structurally designated vanishing factor for each residue step of
-    a special point: the anchor phi(t_a/x_m) or phi(t_a/y_m) at the end of
-    a geometric block, the adjacent pair factor inside a block."""
-    lam = point.partition
-    plan = {}
-    a = 0
-    for m, w in enumerate(lam.multiplicities(), start=1):
-        for r in range(w):
-            last = r == w - 1
-            if point.kind == "x":
-                plan[a] = ("x", a, m) if last else ("pair", a, a + 1)
-            else:
-                plan[a] = ("y", a, m) if last else ("pair", a + 1, a)
-            a += 1
-    return plan
-
-
-def kernel_residue_parts(params, point, plan=None):
+def kernel_residue_parts(params, point):
     """Cancel one kernel factor per variable (see `cancel_poles`) and return
     (scale_inv, numer_value, denom_value), so that
 
@@ -157,7 +129,7 @@ def kernel_residue_parts(params, point, plan=None):
 
     with phi(z) = 1 - z and scale_inv = sign * prod_m (x_m y_m)^ell.
     """
-    sign, numer, denom = cancel_poles(params, point, plan)
+    sign, numer, denom = cancel_poles(params, point)
     one = params.field.one
     scale_inv = sign
     for xm, ym in zip(params.x, params.y):
@@ -178,98 +150,70 @@ def kernel_residue(params, point):
     return dval / (nval * scale_inv)
 
 
-def m_kappa(params, lam):
-    """M at the special point of lam: the reciprocal of the kernel residue,
-    computed as an explicit product so that its vanishing at specialized
-    parameters is an exact 0, not an error."""
-    point = x_point(lam, params)
-    scale_inv, nval, dval = kernel_residue_parts(params, point, plan=cancellation_plan(point))
-    if dval == params.field.zero:
-        raise DegenerateInputError("coincident coordinates at %r" % (lam,))
-    return scale_inv * nval / dval
-
-
 def point_family(make_point, params, ell):
     """The special points of one side (`x_point` or `y_point`), one per
     partition, in enumeration order."""
     return [make_point(lam, params) for lam in enumerate_partitions(ell, params.n)]
 
 
-def residue_sum(f, g, params, points, residue, zero):
-    """sum over the points of f * g * residue(params, point); shared by the
-    rational kernel and the theta kernel."""
-    total = zero
+def residue_pairing(left, right, params, points, residue, zero):
+    """The matrix [sum over the points of left[a] * r * right[b]], where
+    `left(t)` and `right(t)` return one value per family member and r is
+    the kernel's `residue(params, point)`.  Each family and the residue are
+    evaluated once per point; shared by the rational and the theta kernel.
+    """
+    scaled, plain = [], []     # per point: [left[a] r], [right[b]]
     for pt in points:
         r = residue(params, pt)
-        total = total + f(pt.coords) * g(pt.coords) * r
-    return total
+        scaled.append([v * r for v in left(pt.coords)])
+        plain.append(right(pt.coords))
+    out = []
+    for a in range(len(scaled[0])):
+        row = []
+        for b in range(len(plain[0])):
+            total = zero
+            for wr, w in zip(scaled, plain):
+                total = total + wr[a] * w[b]
+            row.append(total)
+        out.append(row)
+    return out
 
 
-def checked_scalar_product(f, g, params, ell, residue, zero, check_y, mismatch):
-    """<f, g> as the x-side residue sum of a kernel's `residue`; self-checks
-    the y-side equality (x-sum = (-1)^ell y-sum) and raises
-    ConsistencyError(mismatch) on a difference, which flags an inadmissible
-    f*g rather than a bug downstream."""
-    xs = residue_sum(f, g, params, point_family(x_point, params, ell), residue, zero)
-    if check_y:
-        ys = residue_sum(f, g, params, point_family(y_point, params, ell), residue, zero)
-        if xs != (-params.field.one) ** ell * ys:
-            raise ConsistencyError(mismatch)
-    return xs
-
-
-def scalar_product(f, g, params, ell, check_y=True):
-    """<f, g> against the rational kernel, with the (-1)^ell y-side
-    self-check."""
-    return checked_scalar_product(
-        f, g, params, ell, kernel_residue, params.field.zero, check_y,
-        "x- and y-side residue sums disagree; f*g is not admissible")
-
-
-def gram_matrix(parts, ell, weight_fn, residue, params, zero, check_y, mismatch):
-    """[<W'_lam, W_mu>] for lam, mu in `parts` (partitions of ell), for a
-    weight family `weight_fn(lam, t, params, primed)` and the residue of
-    its kernel.
-
-    Each side evaluates its tables once: r[kap] = residue at the special
-    point of kap, W'[lam][kap] and W[mu][kap], and forms
-    sum_kap W'[lam][kap] r[kap] W[mu][kap].  The y side checks every entry
-    against (-1)^ell times the x side and raises ConsistencyError(mismatch)
-    on any difference.
+def gram_matrix(left, right, ell, residue, params, zero, check_y, mismatch):
+    """The x-side `residue_pairing` of two families over the special points
+    of partitions of ell.  The y side checks every entry against (-1)^ell
+    times the x side and raises ConsistencyError(mismatch) on any
+    difference, which flags an inadmissible product rather than a bug
+    downstream.
     """
-    def side(make_point):
-        scaled, plain = [], []     # per point: [W'[lam] r], [W[mu]]
-        for pt in point_family(make_point, params, ell):
-            r = residue(params, pt)
-            scaled.append([weight_fn(lam, pt.coords, params, primed=True) * r
-                           for lam in parts])
-            plain.append([weight_fn(mu, pt.coords, params) for mu in parts])
-        out = []
-        for a in range(len(parts)):
-            row = []
-            for b in range(len(parts)):
-                total = zero
-                for wr, w in zip(scaled, plain):
-                    total = total + wr[a] * w[b]
-                row.append(total)
-            out.append(row)
-        return out
-
-    xs = side(x_point)
+    xs = residue_pairing(left, right, params, point_family(x_point, params, ell),
+                         residue, zero)
     if check_y:
         sign = (-params.field.one) ** ell
-        ys = side(y_point)
+        ys = residue_pairing(left, right, params, point_family(y_point, params, ell),
+                             residue, zero)
         for x_row, y_row in zip(xs, ys):
             if any(x != sign * y for x, y in zip(x_row, y_row)):
                 raise ConsistencyError(mismatch)
     return xs
 
 
+MISMATCH = "x- and y-side residue sums disagree; f*g is not admissible"
+
+
+def scalar_product(f, g, params, ell, check_y=True):
+    """<f, g> against the rational kernel, with the (-1)^ell y-side
+    self-check."""
+    return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], ell, kernel_residue,
+                       params, params.field.zero, check_y, MISMATCH)[0][0]
+
+
 def gram_pp(ell, n, params, check_y=True):
     """The matrix [<P'_lam, P_mu>] over all partitions, in enumeration order."""
-    return gram_matrix(enumerate_partitions(ell, n), ell, weight, kernel_residue,
-                       params, params.field.zero, check_y,
-                       "x- and y-side residue sums disagree; f*g is not admissible")
+    parts = enumerate_partitions(ell, n)
+    return gram_matrix(lambda t: [weight(lam, t, params, primed=True) for lam in parts],
+                       lambda t: [weight(mu, t, params) for mu in parts],
+                       ell, kernel_residue, params, params.field.zero, check_y, MISMATCH)
 
 
 def transition_matrix(ell, n, params):
@@ -296,24 +240,6 @@ def d_exponent(n, ell, s):
         total += binom(n + ell - abs(s) - 2 * r - 3, n - 2)
         r += 1
     return total
-
-
-def d_exponent_bruteforce(n, ell, s):
-    count = 0
-    target = ell - abs(s) - 1
-    if target < 0 or n < 2:
-        return 0
-
-    def rec(remaining, slots):
-        if slots == 0:
-            return 1 if remaining == 0 else 0
-        return sum(rec(remaining - e, slots - 1) for e in range(remaining + 1))
-
-    r = 0
-    while 2 * r <= target:
-        count += rec(target - 2 * r, n - 1)
-        r += 1
-    return count
 
 
 def detq_rhs(ell, n, params):
@@ -468,18 +394,21 @@ def verify_resi(cfg):
 
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
-        sides = []
-        for make_point in (x_point, y_point):
-            pts = point_family(make_point, params, cfg.ell)
-            sides.append([(pt.coords, kernel_residue(params, pt)) for pt in pts])
+        sweep = admissible_exponent_tuples(cfg.ell, cfg.n)
+
+        def monomials(t):
+            return [monomial_symmetric(exps, t, fld.one, fld.zero) for exps in sweep]
+
+        xs, ys = (residue_pairing(monomials, lambda t: [fld.one], params,
+                                  point_family(make_point, params, cfg.ell),
+                                  kernel_residue, fld.zero)
+                  for make_point in (x_point, y_point))
         findings = []
         ok = True
-        for exps in admissible_exponent_tuples(cfg.ell, cfg.n):
-            xs, ys = (sum((monomial_symmetric(exps, t, fld.one, fld.zero) * r
-                           for t, r in side), fld.zero) for side in sides)
+        for exps, (x,), (y,) in zip(sweep, xs, ys):
             if cfg.mutate:
-                ys = ys * 2
-            agree = xs == (-fld.one) ** cfg.ell * ys
+                y = y * 2
+            agree = x == (-fld.one) ** cfg.ell * y
             expected = min(exps) >= 1
             findings.append("%r: %s" % (exps, "agree" if agree else "differ"))
             if agree != expected:

@@ -349,7 +349,6 @@ class AuxVector:
         keys = set(self.data) | set(other.data)
         out = []
         for ab in sorted(keys):
-            zero = None
             sv = self.data.get(ab)
             ov = other.data.get(ab)
             if sv is None:

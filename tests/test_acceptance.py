@@ -17,7 +17,7 @@ from qident.exactnum import (
 from qident.elliptic import norm_d, omega_residue, sample_ell_params, xi_weight
 from qident.partitions import Partition, x_point, y_point
 from qident.reporting import RunConfig
-from qident.residues import point_family, residue_sum
+from qident.residues import point_family, residue_pairing
 
 from test_exactnum import theta_reduced
 
@@ -120,7 +120,8 @@ def test_criterion_07_elliptic_biorthogonality():
     lam = Partition((1,), 1)
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
-    xs, ys = (residue_sum(f, g, p, point_family(make_point, p, 1), omega_residue, p.zero)
+    xs, ys = (residue_pairing(lambda t: [f(t)], lambda t: [g(t)], p,
+                              point_family(make_point, p, 1), omega_residue, p.zero)[0][0]
               for make_point in (x_point, y_point))
     ok = ok and (xs + ys).is_zero() and (xs - norm_d(lam, p).inverse()).is_zero()
     report_line(7, ok, "theta-weight Gram equals diag(1/D) to order 6; "

@@ -120,11 +120,12 @@ def test_suite(tmp_path):
     manifest.write_text(json.dumps(entries))
     assert run(["suite", str(manifest)]) == 1
 
-    # per-entry errors are collected, not fatal to siblings
+    # a usage error that a check raises while running fails the whole
+    # suite as a usage error, as on the command line
     entries = [{"check": "id1", "ell": 1, "n": 2, "i": 2, "j": 1},
                {"check": "jing", "ell": 2, "trials": 1, "seed": 3}]
     manifest.write_text(json.dumps(entries))
-    assert run(["suite", str(manifest)]) == 3
+    assert run(["suite", str(manifest)]) == 2
 
     manifest.write_text("[]")
     assert run(["suite", str(manifest)]) == 2
@@ -133,12 +134,36 @@ def test_suite(tmp_path):
     assert run(["suite", str(manifest)]) == 2
 
 
-def test_suite_unknown_field_mode_is_an_error_report_not_a_traceback(tmp_path):
+def test_suite_unknown_field_mode_is_a_usage_error(tmp_path):
     manifest = tmp_path / "m.json"
     aggregate = tmp_path / "agg.json"
     manifest.write_text(json.dumps([{"check": "jing", "field": "fast"}]))
-    assert run(["suite", str(manifest), "--json", str(aggregate)]) == 3
-    assert json.loads(aggregate.read_text())["verdicts"] == ["error"]
+    assert run(["suite", str(manifest), "--json", str(aggregate)]) == 2
+    assert not aggregate.exists()
+
+
+@pytest.mark.parametrize("entry, argv", [
+    ({"check": "nope"}, ["nope"]),
+    ({"check": "jing", "ell": -1}, ["jing", "--ell", "-1"]),
+    ({"check": "id1", "ell": 1, "n": 2, "i": 2, "j": 1},
+     ["id1", "--ell", "1", "--n", "2", "--i", "2", "--j", "1"]),
+    ({"check": "jing", "field": "fast"}, ["jing", "--field", "fast"]),
+])
+def test_manifest_usage_error_exits_like_its_command_line(tmp_path, entry, argv):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([entry]))
+    assert run(["suite", str(manifest)]) == 2
+    assert run(argv) == 2
+
+
+def test_negative_word_len_is_a_usage_error(tmp_path):
+    # it swept a spanning set of size 1 and reported verified
+    assert run(["singular", "--ell", "1", "--n", "2", "--word-len", "-1",
+                "--trials", "1"]) == 2
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(
+        [{"check": "singular", "ell": 1, "n": 2, "word_len": -1, "trials": 1}]))
+    assert run(["suite", str(manifest)]) == 2
 
 
 @pytest.mark.parametrize("entry", [
@@ -242,7 +267,7 @@ PRIMES = st.sampled_from([2, 7, 101, DEFAULT_PRIME])
 CAPPED_INTS = {
     "ell": st.integers(0, 2), "n": st.integers(1, 3), "k": st.integers(0, 3),
     "i": st.integers(1, 3), "j": st.integers(1, 3), "seed": st.integers(0, 3),
-    "trials": st.just(1), "word_len": st.sampled_from([-1, 1, 2]),
+    "trials": st.just(1), "word_len": st.sampled_from([1, 2]),
     "bound": st.integers(1, 50),
 }
 MUST_CAP = ("k", "trials", "word_len", "bound")   # defaults exceed the caps
@@ -250,6 +275,7 @@ OPTION_VALUES = dict(CAPPED_INTS, no_constraint=st.booleans())
 # one corruption per malformed input: (key, value)
 BAD_VALUES = st.sampled_from([
     ("check", "nope"), ("ell", -1), ("n", 0), ("k", -1), ("trials", 0), ("bound", 0),
+    ("word_len", -1),
     ("field", "fast"), ("prime", 561), ("prime", 1), ("prime", -5),
     ("ell", "x"), ("n", "1.5"), ("seed", ""), ("bound", True), ("k", None),
     ("elll", 9),

@@ -8,9 +8,9 @@ from qident.exactnum import QQ, Sampler, SamplerConfig, theta, triple_pochhammer
 from qident.linalg import mat_det
 from qident.partitions import Partition, binom, enumerate_partitions, x_point, y_point
 from qident.reporting import RunConfig
-from qident.residues import point_family, residue_sum
+from qident.residues import point_family, residue_pairing
 from qident.elliptic import (
-    EllParams, aell_matrix, c_coeff_ell, d_lattice, d_lattice_bruteforce,
+    EllParams, aell_matrix, c_coeff_ell, d_lattice,
     detae_rhs_nokappa, dett_rhs_nokappa, gram_xx, idp1_value, idp2_value, norm_d,
     omega_residue, rho_lambda, sample_ell_params, sample_t,
     theta_lambda, vartheta, verify_detprod, verify_idp, verify_xt, verify_xx,
@@ -136,7 +136,8 @@ def test_gram_xx_and_res_sign():
 
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
-    xs, ys = (residue_sum(f, g, p, point_family(make_point, p, 1), omega_residue, p.zero)
+    xs, ys = (residue_pairing(lambda t: [f(t)], lambda t: [g(t)], p,
+                              point_family(make_point, p, 1), omega_residue, p.zero)[0][0]
               for make_point in (x_point, y_point))
     assert (xs + ys).is_zero()  # (-1)^ell with ell = 1
 
@@ -220,6 +221,17 @@ def test_detprod_constant_cancellation_explicit_for_two_columns():
                   * theta(Fraction(-1), 1, K).inverse()) ** binom(ell + 1, 2)
         assert (det_th - kconst * dett_rhs_nokappa(p)).is_zero()
         assert (det_a * kconst - detae_rhs_nokappa(p)).is_zero()
+
+
+def d_lattice_bruteforce(n, m, ell, s):
+    """Oracle: `d_lattice` summed over every pair (i, j) in a box that
+    holds all lattice points with i + j < ell and i - j = s."""
+    total = 0
+    for i in range(ell + abs(s) + 1):
+        for j in range(ell + abs(s) + 1):
+            if i + j < ell and i - j == s:
+                total += binom(m - 1 + i, m - 1) * binom(n - m - 1 + j, n - m - 1)
+    return total
 
 
 def test_d_lattice_count():

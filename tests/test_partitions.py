@@ -5,9 +5,29 @@ import pytest
 from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import (
-    BOTH, GE, INCOMPARABLE, LE, Partition, binom, enumerate_partitions,
-    enumerate_window, kappa, leq, x_point, y_point)
+    Partition, binom, enumerate_partitions, enumerate_window, kappa, x_point, y_point)
 from qident.polyweights import sample_poly_params
+
+LE = "le"
+GE = "ge"
+BOTH = "both"
+INCOMPARABLE = "incomparable"
+
+
+def leq(lam, mu):
+    """Oracle: the componentwise order of two partitions of equal length,
+    which the triangularity of the weights at special points follows."""
+    if lam.ell != mu.ell:
+        raise UsageError("cannot compare partitions of lengths %d and %d" % (lam.ell, mu.ell))
+    le = all(a <= b for a, b in zip(lam.entries, mu.entries))
+    ge = all(a >= b for a, b in zip(lam.entries, mu.entries))
+    if le and ge:
+        return BOTH
+    if le:
+        return LE
+    if ge:
+        return GE
+    return INCOMPARABLE
 
 
 def brute_count(ell, n):

@@ -5,13 +5,14 @@ import pytest
 
 from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
-from qident.partitions import Partition, enumerate_partitions, leq, BOTH, GE, LE, x_point, y_point
+from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    PolyParams, c_coeff, id1_value, id2_value, jing_value, monomial_symmetric,
-    norm_n, q_monomial, sample_poly_params, sample_t, weight, weight_at_special,
-    x_factor)
+    PolyParams, _pair_ratio, c_coeff, id1_value, id2_value, jing_value, monomial_symmetric,
+    norm_n, q_monomial, r_lambda, sample_poly_params, sample_t, weight, x_factor)
 from qident.reporting import RunConfig
 from qident.polyweights import verify_id, verify_jing
+
+from test_partitions import BOTH, GE, LE, leq
 
 
 def params_for(ell, n, seed=2, constrain=None):
@@ -135,6 +136,49 @@ def test_triangularity_at_special_points():
                     assert xvp == 0
                 if cmp == BOTH:
                     assert xv != 0 and yv != 0 and xvp != 0 and yvp != 0
+
+
+def aligned_coords(lam, params, kind, primed=False):
+    """The same multiset of coordinates as x_point/y_point but ordered so
+    that position a pairs with entry lam_a (blocks in descending m).  This
+    is the order in which the single surviving permutation of a symmetrized
+    weight sum at its own special point is the identity.
+
+    The primed weights carry the eta of the pairwise factor on the earlier
+    variable, which reverses the surviving order inside each geometric run;
+    hence the flag."""
+    eta = params.eta
+    mults = lam.multiplicities()
+    runs = {}
+    coords = []
+    for a, part in enumerate(lam.entries):
+        r = runs.get(part, 0)
+        runs[part] = r + 1
+        w = mults[part - 1]
+        if kind == "x":
+            e = -r if primed else 1 - w + r
+            coords.append(eta ** e * params.x[part - 1])
+        elif kind == "y":
+            e = w - 1 - r if primed else r
+            coords.append(eta ** e * params.y[part - 1])
+        else:
+            raise UsageError("kind must be 'x' or 'y'")
+    return tuple(coords)
+
+
+def weight_at_special(lam, params, kind, primed=False):
+    """Oracle: P (or P') at the partition's own special point, via the
+    single surviving term of the symmetrized sum (the identity permutation
+    once the coordinates are listed by `aligned_coords`)."""
+    t = aligned_coords(lam, params, kind, primed=primed)
+    zero, one = params.field.zero, params.field.one
+    term = one
+    for a, part in enumerate(lam.entries):
+        term = term * x_factor(t[a], part, params, primed)
+    for a in range(lam.ell):
+        for b in range(a + 1, lam.ell):
+            term = term * _pair_ratio(t[a], t[b], params.eta, zero, primed)
+    return r_lambda(lam, params.eta, one) * term
 
 
 def test_identity_permutation_shortcut():

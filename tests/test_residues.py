@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.elliptic import omega_residue, sample_ell_params
-from qident.errors import ConsistencyError, PoleOrderError
+from qident.elliptic import (
+    gram_xx, omega_residue, sample_ell_params, scalar_product_omega, xi_weight)
+from qident.errors import ConsistencyError, DegenerateInputError, PoleOrderError
 from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
 from qident.linalg import mat_det, mat_mul
 from qident.partitions import Partition, enumerate_partitions, kappa, x_point, y_point
@@ -13,10 +14,9 @@ from qident.polyweights import (
     PolyParams, monomial_symmetric, norm_n, q_monomial, sample_poly_params, weight)
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
-    admissible_exponent_tuples, cancellation_plan, d_exponent, d_exponent_bruteforce,
-    deta_rhs, detq_rhs, gram_pp, kernel_residue, kernel_residue_parts, m_kappa,
-    point_family, residue_sum, scalar_product, transition_matrix, verify_det, verify_mn,
-    verify_pp, verify_resi)
+    admissible_exponent_tuples, d_exponent, deta_rhs, detq_rhs, gram_pp, kernel_residue,
+    kernel_residue_parts, point_family, residue_pairing, scalar_product, transition_matrix,
+    verify_det, verify_mn, verify_pp, verify_resi)
 
 
 def params_for(ell, n, seed=2, constrain=None):
@@ -50,11 +50,33 @@ class LinFactor:
         return self.i == a and self.j is None and self.ci * c + self.d == zero
 
 
+def cancellation_plan(point):
+    """Oracle: the structurally designated vanishing factor for each
+    residue step of a special point, as a theta tag: the anchor
+    phi(t_a/x_m) or phi(t_a/y_m) at the end of a geometric block, the
+    adjacent pair factor inside a block."""
+    lam = point.partition
+    plan = {}
+    a = 0
+    for m, w in enumerate(lam.multiplicities(), start=1):
+        for r in range(w):
+            last = r == w - 1
+            if point.kind == "x":
+                plan[a] = ("x", a, m) if last else ("pair", a, a + 1)
+            else:
+                plan[a] = ("y", a, m) if last else ("pair", a + 1, a)
+            a += 1
+    return plan
+
+
 def linear_kernel_residue_oracle(params, point, plan=None):
     """(scale_inv, numer_value, denom_value) of S(t) = prod_a prod_m
     (t_a - x_m)(t_a - y_m) prod_{a != b} (t_a - eta t_b)/(t_a - t_b), each
     step contributing 1/(t * slope).  `plan` uses the theta tags of
-    `cancellation_plan`: theta(eta t_i/t_j) is the linear (t_j - eta t_i)."""
+    `cancellation_plan`: theta(eta t_i/t_j) is the linear (t_j - eta t_i).
+    With a plan the designated factors are cancelled, which keeps the value
+    meaningful as a rational function even when a remaining factor happens
+    to vanish at specialized parameters."""
     one, zero = params.field.one, params.field.zero
     numer, denom = [], []
     for a in range(point.ell):
@@ -89,6 +111,39 @@ def linear_kernel_residue_oracle(params, point, plan=None):
     return scale_inv, nval, dval
 
 
+def m_kappa(params, lam):
+    """Oracle: M at the special point of lam, the reciprocal of the kernel
+    residue, as the planned product of `linear_kernel_residue_oracle`, so
+    that its vanishing at specialized parameters is an exact 0, not an
+    error."""
+    point = x_point(lam, params)
+    scale_inv, nval, dval = linear_kernel_residue_oracle(
+        params, point, plan=cancellation_plan(point))
+    if dval == params.field.zero:
+        raise DegenerateInputError("coincident coordinates at %r" % (lam,))
+    return scale_inv * nval / dval
+
+
+def d_exponent_bruteforce(n, ell, s):
+    """Oracle: `d_exponent` as a literal count of the lattice points
+    (r, e_1..e_{n-1}) >= 0 with 2r + sum(e) = ell - |s| - 1."""
+    count = 0
+    target = ell - abs(s) - 1
+    if target < 0 or n < 2:
+        return 0
+
+    def rec(remaining, slots):
+        if slots == 0:
+            return 1 if remaining == 0 else 0
+        return sum(rec(remaining - e, slots - 1) for e in range(remaining + 1))
+
+    r = 0
+    while 2 * r <= target:
+        count += rec(target - 2 * r, n - 1)
+        r += 1
+    return count
+
+
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
 
 
@@ -98,9 +153,9 @@ FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
 def test_kernel_residue_parts_matches_linear_oracle(fld, ell, n, seed, make_point, planned):
     p = sample_poly_params(Sampler(SamplerConfig(seed), fld), ell, n)
     for pt in point_family(make_point, p, ell):
-        plan = cancellation_plan(pt) if planned else None
-        s, nv, dv = kernel_residue_parts(p, pt, plan=plan)
-        o_s, o_n, o_d = linear_kernel_residue_oracle(p, pt, plan=plan)
+        s, nv, dv = kernel_residue_parts(p, pt)
+        o_s, o_n, o_d = linear_kernel_residue_oracle(
+            p, pt, plan=cancellation_plan(pt) if planned else None)
         if planned:
             # the m_kappa product, exact 0 allowed
             assert s * nv / dv == o_s * o_n / o_d
@@ -174,8 +229,9 @@ def test_resi_agreement_exactly_on_divisible_bounded_monomials():
         p = params_for(ell, n, seed=50 + 10 * ell + n)
         for exps in admissible_exponent_tuples(ell, n):
             g = lambda t, e=exps: monomial_symmetric(e, t, QQ.one, QQ.zero)
-            xs, ys = (residue_sum(one_fn, g, p, point_family(make_point, p, ell),
-                                  kernel_residue, QQ.zero)
+            xs, ys = (residue_pairing(lambda t: [QQ.one], lambda t: [g(t)], p,
+                                      point_family(make_point, p, ell),
+                                      kernel_residue, QQ.zero)[0][0]
                       for make_point in (x_point, y_point))
             assert (xs == (-QQ.one) ** ell * ys) == (min(exps) >= 1)
 
@@ -270,10 +326,31 @@ def test_cancellation_plan_matches_strict_mode():
     p = params_for(2, 2, seed=81)
     for lam in enumerate_partitions(2, 2):
         for point in (x_point(lam, p), y_point(lam, p)):
-            strict = kernel_residue_parts(p, point)
-            planned = kernel_residue_parts(p, point, plan=cancellation_plan(point))
-            assert strict[0] == planned[0]
-            assert strict[1] * planned[2] == planned[1] * strict[2]
+            s, nv, dv = kernel_residue_parts(p, point)
+            o_s, o_n, o_d = linear_kernel_residue_oracle(
+                p, point, plan=cancellation_plan(point))
+            assert s * nv / dv == o_s * o_n / o_d
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 2), st.integers(1, 2), st.integers(1, 5),
+       st.integers(0, 4))
+@settings(max_examples=20, deadline=None)
+def test_gram_entries_are_scalar_products(fld, ell, n, seed, k):
+    # one pairing: each Gram entry is the one-member pairing of its weights
+    parts = enumerate_partitions(ell, n)
+    p = sample_poly_params(Sampler(SamplerConfig(seed), fld), ell, n)
+    gram = gram_pp(ell, n, p)
+    for r, lam in enumerate(parts):
+        for c, mu in enumerate(parts):
+            assert gram[r][c] == scalar_product(
+                lambda t: weight(lam, t, p, primed=True), lambda t: weight(mu, t, p), p, ell)
+    q = sample_ell_params(Sampler(SamplerConfig(seed), fld), ell, n, k)
+    gram = gram_xx(ell, n, q)
+    for r, lam in enumerate(parts):
+        for c, mu in enumerate(parts):
+            assert gram[r][c] == scalar_product_omega(
+                lambda t: xi_weight(lam, t, q, primed=True), lambda t: xi_weight(mu, t, q),
+                q, ell)
 
 
 def test_drivers():
