@@ -5,59 +5,54 @@ coefficients, and the determinant product check.
 
 Everything is computed coefficient-wise in the ring of power series in the
 nome modulo p^(K+1); "an identity holds" means all K+1 coefficients vanish
-at every sampled parameter point.
+at every sampled parameter point.  The weights, window sums and transition
+solve are those of the polynomial layer with theta in place of 1 - z.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 from .errors import DegenerateInputError, UsageError
 from .exactnum import (
     PSeries, pochhammer, pochhammer_p, theta, triple_pochhammer_p)
-from .linalg import mat_det, mat_inverse, mat_mul
-from .partitions import binom, enumerate_partitions, enumerate_window, x_point
-from .polyweights import eta_constraint, pair_table, sample_t, symmetrize
+from .linalg import mat_det
+from .partitions import binom, enumerate_partitions
+from .polyweights import (
+    PolyParams, sample_poly_params, sample_t, symmetric_product, symmetrize,
+    symmetrized_weight, weight_pair_table, window_value)
 from .reporting import run_trials
-from .residues import cancel_poles, d_exponent, gram_matrix
+from .residues import (
+    cancel_poles, d_exponent, gram_matrix, special_values, transition_matrix)
 
 
-class EllParams:
+class EllParams(PolyParams):
     """Ground parameters plus the dynamical parameter and truncation order.
 
-    Memoizes theta values at scalar arguments, the basis functions and the
-    per-point tables of the theta weights (pair tables and Z-factor
-    columns), which every partition evaluated at a point shares.  Every
-    theta that ends up in a denominator must have nonzero constant term,
-    i.e. argument different from 1, which the arithmetic enforces by
-    raising.
+    `one`/`zero` are truncated series and phi is theta.  The memo also keeps
+    theta values at scalar arguments and the basis functions.  Every theta
+    that ends up in a denominator must have nonzero constant term, i.e.
+    argument different from 1, which the arithmetic enforces by raising.
     """
 
     def __init__(self, x, y, eta, alpha, ell, n, k, fld):
-        self.x = tuple(x)
-        self.y = tuple(y)
-        self.eta = eta
+        super().__init__(x, y, eta, ell, n, fld)
         self.alpha = alpha
-        self.ell = ell
-        self.n = n
         self.k = k
-        self.field = fld
-        self._memo = {}
         self.one = PSeries.constant(fld, fld.one, k)
         self.zero = PSeries.constant(fld, fld.zero, k)
         self.triple_poch = triple_pochhammer_p(fld, k)
 
-    def memo(self, key, make):
-        """make(), computed once per key; keys start with a family tag."""
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = make()
-        return out
-
     def th(self, arg, e=1):
         """theta(arg; p^e) truncated, cached for scalar arguments."""
         return self.memo(("theta", arg, e), lambda: theta(arg, e, self.k))
+
+    phi = th
+
+    def column_shift(self, a, ell):
+        """The exponent s of the dynamical shift alpha eta^s of the theta
+        weights' single factor at position a of ell."""
+        return 2 * a - 2 * ell
 
     @cached_property
     def basis_norm(self):
@@ -84,15 +79,10 @@ class EllParams:
 
 
 def sample_ell_params(sampler, ell, n, k, constrain=None):
-    fld = sampler.field
-    eta = sampler.draw((eta_constraint(fld.one, ell),), "eta")
-    xy = sampler.draw_distinct(2 * n, (), "x,y")
-    x, y = list(xy[:n]), list(xy[n:])
-    alpha = sampler.draw((lambda v: v != fld.one,), "alpha")
-    if constrain is not None:
-        i, j = constrain
-        x[j - 1] = eta ** (ell - 1) * y[i - 1]
-    return EllParams(x, y, eta, alpha, ell, n, k, fld)
+    """The polynomial parameters, then alpha != 1."""
+    p = sample_poly_params(sampler, ell, n, constrain)
+    alpha = sampler.draw((lambda v: v != sampler.field.one,), "alpha")
+    return EllParams(p.x, p.y, p.eta, alpha, ell, n, k, sampler.field)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +108,6 @@ def z_factor(u, m, params, alpha_value, primed=False):
     return out
 
 
-def rho_lambda(lam, params):
-    """prod_m prod_{s=1}^{w_m} theta(eta)/theta(eta^s)."""
-    out = params.one
-    for w in lam.multiplicities():
-        for s in range(2, w + 1):
-            out = out * params.th(params.eta) / params.th(params.eta ** s)
-    return out
-
-
 def xi_weight(lam, t, params, primed=False):
     """The symmetrized theta weight (primed or not), including the
     position-dependent dynamical shift alpha eta^(2a-2ell).
@@ -137,37 +118,8 @@ def xi_weight(lam, t, params, primed=False):
     biorthogonality and the duality relation fail, so that reading is
     untenable.
     """
-    ell = lam.ell
-    if len(t) != ell:
-        raise UsageError("point has %d coordinates, partition has %d parts" % (len(t), ell))
-    t = tuple(t)
-    single = [z_column(t, part, 2 * a - 2 * ell, params, primed)
-              for a, part in enumerate(lam.entries, start=1)]
-    total = symmetrize(ell, single, theta_pair_table(t, params, primed),
-                       params.one, params.zero)
-    return rho_lambda(lam, params) * total
-
-
-def z_column(t, part, s, params, primed=False):
-    """[Z_part(u) for u in t] at the dynamical shift alpha eta^s, memoized
-    on params per (point, primed, s, part)."""
-    def make():
-        shift = params.alpha * params.eta ** s
-        return [z_factor(u, part, params, shift, primed) for u in t]
-    return params.memo(("z", t, primed, s, part), make)
-
-
-def theta_pair_table(t, params, primed=False):
-    """The pair factors of the theta weights: theta(eta t_a/t_b)/theta(t_a/t_b)
-    (primed) or theta(eta t_b/t_a)/theta(t_b/t_a) for t_a placed before t_b,
-    memoized on params per (point, primed)."""
-    def make():
-        eta, th = params.eta, params.th
-        if primed:
-            return pair_table(t, lambda ta, tb: th(eta * ta / tb) / th(ta / tb))
-        return pair_table(t, lambda ta, tb: th(eta * tb / ta) / th(tb / ta))
-    t = tuple(t)
-    return params.memo(("pair", t, primed), make)
+    return symmetrized_weight(lam, t, params, lambda u, part, s: z_factor(
+        u, part, params, params.alpha * params.eta ** s, primed), primed)
 
 
 def norm_d(lam, params):
@@ -225,16 +177,6 @@ def c_coeff_ell(lam, i, j, params):
     return out
 
 
-def idp1_value(params, t, i, j, mutate=False):
-    total = params.zero
-    for idx, lam in enumerate(enumerate_window(params.ell, i, j, params.n)):
-        c = c_coeff_ell(lam, i, j, params)
-        if mutate and idx == 0:
-            c = c * 2
-        total = total + c * xi_weight(lam, t, params)
-    return total
-
-
 def idp2_value(params, t, mutate=False):
     """The two-column window identity in its explicit form; depends on the
     parameters only through beta = eta^(1-2ell) alpha x_1/y_1."""
@@ -242,7 +184,7 @@ def idp2_value(params, t, mutate=False):
     ell = len(t)
     beta = eta ** (1 - 2 * ell) * params.alpha * params.x[0] / params.y[0]
     one, th = params.field.one, params.th
-    pair = theta_pair_table(t, params)
+    pair = weight_pair_table(t, params)
     # the single factor at position a (1-based) inside, resp. after, the
     # first k positions
     low = [[th(u) * th(eta ** (2 - 2 * a - ell) * u / beta) for u in t]
@@ -293,7 +235,7 @@ def scalar_product_omega(f, g, params, ell, check_y=True):
     """<f, g> as the x-side theta residue sum, with the (-1)^ell y-side
     self-check."""
     return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], ell, omega_residue,
-                       params, params.zero, check_y, THETA_MISMATCH)[0][0]
+                       params, check_y, THETA_MISMATCH)[0][0]
 
 
 def gram_xx(ell, n, params, check_y=True):
@@ -302,7 +244,7 @@ def gram_xx(ell, n, params, check_y=True):
     parts = enumerate_partitions(ell, n)
     return gram_matrix(lambda t: [xi_weight(lam, t, params, primed=True) for lam in parts],
                        lambda t: [xi_weight(mu, t, params) for mu in parts],
-                       ell, omega_residue, params, params.zero, check_y, THETA_MISMATCH)
+                       ell, omega_residue, params, check_y, THETA_MISMATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +253,9 @@ def gram_xx(ell, n, params, check_y=True):
 
 def vartheta(m, u, params):
     """The m-th one-variable basis function: u^(m-1) times a theta in
-    (-u)^n at nome p^n, normalized by (p^n; p^n)_inf^(-1) (p; p)_inf^n.
+    (-u)^n p^(m-1) at nome p^n, normalized by (p^n; p^n)_inf^(-1)
+    (p; p)_inf^n.  The theta argument keeps its valuation m - 1 apart, so
+    the basis is defined for every truncation order, m - 1 > K included.
 
     The theta coefficient is eta^(ell-1) / (alpha prod_m x_m): this is the
     unique choice for which the basis obeys the same quasi-periodicity
@@ -323,36 +267,18 @@ def vartheta(m, u, params):
         raise UsageError("basis index %d outside [1, %d]" % (m, params.n))
 
     def make():
-        fld, k, n = params.field, params.k, params.n
+        n = params.n
         lead = params.eta ** (params.ell - 1) / params.alpha
         for xm in params.x:
             lead = lead / xm
-        arg = PSeries.constant(fld, -lead * (-u) ** n, k).shift(m - 1)
-        return theta(arg, n, k) * params.basis_norm * u ** (m - 1)
+        return theta(-lead * (-u) ** n, n, params.k, m - 1) * params.basis_norm * u ** (m - 1)
     return params.memo(("vartheta", m, u), make)
 
 
 def theta_lambda(lam, t, params):
     """The symmetrized basis product with the multiplicity normalization."""
-    norm = 1
-    for w in lam.multiplicities():
-        norm *= math.factorial(w)
-    cols = {part: [vartheta(part, u, params) for u in t] for part in set(lam.entries)}
-    total = symmetrize(lam.ell, [cols[part] for part in lam.entries], None,
-                       params.one, params.zero)
-    return total / norm
-
-
-def aell_matrix(ell, n, params):
-    """Solve Xi_lam = sum_nu A[lam][nu] Theta_nu exactly to order K from the
-    values at the special points."""
-    parts = enumerate_partitions(ell, n)
-    pts = [x_point(mu, params).coords for mu in parts]
-    th_mat = [[theta_lambda(nu, pt, params) for pt in pts] for nu in parts]
-    xi_mat = [[xi_weight(lam, pt, params) for pt in pts] for lam in parts]
-    inv = mat_inverse(th_mat, params.one, params.zero,
-                      invertible=lambda s: s.invertible())
-    return mat_mul(xi_mat, inv), xi_mat, th_mat
+    return symmetric_product(lam.entries, lambda part: [vartheta(part, u, params) for u in t],
+                             params.one, params.zero)
 
 
 def d_lattice(n, m, ell, s):
@@ -434,7 +360,7 @@ def verify_idp(cfg):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "idp1":
-            val = idp1_value(params, t, cfg.i, cfg.j, mutate=cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, c_coeff_ell, xi_weight, cfg.mutate)
         else:
             val = idp2_value(params, t, mutate=cfg.mutate)
         return val.coeff_strings(), val.is_zero(), []
@@ -484,7 +410,8 @@ def verify_xt(cfg):
     def trial(sampler):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        a, _, _ = aell_matrix(cfg.ell, cfg.n, params)
+        a, _, _ = transition_matrix(xi_weight, theta_lambda, params,
+                                    invertible=lambda s: s.invertible())
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
         entries = []
@@ -512,10 +439,7 @@ def verify_detprod(cfg):
 
     def trial(sampler):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
-        parts = enumerate_partitions(cfg.ell, cfg.n)
-        pts = [x_point(mu, params).coords for mu in parts]
-        xi_mat = [[xi_weight(lam, pt, params) for pt in pts] for lam in parts]
-        lhs = mat_det(xi_mat, params.one, params.zero,
+        lhs = mat_det(special_values(xi_weight, params), params.one, params.zero,
                       invertible=lambda s: s.invertible(),
                       is_zero=lambda s: s.is_zero())
         rhs = dett_rhs_nokappa(params) * detae_rhs_nokappa(params)

@@ -499,43 +499,36 @@ def pochhammer(u, e, order):
     return out
 
 
-def theta(u, e, order):
-    """Truncation of the Jacobi theta function
+def theta(c, e, order, v=0):
+    """Truncation of the Jacobi theta function at u = c p^v,
     theta(u; p^e) = (u; p^e)_inf (p^e u^{-1}; p^e)_inf (p^e; p^e)_inf,
     summed from the Jacobi triple product
     theta(u; q) = sum_{n in Z} (-1)^n q^{n(n-1)/2} u^n
     (Gasper-Rahman, Basic Hypergeometric Series, eq. 1.6.1).
 
-    Accepts a scalar u or a monomial series u = c p^v of the same order
-    with 0 <= v <= e, so that every term lies in the power series ring:
-    term n lands at p^(e n(n-1)/2 + v n).  Any other series argument is a
-    UsageError.  The terms n and 1 - n share the factor q^{n(n-1)/2}, so
+    c is a nonzero scalar and 0 <= v <= e, so that every term lies in the
+    power series ring: term n lands at p^(e n(n-1)/2 + v n).  The
+    valuation is passed on its own, so c p^v with v > order is no zero
+    series here.  The terms n and 1 - n share the factor q^{n(n-1)/2}, so
     one pass over n >= 1 fills every coefficient; only O(sqrt(order/e)) of
     them are nonzero.
     """
     if e < 1:
         raise UsageError("theta nome exponent must be a positive integer")
-    if isinstance(u, PSeries):
-        us = _as_series(u, order)
-        fld, val = us.field, us.valuation()
-        if val is None:
-            raise DegenerateInputError("theta of the zero series is undefined")
-        if any(us.num[val + 1:]):
-            raise UsageError("theta needs a scalar or monomial series argument c*p^v")
-        a, b = us.num[val], us.den      # coprime: the only nonzero entry
-    else:   # a scalar; building and scanning a constant series costs more than the sum
-        fld, val = field_of(u), 0
-        if u == 0:
-            raise DegenerateInputError("theta of the zero series is undefined")
-        a, b = (u.value, 1) if isinstance(u, PrimeScalar) else (u.numerator, u.denominator)
-    if val > e:
+    if isinstance(c, PSeries):
+        raise UsageError("theta takes a scalar c and the valuation v of c*p^v")
+    if c == 0:
+        raise DegenerateInputError("theta of the zero series is undefined")
+    if not 0 <= v <= e:
         raise DegenerateInputError(
-            "theta argument has valuation %d > nome exponent %d" % (val, e))
+            "theta argument has valuation %d outside [0, nome exponent %d]" % (v, e))
+    fld = field_of(c)
+    a, b = (c.value, 1) if isinstance(c, PrimeScalar) else (c.numerator, c.denominator)
     # c = a/b: the terms of step n are integers over a^(n-1) b^n, so after
     # the last step `last` everything sits over a^(last-1) b^last
     terms = []                     # (index, numerator over a^(n-1) b^n, n)
     am, bm = 1, 1                  # a^(n-1), b^(n-1)
-    n, low, high = 1, 0, val       # exponents of the terms 1 - n and n
+    n, low, high = 1, 0, v         # exponents of the terms 1 - n and n
     while low <= order:
         an, bn = am * a, bm * b
         sign = 1 if n % 2 else -1  # (-1)^(1-n)
@@ -546,8 +539,8 @@ def theta(u, e, order):
             if high <= order:
                 terms.append((high, -sign * an * am, n))
         am, bm = an, bn
-        low += e * n - val
-        high += e * n + val
+        low += e * n - v
+        high += e * n + v
         n += 1
     last = n - 1
     num = [0] * (order + 1)

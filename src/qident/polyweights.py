@@ -8,14 +8,16 @@ Every sum over S_ell here (and in the elliptic layer) goes through
 and pair factors that depend only on which of two variables comes first, so
 the exact sum is accumulated over subsets of variables in O(2^ell ell^2)
 ring operations.  No closed-form simplification is attempted; the tests
-keep the literal permutation sums as oracles.
+keep the literal permutation sums as oracles.  The weight scaffold serves
+both layers: phi(z) = 1 - z here and phi = theta on `elliptic.EllParams`,
+so, as theta(z; 0) = 1 - z, the weights P are the p = 0 form of the theta
+weights in their prefactor and pair factors.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import DegenerateInputError, UsageError
 from .exactnum import scalar_str
@@ -23,19 +25,35 @@ from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
 from .reporting import run_trials
 
 
-@dataclass(frozen=True)
 class PolyParams:
     """Ground parameters x_1..x_n, y_1..y_n, eta for fixed ell, n.
 
     eta^s != 1 for 1 <= s <= ell, so symmetrization prefactors and norms
-    have nonzero denominators.
+    have nonzero denominators.  The layer's scalars `one`/`zero` are the
+    field's and its factor is phi(z) = 1 - z.  `memo` keeps the per-point
+    tables of the weights (pair tables and single-factor columns), which
+    every partition evaluated at a point shares.
     """
-    x: tuple
-    y: tuple
-    eta: object
-    ell: int
-    n: int
-    field: object
+
+    def __init__(self, x, y, eta, ell, n, field):
+        self.x, self.y, self.eta = tuple(x), tuple(y), eta
+        self.ell, self.n, self.field = ell, n, field
+        self.one, self.zero = field.one, field.zero
+        self._memo = {}
+
+    def memo(self, key, make):
+        """make(), computed once per key; keys start with a family tag."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = make()
+        return out
+
+    def phi(self, z):
+        return self.one - z
+
+    def column_shift(self, a, ell):
+        """The polynomial weights' single factors depend only on the part."""
+        return None
 
 
 def eta_constraint(one, ell):
@@ -123,34 +141,63 @@ def x_factor(u, m, params, primed=False):
     return out
 
 
-def r_lambda(lam, eta, one):
-    """prod_m prod_{s=1}^{w_m} (1 - eta)/(1 - eta^s)."""
-    out = one
+def multiplicity_prefactor(lam, params):
+    """prod_m prod_{s=2}^{w_m} phi(eta)/phi(eta^s)."""
+    out = params.one
     for w in lam.multiplicities():
         for s in range(2, w + 1):
-            out = out * (one - eta) / (one - eta ** s)
+            out = out * params.phi(params.eta) / params.phi(params.eta ** s)
     return out
 
 
-def _pair_ratio(ta, tb, eta, zero, primed):
-    den = ta - tb
-    if den == zero:
-        raise DegenerateInputError("coincident t coordinates in symmetrized sum")
-    num = (eta * ta - tb) if primed else (ta - eta * tb)
-    return num / den
+def weight_pair_table(t, params, primed=False):
+    """The pair factors phi(eta t_a/t_b)/phi(t_a/t_b) (primed) or
+    phi(eta t_b/t_a)/phi(t_b/t_a) for t_a placed before t_b, memoized on
+    params per (point, primed); (t_a - eta t_b)/(t_a - t_b) for 1 - z."""
+    t = tuple(t)
+
+    def make():
+        eta, phi = params.eta, params.phi
+        if primed:
+            return pair_table(t, lambda ta, tb: phi(eta * ta / tb) / phi(ta / tb))
+        return pair_table(t, lambda ta, tb: phi(eta * tb / ta) / phi(tb / ta))
+    return params.memo(("pair", t, primed), make)
+
+
+def symmetrized_weight(lam, t, params, column, primed):
+    """The multiplicity prefactor times the sum over S_ell of the single
+    factors column(u, part, shift) at each position and the pair factors.
+    shift = params.column_shift(a, ell); each column [column(u, part, shift)
+    for u in t] is memoized on params per (point, primed, shift, part)."""
+    ell, t = lam.ell, tuple(t)
+    if len(t) != ell:
+        raise UsageError("point has %d coordinates, partition has %d parts" % (len(t), ell))
+    single = []
+    for a, part in enumerate(lam.entries, start=1):
+        shift = params.column_shift(a, ell)
+        single.append(params.memo(("col", t, primed, shift, part),
+                                  lambda: [column(u, part, shift) for u in t]))
+    total = symmetrize(ell, single, weight_pair_table(t, params, primed),
+                       params.one, params.zero)
+    return multiplicity_prefactor(lam, params) * total
 
 
 def weight(lam, t, params, primed=False):
     """P (or P') at an explicit point: the symmetrized sum over S_ell."""
-    ell = lam.ell
-    if len(t) != ell:
-        raise UsageError("point has %d coordinates, partition has %d parts" % (len(t), ell))
-    zero, one = params.field.zero, params.field.one
-    cols = {part: [x_factor(u, part, params, primed) for u in t]
-            for part in set(lam.entries)}
-    pair = pair_table(t, lambda ta, tb: _pair_ratio(ta, tb, params.eta, zero, primed))
-    total = symmetrize(ell, [cols[part] for part in lam.entries], pair, one, zero)
-    return r_lambda(lam, params.eta, one) * total
+    return symmetrized_weight(lam, t, params,
+                              lambda u, part, _: x_factor(u, part, params, primed), primed)
+
+
+def symmetric_product(keys, column, one, zero):
+    """(1/prod_k mult_k!) sum_sigma prod_a column(keys[a])[sigma_a]: the
+    symmetrized product of one column per key, with each distinct key's
+    column built once; keys may repeat."""
+    counts = Counter(keys)
+    norm = 1
+    for c in counts.values():
+        norm *= math.factorial(c)
+    cols = {key: column(key) for key in counts}
+    return symmetrize(len(keys), [cols[key] for key in keys], None, one, zero) / norm
 
 
 def monomial_symmetric(exponents, t, one, zero):
@@ -159,15 +206,11 @@ def monomial_symmetric(exponents, t, one, zero):
     if len(exponents) != len(t):
         raise UsageError("%d exponents for a point with %d coordinates"
                          % (len(exponents), len(t)))
-    norm = 1
-    for c in Counter(exponents).values():
-        norm *= math.factorial(c)
-    cols = {e: [u ** e for u in t] for e in set(exponents)}
-    return symmetrize(len(t), [cols[e] for e in exponents], None, one, zero) / norm
+    return symmetric_product(exponents, lambda e: [u ** e for u in t], one, zero)
 
 
 def q_monomial(lam, t, params):
-    return monomial_symmetric(lam.entries, t, params.field.one, params.field.zero)
+    return monomial_symmetric(lam.entries, t, params.one, params.zero)
 
 
 def norm_n(lam, params):
@@ -212,7 +255,7 @@ def jing_value(eta, t, one, zero, mutate=False):
     """The double sum over k and S_ell whose vanishing is the base
     combinatorial identity; a mutated run perturbs the k = 1 prefactor."""
     ell = len(t)
-    pair = pair_table(t, lambda ta, tb: _pair_ratio(ta, tb, eta, zero, False))
+    pair = pair_table(t, lambda ta, tb: (ta - eta * tb) / (ta - tb))
     low = [u - one for u in t]
     high = [u - eta ** (ell - 1) for u in t]
     total = zero
@@ -227,12 +270,12 @@ def jing_value(eta, t, one, zero, mutate=False):
     return total
 
 
-def id1_value(params, t, i, j, mutate=False):
-    """sum over the window of c * P at the point t."""
-    zero = params.field.zero
-    total = zero
+def window_value(params, t, i, j, coeff, weight, mutate=False):
+    """sum over the window [i, j] of coeff(lam, i, j, params) * weight(lam,
+    t, params); shared by the polynomial and the theta window identity."""
+    total = params.zero
     for idx, lam in enumerate(enumerate_window(params.ell, i, j, params.n)):
-        c = c_coeff(lam, i, j, params)
+        c = coeff(lam, i, j, params)
         if mutate and idx == 0:
             c = c * 2
         total = total + c * weight(lam, t, params)
@@ -284,7 +327,7 @@ def verify_id(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "id1":
-            val = id1_value(params, t, cfg.i, cfg.j, mutate=cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, c_coeff, weight, cfg.mutate)
         else:
             val = id2_value(params, t, cfg.j, mutate=cfg.mutate)
         return scalar_str(val), val == fld.zero, []

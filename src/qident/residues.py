@@ -1,6 +1,7 @@
 """Iterated residues against the factorized kernel, the residue-sum scalar
-product, biorthogonality of the primed/unprimed weights, transition matrices
-to the monomial basis, and the closed determinant formulas.
+product, biorthogonality of the primed/unprimed weights, the transition solve
+(to the monomial basis here, to the theta basis in the elliptic layer), and
+the closed determinant formulas.
 
 One pole-cancellation engine serves the rational and the theta kernel.
 Both are stored as the factors phi(c t_i/t_j) of
@@ -156,7 +157,7 @@ def point_family(make_point, params, ell):
     return [make_point(lam, params) for lam in enumerate_partitions(ell, params.n)]
 
 
-def residue_pairing(left, right, params, points, residue, zero):
+def residue_pairing(left, right, params, points, residue):
     """The matrix [sum over the points of left[a] * r * right[b]], where
     `left(t)` and `right(t)` return one value per family member and r is
     the kernel's `residue(params, point)`.  Each family and the residue are
@@ -171,7 +172,7 @@ def residue_pairing(left, right, params, points, residue, zero):
     for a in range(len(scaled[0])):
         row = []
         for b in range(len(plain[0])):
-            total = zero
+            total = params.zero
             for wr, w in zip(scaled, plain):
                 total = total + wr[a] * w[b]
             row.append(total)
@@ -179,7 +180,7 @@ def residue_pairing(left, right, params, points, residue, zero):
     return out
 
 
-def gram_matrix(left, right, ell, residue, params, zero, check_y, mismatch):
+def gram_matrix(left, right, ell, residue, params, check_y, mismatch):
     """The x-side `residue_pairing` of two families over the special points
     of partitions of ell.  The y side checks every entry against (-1)^ell
     times the x side and raises ConsistencyError(mismatch) on any
@@ -187,11 +188,11 @@ def gram_matrix(left, right, ell, residue, params, zero, check_y, mismatch):
     downstream.
     """
     xs = residue_pairing(left, right, params, point_family(x_point, params, ell),
-                         residue, zero)
+                         residue)
     if check_y:
         sign = (-params.field.one) ** ell
         ys = residue_pairing(left, right, params, point_family(y_point, params, ell),
-                             residue, zero)
+                             residue)
         for x_row, y_row in zip(xs, ys):
             if any(x != sign * y for x, y in zip(x_row, y_row)):
                 raise ConsistencyError(mismatch)
@@ -205,7 +206,7 @@ def scalar_product(f, g, params, ell, check_y=True):
     """<f, g> against the rational kernel, with the (-1)^ell y-side
     self-check."""
     return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], ell, kernel_residue,
-                       params, params.field.zero, check_y, MISMATCH)[0][0]
+                       params, check_y, MISMATCH)[0][0]
 
 
 def gram_pp(ell, n, params, check_y=True):
@@ -213,21 +214,23 @@ def gram_pp(ell, n, params, check_y=True):
     parts = enumerate_partitions(ell, n)
     return gram_matrix(lambda t: [weight(lam, t, params, primed=True) for lam in parts],
                        lambda t: [weight(mu, t, params) for mu in parts],
-                       ell, kernel_residue, params, params.field.zero, check_y, MISMATCH)
+                       ell, kernel_residue, params, check_y, MISMATCH)
 
 
-def transition_matrix(ell, n, params):
-    """A with P_lam = sum_mu A[lam][mu] Q_mu, solved exactly at the special
-    points, together with B, the inverse of [Q_lam(x |> kap)]_{kap, lam}."""
-    parts = enumerate_partitions(ell, n)
-    pts = point_family(x_point, params, ell)
-    q_kl = [[q_monomial(lam, pt.coords, params) for lam in parts] for pt in pts]
-    p_lk = [[weight(lam, pt.coords, params) for pt in pts] for lam in parts]
-    fld = params.field
-    b = mat_inverse(q_kl, fld.one, fld.zero)
-    b_t = [[b[c][r] for c in range(len(parts))] for r in range(len(parts))]
-    a = mat_mul(p_lk, b_t)
-    return a, b, q_kl, b_t
+def special_values(fn, params):
+    """[[fn(lam, x |> kap, params) for kap] for lam] over the partitions of
+    params.ell in enumeration order."""
+    pts = [pt.coords for pt in point_family(x_point, params, params.ell)]
+    return [[fn(lam, pt, params) for pt in pts]
+            for lam in enumerate_partitions(params.ell, params.n)]
+
+
+def transition_matrix(weight, basis, params, invertible=None):
+    """(A, W, B) with W = special_values(weight), B = special_values(basis)
+    and A = W B^(-1): weight(lam) = sum_mu A[lam][mu] basis(mu), solved at
+    the special points, for P over Q and for Xi over Theta alike."""
+    w, b = special_values(weight, params), special_values(basis, params)
+    return mat_mul(w, mat_inverse(b, params.one, params.zero, invertible)), w, b
 
 
 def d_exponent(n, ell, s):
@@ -317,7 +320,7 @@ def verify_mn(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         parts = enumerate_partitions(cfg.ell, cfg.n)
         pts = point_family(x_point, params, cfg.ell)
-        a, _, q_kl, _ = transition_matrix(cfg.ell, cfg.n, params)
+        a, _, q_mk = transition_matrix(weight, q_monomial, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
         minv = [kernel_residue(params, pt) for pt in pts]
@@ -333,7 +336,7 @@ def verify_mn(cfg):
                     inner = fld.zero
                     for lam in range(size):
                         inner = inner + pn[lam][kap] * a[lam][nu]
-                    acc = acc + minv[kap] * q_kl[kap][mu] * inner
+                    acc = acc + minv[kap] * q_mk[mu][kap] * inner
                 row.append(acc - (fld.one if mu == nu else fld.zero))
             residual.append(row)
         flat = _fmt_residual_matrix(residual, fld.zero)
@@ -352,13 +355,10 @@ def verify_det(cfg):
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         if cfg.check == "detq":
-            parts = enumerate_partitions(cfg.ell, cfg.n)
-            mat = [[q_monomial(lam, x_point(mu, params).coords, params)
-                    for mu in parts] for lam in parts]
-            lhs = mat_det(mat, fld.one, fld.zero)
+            lhs = mat_det(special_values(q_monomial, params), fld.one, fld.zero)
             rhs = detq_rhs(cfg.ell, cfg.n, params)
         else:
-            a, _, _, _ = transition_matrix(cfg.ell, cfg.n, params)
+            a, _, _ = transition_matrix(weight, q_monomial, params)
             lhs = mat_det(a, fld.one, fld.zero)
             rhs = deta_rhs(cfg.ell, cfg.n, params)
         if cfg.mutate:
@@ -401,7 +401,7 @@ def verify_resi(cfg):
 
         xs, ys = (residue_pairing(monomials, lambda t: [fld.one], params,
                                   point_family(make_point, params, cfg.ell),
-                                  kernel_residue, fld.zero)
+                                  kernel_residue)
                   for make_point in (x_point, y_point))
         findings = []
         ok = True

@@ -365,11 +365,10 @@ class AuxVector:
 # string expansions
 # ---------------------------------------------------------------------------
 
-def kbi_raising_rhs(wp, ell, t, mutate=False):
+def kbi_raising_rhs(wp, pp, t, mutate=False):
     """The partition expansion of the raising string applied to the
-    generating vector."""
-    fld = wp.field
-    pp = param_map(wp, ell)
+    generating vector; pp = param_map(wp, ell)."""
+    fld, ell = wp.field, pp.ell
     pref = (wp.q - 1 / wp.q) ** ell
     for z in wp.z:
         pref = pref * (-z) ** (-ell)
@@ -388,15 +387,14 @@ def kbi_raising_rhs(wp, ell, t, mutate=False):
     return out
 
 
-def kbi_lowering_rhs(wp, lam, t, mutate=False):
+def kbi_lowering_rhs(wp, pp, lam, t, mutate=False):
     """The coefficient of the generating vector produced by the lowering
     string on a depth vector F^w.  Carries the empirical (-1)^ell relative
     to the bare product form; the raising expansion pins the operator sign
     convention, and with it the lowering side must include this sign (the
-    ell = 1 cases already show it)."""
+    ell = 1 cases already show it); pp = param_map(wp, lam.ell)."""
     ell = lam.ell
     fld = wp.field
-    pp = param_map(wp, ell)
     mults = lam.multiplicities()
     q = wp.q
     coeff = (-fld.one) ** ell * weight(lam, t, pp, primed=True)
@@ -463,13 +461,14 @@ def verify_kbi(cfg):
         residuals = []
         v0 = TensorVector.generating(fld, wp.n, cap, cap)
         lhs = apply_string(v0, [(1, 2, ta) for ta in t], mods, wp.q)
-        rhs = kbi_raising_rhs(wp, cfg.ell, t, mutate=cfg.mutate)
+        pp = param_map(wp, cfg.ell)
+        rhs = kbi_raising_rhs(wp, pp, t, mutate=cfg.mutate)
         residuals.extend("raising " + line for line in (lhs - rhs).fmt())
         for lam in enumerate_partitions(cfg.ell, wp.n):
             start = TensorVector(fld, wp.n, cap, cap,
                                  {tuple(lam.multiplicities()): fld.one})
             low = apply_string(start, [(2, 1, ta) for ta in t], mods, wp.q)
-            expect = v0.scaled(kbi_lowering_rhs(wp, lam, t, mutate=cfg.mutate))
+            expect = v0.scaled(kbi_lowering_rhs(wp, pp, lam, t, mutate=cfg.mutate))
             residuals.extend("lowering %r %s" % (lam.entries, line)
                              for line in (low - expect).fmt())
         return residuals, not residuals, []

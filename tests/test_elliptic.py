@@ -8,19 +8,30 @@ from qident.exactnum import QQ, Sampler, SamplerConfig, theta, triple_pochhammer
 from qident.linalg import mat_det
 from qident.partitions import Partition, binom, enumerate_partitions, x_point, y_point
 from qident.reporting import RunConfig
-from qident.residues import point_family, residue_pairing
+from qident.residues import point_family, residue_pairing, transition_matrix
 from qident.elliptic import (
-    EllParams, aell_matrix, c_coeff_ell, d_lattice,
-    detae_rhs_nokappa, dett_rhs_nokappa, gram_xx, idp1_value, idp2_value, norm_d,
-    omega_residue, rho_lambda, sample_ell_params, sample_t,
+    EllParams, c_coeff_ell, d_lattice,
+    detae_rhs_nokappa, dett_rhs_nokappa, gram_xx, idp2_value, norm_d,
+    omega_residue, sample_ell_params, sample_t,
     theta_lambda, vartheta, verify_detprod, verify_idp, verify_xt, verify_xx,
     xi_weight, z_factor)
+from qident.polyweights import window_value
 
 K = 4
 
 
 def params_for(ell, n, seed=2, k=K, constrain=None):
     return sample_ell_params(Sampler(SamplerConfig(seed)), ell, n, k, constrain)
+
+
+def idp1_value(params, t, i, j):
+    return window_value(params, t, i, j, c_coeff_ell, xi_weight)
+
+
+def aell_matrix(params):
+    """(A, Xi, Theta) with Xi_lam = sum_nu A[lam][nu] Theta_nu."""
+    return transition_matrix(xi_weight, theta_lambda, params,
+                             invertible=lambda s: s.invertible())
 
 
 def test_z_factor_zeroth_order_and_duality():
@@ -61,7 +72,7 @@ def test_xi_single_term_and_bruteforce_oracle():
         term = z_factor(ta, 1, p2, p2.alpha * eta ** -2) * z_factor(tb, 1, p2, p2.alpha)
         term = term * p2.th(eta * tb / ta) / p2.th(tb / ta)
         total = total + term
-    assert xi_weight(lam2, t2, p2) == rho_lambda(lam2, p2) * total
+    assert xi_weight(lam2, t2, p2) == p2.th(eta) / p2.th(eta ** 2) * total
 
 
 def test_xi_symmetry_and_duality():
@@ -137,7 +148,7 @@ def test_gram_xx_and_res_sign():
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
     xs, ys = (residue_pairing(lambda t: [f(t)], lambda t: [g(t)], p,
-                              point_family(make_point, p, 1), omega_residue, p.zero)[0][0]
+                              point_family(make_point, p, 1), omega_residue)[0][0]
               for make_point in (x_point, y_point))
     assert (xs + ys).is_zero()  # (-1)^ell with ell = 1
 
@@ -181,7 +192,7 @@ def test_xt_solve_and_fresh_point_residual():
     for (ell, n, seed) in [(1, 1, 27), (1, 2, 28), (2, 2, 29)]:
         p = params_for(ell, n, seed=seed)
         parts = enumerate_partitions(ell, n)
-        a, _, _ = aell_matrix(ell, n, p)
+        a, _, _ = aell_matrix(p)
         s = Sampler(SamplerConfig(seed + 1))
         for _ in range(3):
             t = sample_t(s, ell)
@@ -212,7 +223,7 @@ def test_detprod_constant_cancellation_explicit_for_two_columns():
         n = 2
         p = params_for(ell, n, seed=seed)
         parts = enumerate_partitions(ell, n)
-        a, xi_mat, th_mat = aell_matrix(ell, n, p)
+        a, xi_mat, th_mat = aell_matrix(p)
         inv = lambda x: x.invertible()
         isz = lambda x: x.is_zero()
         det_th = mat_det(th_mat, p.one, p.zero, invertible=inv, is_zero=isz)
@@ -262,3 +273,15 @@ def test_drivers():
     assert any("cancel" in note for note in r.notes)
     with pytest.raises(UsageError):
         verify_idp(RunConfig(check="idp2", ell=1, n=3, i=1, j=3))
+
+
+def test_xt_with_order_below_the_basis_valuation():
+    # vartheta(m) takes theta at c p^(m-1); with m - 1 > K that argument is
+    # zero modulo p^(K+1), but its theta is not (the constant term is 1)
+    p = params_for(1, 3, k=0)
+    u = Fraction(4, 7)
+    assert vartheta(3, u, p).coeffs == [u ** 2]
+    for (ell, n, k) in [(1, 3, 1), (2, 3, 0), (1, 4, 1)]:
+        for mutate, verdict in ((False, "verified"), (True, "falsified")):
+            cfg = RunConfig(check="xt", ell=ell, n=n, k=k, trials=1, seed=1, mutate=mutate)
+            assert verify_xt(cfg).verdict == verdict

@@ -1,6 +1,5 @@
 """Replay of the benchmark's four mixes (`poly`, `elliptic`, `uq`, `prime`)
-at seed 1, and of the two mixes that run the series ring (`elliptic`,
-`prime`) at seed 2 as well, in-process through `cli.run_one`: every
+at seeds 1 and 2, in-process through `cli.run_one`: every
 canonical report must hash to its golden digest in benchmarks/goldens.json,
 so a faster evaluation path that changes any reported value fails here, not
 only in the benchmark run.  An entry without a golden digest (the mutated
@@ -19,8 +18,7 @@ from worker import build_manifest, digest, load_goldens   # noqa: E402
 
 from qident.cli import run_one   # noqa: E402
 
-RUNS = [(mix, 1) for mix in ("poly", "elliptic", "uq", "prime")] + \
-    [("elliptic", 2), ("prime", 2)]
+RUNS = [(mix, seed) for seed in (1, 2) for mix in ("poly", "elliptic", "uq", "prime")]
 MANIFESTS = {run: build_manifest(*run, smoke=False) for run in RUNS}
 GOLDENS = {run: load_goldens(*run, smoke=False) for run in RUNS}
 
@@ -55,6 +53,17 @@ def test_uq_report_matches_golden_digest(index):
 def test_prime_report_matches_golden_digest(index):
     assert GOLDENS["prime", 1][index] is not None
     replay("prime", index)
+
+
+@pytest.mark.parametrize("index", range(len(MANIFESTS["poly", 2])))
+def test_poly_seed_2_report_matches_golden_digest(index):
+    assert GOLDENS["poly", 2][index] is not None
+    replay("poly", index, seed=2)
+
+
+@pytest.mark.parametrize("index", range(len(MANIFESTS["uq", 2])))
+def test_uq_seed_2_report_matches_golden_digest(index):
+    replay("uq", index, seed=2)
 
 
 @pytest.mark.parametrize("index", range(len(MANIFESTS["elliptic", 2])))

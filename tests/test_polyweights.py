@@ -7,16 +7,21 @@ from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    PolyParams, _pair_ratio, c_coeff, id1_value, id2_value, jing_value, monomial_symmetric,
-    norm_n, q_monomial, r_lambda, sample_poly_params, sample_t, weight, x_factor)
+    PolyParams, c_coeff, id2_value, jing_value, monomial_symmetric, norm_n, q_monomial,
+    sample_poly_params, sample_t, weight, window_value, x_factor)
 from qident.reporting import RunConfig
 from qident.polyweights import verify_id, verify_jing
 
 from test_partitions import BOTH, GE, LE, leq
+from test_symmetrize_oracles import prefactor_oracle
 
 
 def params_for(ell, n, seed=2, constrain=None):
     return sample_poly_params(Sampler(SamplerConfig(seed)), ell, n, constrain)
+
+
+def id1_value(params, t, i, j):
+    return window_value(params, t, i, j, c_coeff, weight)
 
 
 def swapped(p):
@@ -171,14 +176,15 @@ def weight_at_special(lam, params, kind, primed=False):
     single surviving term of the symmetrized sum (the identity permutation
     once the coordinates are listed by `aligned_coords`)."""
     t = aligned_coords(lam, params, kind, primed=primed)
-    zero, one = params.field.zero, params.field.one
+    one, eta = params.field.one, params.eta
     term = one
     for a, part in enumerate(lam.entries):
         term = term * x_factor(t[a], part, params, primed)
     for a in range(lam.ell):
         for b in range(a + 1, lam.ell):
-            term = term * _pair_ratio(t[a], t[b], params.eta, zero, primed)
-    return r_lambda(lam, params.eta, one) * term
+            num = (eta * t[a] - t[b]) if primed else (t[a] - eta * t[b])
+            term = term * num / (t[a] - t[b])
+    return prefactor_oracle(lam, eta, lambda z: one - z, one) * term
 
 
 def test_identity_permutation_shortcut():

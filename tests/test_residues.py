@@ -23,6 +23,11 @@ def params_for(ell, n, seed=2, constrain=None):
     return sample_poly_params(Sampler(SamplerConfig(seed)), ell, n, constrain)
 
 
+def poly_transition(params):
+    """(A, P, Q) with P_lam = sum_mu A[lam][mu] Q_mu."""
+    return transition_matrix(weight, q_monomial, params)
+
+
 def one_fn(t):
     return QQ.one
 
@@ -231,7 +236,7 @@ def test_resi_agreement_exactly_on_divisible_bounded_monomials():
             g = lambda t, e=exps: monomial_symmetric(e, t, QQ.one, QQ.zero)
             xs, ys = (residue_pairing(lambda t: [QQ.one], lambda t: [g(t)], p,
                                       point_family(make_point, p, ell),
-                                      kernel_residue, QQ.zero)[0][0]
+                                      kernel_residue)[0][0]
                       for make_point in (x_point, y_point))
             assert (xs == (-QQ.one) ** ell * ys) == (min(exps) >= 1)
 
@@ -245,12 +250,12 @@ def test_scalar_product_flags_inadmissible_input():
 
 def test_transition_matrix_small_case():
     p = params_for(1, 2, seed=3)
-    a, b, q_kl, _ = transition_matrix(1, 2, p)
+    a, w, b = poly_transition(p)
     assert a == [[-p.x[1], Fraction(1)], [-p.y[0], Fraction(1)]]
-    assert mat_mul(b, q_kl) == [[QQ.one, QQ.zero], [QQ.zero, QQ.one]]
+    assert mat_mul(a, b) == w
     # the row of lam=(1) is y-independent; resolving with fresh y reproduces it
     p_alt = PolyParams(p.x, params_for(1, 2, seed=99).y, p.eta, 1, 2, QQ)
-    a_alt, _, _, _ = transition_matrix(1, 2, p_alt)
+    a_alt, _, _ = poly_transition(p_alt)
     assert a_alt[0] == a[0]
     assert a_alt[1][0] == -p_alt.y[0]
 
@@ -269,7 +274,7 @@ def test_determinant_closed_forms():
     mat = [[q_monomial(lam, x_point(mu, p).coords, p) for mu in parts] for lam in parts]
     assert mat_det(mat, QQ.one, QQ.zero) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
     assert detq_rhs(1, 2, p) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
-    a, _, _, _ = transition_matrix(1, 2, p)
+    a, _, _ = poly_transition(p)
     assert mat_det(a, QQ.one, QQ.zero) == p.y[0] - p.x[1]
     assert deta_rhs(1, 2, p) == p.y[0] - p.x[1]
 
@@ -279,7 +284,7 @@ def test_determinant_closed_forms():
         mat = [[q_monomial(lam, x_point(mu, pp).coords, pp) for mu in parts]
                for lam in parts]
         assert mat_det(mat, QQ.one, QQ.zero) == detq_rhs(ell, n, pp)
-        a, _, _, _ = transition_matrix(ell, n, pp)
+        a, _, _ = poly_transition(pp)
         assert mat_det(a, QQ.one, QQ.zero) == deta_rhs(ell, n, pp)
 
 

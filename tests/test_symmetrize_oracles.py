@@ -10,15 +10,17 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident.elliptic import (
-    idp2_value, rho_lambda, sample_ell_params, theta_lambda, vartheta, xi_weight,
+    idp2_value, sample_ell_params, theta_lambda, vartheta, xi_weight,
     z_factor)
 from qident.errors import DegenerateInputError
 from qident.exactnum import QQ, PrimeField, Sampler, SamplerConfig
 from qident.partitions import enumerate_partitions
 from qident.polyweights import (
-    eta_constraint, jing_value, monomial_symmetric, r_lambda, sample_poly_params,
+    eta_constraint, jing_value, monomial_symmetric, sample_poly_params,
     sample_t, symmetrize, weight, x_factor)
 from qident.reporting import DEFAULT_PRIME
 
@@ -34,6 +36,16 @@ def sampler(seed, fld):
 # oracles: the defining sums, term by term over all ell! permutations
 # ---------------------------------------------------------------------------
 
+def prefactor_oracle(lam, eta, phi, one):
+    """prod_m prod_{s=2}^{w_m} phi(eta)/phi(eta^s), with phi(z) = 1 - z for
+    the polynomial weights and phi = theta for the theta weights."""
+    out = one
+    for w in lam.multiplicities():
+        for s in range(2, w + 1):
+            out = out * phi(eta) / phi(eta ** s)
+    return out
+
+
 def weight_oracle(lam, t, params, primed=False):
     zero, one, eta = params.field.zero, params.field.one, params.eta
     total = zero
@@ -47,7 +59,7 @@ def weight_oracle(lam, t, params, primed=False):
                 num = (eta * ta - tb) if primed else (ta - eta * tb)
                 term = term * num / (ta - tb)
         total = total + term
-    return r_lambda(lam, eta, one) * total
+    return prefactor_oracle(lam, eta, lambda z: one - z, one) * total
 
 
 def jing_oracle(eta, t, one, zero, mutate=False):
@@ -104,7 +116,7 @@ def xi_oracle(lam, t, params, primed=False):
                 else:
                     term = term * th(eta * tb / ta) / th(tb / ta)
         total = total + term
-    return rho_lambda(lam, params) * total
+    return prefactor_oracle(lam, eta, th, params.one) * total
 
 
 def idp2_oracle(params, t, mutate=False):
@@ -239,3 +251,26 @@ def test_coincident_coordinates_are_rejected():
         jing_value(params.eta, t, QQ.one, QQ.zero)
     with pytest.raises(DegenerateInputError):
         idp2_value(ep, t)
+
+
+@given(st.sampled_from(FIELDS), st.booleans(), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 4), st.integers(1, 50), st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_weight_memo_is_keyed_by_point_primed_and_shift(fld, elliptic, ell, n, k, seed,
+                                                        rnd):
+    # one params object serves primed and unprimed weights at two points,
+    # interleaved; every value must match the same call on a fresh object,
+    # so a memo key that drops the point, `primed` or the column shift fails
+    def fresh():
+        s = sampler(seed, fld)
+        if elliptic:
+            return sample_ell_params(s, ell, n, k), s
+        return sample_poly_params(s, ell, n), s
+    params, s = fresh()
+    fn = xi_weight if elliptic else weight
+    points = [sample_t(s, ell) for _ in range(2)]
+    calls = [(lam, t, primed) for lam in enumerate_partitions(ell, n)
+             for t in points for primed in (False, True)]
+    rnd.shuffle(calls)
+    for lam, t, primed in calls:
+        assert fn(lam, t, params, primed=primed) == fn(lam, t, fresh()[0], primed=primed)

@@ -240,11 +240,12 @@ def test_kbi_both_directions():
         cap = ell + 2
         v0 = TensorVector.generating(QQ, n, cap, cap)
         lhs = apply_string(v0, [(1, 2, ta) for ta in t], mods, wp.q)
-        assert (lhs - kbi_raising_rhs(wp, ell, t)).is_zero()
+        pp = param_map(wp, ell)
+        assert (lhs - kbi_raising_rhs(wp, pp, t)).is_zero()
         for lam in enumerate_partitions(ell, n):
             start = TensorVector(QQ, n, cap, cap, {tuple(lam.multiplicities()): QQ.one})
             low = apply_string(start, [(2, 1, ta) for ta in t], mods, wp.q)
-            assert (low - v0.scaled(kbi_lowering_rhs(wp, lam, t))).is_zero()
+            assert (low - v0.scaled(kbi_lowering_rhs(wp, pp, lam, t))).is_zero()
 
 
 def test_bc_and_singular_drivers():
