@@ -6,7 +6,9 @@ prime field GF(p) (fast mode; an unlucky prime can produce spurious zeros,
 so rational mode has the final word).  Series are exact modulo p^(K+1) and
 fraction-free: integer numerators over one common denominator over QQ, raw
 residues over GF(p), turned into field scalars only at the report boundary
-(`PSeries.coeffs`).  The q-Pochhammer factors are finite truncated products
+(`PSeries.coeffs`).  `ints_over_den` and `scalar_of` are the one conversion
+path between field scalars and that form, shared with the tensor vectors
+of `tensors`.  The q-Pochhammer factors are finite truncated products
 and theta is a finite truncated sum (the Jacobi triple product), so no
 convergence questions ever arise.
 """
@@ -250,9 +252,26 @@ def scalar_str(x):
 # truncated power series in the nome p
 # ---------------------------------------------------------------------------
 
-def _modulus(fld):
+def modulus(fld):
     """p for GF(p), 0 for QQ."""
     return fld.p if isinstance(fld, PrimeField) else 0
+
+
+def ints_over_den(fld, scalars):
+    """(nums, den) with scalars[i] == nums[i]/den in `fld`: over QQ integer
+    numerators over the lcm of the reduced denominators, so that
+    gcd(den, *nums) == 1; over GF(p) residues in [0, p) over 1."""
+    cs = [fld.of(c) for c in scalars]
+    if modulus(fld):
+        return [c.value for c in cs], 1
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def scalar_of(mod, num, den=1):
+    """num/den as a field scalar: a `PrimeScalar` modulo `mod`, or a
+    `Fraction` when `mod` is 0 (QQ)."""
+    return PrimeScalar(num, mod) if mod else Fraction(num, den)
 
 
 class PSeries:
@@ -274,23 +293,17 @@ class PSeries:
     def __init__(self, fld, coeffs, order=None):
         if order is None:
             order = len(coeffs) - 1
-        cs = [fld.of(c) for c in coeffs[: order + 1]]
-        mod = _modulus(fld)
-        if mod:
-            num, den = [c.value for c in cs], 1
-        else:
-            # the lcm of reduced denominators leaves gcd(den, *num) == 1
-            den = math.lcm(*(c.denominator for c in cs))
-            num = [c.numerator * (den // c.denominator) for c in cs]
+        num, den = ints_over_den(fld, coeffs[: order + 1])
         num.extend([0] * (order + 1 - len(num)))
-        self.field, self.mod, self.num, self.den, self.order = fld, mod, num, den, order
+        self.field, self.mod, self.num, self.den = fld, modulus(fld), num, den
+        self.order = order
 
     @classmethod
     def _from_ints(cls, fld, num, den, order):
         """The series with coefficients num[i]/den (den > 0; ignored over
         GF(p)) for i <= order, brought to canonical form once."""
         out = object.__new__(cls)
-        mod = _modulus(fld)
+        mod = modulus(fld)
         if mod:
             num, den = [x % mod for x in num], 1
         else:
@@ -315,9 +328,7 @@ class PSeries:
     @property
     def coeffs(self):
         """The coefficients as field scalars (`Fraction` or `PrimeScalar`)."""
-        if self.mod:
-            return [PrimeScalar(x, self.mod) for x in self.num]
-        return [Fraction(x, self.den) for x in self.num]
+        return [scalar_of(self.mod, x, self.den) for x in self.num]
 
     def _coerce(self, other):
         if isinstance(other, PSeries):
@@ -547,7 +558,7 @@ def theta(c, e, order, v=0):
     for i, x, k in terms:
         num[i] += x * (a * b) ** (last - k)
     den = am // a * bm
-    mod = _modulus(fld)
+    mod = modulus(fld)
     if mod:   # b == 1 and a is a unit mod p
         inv = pow(den, -1, mod)
         return PSeries._from_ints(fld, [x * inv for x in num], 1, order)

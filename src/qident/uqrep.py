@@ -9,12 +9,12 @@ ground field stays rational.
 
 An operator entry acts on a tensor vector by one transfer-matrix sweep over
 the slots (`tensor_entry`), not by a walk over each of the 2^(n-1) index
-chains.  The per-slot values that depend only on the module and the depth
-(s q^-k, q^k/s and the lowering coefficient -(q - 1/q) gamma_k) sit in
-lazily filled tables on the `Module` objects that `modules_of` builds once
-per trial; per call only u/z and the raising coefficient are new.  The
-submodule sweep of `singular` applies its lowering string once per distinct
-basis key and combines the images by linearity (`apply_string_by_basis`).
+chains.  The tensor vectors and the depth tables of the `Module` objects
+that `modules_of` builds once per trial are fraction-free (`tensors`), so
+a sweep multiplies integers only and field scalars appear only at the
+report boundary.  The submodule sweep of `singular` applies its lowering
+string once per distinct basis key and combines the images by linearity
+(`apply_string_by_basis`).
 
 Depth caps are hard errors: in-contract computations provably stay below
 them, so an overflow is a bug.  The mutated lowering operator of the
@@ -26,13 +26,16 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import DepthOverflowError, UsageError
+from .errors import UsageError
+from .exactnum import ints_over_den
 from .partitions import enumerate_partitions
 from .polyweights import PolyParams, weight
 from .reporting import run_trials
+from .tensors import Module, TensorVector
 
 
 @dataclass(frozen=True)
@@ -82,143 +85,44 @@ def gamma(k, s, q):
     return out
 
 
-class TensorVector:
-    """Sparse vector in a truncated tensor product of highest-weight
-    modules, keyed by per-slot depths.  Slot order is the tensor order, so
-    a reversed product just carries the module parameters reversed."""
-
-    __slots__ = ("field", "nslots", "cap", "total_cap", "data")
-
-    def __init__(self, fld, nslots, cap, total_cap, data=None):
-        self.field = fld
-        self.nslots = nslots
-        self.cap = cap
-        self.total_cap = total_cap
-        self.data = dict(data or {})
-
-    @classmethod
-    def generating(cls, fld, nslots, cap, total_cap):
-        return cls(fld, nslots, cap, total_cap, {(0,) * nslots: fld.one})
-
-    def copy_empty(self):
-        return TensorVector(self.field, self.nslots, self.cap, self.total_cap)
-
-    def add_term(self, key, coeff):
-        if max(key) > self.cap or sum(key) > self.total_cap:
-            raise DepthOverflowError("depth cap exceeded at key %r" % (key,))
-        if min(key) < 0:
-            raise DepthOverflowError("negative depth at key %r" % (key,))
-        cur = self.data.get(key, self.field.zero)
-        new = cur + coeff
-        if new == self.field.zero:
-            self.data.pop(key, None)
-        else:
-            self.data[key] = new
-
-    def scaled(self, c):
-        out = self.copy_empty()
-        for k, v in self.data.items():
-            out.add_term(k, v * c)
-        return out
-
-    def __sub__(self, other):
-        out = self.copy_empty()
-        for k, v in self.data.items():
-            out.add_term(k, v)
-        for k, v in other.data.items():
-            out.add_term(k, -v)
-        return out
-
-    def is_zero(self):
-        return not self.data
-
-    def nonzero_items(self):
-        return sorted(self.data.items())
-
-    def fmt(self, limit=None):
-        """One line per nonzero coefficient in key order, the first `limit`
-        of them if given."""
-        return ["%r: %s" % (k, v) for k, v in self.nonzero_items()[:limit]]
-
-    def __repr__(self):
-        return "TensorVector(%s)" % (", ".join(self.fmt()) or "0")
-
-
-class Module:
-    """One evaluation module of the tensor product: its highest-weight
-    scalar s, its evaluation point z, and q.  The depth tables
-
-        A_k = s q^(-k),   B_k = q^k / s,   L_k = -(q - 1/q) gamma_k
-
-    are filled lazily, one depth at a time, and live as long as the module
-    object (one trial).  L_k comes from L_(k+1) = L_k + B_k^2 - A_k^2,
-    which is the recursion of `gamma` times -(q - 1/q), so no depth costs
-    more than a few products."""
-
-    __slots__ = ("s", "z", "q", "_a", "_b", "_low")
-
-    def __init__(self, s, z, q):
-        self.s = s
-        self.z = z
-        self.q = q
-        self._a = [s]
-        self._b = [1 / s]
-        self._low = [0 * q]
-
-    def row(self, k):
-        """(A_k, B_k, L_k)."""
-        a, b, low = self._a, self._b, self._low
-        while len(a) <= k:
-            ak, bk = a[-1], b[-1]
-            low.append(low[-1] + bk * bk - ak * ak)
-            a.append(ak / self.q)
-            b.append(bk * self.q)
-        return a[k], b[k], low[k]
-
-    def action(self, a, b, k, w, raise_c, one, mutate):
-        """Matrix entry (a, b) of the evaluation operator at argument u on
-        F^k, with w = u/z and raise_c = -w (q - 1/q): the list of (new
-        depth, coefficient) it produces."""
-        if a == 1 and b == 2:
-            return [(k + 1, raise_c)]
-        ak, bk, low = self.row(k)
-        if a == 1 and b == 1:
-            return [(k, bk - w * ak)]
-        if a == 2 and b == 2:
-            return [(k, ak - w * bk)]
-        out = [(k - 1, low)] if k > 0 else []
-        if mutate:
-            # deliberately broken lowering operator for negative controls:
-            # an extra depth-preserving term
-            out.append((k, one))
-        return out
-
-
 def tensor_entry(vec, i, j, u, modules, q, mutate=False):
     """Apply the (i, j) entry of the coproduct-extended operator at
     argument u: the sum over all index chains i = k_0, ..., k_n = j of the
     per-slot entry products.
 
     The chain sum is a transfer-matrix contraction: one sweep over the
-    slots carries, per chain index c in {1, 2}, a sparse vector whose keys
-    hold the new depths in the slots already swept and the old ones after;
-    slot m moves c to d by the slot action (c, d), and the last slot is
-    forced to d = j.  Paths that meet in a state are summed there.  Every
-    key a chain reaches goes through `TensorVector.add_term`, so the cap
-    checks see the same keys as the literal chain sum."""
+    slots carries, per chain index c in {1, 2}, a sparse map from keys to
+    integer numerators; the keys hold the new depths in the slots already
+    swept and the old ones after.  Slot m moves c to d by the slot action
+    (c, d), and the last slot is forced to d = j.  Paths that meet in a
+    state are summed there.  With w = u/z = wn/wd (no gcd), every chain
+    takes one value over M wd from each slot, so all of them share the
+    denominator den(vec) * prod_m M_m wd_m and the sweep multiplies
+    integers only.  Over GF(p) the slot values are residues and the sums
+    are reduced once, at the end: n slots grow them to about n+1 times
+    the bits of p, which costs less than a pass per slot.  Zero sums are
+    kept to the end: every key a chain reaches goes through the cap check,
+    as in the literal chain sum, before one gcd normalizes."""
     n = vec.nslots
     if len(modules) != n:
         raise UsageError("module list does not match slot count")
     if i not in (1, 2) or j not in (1, 2):
         raise UsageError("operator entry (%r, %r) out of range" % (i, j))
-    one = vec.field.one
-    qq = q - 1 / q
-    states = {i: vec.data}
+    (un,), ud = ints_over_den(vec.field, [u])
+    p = vec.mod
+    den = vec.den
+    states = {i: vec.num}
     for slot, mod in enumerate(modules):
         if mod.q is not q and mod.q != q:
             raise UsageError("module tables were built for another q")
-        w = u / mod.z
-        raise_c = -w * qq
+        if mod.mod != p:
+            raise UsageError("module tables were built for another field")
+        zn, zd = mod.zinv
+        wn, wd = un * zn, ud * zd
+        if p:
+            wn %= p
+        table = mod.table(vec.cap)
+        den *= table[2] * wd
         memo = {}
         targets = (j,) if slot == n - 1 else (1, 2)
         new = {d: {} for d in targets}
@@ -229,17 +133,16 @@ def tensor_entry(vec, i, j, u, modules, q, mutate=False):
                     k = key[slot]
                     steps = memo.get((c, d, k))
                     if steps is None:
-                        steps = memo[c, d, k] = mod.action(c, d, k, w, raise_c,
-                                                           one, mutate)
+                        steps = memo[c, d, k] = mod.action(c, d, k, table, wn, wd,
+                                                           mutate)
                     for k2, c2 in steps:
                         nk = key[:slot] + (k2,) + key[slot + 1:]
                         prev = dest.get(nk)
                         dest[nk] = coeff * c2 if prev is None else prev + coeff * c2
         states = new
-    out = vec.copy_empty()
-    for key, coeff in states[j].items():
-        out.add_term(key, coeff)
-    return out
+    for key in states[j]:
+        vec.check_key(key)
+    return vec.with_ints(states[j], den)
 
 
 def apply_string(vec, entries, modules, q, mutate=False):
@@ -253,25 +156,27 @@ def apply_string_by_basis(vectors, entries, modules, q, mutate=False):
     """Yield `apply_string` of each of `vectors` in turn, by linearity: the
     string acts once on each distinct basis key (per cap pair), and each
     output is the same combination of those images as its vector is of the
-    keys."""
+    keys, summed over the lcm of the images' denominators."""
     images = {}
     for vec in vectors:
-        acc = {}
-        for key, coeff in vec.data.items():
+        parts = []
+        for key, x in vec.num.items():
             ident = (vec.cap, vec.total_cap, key)
             image = images.get(ident)
             if image is None:
                 basis = TensorVector(vec.field, vec.nslots, vec.cap, vec.total_cap,
                                      {key: vec.field.one})
                 image = images[ident] = apply_string(basis, entries, modules, q,
-                                                    mutate=mutate).data
-            for k2, c2 in image.items():
+                                                    mutate=mutate)
+            parts.append((x, image))
+        den = math.lcm(*(image.den for _, image in parts))
+        acc = {}
+        for x, image in parts:
+            scale = x * (den // image.den)
+            for k2, c2 in image.num.items():
                 prev = acc.get(k2)
-                acc[k2] = coeff * c2 if prev is None else prev + coeff * c2
-        out = vec.copy_empty()
-        for k2, c2 in acc.items():
-            out.add_term(k2, c2)
-        yield out
+                acc[k2] = scale * c2 if prev is None else prev + scale * c2
+        yield vec.with_ints(acc, vec.den * den)
 
 
 def mutated_caps(cap, total_cap, nslots, applications):
@@ -315,13 +220,7 @@ class AuxVector:
 
     def add(self, ab, tv):
         cur = self.data.get(ab)
-        if cur is None:
-            self.data[ab] = tv
-        else:
-            self.data[ab] = TensorVector(tv.field, tv.nslots, tv.cap, tv.total_cap,
-                                         dict(cur.data))
-            for k, val in tv.data.items():
-                self.data[ab].add_term(k, val)
+        self.data[ab] = tv if cur is None else cur + tv
 
     def apply_l1(self, u, modules, q):
         out = AuxVector(self.field)
@@ -560,7 +459,7 @@ def verify_singular(cfg):
             nonlocal unlisted
             lines = out.fmt(limit=max(0, MAX_LISTED_RESIDUALS - len(residuals)))
             residuals.extend(prefix + line for line in lines)
-            unlisted += len(out.data) - len(lines)
+            unlisted += len(out.num) - len(lines)
 
         # (b) the singular vector
         cap, total_cap = mutated_caps(cfg.ell + 3, cfg.ell + 3, wp.n,
