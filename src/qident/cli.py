@@ -114,7 +114,11 @@ def reject_unused(check, given):
 def config_from_args(args):
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "1"))
+        text = os.environ.get(SEED_ENV_VAR, "1")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError("%s must be an integer, got %r" % (SEED_ENV_VAR, text)) from None
     given = {key: getattr(args, key) for key in CHECK_OPTIONS if hasattr(args, key)}
     reject_unused(args.command, given)
     return RunConfig(

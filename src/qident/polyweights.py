@@ -7,7 +7,9 @@ Every sum over S_ell here (and in the elliptic layer) goes through
 `symmetrize`: its terms are products of position-dependent single factors
 and pair factors that depend only on which of two variables comes first, so
 the exact sum is accumulated over subsets of variables in O(2^ell ell^2)
-ring operations.  No closed-form simplification is attempted; the tests
+ring operations.  Tables of field scalars run those operations on
+integers over one common denominator (residues over GF(p)), divided out
+once per sum.  No closed-form simplification is attempted; the tests
 keep the literal permutation sums as oracles.  The weight scaffold serves
 both layers: phi(z) = 1 - z here and phi = theta on `elliptic.EllParams`,
 so, as theta(z; 0) = 1 - z, the weights P are the p = 0 form of the theta
@@ -20,7 +22,7 @@ import math
 from collections import Counter
 
 from .errors import DegenerateInputError, UsageError
-from .exactnum import scalar_str
+from .exactnum import PSeries, field_of, ints_over_den, modulus, scalar_of, scalar_str
 from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
 from .reporting import run_trials
 
@@ -91,7 +93,32 @@ def symmetrize(ell, single, pair, one, zero):
     variables filling the first |S| positions, F(S), obeys
     F(S + v) += F(S) single[|S|][v] prod_{w in S} pair[w][v], which costs
     O(2^ell ell^2) ring operations in place of O(ell! ell^2).
+
+    Tables of field scalars (QQ or GF(p)) run the DP on integers.  Every
+    term places each variable v once and holds exactly one of pair[w][v]
+    and pair[v][w], so every term has the denominator prod_v D_v
+    prod_{w<v} L_wv, where D_v clears the column single[.][v] and L_wv the
+    two entries of the pair {w, v}; the sum is divided by it once at the
+    end.  Over GF(p) the denominators are 1 and each term is reduced mod p.
+    Series tables keep the ring operations.
     """
+    mod = den = 0
+    if not isinstance(one, PSeries):
+        fld = field_of(one)
+        mod, den, cols = modulus(fld), 1, []
+        for v in range(ell):
+            col, d = ints_over_den(fld, [row[v] for row in single])
+            cols.append(col)
+            den *= d
+        single = list(zip(*cols))
+        if pair is not None:
+            table, pair = pair, [[None] * ell for _ in range(ell)]
+            for w in range(ell):
+                for v in range(w + 1, ell):
+                    (pair[w][v], pair[v][w]), d = ints_over_den(
+                        fld, [table[w][v], table[v][w]])
+                    den *= d
+        one, zero = 1, 0
     full = (1 << ell) - 1
     f = [zero] * (full + 1)
     f[0] = one
@@ -106,8 +133,10 @@ def symmetrize(ell, single, pair, one, zero):
             if pair is not None:
                 for w in placed:
                     term = term * pair[w][v]
+            if mod:
+                term %= mod
             f[s | 1 << v] = f[s | 1 << v] + term
-    return f[full]
+    return scalar_of(mod, f[full], den) if den else f[full]
 
 
 def pair_table(t, ratio):

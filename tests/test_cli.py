@@ -103,6 +103,14 @@ def test_seed_env_override(monkeypatch, tmp_path):
     assert json.loads(out2.read_text())["config"]["seed"] == 6
 
 
+def test_non_integer_seed_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("QIDENT_SEED", "abc")
+    assert run(["jing", "--ell", "2", "--trials", "1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: QIDENT_SEED")
+    # an explicit --seed never reads the variable
+    assert run(["jing", "--ell", "2", "--trials", "1", "--seed", "3"]) == 0
+
+
 def test_suite(tmp_path):
     manifest = tmp_path / "m.json"
     aggregate = tmp_path / "agg.json"
@@ -225,6 +233,16 @@ def test_prime_mode_rejects_draws_that_vanish_mod_p():
     assert report.verdict == "verified"
     draws = [Fraction(q) for trial in report.trials for _, q in trial.draws]
     assert draws and all(q.numerator % 101 for q in draws)
+
+
+def test_resi_spurious_agreement_mod_p_is_resampled():
+    # mod 7, tuples with a zero exponent, whose x- and y-sums differ as
+    # rationals, can agree at a draw; that zero proves nothing, so the draw
+    # is resampled, while a mutated run still differs where agreement is due
+    argv = ["resI", "--ell", "2", "--n", "2", "--field", "prime", "--prime", "7",
+            "--trials", "5"]
+    assert run(argv) == 0
+    assert run(argv + ["--mutate"]) == 1
 
 
 def test_composite_prime_modulus_is_a_usage_error():

@@ -3,10 +3,12 @@
 through: weights P and P', the base identity (plain and mutated),
 monomial symmetric polynomials, the theta weights, the explicit two-column
 elliptic identity and the symmetrized basis products, for ell <= 4 over
-both QQ and GF(2^61 - 1)."""
+both QQ and GF(2^61 - 1); and the kernel itself on arbitrary scalar and
+series tables."""
 
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -17,7 +19,7 @@ from qident.elliptic import (
     idp2_value, sample_ell_params, theta_lambda, vartheta, xi_weight,
     z_factor)
 from qident.errors import DegenerateInputError
-from qident.exactnum import QQ, PrimeField, Sampler, SamplerConfig
+from qident.exactnum import QQ, PrimeField, PSeries, Sampler, SamplerConfig
 from qident.partitions import enumerate_partitions
 from qident.polyweights import (
     eta_constraint, jing_value, monomial_symmetric, sample_poly_params,
@@ -35,6 +37,20 @@ def sampler(seed, fld):
 # ---------------------------------------------------------------------------
 # oracles: the defining sums, term by term over all ell! permutations
 # ---------------------------------------------------------------------------
+
+def symmetrize_oracle(ell, single, pair, one, zero):
+    total = zero
+    for sigma in permutations(range(ell)):
+        term = one
+        for a in range(ell):
+            term = term * single[a][sigma[a]]
+        if pair is not None:
+            for a in range(ell):
+                for b in range(a + 1, ell):
+                    term = term * pair[sigma[a]][sigma[b]]
+        total = total + term
+    return total
+
 
 def prefactor_oracle(lam, eta, phi, one):
     """prod_m prod_{s=2}^{w_m} phi(eta)/phi(eta^s), with phi(z) = 1 - z for
@@ -174,6 +190,56 @@ def test_symmetrize_small_cases_by_hand():
     pair = [[None, 11], [13, None]]
     assert symmetrize(2, single, pair, one, zero) == 2 * 7 * 11 + 3 * 5 * 13
     assert symmetrize(2, single, None, one, zero) == 2 * 7 + 3 * 5
+
+
+HEIGHT = 10 ** 6
+TABLE_FIELDS = FIELDS + [PrimeField(101)]
+
+
+def table_scalars(fld):
+    """Fractions of height up to 10^6, either sign, zero and integers among
+    them (zero stays rare, or nearly every term would vanish); no
+    denominator is a multiple of 101, so each one lies in every field."""
+    return st.builds(Fraction, st.integers(-HEIGHT, HEIGHT),
+                     st.integers(1, HEIGHT).filter(lambda d: d % 101)).map(fld.of)
+
+
+def tables(data, ell, entry, with_pair):
+    """A single table and, if asked, a pair table (diagonal unused), every
+    entry drawn independently: pair[w][v] and pair[v][w] share nothing."""
+    row = st.lists(entry, min_size=ell, max_size=ell)
+    single = data.draw(st.lists(row, min_size=ell, max_size=ell))
+    if not with_pair:
+        return single, None
+    pair = data.draw(st.lists(row, min_size=ell, max_size=ell))
+    return single, [[None if w == v else x for v, x in enumerate(r)]
+                    for w, r in enumerate(pair)]
+
+
+@pytest.mark.parametrize("fld", TABLE_FIELDS, ids=FIELD_IDS + ["GF101"])
+@pytest.mark.parametrize("with_pair", [False, True], ids=["no_pair", "pair"])
+@given(st.data(), st.integers(0, 5))
+@settings(max_examples=50, deadline=None)
+def test_symmetrize_matches_permutation_sum_on_arbitrary_tables(fld, with_pair, data, ell):
+    # scalar tables run on integers over one denominator; tables shaped
+    # like nothing in the package pin that the denominator is right
+    single, pair = tables(data, ell, table_scalars(fld), with_pair)
+    got = symmetrize(ell, single, pair, fld.one, fld.zero)
+    assert got == symmetrize_oracle(ell, single, pair, fld.one, fld.zero)
+    assert type(got) is type(fld.one)
+
+
+@given(st.data(), st.sampled_from(TABLE_FIELDS), st.integers(0, 3), st.booleans(),
+       st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_symmetrize_matches_permutation_sum_on_series_tables(data, fld, ell, with_pair,
+                                                            order):
+    entry = st.lists(table_scalars(fld), min_size=1, max_size=order + 1).map(
+        lambda cs: PSeries(fld, cs, order))
+    single, pair = tables(data, ell, entry, with_pair)
+    one, zero = PSeries.constant(fld, fld.one, order), PSeries.constant(fld, fld.zero, order)
+    assert symmetrize(ell, single, pair, one, zero) == \
+        symmetrize_oracle(ell, single, pair, one, zero)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
