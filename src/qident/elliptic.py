@@ -231,20 +231,20 @@ def omega_residue(params, point):
 THETA_MISMATCH = "x- and y-side theta residue sums disagree"
 
 
-def scalar_product_omega(f, g, params, ell, check_y=True):
+def scalar_product_omega(f, g, params, ell):
     """<f, g> as the x-side theta residue sum, with the (-1)^ell y-side
     self-check."""
     return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], ell, omega_residue,
-                       params, check_y, THETA_MISMATCH)[0][0]
+                       params, THETA_MISMATCH)[0][0]
 
 
-def gram_xx(ell, n, params, check_y=True):
+def gram_xx(params):
     """The matrix [<Xi'_lam, Xi_mu>] over all partitions, in enumeration
     order."""
-    parts = enumerate_partitions(ell, n)
+    parts = enumerate_partitions(params.ell, params.n)
     return gram_matrix(lambda t: [xi_weight(lam, t, params, primed=True) for lam in parts],
                        lambda t: [xi_weight(mu, t, params) for mu in parts],
-                       ell, omega_residue, params, check_y, THETA_MISMATCH)
+                       params.ell, omega_residue, params, THETA_MISMATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,7 @@ def verify_xx(cfg):
     def trial(sampler):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        gram = gram_xx(cfg.ell, cfg.n, params)
+        gram = gram_xx(params)
         entries = []
         for r, lam in enumerate(parts):
             dinv = norm_d(lam, params).inverse()

@@ -1,78 +1,74 @@
 """Small exact dense linear algebra over a field or the truncated series
-ring: inverse, determinant, multiply.  Division-based elimination; callers
-over the series ring supply an invertibility test (constant term nonzero)
-and resample when no usable pivot exists.
+ring: determinant and solve.  Division-based elimination; callers over the
+series ring supply an invertibility test (constant term nonzero) and
+resample when no usable pivot exists.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 from .errors import NonInvertibleError
 
 
-def _default_is_zero(x):
-    return x == 0
+def _pivot_row(work, col, invertible):
+    """The first row at or below `col` whose entry in column `col` passes
+    `invertible`, or None."""
+    for r in range(col, len(work)):
+        if invertible(work[r][col]):
+            return r
+    return None
 
 
-def _default_invertible(x):
-    return not (x == 0)
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = a[r][0] * b[0][c]
-            for k in range(1, inner):
-                acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
-def mat_inverse(a, one, zero, invertible=None):
-    """Gauss-Jordan inverse; raises NonInvertibleError without a usable pivot."""
-    invertible = invertible or _default_invertible
+def mat_solve(a, b, zero, invertible=None):
+    """The X with a X = b, by one Gauss-Jordan pass on [a | b]; raises
+    NonInvertibleError without a usable pivot.  A finished column is never
+    read again, so each row operation covers only the columns after it."""
+    invertible = invertible or (lambda x: x != zero)
     n = len(a)
-    work = [list(row) + [one if r == c else zero for c in range(n)]
-            for r, row in enumerate(a)]
+    work = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if invertible(work[r][col]):
-                pivot = r
-                break
+        pivot = _pivot_row(work, col, invertible)
         if pivot is None:
             raise NonInvertibleError("no invertible pivot in column %d" % col)
         work[col], work[pivot] = work[pivot], work[col]
         inv = work[col][col] ** (-1)
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r == col:
+        tail = [v * inv for v in work[col][col + 1:]]
+        work[col][col + 1:] = tail
+        for r, row in enumerate(work):
+            f = row[col]
+            if r == col or f == zero:
                 continue
-            f = work[r][col]
-            if f == zero:
-                continue
-            work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+            row[col + 1:] = [v - f * w for v, w in zip(row[col + 1:], tail)]
     return [row[n:] for row in work]
+
+
+def mat_inverse(a, one, zero, invertible=None):
+    """Gauss-Jordan inverse: `mat_solve` against the identity."""
+    identity = [[one if r == c else zero for c in range(len(a))] for r in range(len(a))]
+    return mat_solve(a, identity, zero, invertible)
 
 
 def mat_det(a, one, zero, invertible=None, is_zero=None):
     """Determinant by elimination.  If a column admits no invertible pivot
     but is entirely zero below the diagonal, the determinant is zero (over a
     field); otherwise the situation is reported for resampling."""
-    invertible = invertible or _default_invertible
-    is_zero = is_zero or _default_is_zero
+    invertible = invertible or (lambda x: x != zero)
+    is_zero = is_zero or (lambda x: x == zero)
     n = len(a)
     work = [list(row) for row in a]
     det = one
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if invertible(work[r][col]):
-                pivot = r
-                break
+        pivot = _pivot_row(work, col, invertible)
         if pivot is None:
             if all(is_zero(work[r][col]) for r in range(col, n)):
                 return zero

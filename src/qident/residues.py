@@ -33,9 +33,10 @@ is never integrated.
 
 from __future__ import annotations
 
-from .errors import ConsistencyError, DegenerateInputError, PoleOrderError, UsageError
+from .errors import (
+    ConsistencyError, DegenerateInputError, NonInvertibleError, PoleOrderError, UsageError)
 from .exactnum import scalar_str
-from .linalg import mat_det, mat_inverse, mat_mul
+from .linalg import mat_det, mat_solve, transpose
 from .partitions import binom, enumerate_partitions, x_point, y_point
 from .polyweights import (
     monomial_symmetric, norm_n, q_monomial, sample_poly_params, weight)
@@ -180,41 +181,39 @@ def residue_pairing(left, right, params, points, residue):
     return out
 
 
-def gram_matrix(left, right, ell, residue, params, check_y, mismatch):
+def gram_matrix(left, right, ell, residue, params, mismatch):
     """The x-side `residue_pairing` of two families over the special points
     of partitions of ell.  The y side checks every entry against (-1)^ell
     times the x side and raises ConsistencyError(mismatch) on any
     difference, which flags an inadmissible product rather than a bug
     downstream.
     """
-    xs = residue_pairing(left, right, params, point_family(x_point, params, ell),
-                         residue)
-    if check_y:
-        sign = (-params.field.one) ** ell
-        ys = residue_pairing(left, right, params, point_family(y_point, params, ell),
-                             residue)
-        for x_row, y_row in zip(xs, ys):
-            if any(x != sign * y for x, y in zip(x_row, y_row)):
-                raise ConsistencyError(mismatch)
+    xs, ys = (residue_pairing(left, right, params, point_family(make_point, params, ell),
+                              residue)
+              for make_point in (x_point, y_point))
+    sign = (-params.field.one) ** ell
+    for x_row, y_row in zip(xs, ys):
+        if any(x != sign * y for x, y in zip(x_row, y_row)):
+            raise ConsistencyError(mismatch)
     return xs
 
 
 MISMATCH = "x- and y-side residue sums disagree; f*g is not admissible"
 
 
-def scalar_product(f, g, params, ell, check_y=True):
+def scalar_product(f, g, params, ell):
     """<f, g> against the rational kernel, with the (-1)^ell y-side
     self-check."""
     return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], ell, kernel_residue,
-                       params, check_y, MISMATCH)[0][0]
+                       params, MISMATCH)[0][0]
 
 
-def gram_pp(ell, n, params, check_y=True):
+def gram_pp(params):
     """The matrix [<P'_lam, P_mu>] over all partitions, in enumeration order."""
-    parts = enumerate_partitions(ell, n)
+    parts = enumerate_partitions(params.ell, params.n)
     return gram_matrix(lambda t: [weight(lam, t, params, primed=True) for lam in parts],
                        lambda t: [weight(mu, t, params) for mu in parts],
-                       ell, kernel_residue, params, check_y, MISMATCH)
+                       params.ell, kernel_residue, params, MISMATCH)
 
 
 def special_values(fn, params):
@@ -227,10 +226,11 @@ def special_values(fn, params):
 
 def transition_matrix(weight, basis, params, invertible=None):
     """(A, W, B) with W = special_values(weight), B = special_values(basis)
-    and A = W B^(-1): weight(lam) = sum_mu A[lam][mu] basis(mu), solved at
-    the special points, for P over Q and for Xi over Theta alike."""
+    and A B = W: weight(lam) = sum_mu A[lam][mu] basis(mu) at the special
+    points, for P over Q and for Xi over Theta alike.  A is found by one
+    solve, B^T A^T = W^T, never through B^(-1)."""
     w, b = special_values(weight, params), special_values(basis, params)
-    return mat_mul(w, mat_inverse(b, params.one, params.zero, invertible)), w, b
+    return transpose(mat_solve(transpose(b), transpose(w), params.zero, invertible)), w, b
 
 
 def d_exponent(n, ell, s):
@@ -292,7 +292,7 @@ def verify_pp(cfg):
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        gram = gram_pp(cfg.ell, cfg.n, params)
+        gram = gram_pp(params)
         residual = []
         for r, lam in enumerate(parts):
             inv_norm = fld.one / norm_n(lam, params)
@@ -347,19 +347,22 @@ def verify_mn(cfg):
 
 
 def verify_det(cfg):
-    """detq: det[Q_lam(x|>mu)] against its closed form; deta: det[A]."""
+    """detq: det B = det[Q_lam(x|>mu)] against its closed form; deta:
+    det A = det W / det B with W = [P_lam(x|>mu)], resampled where B is
+    singular and A therefore undefined."""
     if cfg.ell < 1:
         raise UsageError("det checks need ell >= 1")
     fld = cfg.scalar_field()
 
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
+        det_b = mat_det(special_values(q_monomial, params), fld.one, fld.zero)
         if cfg.check == "detq":
-            lhs = mat_det(special_values(q_monomial, params), fld.one, fld.zero)
-            rhs = detq_rhs(cfg.ell, cfg.n, params)
+            lhs, rhs = det_b, detq_rhs(cfg.ell, cfg.n, params)
         else:
-            a, _, _ = transition_matrix(weight, q_monomial, params)
-            lhs = mat_det(a, fld.one, fld.zero)
+            if det_b == fld.zero:
+                raise NonInvertibleError("det[Q_lam(x|>mu)] = 0: A is undefined")
+            lhs = mat_det(special_values(weight, params), fld.one, fld.zero) / det_b
             rhs = deta_rhs(cfg.ell, cfg.n, params)
         if cfg.mutate:
             rhs = rhs * 2

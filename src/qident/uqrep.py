@@ -222,18 +222,14 @@ class AuxVector:
         cur = self.data.get(ab)
         self.data[ab] = tv if cur is None else cur + tv
 
-    def apply_l1(self, u, modules, q):
+    def apply_l(self, side, u, modules, q):
+        """L_side(u): the operator entry (i, j) maps auxiliary index j to i
+        in factor `side` (1 or 2) of each key, the other factor kept."""
         out = AuxVector(self.field)
-        for (a, b), w in self.data.items():
+        for ab, w in self.data.items():
             for i in (1, 2):
-                out.add((i, b), tensor_entry(w, i, a, u, modules, q))
-        return out
-
-    def apply_l2(self, u, modules, q):
-        out = AuxVector(self.field)
-        for (a, b), w in self.data.items():
-            for k in (1, 2):
-                out.add((a, k), tensor_entry(w, k, b, u, modules, q))
+                key = (i, ab[1]) if side == 1 else (ab[0], i)
+                out.add(key, tensor_entry(w, i, ab[side - 1], u, modules, q))
         return out
 
     def apply_r(self, v, q, mutate=False):
@@ -334,10 +330,10 @@ def verify_rll(cfg):
             for key in keys:
                 w = TensorVector(fld, nfac, cap, cap * nfac, {key: fld.one})
                 start = AuxVector(fld, {tuple(ab): w})
-                lhs = start.apply_l2(zarg, mods, wp.q).apply_l1(u, mods, wp.q) \
+                lhs = start.apply_l(2, zarg, mods, wp.q).apply_l(1, u, mods, wp.q) \
                     .apply_r(u / zarg, wp.q, mutate=cfg.mutate)
-                rhs = start.apply_r(u / zarg, wp.q).apply_l1(u, mods, wp.q) \
-                    .apply_l2(zarg, mods, wp.q)
+                rhs = start.apply_r(u / zarg, wp.q).apply_l(1, u, mods, wp.q) \
+                    .apply_l(2, zarg, mods, wp.q)
                 residuals.extend("%r %s" % (key, line) for line in lhs.residual(rhs))
         return residuals, not residuals, []
 

@@ -142,7 +142,7 @@ def test_idp_identities():
 def test_gram_xx_and_res_sign():
     p = params_for(1, 1, seed=21)
     lam = Partition((1,), 1)
-    gram = gram_xx(1, 1, p)
+    gram = gram_xx(p)
     assert (gram[0][0] - norm_d(lam, p).inverse()).is_zero()
 
     f = lambda t: xi_weight(lam, t, p, primed=True)
@@ -154,7 +154,7 @@ def test_gram_xx_and_res_sign():
 
     p12 = params_for(1, 2, seed=22)
     parts = enumerate_partitions(1, 2)
-    gram12 = gram_xx(1, 2, p12)
+    gram12 = gram_xx(p12)
     for r, lamr in enumerate(parts):
         for c in range(len(parts)):
             expect = norm_d(lamr, p12).inverse() if r == c else p12.zero
