@@ -3,7 +3,9 @@ orchestration, machine-readable reports, and negative-control self-tests.
 
 Exit codes: 0 verified, 1 falsified (or condition not satisfied), 2 usage
 error, 3 internal or degenerate-input error.  A check can only exit 0 when
-its report verdict reads "verified".
+its report verdict reads "verified".  `validate` decides every usage error
+from the check table `CHECKS` before any check runs; any exception inside a
+running check, a UsageError included, is an internal fault (exit 3).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import elliptic, polyweights, residues, uqrep
 from .errors import UsageError
@@ -22,44 +25,42 @@ from .reporting import (
 
 SEED_ENV_VAR = "QIDENT_SEED"
 
-CHECKS = {
-    "jing": polyweights.verify_jing,
-    "id1": polyweights.verify_id,
-    "id2": polyweights.verify_id,
-    "pp": residues.verify_pp,
-    "mn": residues.verify_mn,
-    "detq": residues.verify_det,
-    "deta": residues.verify_det,
-    "resI": residues.verify_resi,
-    "idp1": elliptic.verify_idp,
-    "idp2": elliptic.verify_idp,
-    "xx": elliptic.verify_xx,
-    "xt": elliptic.verify_xt,
-    "detprod": elliptic.verify_detprod,
-    "rll": uqrep.verify_rll,
-    "kbi": uqrep.verify_kbi,
-    "bc1": uqrep.verify_bc,
-    "bc2": uqrep.verify_bc,
-    "singular": uqrep.verify_singular,
-}
-
-# The options a check reads besides trials, seed, field, prime, bound and
-# mutate, which every check reads.  Giving any other of CHECK_OPTIONS, on
-# the command line or as a manifest key, is a usage error: the check would
-# ignore it and still report a verdict.
 CHECK_OPTIONS = ("ell", "n", "i", "j", "k", "no_constraint", "word_len")
 _WINDOW = ("ell", "n", "i", "j", "no_constraint")
-READS = {
-    "jing": ("ell",),
-    "id1": _WINDOW, "id2": _WINDOW,
-    "pp": ("ell", "n"), "mn": ("ell", "n"), "detq": ("ell", "n"),
-    "deta": ("ell", "n"), "resI": ("ell", "n"),
-    "idp1": _WINDOW + ("k",), "idp2": _WINDOW + ("k",),
-    "xx": ("ell", "n", "k"), "xt": ("ell", "n", "k"), "detprod": ("ell", "n", "k"),
-    "rll": ("n",),
-    "kbi": ("ell", "n"),
-    "bc1": _WINDOW, "bc2": _WINDOW,
-    "singular": _WINDOW + ("word_len",),
+
+
+class Check(NamedTuple):
+    """A row of the check table, all that `validate` needs.  `reads` names
+    the CHECK_OPTIONS the check reads (every check reads trials, seed, field,
+    prime, bound and mutate); giving any other is a usage error, since the
+    check would ignore it and still report a verdict.  A check that reads
+    `i` needs the window 1 <= i < j <= n."""
+    driver: Callable
+    reads: tuple
+    min_ell: int
+
+
+CHECKS = {
+    "jing": Check(polyweights.verify_jing, ("ell",), 1),
+    "id1": Check(polyweights.verify_id, _WINDOW, 1),
+    "id2": Check(polyweights.verify_id, _WINDOW, 1),
+    "pp": Check(residues.verify_pp, ("ell", "n"), 1),
+    "mn": Check(residues.verify_mn, ("ell", "n"), 1),
+    "detq": Check(residues.verify_det, ("ell", "n"), 1),
+    "deta": Check(residues.verify_det, ("ell", "n"), 1),
+    "resI": Check(residues.verify_resi, ("ell", "n"), 1),
+    "idp1": Check(elliptic.verify_idp, _WINDOW + ("k",), 1),
+    "idp2": Check(elliptic.verify_idp, _WINDOW + ("k",), 1),
+    "xx": Check(elliptic.verify_xx, ("ell", "n", "k"), 1),
+    "xt": Check(elliptic.verify_xt, ("ell", "n", "k"), 1),
+    "detprod": Check(elliptic.verify_detprod, ("ell", "n", "k"), 1),
+    "rll": Check(uqrep.verify_rll, ("n",), 0),
+    "kbi": Check(uqrep.verify_kbi, ("ell", "n"), 0),
+    "bc1": Check(uqrep.verify_bc, _WINDOW, 0),
+    # with no lowering arguments the string value is the singular vector
+    # itself, not zero
+    "bc2": Check(uqrep.verify_bc, _WINDOW, 1),
+    "singular": Check(uqrep.verify_singular, _WINDOW + ("word_len",), 0),
 }
 
 
@@ -104,9 +105,9 @@ def build_parser():
 def reject_unused(check, given):
     """A UsageError if `given` names one of CHECK_OPTIONS that `check`
     does not read.  An unknown check is left to `validate`."""
-    if check not in READS:
+    if check not in CHECKS:
         return
-    unused = [key for key in CHECK_OPTIONS if key in given and key not in READS[check]]
+    unused = [key for key in CHECK_OPTIONS if key in given and key not in CHECKS[check].reads]
     if unused:
         raise UsageError("%s does not read option(s) %s" % (check, ", ".join(unused)))
 
@@ -127,18 +128,22 @@ def config_from_args(args):
 
 
 def validate(cfg):
+    """A UsageError for a configuration out of its check's contract, decided
+    here alone and before the check runs."""
     if cfg.check not in CHECKS:
         raise UsageError("unknown check %r" % cfg.check)
+    check = CHECKS[cfg.check]
     if cfg.trials < 1:
         raise UsageError("need at least one trial")
-    if cfg.ell < 0 or cfg.n < 1 or cfg.k < 0 or cfg.bound < 1 or cfg.word_len < 0:
-        raise UsageError("ell, n, k, bound, word_len out of range")
+    if cfg.n < 1 or cfg.k < 0 or cfg.bound < 1 or cfg.word_len < 0:
+        raise UsageError("n, k, bound, word_len out of range")
+    if cfg.ell < check.min_ell:
+        raise UsageError("%s needs ell >= %d" % (cfg.check, check.min_ell))
+    if "i" in check.reads and not 1 <= cfg.i < cfg.j <= cfg.n:
+        raise UsageError("%s needs 1 <= i < j <= n" % cfg.check)
+    if cfg.check == "idp2" and (cfg.i, cfg.j) != (1, 2):
+        raise UsageError("idp2 is the (i, j) = (1, 2) window form")
     cfg.scalar_field()   # a UsageError for an unknown field or a composite modulus
-
-
-def dispatch(cfg):
-    validate(cfg)
-    return CHECKS[cfg.check](cfg)
 
 
 def error_report(cfg, exc):
@@ -150,16 +155,14 @@ def error_report(cfg, exc):
 
 
 def run_one(cfg):
-    """The report of one run.  A usage error propagates; any other
-    exception, a bug included, becomes an `error` report (exit 3), never a
-    traceback."""
+    """The report of one run.  `validate` raises its usage error before the
+    check runs; any exception the check raises, a bug or a UsageError
+    alike, becomes an `error` report (exit 3), never a traceback."""
+    validate(cfg)
     try:
-        report = dispatch(cfg)
-    except UsageError:
-        raise
+        return CHECKS[cfg.check].driver(cfg)
     except Exception as exc:
-        report = error_report(cfg, exc)
-    return report
+        return error_report(cfg, exc)
 
 
 def run_suite(path, out):
@@ -180,12 +183,7 @@ def run_suite(path, out):
             raise UsageError("manifest entry %d: %s" % (idx, exc))
         configs.append(cfg)
     started = time.perf_counter()
-    reports = []
-    for idx, cfg in enumerate(configs):
-        try:
-            reports.append(run_one(cfg))
-        except UsageError as exc:
-            raise UsageError("manifest entry %d: %s" % (idx, exc))
+    reports = [run_one(cfg) for cfg in configs]
     aggregate = {
         "schema_version": reports[0].schema_version,
         "entries": [r.to_dict() for r in reports],

@@ -270,6 +270,23 @@ def ints_over_den(fld, scalars):
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
+def canonical_ints(mod, num, den):
+    """The canonical (nums, den) of the values num[i]/den: modulo `mod`,
+    residues in [0, mod) over 1; over QQ (`mod` 0), integers over a
+    positive den with gcd(den, *nums) == 1."""
+    if mod:
+        if den == 1:
+            return [x % mod for x in num], 1
+        inv = pow(den, -1, mod)
+        return [x * inv % mod for x in num], 1
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num, den = [x // g for x in num], den // g
+    return num, den
+
+
 def scalar_of(mod, num, den=1):
     """num/den as a field scalar: a `PrimeScalar` modulo `mod`, or a
     `Fraction` when `mod` is 0 (QQ)."""
@@ -302,16 +319,11 @@ class PSeries:
 
     @classmethod
     def _from_ints(cls, fld, num, den, order):
-        """The series with coefficients num[i]/den (den > 0; ignored over
-        GF(p)) for i <= order, brought to canonical form once."""
+        """The series with coefficients num[i]/den for i <= order, brought
+        to canonical form once."""
         out = object.__new__(cls)
         mod = modulus(fld)
-        if mod:
-            num, den = [x % mod for x in num], 1
-        else:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num, den = [x // g for x in num], den // g
+        num, den = canonical_ints(mod, num, den)
         out.field, out.mod, out.num, out.den, out.order = fld, mod, num, den, order
         return out
 
@@ -389,10 +401,8 @@ class PSeries:
                         out[k] += x * y
             return self._new(out, self.den * o.den)
         if isinstance(other, (int, Fraction, PrimeScalar)):
-            c = self.field.of(other)
-            if self.mod:
-                return self._new([x * c.value for x in self.num])
-            return self._new([x * c.numerator for x in self.num], self.den * c.denominator)
+            (c,), d = ints_over_den(self.field, [other])
+            return self._new([x * c for x in self.num], self.den * d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -418,10 +428,8 @@ class PSeries:
         m = [1]
         for k in range(1, order + 1):
             m.append(-sum(map(operator.mul, t[:k], m[::-1])))
-        den = powers[order + 1]
-        sign = -1 if den < 0 else 1
-        return self._new([sign * self.den * m[k] * powers[order - k] for k in range(order + 1)],
-                         sign * den)
+        return self._new([self.den * m[k] * powers[order - k] for k in range(order + 1)],
+                         powers[order + 1])
 
     def __truediv__(self, other):
         if isinstance(other, PSeries):
@@ -536,7 +544,7 @@ def theta(c, e, order, v=0):
         raise DegenerateInputError(
             "theta argument has valuation %d outside [0, nome exponent %d]" % (v, e))
     fld = field_of(c)
-    a, b = (c.value, 1) if isinstance(c, PrimeScalar) else (c.numerator, c.denominator)
+    (a,), b = ints_over_den(fld, [c])
     # c = a/b: the terms of step n are integers over a^(n-1) b^n, so after
     # the last step `last` everything sits over a^(last-1) b^last
     terms = []                     # (index, numerator over a^(n-1) b^n, n)
@@ -559,14 +567,7 @@ def theta(c, e, order, v=0):
     num = [0] * (order + 1)
     for i, x, k in terms:
         num[i] += x * (a * b) ** (last - k)
-    den = am // a * bm
-    mod = modulus(fld)
-    if mod:   # b == 1 and a is a unit mod p
-        inv = pow(den, -1, mod)
-        return PSeries._from_ints(fld, [x * inv for x in num], 1, order)
-    if den < 0:
-        num, den = [-x for x in num], -den
-    return PSeries._from_ints(fld, num, den, order)
+    return PSeries._from_ints(fld, num, am // a * bm, order)
 
 
 def pochhammer_p(fld, order):

@@ -1,7 +1,7 @@
 """Small exact dense linear algebra over a field or the truncated series
-ring: determinant and solve.  Division-based elimination; callers over the
-series ring supply an invertibility test (constant term nonzero) and
-resample when no usable pivot exists.
+ring: determinant and solve.  Division-based elimination on unit pivots (a
+series is a unit when its constant term is nonzero); callers resample when
+no usable pivot exists.
 """
 
 from __future__ import annotations
@@ -10,9 +10,15 @@ from functools import reduce
 from operator import add, mul
 
 from .errors import NonInvertibleError
+from .exactnum import PSeries
 
 
-def _pivot_row(work, col, invertible):
+def is_unit(x):
+    """A usable pivot: a nonzero scalar, or a series with nonzero constant term."""
+    return x.invertible() if isinstance(x, PSeries) else x != 0
+
+
+def _pivot_row(work, col, invertible=is_unit):
     """The first row at or below `col` whose entry in column `col` passes
     `invertible`, or None."""
     for r in range(col, len(work)):
@@ -29,15 +35,14 @@ def mat_mul(a, b):
     return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
-def mat_solve(a, b, zero, invertible=None):
+def mat_solve(a, b, zero):
     """The X with a X = b, by one Gauss-Jordan pass on [a | b]; raises
-    NonInvertibleError without a usable pivot.  A finished column is never
+    NonInvertibleError without a unit pivot.  A finished column is never
     read again, so each row operation covers only the columns after it."""
-    invertible = invertible or (lambda x: x != zero)
     n = len(a)
     work = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for col in range(n):
-        pivot = _pivot_row(work, col, invertible)
+        pivot = _pivot_row(work, col)
         if pivot is None:
             raise NonInvertibleError("no invertible pivot in column %d" % col)
         work[col], work[pivot] = work[pivot], work[col]
@@ -52,17 +57,17 @@ def mat_solve(a, b, zero, invertible=None):
     return [row[n:] for row in work]
 
 
-def mat_inverse(a, one, zero, invertible=None):
+def mat_inverse(a, one, zero):
     """Gauss-Jordan inverse: `mat_solve` against the identity."""
     identity = [[one if r == c else zero for c in range(len(a))] for r in range(len(a))]
-    return mat_solve(a, identity, zero, invertible)
+    return mat_solve(a, identity, zero)
 
 
-def mat_det(a, one, zero, invertible=None, is_zero=None):
-    """Determinant by elimination.  If a column admits no invertible pivot
-    but is entirely zero below the diagonal, the determinant is zero (over a
-    field); otherwise the situation is reported for resampling."""
-    invertible = invertible or (lambda x: x != zero)
+def mat_det(a, one, zero, invertible=is_unit, is_zero=None):
+    """Determinant by elimination on unit pivots.  If a column admits none
+    but is entirely zero below the diagonal, the determinant is zero;
+    otherwise the situation is reported for resampling.  The two optional
+    predicates stay only because `benchmarks/kernels.py` passes them."""
     is_zero = is_zero or (lambda x: x == zero)
     n = len(a)
     work = [list(row) for row in a]

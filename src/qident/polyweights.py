@@ -330,8 +330,6 @@ def id2_value(params, t, j, mutate=False):
 # ---------------------------------------------------------------------------
 
 def verify_jing(cfg):
-    if cfg.ell < 1:
-        raise UsageError("jing needs ell >= 1")
     fld = cfg.scalar_field()
 
     def trial(sampler):
@@ -345,10 +343,6 @@ def verify_jing(cfg):
 
 def verify_id(cfg):
     """Driver for both window identities (check name id1 or id2)."""
-    if cfg.ell < 1:
-        raise UsageError("%s needs ell >= 1" % cfg.check)
-    if not (1 <= cfg.i < cfg.j <= cfg.n):
-        raise UsageError("%s needs 1 <= i < j <= n" % cfg.check)
     fld = cfg.scalar_field()
     constrain = None if cfg.no_constraint else (cfg.i, cfg.j)
 

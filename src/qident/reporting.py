@@ -171,8 +171,6 @@ def run_trials(cfg, constraints_desc, trial_fn, notes=None):
                 notes=list(tnotes)))
             all_zero = all_zero and zero
         verdict = verdict_for(all_zero, cfg.no_constraint)
-    except UsageError:
-        raise
     except (SamplingError, VerifierError) as exc:
         trials.append(TrialRecord(
             index=len(trials), draws=[], constraints=list(constraints_desc),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DepthOverflowError
-from .exactnum import field_of, ints_over_den, modulus, scalar_of
+from .exactnum import canonical_ints, field_of, ints_over_den, modulus, scalar_of
 
 
 class TensorVector:
@@ -58,18 +58,8 @@ class TensorVector:
         canonical form: `num` may hold zeros, `den` may be negative, and
         over GF(p) the numerators need not be reduced."""
         out = self.copy_empty()
-        mod = self.mod
-        if mod:
-            out.num = {k: r for k, x in num.items() if (r := x % mod)}
-            return out
-        num = {k: x for k, x in num.items() if x}
-        g = math.gcd(den, *num.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = {k: x // g for k, x in num.items()}
-            den //= g
-        out.num, out.den = num, den
+        values, out.den = canonical_ints(self.mod, list(num.values()), den)
+        out.num = {k: x for k, x in zip(num, values) if x}
         return out
 
     def check_key(self, key):

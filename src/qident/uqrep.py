@@ -344,8 +344,6 @@ def verify_kbi(cfg):
     """Both string expansions against the operator computation: the raising
     string on the generating vector and the lowering string on every depth
     vector F^w."""
-    if cfg.ell < 0:
-        raise UsageError("kbi needs ell >= 0")
     fld = cfg.scalar_field()
 
     def trial(sampler):
@@ -385,13 +383,6 @@ def verify_bc(cfg):
     raising string of ell sampled arguments on the generating vector of the
     forward product.  bc2: ell sampled lowering arguments annihilate the
     raising string of ell+1 special arguments on the reversed product."""
-    if cfg.ell < 0:
-        raise UsageError("bc needs ell >= 0")
-    if not (1 <= cfg.i < cfg.j <= cfg.n):
-        raise UsageError("bc needs 1 <= i < j <= n")
-    if cfg.check == "bc2" and cfg.ell < 1:
-        raise UsageError("bc2 needs ell >= 1: with no lowering arguments the "
-                         "string value is the singular vector itself, not zero")
     fld = cfg.scalar_field()
 
     def trial(sampler):
@@ -436,10 +427,6 @@ def verify_singular(cfg):
     is singular: every lowering entry kills it, checked at n+ell+2 sampled
     arguments; additionally the ell+1-fold lowering string annihilates a
     word-generated spanning set of the forward submodule."""
-    if cfg.ell < 0:
-        raise UsageError("singular needs ell >= 0")
-    if not (1 <= cfg.i < cfg.j <= cfg.n):
-        raise UsageError("singular needs 1 <= i < j <= n")
     fld = cfg.scalar_field()
     word_len = cfg.word_len if cfg.word_len else cfg.ell + 1
 

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qident
-from qident.cli import CHECK_OPTIONS, CHECKS, READS, run, run_one
+from qident import polyweights
+from qident.cli import CHECK_OPTIONS, CHECKS, run, run_one
 from qident.errors import UsageError
 from qident.reporting import DEFAULT_PRIME, RunConfig
 
@@ -128,8 +129,8 @@ def test_suite(tmp_path):
     manifest.write_text(json.dumps(entries))
     assert run(["suite", str(manifest)]) == 1
 
-    # a usage error that a check raises while running fails the whole
-    # suite as a usage error, as on the command line
+    # an inverted window is a usage error decided before any entry runs,
+    # as on the command line
     entries = [{"check": "id1", "ell": 1, "n": 2, "i": 2, "j": 1},
                {"check": "jing", "ell": 2, "trials": 1, "seed": 3}]
     manifest.write_text(json.dumps(entries))
@@ -190,7 +191,6 @@ def test_malformed_manifest_entry_is_a_usage_error(tmp_path, entry):
 
 
 def test_an_option_the_check_never_reads_is_a_usage_error(tmp_path):
-    assert set(READS) == set(CHECKS)
     assert run(["jing", "--ell", "2", "--i", "5", "--j", "1", "--k", "9"]) == 2
     assert run(["rll", "--n", "2", "--ell", "7"]) == 2
     # explicit counts, not the value: the default value is rejected as well
@@ -211,11 +211,39 @@ def test_unexpected_exception_is_an_error_report(monkeypatch):
     def broken(cfg):
         raise RuntimeError("a bug")
 
-    monkeypatch.setitem(CHECKS, "jing", broken)
+    monkeypatch.setitem(CHECKS, "jing", CHECKS["jing"]._replace(driver=broken))
     report = run_one(RunConfig(check="jing"))
     assert report.verdict == "error"
     assert report.trials[0].notes == ["RuntimeError: a bug"]
     assert run(["jing"]) == 3
+
+
+@pytest.mark.parametrize("entry", [
+    {"check": "id1", "ell": 1, "n": 2, "i": 2, "j": 1},     # inverted window
+    {"check": "bc2", "ell": 0, "n": 2},                     # bc2 needs ell >= 1
+    {"check": "idp2", "ell": 1, "n": 3, "i": 1, "j": 3},    # idp2 is (1, 2) only
+])
+def test_suite_usage_error_ends_it_before_any_entry_runs(tmp_path, monkeypatch, entry):
+    calls = []
+    jing = CHECKS["jing"]
+    monkeypatch.setitem(CHECKS, "jing", jing._replace(
+        driver=lambda cfg: calls.append(cfg) or jing.driver(cfg)))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"check": "jing", "ell": 2, "trials": 1}, entry]))
+    assert run(["suite", str(manifest)]) == 2
+    assert calls == []
+
+
+def test_usage_error_inside_a_running_check_is_an_internal_fault(monkeypatch):
+    def broken(*args, **kwargs):
+        raise UsageError("a broken library invariant")
+
+    monkeypatch.setattr(polyweights, "jing_value", broken)
+    report = run_one(RunConfig(check="jing", ell=2, trials=1))
+    assert report.verdict == "error"
+    code, output = run_captured(["jing", "--ell", "2", "--trials", "1"])
+    assert code == 3
+    assert "Traceback" not in output
 
 
 def test_small_prime_resamples_draws_that_vanish_mod_p():
@@ -310,7 +338,7 @@ def run_captured(argv):
 def valid_config(check):
     """A capped configuration of `check` giving only options it reads."""
     def given(key):
-        return key not in CHECK_OPTIONS or key in READS[check]
+        return key not in CHECK_OPTIONS or key in CHECKS[check].reads
     return st.fixed_dictionaries(
         {"check": st.just(check),
          **{key: CAPPED_INTS[key] for key in MUST_CAP if given(key)}},
@@ -322,7 +350,7 @@ def valid_config(check):
 
 def unused_option(check):
     """(key, value) for an option `check` never reads."""
-    return st.sampled_from([key for key in CHECK_OPTIONS if key not in READS[check]]) \
+    return st.sampled_from([key for key in CHECK_OPTIONS if key not in CHECKS[check].reads]) \
         .flatmap(lambda key: OPTION_VALUES[key].map(lambda value: (key, value)))
 
 
@@ -340,9 +368,10 @@ def configs():
 
 def unused_options(cfg):
     """The options of a manifest entry that its (known) check never reads."""
-    if not isinstance(cfg, dict) or cfg.get("check") not in READS:
+    if not isinstance(cfg, dict) or cfg.get("check") not in CHECKS:
         return []
-    return [key for key in cfg if key in CHECK_OPTIONS and key not in READS[cfg["check"]]]
+    return [key for key in cfg
+            if key in CHECK_OPTIONS and key not in CHECKS[cfg["check"]].reads]
 
 
 def to_argv(cfg):

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from qident.cli import validate
 from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
@@ -263,4 +264,4 @@ def test_drivers():
     r = verify_id(RunConfig(check="id2", ell=2, n=2, trials=1, seed=1, no_constraint=True))
     assert r.verdict == "condition-not-satisfied"
     with pytest.raises(UsageError):
-        verify_id(RunConfig(check="id1", ell=2, n=2, i=2, j=2))
+        validate(RunConfig(check="id1", ell=2, n=2, i=2, j=2))

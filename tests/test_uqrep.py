@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from qident.cli import validate
 from qident.errors import DepthOverflowError, UsageError
 from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
 from qident.partitions import enumerate_partitions
@@ -309,7 +310,7 @@ def test_bc_and_singular_drivers():
     assert verify_bc(RunConfig(check="bc2", ell=1, n=2, trials=1, seed=1,
                                mutate=True)).verdict == "falsified"
     with pytest.raises(UsageError):
-        verify_bc(RunConfig(check="bc2", ell=0, n=2))
+        validate(RunConfig(check="bc2", ell=0, n=2))
 
     assert verify_singular(RunConfig(check="singular", ell=1, n=2, trials=1,
                                      seed=1)).verdict == "verified"
