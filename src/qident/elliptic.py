@@ -19,8 +19,8 @@ from .exactnum import (
 from .linalg import mat_det
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
-    PolyParams, sample_poly_params, sample_t, symmetric_product, symmetrize,
-    symmetrized_weight, weight_pair_table, window_value)
+    PolyParams, sample_poly_params, sample_t, symmetric_products, symmetrize,
+    weight_pair_table, weight_table, window_value)
 from .reporting import run_trials
 from .residues import (
     cancel_poles, d_exponent, gram_matrix, special_values, transition_matrix)
@@ -108,9 +108,10 @@ def z_factor(u, m, params, alpha_value, primed=False):
     return out
 
 
-def xi_weight(lam, t, params, primed=False):
-    """The symmetrized theta weight (primed or not), including the
-    position-dependent dynamical shift alpha eta^(2a-2ell).
+def xi_weights(parts, t, params, primed=False):
+    """[the symmetrized theta weight (primed or not) of lam at the point t
+    for lam in parts], including the position-dependent dynamical shift
+    alpha eta^(2a-2ell).
 
     The shift direction is the same in both variants: with the opposite
     direction on the primed family, the primed weights leave the function
@@ -118,8 +119,13 @@ def xi_weight(lam, t, params, primed=False):
     biorthogonality and the duality relation fail, so that reading is
     untenable.
     """
-    return symmetrized_weight(lam, t, params, lambda u, part, s: z_factor(
+    return weight_table(parts, t, params, lambda u, part, s: z_factor(
         u, part, params, params.alpha * params.eta ** s, primed), primed)
+
+
+def xi_weight(lam, t, params, primed=False):
+    """One partition's theta weight (see `xi_weights`)."""
+    return xi_weights([lam], t, params, primed)[0]
 
 
 def norm_d(lam, params):
@@ -179,7 +185,9 @@ def c_coeff_ell(lam, i, j, params):
 
 def idp2_value(params, t, mutate=False):
     """The two-column window identity in its explicit form; depends on the
-    parameters only through beta = eta^(1-2ell) alpha x_1/y_1."""
+    parameters only through beta = eta^(1-2ell) alpha x_1/y_1.  The ell + 1
+    inner sums share their leading low columns, so they come from one
+    `symmetrize` call."""
     eta = params.eta
     ell = len(t)
     beta = eta ** (1 - 2 * ell) * params.alpha * params.x[0] / params.y[0]
@@ -187,19 +195,22 @@ def idp2_value(params, t, mutate=False):
     pair = weight_pair_table(t, params)
     # the single factor at position a (1-based) inside, resp. after, the
     # first k positions
-    low = [[th(u) * th(eta ** (2 - 2 * a - ell) * u / beta) for u in t]
-           for a in range(1, ell + 1)]
-    high = [[th(eta ** (1 - ell) * u) * th(eta ** (1 - 2 * b) * u / beta) for u in t]
-            for b in range(1, ell + 1)]
+    cols = {}
+    for a in range(1, ell + 1):
+        cols["low", a] = [th(u) * th(eta ** (2 - 2 * a - ell) * u / beta) for u in t]
+    for b in range(1, ell + 1):
+        cols["high", b] = [th(eta ** (1 - ell) * u) * th(eta ** (1 - 2 * b) * u / beta)
+                           for u in t]
+    seqs = [[("low" if a <= k else "high", a) for a in range(1, ell + 1)]
+            for k in range(ell + 1)]
     total = params.zero
-    for k in range(ell + 1):
+    for k, inner in enumerate(symmetrize(seqs, cols, pair, params.one)):
         pref = params.th(eta ** (2 * k) * beta) * (-one) ** k
         for s in range(k):
             pref = pref * eta ** s * params.th(eta ** (ell - s)) * params.th(eta ** s * beta)
             pref = pref / (params.th(eta ** (s + 1)) * params.th(eta ** (s + ell + 1) * beta))
         if mutate and k == 1:
             pref = pref * 2
-        inner = symmetrize(ell, low[:k] + high[k:], pair, params.one, params.zero)
         total = total + pref * inner
     return total
 
@@ -242,8 +253,8 @@ def gram_xx(params):
     """The matrix [<Xi'_lam, Xi_mu>] over all partitions, in enumeration
     order."""
     parts = enumerate_partitions(params.ell, params.n)
-    return gram_matrix(lambda t: [xi_weight(lam, t, params, primed=True) for lam in parts],
-                       lambda t: [xi_weight(mu, t, params) for mu in parts],
+    return gram_matrix(lambda t: xi_weights(parts, t, params, primed=True),
+                       lambda t: xi_weights(parts, t, params),
                        params.ell, omega_residue, params, THETA_MISMATCH)
 
 
@@ -275,10 +286,16 @@ def vartheta(m, u, params):
     return params.memo(("vartheta", m, u), make)
 
 
+def theta_lambdas(parts, t, params):
+    """[Theta_lam(t) for lam in parts]: the symmetrized basis products with
+    the multiplicity normalization."""
+    return symmetric_products([lam.entries for lam in parts],
+                              lambda part: [vartheta(part, u, params) for u in t], params.one)
+
+
 def theta_lambda(lam, t, params):
-    """The symmetrized basis product with the multiplicity normalization."""
-    return symmetric_product(lam.entries, lambda part: [vartheta(part, u, params) for u in t],
-                             params.one, params.zero)
+    """One partition's Theta_lam (see `theta_lambdas`)."""
+    return theta_lambdas([lam], t, params)[0]
 
 
 def d_lattice(n, m, ell, s):
@@ -354,7 +371,7 @@ def verify_idp(cfg):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "idp1":
-            val = window_value(params, t, cfg.i, cfg.j, c_coeff_ell, xi_weight, cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, c_coeff_ell, xi_weights, cfg.mutate)
         else:
             val = idp2_value(params, t, mutate=cfg.mutate)
         return val.coeff_strings(), val.is_zero(), []
@@ -400,15 +417,14 @@ def verify_xt(cfg):
     def trial(sampler):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        a, _, _ = transition_matrix(xi_weight, theta_lambda, params)
+        a, _, _ = transition_matrix(xi_weights, theta_lambdas, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
         entries = []
         for fresh in range(3):
             t = sample_t(sampler, cfg.ell)
-            basis = [theta_lambda(nu, t, params) for nu in parts]
-            for r, lam in enumerate(parts):
-                resid = xi_weight(lam, t, params)
+            basis = theta_lambdas(parts, t, params)
+            for r, resid in enumerate(xi_weights(parts, t, params)):
                 for c in range(len(parts)):
                     resid = resid - a[r][c] * basis[c]
                 entries.append(("fresh%d[%d]" % (fresh, r), resid))
@@ -426,7 +442,7 @@ def verify_detprod(cfg):
 
     def trial(sampler):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
-        lhs = mat_det(special_values(xi_weight, params), params.one, params.zero)
+        lhs = mat_det(special_values(xi_weights, params), params.one, params.zero)
         rhs = dett_rhs_nokappa(params) * detae_rhs_nokappa(params)
         if cfg.mutate:
             rhs = rhs * 2

@@ -4,16 +4,16 @@ polynomials, biorthogonality norms, window coefficients, and the drivers
 for the combinatorial identities built out of them.
 
 Every sum over S_ell here (and in the elliptic layer) goes through
-`symmetrize`: its terms are products of position-dependent single factors
-and pair factors that depend only on which of two variables comes first, so
-the exact sum is accumulated over subsets of variables in O(2^ell ell^2)
-ring operations.  Tables of field scalars run those operations on
-integers over one common denominator (residues over GF(p)), divided out
-once per sum.  No closed-form simplification is attempted; the tests
-keep the literal permutation sums as oracles.  The weight scaffold serves
-both layers: phi(z) = 1 - z here and phi = theta on `elliptic.EllParams`,
-so, as theta(z; 0) = 1 - z, the weights P are the p = 0 form of the theta
-weights in their prefactor and pair factors.
+`symmetrize`, one call per point for all the sums wanted there: their terms
+are products of position-dependent single factors and pair factors that
+depend only on which of two variables comes first, so the sums are
+accumulated over subsets of variables, with the pair products built once
+per point and shared leading parts sharing their layers.  No closed-form
+simplification is attempted; the tests keep the literal permutation sums
+as oracles.  The weight scaffold serves both layers: phi(z) = 1 - z here
+and phi = theta on `elliptic.EllParams`, so, as theta(z; 0) = 1 - z, the
+weights P are the p = 0 form of the theta weights in their prefactor and
+pair factors.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ class PolyParams:
 
     eta^s != 1 for 1 <= s <= ell, so symmetrization prefactors and norms
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
-    field's and its factor is phi(z) = 1 - z.  `memo` keeps the per-point
-    tables of the weights (pair tables and single-factor columns), which
-    every partition evaluated at a point shares.
+    field's and its factor is phi(z) = 1 - z.  `memo` keeps values that
+    every point shares, such as the multiplicity prefactors.
     """
 
     def __init__(self, x, y, eta, ell, n, field):
@@ -83,60 +82,91 @@ def sample_t(sampler, ell):
 # symmetrization
 # ---------------------------------------------------------------------------
 
-def symmetrize(ell, single, pair, one, zero):
-    """sum over sigma in S_ell of
-    prod_a single[a][sigma_a] * prod_{a<b} pair[sigma_a][sigma_b], exactly.
+def symmetrize(seqs, cols, pair, one, den=None):
+    """[sum over sigma in S_ell of prod_a cols[seq[a]][sigma_a]
+    prod_{a<b} pair[sigma_a][sigma_b] for seq in seqs], exactly: one sum per
+    sequence of column keys, all of one length ell, at one point.
 
-    single[a][v] is the factor of variable v at position a; pair[w][v] is
-    the factor of variable w placed anywhere before v, or pair is None when
-    there are no pair factors.  The sum over the orderings of a set S of
-    variables filling the first |S| positions, F(S), obeys
-    F(S + v) += F(S) single[|S|][v] prod_{w in S} pair[w][v], which costs
-    O(2^ell ell^2) ring operations in place of O(ell! ell^2).
+    cols[key][v] is the factor of variable v at a position keyed `key`,
+    pair[w][v] that of w placed anywhere before v (pair may be None).  The
+    sum F(S) over the orderings of S on the first |S| positions obeys
+    F(S + v) += F(S) cols[seq[|S|]][v] G(S, v), where G(S, v) =
+    prod_{w in S} pair[w][v] = G(S - w0, v) pair[w0][v] (w0 = min S) is
+    built once per call.  The layers follow a trie of sequence prefixes, so
+    sequences sharing their first k keys share layers 0..k.  A point costs
+    about ell 2^(ell-1) multiplies for G plus two per (k-subset, variable
+    outside it) per trie node at depth k, in place of 1 + k per sequence.
 
-    Tables of field scalars (QQ or GF(p)) run the DP on integers.  Every
-    term places each variable v once and holds exactly one of pair[w][v]
-    and pair[v][w], so every term has the denominator prod_v D_v
-    prod_{w<v} L_wv, where D_v clears the column single[.][v] and L_wv the
-    two entries of the pair {w, v}; the sum is divided by it once at the
-    end.  Over GF(p) the denominators are 1 and each term is reduced mod p.
-    Series tables keep the ring operations.
+    Scalar tables run on integers cleared once per call: every term holds
+    each column at v once and one of pair[w][v], pair[v][w], so all sums
+    share the denominator prod_v D_v prod_{w<v} L_wv (D_v the lcm at v over
+    every column, L_wv over the pair), divided out once per sum.  Columns
+    that are integers from the start come with `den` and no pair table.
+    GF(p) terms are reduced once; series keep the ring operations.
     """
-    mod = den = 0
+    ell = len(seqs[0]) if seqs else 0
+    if any(len(seq) != ell for seq in seqs) or any(len(c) != ell for c in cols.values()):
+        raise UsageError("the key sequences and columns at a point differ in length")
+    mod = 0
     if not isinstance(one, PSeries):
         fld = field_of(one)
-        mod, den, cols = modulus(fld), 1, []
-        for v in range(ell):
-            col, d = ints_over_den(fld, [row[v] for row in single])
-            cols.append(col)
-            den *= d
-        single = list(zip(*cols))
-        if pair is not None:
-            table, pair = pair, [[None] * ell for _ in range(ell)]
-            for w in range(ell):
-                for v in range(w + 1, ell):
-                    (pair[w][v], pair[v][w]), d = ints_over_den(
-                        fld, [table[w][v], table[v][w]])
-                    den *= d
-        one, zero = 1, 0
-    full = (1 << ell) - 1
-    f = [zero] * (full + 1)
-    f[0] = one
-    for s in range(full):           # every proper subset of s is below s
-        fs = f[s]
-        placed = [w for w in range(ell) if s >> w & 1]
-        row = single[len(placed)]
-        for v in range(ell):
-            if s >> v & 1:
-                continue
-            term = fs * row[v]
+        mod = modulus(fld)
+        if den is None:
+            keys, by_var, den = list(cols), [], 1
+            # a list after *, not a generator: see `weight_table`
+            for entries in zip(*[cols[key] for key in keys]):
+                nums, d = ints_over_den(fld, entries)
+                by_var.append(nums)
+                den *= d
+            cols = dict(zip(keys, zip(*by_var)))
             if pair is not None:
-                for w in placed:
-                    term = term * pair[w][v]
-            if mod:
-                term %= mod
-            f[s | 1 << v] = f[s | 1 << v] + term
-    return scalar_of(mod, f[full], den) if den else f[full]
+                table, pair = pair, [[None] * ell for _ in range(ell)]
+                for w in range(ell):
+                    for v in range(w + 1, ell):
+                        (pair[w][v], pair[v][w]), d = ints_over_den(
+                            fld, [table[w][v], table[v][w]])
+                        den *= d
+        one = 1
+    full = (1 << ell) - 1
+    gtab = [None] * full          # G(S, v) for S != 0 and v outside S
+    for s in range(1, full if pair is not None else 0):
+        rest, row = s & (s - 1), pair[(s & -s).bit_length() - 1]
+        g = gtab[s] = [None] * ell
+        for v in range(ell):
+            if not s >> v & 1:
+                x = gtab[rest][v] * row[v] if rest else row[v]
+                g[v] = x % mod if mod else x
+    out = [None] * len(seqs)
+    todo = [({0: one}, 0, range(len(seqs)))]    # (layer, depth, sequences)
+    while todo:
+        layer, depth, members = todo.pop()
+        if depth == ell:
+            for i in members:
+                out[i] = layer[full]
+            continue
+        groups = {}
+        for i in members:
+            groups.setdefault(seqs[i][depth], []).append(i)
+        for key, sub in groups.items():
+            col = cols[key]
+            if not depth:      # F(empty) = 1 and G(empty, v) = 1
+                todo.append(({1 << v: col[v] for v in range(ell)}, 1, sub))
+                continue
+            nxt = {}
+            for s, fs in layer.items():
+                g = gtab[s]
+                for v in range(ell):
+                    if s >> v & 1:
+                        continue
+                    term = fs * col[v]
+                    if g is not None:
+                        term = term * g[v]
+                    if mod:
+                        term %= mod
+                    sv = s | 1 << v
+                    nxt[sv] = nxt[sv] + term if sv in nxt else term
+            todo.append((nxt, depth + 1, sub))
+    return out if den is None else [scalar_of(mod, x, den) for x in out]
 
 
 def pair_table(t, ratio):
@@ -170,76 +200,88 @@ def x_factor(u, m, params, primed=False):
     return out
 
 
-def multiplicity_prefactor(lam, params):
-    """prod_m prod_{s=2}^{w_m} phi(eta)/phi(eta^s)."""
-    out = params.one
-    for w in lam.multiplicities():
-        for s in range(2, w + 1):
-            out = out * params.phi(params.eta) / params.phi(params.eta ** s)
-    return out
+def multiplicity_prefactor(mults, params):
+    """prod_m prod_{s=2}^{w_m} phi(eta)/phi(eta^s) of a multiplicity vector,
+    memoized on params."""
+    def make():
+        out = params.one
+        for w in mults:
+            for s in range(2, w + 1):
+                out = out * params.phi(params.eta) / params.phi(params.eta ** s)
+        return out
+    return params.memo(("prefactor", mults), make)
 
 
 def weight_pair_table(t, params, primed=False):
     """The pair factors phi(eta t_a/t_b)/phi(t_a/t_b) (primed) or
-    phi(eta t_b/t_a)/phi(t_b/t_a) for t_a placed before t_b, memoized on
-    params per (point, primed); (t_a - eta t_b)/(t_a - t_b) for 1 - z."""
+    phi(eta t_b/t_a)/phi(t_b/t_a) for t_a placed before t_b;
+    (t_a - eta t_b)/(t_a - t_b) for 1 - z."""
+    eta, phi = params.eta, params.phi
+    if primed:
+        return pair_table(t, lambda ta, tb: phi(eta * ta / tb) / phi(ta / tb))
+    return pair_table(t, lambda ta, tb: phi(eta * tb / ta) / phi(tb / ta))
+
+
+def weight_table(parts, t, params, column, primed):
+    """[the multiplicity prefactor times the sum over S_ell of the single
+    factors column(u, part, shift) at each position a and the pair factors,
+    for lam in parts] at the point t; shift = params.column_shift(a, ell)."""
     t = tuple(t)
+    # lists, not tuple(generator): CPython builds such a tuple by resizing
+    # it, and the resized tuples pile up in its tuple free lists (peak RSS
+    # of the poly benchmark crept up about 0.4 MB over 12 passes)
+    seqs = [[(params.column_shift(a, lam.ell), part)
+             for a, part in enumerate(lam.entries, start=1)] for lam in parts]
+    cols = {key: [column(u, key[1], key[0]) for u in t]
+            for key in dict.fromkeys(key for seq in seqs for key in seq)}
+    sums = symmetrize(seqs, cols, weight_pair_table(t, params, primed), params.one)
+    return [multiplicity_prefactor(lam.multiplicities(), params) * total
+            for lam, total in zip(parts, sums)]
 
-    def make():
-        eta, phi = params.eta, params.phi
-        if primed:
-            return pair_table(t, lambda ta, tb: phi(eta * ta / tb) / phi(ta / tb))
-        return pair_table(t, lambda ta, tb: phi(eta * tb / ta) / phi(tb / ta))
-    return params.memo(("pair", t, primed), make)
 
-
-def symmetrized_weight(lam, t, params, column, primed):
-    """The multiplicity prefactor times the sum over S_ell of the single
-    factors column(u, part, shift) at each position and the pair factors.
-    shift = params.column_shift(a, ell); each column [column(u, part, shift)
-    for u in t] is memoized on params per (point, primed, shift, part)."""
-    ell, t = lam.ell, tuple(t)
-    if len(t) != ell:
-        raise UsageError("point has %d coordinates, partition has %d parts" % (len(t), ell))
-    single = []
-    for a, part in enumerate(lam.entries, start=1):
-        shift = params.column_shift(a, ell)
-        single.append(params.memo(("col", t, primed, shift, part),
-                                  lambda: [column(u, part, shift) for u in t]))
-    total = symmetrize(ell, single, weight_pair_table(t, params, primed),
-                       params.one, params.zero)
-    return multiplicity_prefactor(lam, params) * total
+def weights(parts, t, params, primed=False):
+    """[P (or P') of lam at the point t for lam in parts]."""
+    return weight_table(parts, t, params,
+                        lambda u, part, _: x_factor(u, part, params, primed), primed)
 
 
 def weight(lam, t, params, primed=False):
-    """P (or P') at an explicit point: the symmetrized sum over S_ell."""
-    return symmetrized_weight(lam, t, params,
-                              lambda u, part, _: x_factor(u, part, params, primed), primed)
+    """P (or P') of one partition at an explicit point."""
+    return weights([lam], t, params, primed)[0]
 
 
-def symmetric_product(keys, column, one, zero):
-    """(1/prod_k mult_k!) sum_sigma prod_a column(keys[a])[sigma_a]: the
-    symmetrized product of one column per key, with each distinct key's
-    column built once; keys may repeat."""
-    counts = Counter(keys)
-    norm = 1
-    for c in counts.values():
-        norm *= math.factorial(c)
-    cols = {key: column(key) for key in counts}
-    return symmetrize(len(keys), [cols[key] for key in keys], None, one, zero) / norm
+def symmetric_products(seqs, column, one, den=None):
+    """[(1/prod_k mult_k!) sum_sigma prod_a column(seq[a])[sigma_a] for seq
+    in seqs]: symmetrized products of one column per key, keys may repeat,
+    each distinct key's column built once."""
+    cols = {key: column(key) for key in dict.fromkeys(key for seq in seqs for key in seq)}
+    return [total / math.prod(map(math.factorial, Counter(seq).values()))
+            for seq, total in zip(seqs, symmetrize(seqs, cols, None, one, den))]
+
+
+def monomials(seqs, t, one):
+    """[(1/prod_k mult_k!) sum_sigma t_{sigma_1}^{e_1} ... for e in seqs];
+    exponents may repeat and be zero.  The columns are integers at once:
+    t_v = a_v/b_v gives t_v^e = a_v^e b_v^(E-e) / b_v^E over QQ, with E the
+    largest exponent, and pow(a_v, e, p) over GF(p)."""
+    fld = field_of(one)
+    mod, ts = modulus(fld), [fld.of(u) for u in t]
+    if mod:
+        return symmetric_products(seqs, lambda e: [pow(u.value, e, mod) for u in ts], one, 1)
+    top = max((e for seq in seqs for e in seq), default=0)
+    return symmetric_products(
+        seqs, lambda e: [u.numerator ** e * u.denominator ** (top - e) for u in ts],
+        one, math.prod(u.denominator ** top for u in ts))
 
 
 def monomial_symmetric(exponents, t, one, zero):
-    """(1/prod_k mult_k!) sum_sigma t_{sigma_1}^{e_1} ... ; exponents may
-    repeat and may be zero (the latter is used by the residue-sum sweeps)."""
-    if len(exponents) != len(t):
-        raise UsageError("%d exponents for a point with %d coordinates"
-                         % (len(exponents), len(t)))
-    return symmetric_product(exponents, lambda e: [u ** e for u in t], one, zero)
+    """One exponent tuple's value in `monomials` (`zero` is not needed)."""
+    return monomials([tuple(exponents)], t, one)[0]
 
 
-def q_monomial(lam, t, params):
-    return monomial_symmetric(lam.entries, t, params.one, params.zero)
+def q_monomials(parts, t, params):
+    """[Q_lam(t) for lam in parts]."""
+    return monomials([lam.entries for lam in parts], t, params.one)
 
 
 def norm_n(lam, params):
@@ -285,43 +327,43 @@ def jing_value(eta, t, one, zero, mutate=False):
     combinatorial identity; a mutated run perturbs the k = 1 prefactor."""
     ell = len(t)
     pair = pair_table(t, lambda ta, tb: (ta - eta * tb) / (ta - tb))
-    low = [u - one for u in t]
-    high = [u - eta ** (ell - 1) for u in t]
+    cols = {"low": [u - one for u in t], "high": [u - eta ** (ell - 1) for u in t]}
+    seqs = [("low",) * k + ("high",) * (ell - k) for k in range(ell + 1)]
     total = zero
-    for k in range(ell + 1):
+    for k, inner in enumerate(symmetrize(seqs, cols, pair, one)):
         pref = one
         for s in range(k):
             pref = pref * (eta ** ell - eta ** s) / (one - eta ** (s + 1))
         if mutate and k == 1:
             pref = pref * 2
-        inner = symmetrize(ell, [low] * k + [high] * (ell - k), pair, one, zero)
         total = total + pref * inner
     return total
 
 
-def window_value(params, t, i, j, coeff, weight, mutate=False):
-    """sum over the window [i, j] of coeff(lam, i, j, params) * weight(lam,
-    t, params); shared by the polynomial and the theta window identity."""
+def window_value(params, t, i, j, coeff, weights, mutate=False):
+    """sum over the window [i, j] of coeff(lam, i, j, params) times lam's
+    entry of weights(lams, t, params); shared by both window identities."""
+    lams = enumerate_window(params.ell, i, j, params.n)
+    coeffs = [coeff(lam, i, j, params) for lam in lams]
+    if mutate and coeffs:
+        coeffs[0] = coeffs[0] * 2
     total = params.zero
-    for idx, lam in enumerate(enumerate_window(params.ell, i, j, params.n)):
-        c = coeff(lam, i, j, params)
-        if mutate and idx == 0:
-            c = c * 2
-        total = total + c * weight(lam, t, params)
+    for c, w in zip(coeffs, weights(lams, t, params)):
+        total = total + c * w
     return total
 
 
 def id2_value(params, t, j, mutate=False):
     """sum over all partitions of P'(x |> kappa) * N * P at the point t."""
-    zero = params.field.zero
-    kap = kappa(params.ell, j, params.n)
-    kap_pt = x_point(kap, params)
-    total = zero
-    for idx, lam in enumerate(enumerate_partitions(params.ell, params.n)):
-        coeff = weight(lam, kap_pt.coords, params, primed=True) * norm_n(lam, params)
+    parts = enumerate_partitions(params.ell, params.n)
+    kap_pt = x_point(kappa(params.ell, j, params.n), params)
+    total = params.field.zero
+    for idx, (lam, wp, w) in enumerate(zip(parts, weights(parts, kap_pt.coords, params, True),
+                                           weights(parts, t, params))):
+        coeff = wp * norm_n(lam, params)
         if mutate and idx == 0:
             coeff = coeff * 2
-        total = total + coeff * weight(lam, t, params)
+        total = total + coeff * w
     return total
 
 
@@ -350,7 +392,7 @@ def verify_id(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "id1":
-            val = window_value(params, t, cfg.i, cfg.j, c_coeff, weight, cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, c_coeff, weights, cfg.mutate)
         else:
             val = id2_value(params, t, cfg.j, mutate=cfg.mutate)
         return scalar_str(val), val == fld.zero, []

@@ -93,6 +93,26 @@ def test_replay_is_bit_identical():
     assert first.canonical() == second.canonical()
 
 
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_a_report_config_replays_through_suite(tmp_path, check):
+    # the embedded configuration names every option, read or not; as a
+    # manifest entry it reruns the check with the same report
+    spec = CHECKS[check]
+    sizes = {"ell": spec.min_ell, "n": 2, "i": 1, "j": 2, "k": 2}
+    argv = [check, "--trials", "1", "--json", str(tmp_path / "r.json")]
+    for key in spec.reads:
+        if key in sizes:
+            argv += ["--" + key, str(sizes[key])]
+    code = run(argv)
+    report = json.loads((tmp_path / "r.json").read_text())
+    (tmp_path / "m.json").write_text(json.dumps([report["config"]]))
+    assert run(["suite", str(tmp_path / "m.json"), "--json", str(tmp_path / "s.json")]) == code
+    replayed = json.loads((tmp_path / "s.json").read_text())["entries"][0]
+    for r in (report, replayed):
+        del r["timing_s"]
+    assert json.dumps(replayed, sort_keys=True) == json.dumps(report, sort_keys=True)
+
+
 def test_seed_env_override(monkeypatch, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -14,8 +14,8 @@ from qident.elliptic import (
     EllParams, c_coeff_ell, d_lattice,
     detae_rhs_nokappa, dett_rhs_nokappa, gram_xx, idp2_value, norm_d,
     omega_residue, sample_ell_params, sample_t,
-    theta_lambda, vartheta, verify_detprod, verify_idp, verify_xt, verify_xx,
-    xi_weight, z_factor)
+    theta_lambda, theta_lambdas, vartheta, verify_detprod, verify_idp, verify_xt,
+    verify_xx, xi_weight, xi_weights, z_factor)
 from qident.polyweights import window_value
 
 K = 4
@@ -26,12 +26,12 @@ def params_for(ell, n, seed=2, k=K, constrain=None):
 
 
 def idp1_value(params, t, i, j):
-    return window_value(params, t, i, j, c_coeff_ell, xi_weight)
+    return window_value(params, t, i, j, c_coeff_ell, xi_weights)
 
 
 def aell_matrix(params):
     """(A, Xi, Theta) with Xi_lam = sum_nu A[lam][nu] Theta_nu."""
-    return transition_matrix(xi_weight, theta_lambda, params)
+    return transition_matrix(xi_weights, theta_lambdas, params)
 
 
 def test_z_factor_zeroth_order_and_duality():

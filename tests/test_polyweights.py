@@ -8,8 +8,8 @@ from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    PolyParams, c_coeff, id2_value, jing_value, monomial_symmetric, norm_n, q_monomial,
-    sample_poly_params, sample_t, weight, window_value, x_factor)
+    PolyParams, c_coeff, id2_value, jing_value, monomial_symmetric, norm_n, q_monomials,
+    sample_poly_params, sample_t, weight, weights, window_value, x_factor)
 from qident.reporting import RunConfig
 from qident.polyweights import verify_id, verify_jing
 
@@ -22,7 +22,7 @@ def params_for(ell, n, seed=2, constrain=None):
 
 
 def id1_value(params, t, i, j):
-    return window_value(params, t, i, j, c_coeff, weight)
+    return window_value(params, t, i, j, c_coeff, weights)
 
 
 def swapped(p):
@@ -202,10 +202,10 @@ def test_q_monomial():
     s = Sampler(SamplerConfig(3))
     p = params_for(2, 2)
     t = sample_t(s, 2)
-    assert q_monomial(Partition((2, 1), 2), t, p) == t[0] ** 2 * t[1] + t[1] ** 2 * t[0]
-    assert q_monomial(Partition((1, 1), 2), t, p) == t[0] * t[1]
+    assert q_monomials([Partition((2, 1), 2), Partition((1, 1), 2)], t, p) == \
+        [t[0] ** 2 * t[1] + t[1] ** 2 * t[0], t[0] * t[1]]
     t1 = sample_t(s, 1)
-    assert q_monomial(Partition((3,), 3), t1, params_for(1, 3)) == t1[0] ** 3
+    assert q_monomials([Partition((3,), 3)], t1, params_for(1, 3)) == [t1[0] ** 3]
     # zero exponents allowed in the general form
     assert monomial_symmetric((1, 0), t, QQ.one, QQ.zero) == t[0] + t[1]
 

@@ -13,7 +13,8 @@ from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
 from qident.linalg import mat_det, mat_mul
 from qident.partitions import Partition, enumerate_partitions, kappa, x_point, y_point
 from qident.polyweights import (
-    PolyParams, monomial_symmetric, norm_n, q_monomial, sample_poly_params, weight)
+    PolyParams, monomial_symmetric, norm_n, q_monomials, sample_poly_params, weight,
+    weights)
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
     admissible_exponent_tuples, d_exponent, deta_rhs, detq_rhs, gram_pp, kernel_residue,
@@ -28,7 +29,7 @@ def params_for(ell, n, seed=2, constrain=None):
 
 def poly_transition(params):
     """(A, P, Q) with P_lam = sum_mu A[lam][mu] Q_mu."""
-    return transition_matrix(weight, q_monomial, params)
+    return transition_matrix(weights, q_monomials, params)
 
 
 def one_fn(t):
@@ -274,7 +275,7 @@ def test_mn_relation():
 def test_determinant_closed_forms():
     p = params_for(1, 2, seed=4)
     parts = enumerate_partitions(1, 2)
-    mat = [[q_monomial(lam, x_point(mu, p).coords, p) for mu in parts] for lam in parts]
+    mat = [[q_monomials([lam], x_point(mu, p).coords, p)[0] for mu in parts] for lam in parts]
     assert mat_det(mat, QQ.one, QQ.zero) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
     assert detq_rhs(1, 2, p) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
     a, _, _ = poly_transition(p)
@@ -284,7 +285,7 @@ def test_determinant_closed_forms():
     for (ell, n) in [(2, 2), (3, 2), (2, 3)]:
         pp = params_for(ell, n, seed=ell + 10 * n)
         parts = enumerate_partitions(ell, n)
-        mat = [[q_monomial(lam, x_point(mu, pp).coords, pp) for mu in parts]
+        mat = [[q_monomials([lam], x_point(mu, pp).coords, pp)[0] for mu in parts]
                for lam in parts]
         assert mat_det(mat, QQ.one, QQ.zero) == detq_rhs(ell, n, pp)
         a, _, _ = poly_transition(pp)
@@ -312,7 +313,7 @@ SINGULAR_B_REPORTS = {
 def test_singular_basis_matrix_resamples_as_pinned(check, seed, mutate):
     fld = PrimeField(101)
     first = sample_poly_params(Sampler(SamplerConfig(seed), fld), 2, 2)
-    assert mat_det(special_values(q_monomial, first), fld.one, fld.zero) == fld.zero
+    assert mat_det(special_values(q_monomials, first), fld.one, fld.zero) == fld.zero
     cfg = RunConfig(check=check, ell=2, n=2, seed=seed, field="prime", prime=101,
                     mutate=mutate)
     report = (verify_mn if check == "mn" else verify_det)(cfg)

@@ -3,7 +3,8 @@
 through: weights P and P', the base identity (plain and mutated),
 monomial symmetric polynomials, the theta weights, the explicit two-column
 elliptic identity and the symmetrized basis products, for ell <= 4 over
-both QQ and GF(2^61 - 1); and the kernel itself on arbitrary scalar and
+both QQ and GF(2^61 - 1), one partition at a time and as the per-point
+tables the checks use; and the kernel itself on arbitrary scalar and
 series tables."""
 
 import math
@@ -16,14 +17,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qident.elliptic import (
-    idp2_value, sample_ell_params, theta_lambda, vartheta, xi_weight,
-    z_factor)
-from qident.errors import DegenerateInputError
+    idp2_value, sample_ell_params, theta_lambda, theta_lambdas, vartheta, xi_weight,
+    xi_weights, z_factor)
+from qident.errors import DegenerateInputError, UsageError
 from qident.exactnum import QQ, PrimeField, PSeries, Sampler, SamplerConfig
-from qident.partitions import enumerate_partitions
+from qident.partitions import Partition, enumerate_partitions
 from qident.polyweights import (
-    eta_constraint, jing_value, monomial_symmetric, sample_poly_params,
-    sample_t, symmetrize, weight, x_factor)
+    eta_constraint, jing_value, monomial_symmetric, monomials, sample_poly_params,
+    sample_t, symmetrize, weight, weights, x_factor)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -183,13 +184,15 @@ def theta_lambda_oracle(lam, t, params):
 # ---------------------------------------------------------------------------
 
 def test_symmetrize_small_cases_by_hand():
-    one, zero = QQ.one, QQ.zero
-    assert symmetrize(0, [], [], one, zero) == one
-    single = [[2, 3], [5, 7]]
-    # orders (0, 1) and (1, 0): single[0][0] single[1][1] pair[0][1] + ...
+    one = QQ.one
+    assert symmetrize([()], {}, [], one) == [one]
+    cols = {"a": [2, 3], "b": [5, 7]}
+    # orders (0, 1) and (1, 0): cols[a][0] cols[b][1] pair[0][1] + ...
     pair = [[None, 11], [13, None]]
-    assert symmetrize(2, single, pair, one, zero) == 2 * 7 * 11 + 3 * 5 * 13
-    assert symmetrize(2, single, None, one, zero) == 2 * 7 + 3 * 5
+    assert symmetrize([("a", "b"), ("b", "a"), ("a", "b")], cols, pair, one) == \
+        [2 * 7 * 11 + 3 * 5 * 13, 5 * 3 * 11 + 7 * 2 * 13, 2 * 7 * 11 + 3 * 5 * 13]
+    assert symmetrize([("a", "b"), ("a", "a")], cols, None, one) == \
+        [2 * 7 + 3 * 5, 2 * 3 * 2]
 
 
 HEIGHT = 10 ** 6
@@ -205,15 +208,24 @@ def table_scalars(fld):
 
 
 def tables(data, ell, entry, with_pair):
-    """A single table and, if asked, a pair table (diagonal unused), every
-    entry drawn independently: pair[w][v] and pair[v][w] share nothing."""
+    """Columns keyed 0.., key sequences over them (repeated keys, shared
+    and unshared prefixes, repeated sequences) and, if asked, a pair table
+    (diagonal unused); every entry drawn independently: pair[w][v] and
+    pair[v][w] share nothing."""
     row = st.lists(entry, min_size=ell, max_size=ell)
-    single = data.draw(st.lists(row, min_size=ell, max_size=ell))
+    cols = dict(enumerate(data.draw(st.lists(row, min_size=1, max_size=ell + 1))))
+    seqs = data.draw(st.lists(st.tuples(*[st.sampled_from(sorted(cols))] * ell),
+                              min_size=1, max_size=6))
     if not with_pair:
-        return single, None
+        return seqs, cols, None
     pair = data.draw(st.lists(row, min_size=ell, max_size=ell))
-    return single, [[None if w == v else x for v, x in enumerate(r)]
-                    for w, r in enumerate(pair)]
+    return seqs, cols, [[None if w == v else x for v, x in enumerate(r)]
+                        for w, r in enumerate(pair)]
+
+
+def oracle_sums(seqs, cols, pair, one, zero):
+    return [symmetrize_oracle(len(seq), [cols[key] for key in seq], pair, one, zero)
+            for seq in seqs]
 
 
 # no shrink phase: shrinking a failure at height 10^6 took about a minute;
@@ -224,12 +236,12 @@ def tables(data, ell, entry, with_pair):
 @settings(max_examples=50, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_symmetrize_matches_permutation_sum_on_arbitrary_tables(fld, with_pair, data, ell):
-    # scalar tables run on integers over one denominator; tables shaped
-    # like nothing in the package pin that the denominator is right
-    single, pair = tables(data, ell, table_scalars(fld), with_pair)
-    got = symmetrize(ell, single, pair, fld.one, fld.zero)
-    assert got == symmetrize_oracle(ell, single, pair, fld.one, fld.zero)
-    assert type(got) is type(fld.one)
+    # scalar tables run on integers over one denominator per call; tables
+    # shaped like nothing in the package pin that the denominator is right
+    seqs, cols, pair = tables(data, ell, table_scalars(fld), with_pair)
+    got = symmetrize(seqs, cols, pair, fld.one)
+    assert got == oracle_sums(seqs, cols, pair, fld.one, fld.zero)
+    assert all(type(x) is type(fld.one) for x in got)
 
 
 @given(st.data(), st.sampled_from(TABLE_FIELDS), st.integers(0, 3), st.booleans(),
@@ -239,10 +251,16 @@ def test_symmetrize_matches_permutation_sum_on_series_tables(data, fld, ell, wit
                                                             order):
     entry = st.lists(table_scalars(fld), min_size=1, max_size=order + 1).map(
         lambda cs: PSeries(fld, cs, order))
-    single, pair = tables(data, ell, entry, with_pair)
+    seqs, cols, pair = tables(data, ell, entry, with_pair)
     one, zero = PSeries.constant(fld, fld.one, order), PSeries.constant(fld, fld.zero, order)
-    assert symmetrize(ell, single, pair, one, zero) == \
-        symmetrize_oracle(ell, single, pair, one, zero)
+    assert symmetrize(seqs, cols, pair, one) == oracle_sums(seqs, cols, pair, one, zero)
+
+
+def test_symmetrize_rejects_sequences_and_columns_of_another_length():
+    with pytest.raises(UsageError):
+        symmetrize([(0, 0), (0,)], {0: [1, 2]}, None, QQ.one)
+    with pytest.raises(UsageError):
+        symmetrize([(0, 0)], {0: [1, 2, 3]}, None, QQ.one)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
@@ -304,6 +322,86 @@ def test_idp2_matches_permutation_sum(fld, ell):
     assert not idp2_value(params, t, mutate=True).is_zero()
 
 
+def some_parts(data, ell, n):
+    """A drawn list of partitions of ell with parts <= n, in drawn order,
+    repeats allowed: shared and unshared leading parts alike."""
+    parts = enumerate_partitions(ell, n)
+    return data.draw(st.lists(st.sampled_from(parts), min_size=1, max_size=len(parts) + 1))
+
+
+@given(st.data(), st.sampled_from(FIELDS), st.booleans(), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_weight_tables_match_permutation_sums(data, fld, elliptic, ell, n, seed, primed):
+    # both families, repeated parts, and for Xi the theta shift
+    s = sampler(seed, fld)
+    params = sample_ell_params(s, ell, n, 2) if elliptic else sample_poly_params(s, ell, n)
+    t = sample_t(s, ell)
+    parts = some_parts(data, ell, n)
+    table, oracle = (xi_weights, xi_oracle) if elliptic else (weights, weight_oracle)
+    assert table(parts, t, params, primed) == [oracle(lam, t, params, primed) for lam in parts]
+
+
+@given(st.data(), st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_symmetric_product_tables_match_permutation_sums(data, fld, ell, seed):
+    # exponent tuples in any order, with zero and repeated exponents
+    s = sampler(seed, fld)
+    t = sample_t(s, ell)
+    sweep = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * ell), min_size=1, max_size=6))
+    assert monomials(sweep, t, fld.one) == \
+        [monomial_oracle(exps, t, fld.one, fld.zero) for exps in sweep]
+    n = data.draw(st.integers(1, 3))
+    params = sample_ell_params(s, ell, n, 2)
+    parts = some_parts(data, ell, n)
+    assert theta_lambdas(parts, t, params) == \
+        [theta_lambda_oracle(lam, t, params) for lam in parts]
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+def test_tables_whose_sequences_share_no_prefix(fld):
+    # every sequence has its own first key, so the trie shares no layer
+    s = sampler(95, fld)
+    params = sample_poly_params(s, 3, 3)
+    ep = sample_ell_params(s, 3, 3, 2)
+    t = sample_t(s, 3)
+    parts = [Partition((k, 1, 1), 3) for k in (3, 1, 2)]
+    assert weights(parts, t, params, True) == [weight_oracle(lam, t, params, True)
+                                               for lam in parts]
+    assert xi_weights(parts, t, ep) == [xi_oracle(lam, t, ep) for lam in parts]
+    assert theta_lambdas(parts, t, ep) == [theta_lambda_oracle(lam, t, ep) for lam in parts]
+    sweep = [(0, 2, 2), (4, 0, 0), (1, 1, 0)]
+    assert monomials(sweep, t, fld.one) == \
+        [monomial_oracle(exps, t, fld.one, fld.zero) for exps in sweep]
+
+
+def test_xi_table_multiplies_less_than_one_call_per_partition(monkeypatch):
+    # a deterministic work count, not a timing: the ten Xi weights at
+    # (ell, n, K) = (3, 3, 6) from one table against one call per partition,
+    # each call on fresh parameters.  A table that ran one DP per partition
+    # would land near or above the sum; the shared trie and G table stay
+    # far below it.
+    count = [0]
+    mul = PSeries.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    def work(parts):
+        s = sampler(97, QQ)
+        params, t = sample_ell_params(s, 3, 3, 6), sample_t(s, 3)
+        count[0] = 0
+        xi_weights(parts, t, params)
+        return count[0]
+
+    monkeypatch.setattr(PSeries, "__mul__", counted)
+    parts = enumerate_partitions(3, 3)
+    assert len(parts) == 10
+    table, single = work(parts), sum(work([lam]) for lam in parts)
+    assert 5 * table < 3 * single
+
+
 def test_coincident_coordinates_are_rejected():
     s = sampler(90, QQ)
     params = sample_poly_params(s, 3, 2)
@@ -316,6 +414,10 @@ def test_coincident_coordinates_are_rejected():
             weight(lam, t, params, primed=primed)
         with pytest.raises(DegenerateInputError):
             xi_weight(lam, t, ep, primed=primed)
+        with pytest.raises(DegenerateInputError):
+            weights(enumerate_partitions(3, 2), t, params, primed)
+        with pytest.raises(DegenerateInputError):
+            xi_weights(enumerate_partitions(3, 2), t, ep, primed)
     with pytest.raises(DegenerateInputError):
         jing_value(params.eta, t, QQ.one, QQ.zero)
     with pytest.raises(DegenerateInputError):

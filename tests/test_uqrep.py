@@ -9,6 +9,7 @@ from qident.cli import validate
 from qident.errors import DepthOverflowError, UsageError
 from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
 from qident.partitions import enumerate_partitions
+from qident.polyweights import weight
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.uqrep import (
     MAX_LISTED_RESIDUALS, TensorVector, WeightParams, apply_string,
@@ -290,7 +291,8 @@ def test_kbi_both_directions():
         for lam in enumerate_partitions(ell, n):
             start = TensorVector(QQ, n, cap, cap, {tuple(lam.multiplicities()): QQ.one})
             low = apply_string(start, [(2, 1, ta) for ta in t], mods, wp.q)
-            assert (low - v0.scaled(kbi_lowering_rhs(wp, pp, lam, t))).is_zero()
+            expect = kbi_lowering_rhs(wp, lam, weight(lam, t, pp, primed=True))
+            assert (low - v0.scaled(expect)).is_zero()
 
 
 def test_bc_and_singular_drivers():
