@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from . import elliptic, polyweights, residues, uqrep
 from .errors import UsageError
 from .reporting import (
-    DEFAULT_PRIME, ERROR, EXIT_ERROR, EXIT_FALSIFIED, EXIT_USAGE, EXIT_VERIFIED,
+    ERROR, EXIT_ERROR, EXIT_FALSIFIED, EXIT_USAGE, EXIT_VERIFIED,
     Report, RunConfig, TrialRecord, VERIFIED)
 
 SEED_ENV_VAR = "QIDENT_SEED"
@@ -75,8 +75,8 @@ def build_parser():
     run.add_argument("--json", dest="out", default=None,
                      help="write the aggregate report to this path")
 
-    # CHECK_OPTIONS stay off the namespace unless given; RunConfig has
-    # their defaults
+    # CHECK_OPTIONS and --prime stay off the namespace unless given;
+    # RunConfig has their defaults
     for name in CHECKS:
         c = sub.add_parser(name, help="verify the '%s' check" % name,
                            argument_default=argparse.SUPPRESS)
@@ -89,7 +89,7 @@ def build_parser():
         c.add_argument("--trials", type=int, default=3)
         c.add_argument("--seed", type=int, default=None)
         c.add_argument("--field", choices=("rational", "prime"), default="rational")
-        c.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+        c.add_argument("--prime", type=int, help="the modulus of --field prime")
         c.add_argument("--bound", type=int, default=1000)
         c.add_argument("--mutate", action="store_true", default=False,
                        help="perturb one internal coefficient (negative control)")
@@ -102,14 +102,17 @@ def build_parser():
     return parser
 
 
-def reject_unused(check, given):
+def reject_unused(check, given, field):
     """A UsageError if `given` names one of CHECK_OPTIONS that `check`
-    does not read.  An unknown check is left to `validate`."""
+    does not read, or a `prime` modulus that a run over `field` other than
+    "prime" would ignore.  An unknown check is left to `validate`."""
     if check not in CHECKS:
         return
     unused = [key for key in CHECK_OPTIONS if key in given and key not in CHECKS[check].reads]
     if unused:
         raise UsageError("%s does not read option(s) %s" % (check, ", ".join(unused)))
+    if "prime" in given and field != "prime":
+        raise UsageError("a prime modulus is read only with field 'prime', not %r" % (field,))
 
 
 def config_from_args(args):
@@ -120,11 +123,12 @@ def config_from_args(args):
             seed = int(text)
         except ValueError:
             raise UsageError("%s must be an integer, got %r" % (SEED_ENV_VAR, text)) from None
-    given = {key: getattr(args, key) for key in CHECK_OPTIONS if hasattr(args, key)}
-    reject_unused(args.command, given)
+    given = {key: getattr(args, key) for key in CHECK_OPTIONS + ("prime",)
+             if hasattr(args, key)}
+    reject_unused(args.command, given, args.field)
     return RunConfig(
         check=args.command, trials=args.trials, seed=seed, field=args.field,
-        prime=args.prime, bound=args.bound, mutate=args.mutate, **given)
+        bound=args.bound, mutate=args.mutate, **given)
 
 
 def validate(cfg):
@@ -166,11 +170,13 @@ def run_one(cfg):
 
 
 def run_suite(path, out):
-    with open(path) as handle:
-        try:
+    try:
+        with open(path) as handle:
             entries = json.load(handle)
-        except ValueError as exc:
-            raise UsageError("manifest is not valid JSON: %s" % exc)
+    except OSError as exc:
+        raise UsageError("cannot read manifest %s: %s" % (path, exc.strerror or exc)) from None
+    except ValueError as exc:
+        raise UsageError("manifest is not valid JSON: %s" % exc) from None
     if not isinstance(entries, list) or not entries:
         raise UsageError("manifest must be a nonempty JSON list of run configurations")
     configs = []
@@ -180,7 +186,7 @@ def run_suite(path, out):
             # a report's embedded configuration names every field; it is a
             # replay, not a choice of options
             if set(entry) != set(cfg.to_dict()):
-                reject_unused(cfg.check, entry)
+                reject_unused(cfg.check, entry, cfg.field)
             validate(cfg)
         except UsageError as exc:
             raise UsageError("manifest entry %d: %s" % (idx, exc))

@@ -5,8 +5,10 @@ coefficients, and the determinant product check.
 
 Everything is computed coefficient-wise in the ring of power series in the
 nome modulo p^(K+1); "an identity holds" means all K+1 coefficients vanish
-at every sampled parameter point.  The weights, window sums and transition
-solve are those of the polynomial layer with theta in place of 1 - z.
+at every sampled parameter point.  The weights, window sums, Gram matrix
+and transition solve are those of the polynomial layer: `EllParams`
+supplies theta in place of 1 - z and the column Z_m in place of X_m, and
+`polyweights.weights` and `residues.residue_pairing` do the rest.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from functools import cached_property
 from .errors import DegenerateInputError, UsageError
 from .exactnum import (
     PSeries, pochhammer, pochhammer_p, theta, triple_pochhammer_p)
-from .linalg import mat_det
+from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
     PolyParams, sample_poly_params, sample_t, symmetric_products, symmetrize,
-    weight_pair_table, weight_table, window_value)
+    weight_pair_table, weights, window_value)
 from .reporting import run_trials
 from .residues import (
     cancel_poles, d_exponent, gram_matrix, special_values, transition_matrix)
@@ -29,7 +31,8 @@ from .residues import (
 class EllParams(PolyParams):
     """Ground parameters plus the dynamical parameter and truncation order.
 
-    `one`/`zero` are truncated series and phi is theta.  The memo also keeps
+    `one`/`zero` are truncated series, phi is theta and the weight column
+    is Z_m with a dynamical shift.  The memo also keeps
     theta values at scalar arguments and the basis functions.  Every theta
     that ends up in a denominator must have nonzero constant term, i.e.
     argument different from 1, which the arithmetic enforces by raising.
@@ -69,6 +72,29 @@ class EllParams(PolyParams):
             out = out * self.x[j] / self.y[j]
         return out
 
+    def column(self, u, m, shift, primed=False):
+        """Z_m(u) = theta(u/(alpha_m x_m)) prod_{j<m} theta(u/y_j)
+        prod_{k>m} theta(u/x_k) with the dynamical shift alpha_m =
+        alpha_static(m) eta^shift; the primed variant uses
+        theta(alpha_m u / y_m) and swaps x with y in the tail products.
+
+        The shift direction is the same in both variants: with the opposite
+        direction on the primed family, the primed weights leave the
+        function space of the kernel (the x/y residue sums stop agreeing)
+        and both the biorthogonality and the duality relation fail, so that
+        reading is untenable.
+        """
+        am = self.alpha_static(m) * self.eta ** shift
+        if primed:
+            out = self.th(am * u / self.y[m - 1])
+        else:
+            out = self.th(u / (am * self.x[m - 1]))
+        for j in range(1, m):
+            out = out * self.th(u / (self.x[j - 1] if primed else self.y[j - 1]))
+        for k in range(m + 1, self.n + 1):
+            out = out * self.th(u / (self.y[k - 1] if primed else self.x[k - 1]))
+        return out
+
     def alpha_dyn(self, m, lam):
         """alpha_{m,lam} = alpha prod_{j<m} eta^(-2 w_j) x_j/y_j."""
         mults = lam.multiplicities()
@@ -89,43 +115,9 @@ def sample_ell_params(sampler, ell, n, k, constrain=None):
 # weights
 # ---------------------------------------------------------------------------
 
-def z_factor(u, m, params, alpha_value, primed=False):
-    """Z_m(u) = theta(u/(alpha_m x_m)) prod_{j<m} theta(u/y_j)
-    prod_{k>m} theta(u/x_k), built with the caller's dynamical shift in
-    place of alpha; the primed variant uses theta(alpha_m u / y_m) and
-    swaps x with y in the tail products."""
-    am = alpha_value
-    for j in range(m - 1):
-        am = am * params.x[j] / params.y[j]
-    if primed:
-        out = params.th(am * u / params.y[m - 1])
-    else:
-        out = params.th(u / (am * params.x[m - 1]))
-    for j in range(1, m):
-        out = out * params.th(u / (params.x[j - 1] if primed else params.y[j - 1]))
-    for k in range(m + 1, params.n + 1):
-        out = out * params.th(u / (params.y[k - 1] if primed else params.x[k - 1]))
-    return out
-
-
-def xi_weights(parts, t, params, primed=False):
-    """[the symmetrized theta weight (primed or not) of lam at the point t
-    for lam in parts], including the position-dependent dynamical shift
-    alpha eta^(2a-2ell).
-
-    The shift direction is the same in both variants: with the opposite
-    direction on the primed family, the primed weights leave the function
-    space of the kernel (the x/y residue sums stop agreeing) and both the
-    biorthogonality and the duality relation fail, so that reading is
-    untenable.
-    """
-    return weight_table(parts, t, params, lambda u, part, s: z_factor(
-        u, part, params, params.alpha * params.eta ** s, primed), primed)
-
-
 def xi_weight(lam, t, params, primed=False):
-    """One partition's theta weight (see `xi_weights`)."""
-    return xi_weights([lam], t, params, primed)[0]
+    """One partition's theta weight: `weights` on `EllParams`."""
+    return weights([lam], t, params, primed)[0]
 
 
 def norm_d(lam, params):
@@ -253,8 +245,8 @@ def gram_xx(params):
     """The matrix [<Xi'_lam, Xi_mu>] over all partitions, in enumeration
     order."""
     parts = enumerate_partitions(params.ell, params.n)
-    return gram_matrix(lambda t: xi_weights(parts, t, params, primed=True),
-                       lambda t: xi_weights(parts, t, params),
+    return gram_matrix(lambda t: weights(parts, t, params, primed=True),
+                       lambda t: weights(parts, t, params),
                        params.ell, omega_residue, params, THETA_MISMATCH)
 
 
@@ -371,7 +363,7 @@ def verify_idp(cfg):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "idp1":
-            val = window_value(params, t, cfg.i, cfg.j, c_coeff_ell, xi_weights, cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, c_coeff_ell, cfg.mutate)
         else:
             val = idp2_value(params, t, mutate=cfg.mutate)
         return val.coeff_strings(), val.is_zero(), []
@@ -417,17 +409,15 @@ def verify_xt(cfg):
     def trial(sampler):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        a, _, _ = transition_matrix(xi_weights, theta_lambdas, params)
+        a, _, _ = transition_matrix(theta_lambdas, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
         entries = []
         for fresh in range(3):
             t = sample_t(sampler, cfg.ell)
-            basis = theta_lambdas(parts, t, params)
-            for r, resid in enumerate(xi_weights(parts, t, params)):
-                for c in range(len(parts)):
-                    resid = resid - a[r][c] * basis[c]
-                entries.append(("fresh%d[%d]" % (fresh, r), resid))
+            fit = mat_mul(a, [[b] for b in theta_lambdas(parts, t, params)])
+            for r, (xi, (ax,)) in enumerate(zip(weights(parts, t, params), fit)):
+                entries.append(("fresh%d[%d]" % (fresh, r), xi - ax))
         flat = _series_residual_list(entries)
         return flat, not flat, []
 
@@ -442,7 +432,7 @@ def verify_detprod(cfg):
 
     def trial(sampler):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
-        lhs = mat_det(special_values(xi_weights, params), params.one, params.zero)
+        lhs = mat_det(special_values(weights, params), params.one, params.zero)
         rhs = dett_rhs_nokappa(params) * detae_rhs_nokappa(params)
         if cfg.mutate:
             rhs = rhs * 2

@@ -459,13 +459,6 @@ class PSeries:
             raise UsageError("negative shift would leave the power series ring")
         return self._new(([0] * m + self.num)[: self.order + 1], self.den)
 
-    def valuation(self):
-        """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, x in enumerate(self.num):
-            if x:
-                return i
-        return None
-
     def is_zero(self):
         return not any(self.num)
 

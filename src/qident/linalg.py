@@ -1,7 +1,7 @@
 """Small exact dense linear algebra over a field or the truncated series
-ring: determinant and solve.  Division-based elimination on unit pivots (a
-series is a unit when its constant term is nonzero); callers resample when
-no usable pivot exists.
+ring: product, determinant and solve.  Division-based elimination on unit
+pivots (a series is a unit when its constant term is nonzero); callers
+resample when no usable pivot exists.
 """
 
 from __future__ import annotations

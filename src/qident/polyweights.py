@@ -10,10 +10,11 @@ depend only on which of two variables comes first, so the sums are
 accumulated over subsets of variables, with the pair products built once
 per point and shared leading parts sharing their layers.  No closed-form
 simplification is attempted; the tests keep the literal permutation sums
-as oracles.  The weight scaffold serves both layers: phi(z) = 1 - z here
-and phi = theta on `elliptic.EllParams`, so, as theta(z; 0) = 1 - z, the
-weights P are the p = 0 form of the theta weights in their prefactor and
-pair factors.
+as oracles.  One weight table, `weights`, serves both layers: the
+parameter object supplies phi and the single-factor column, phi(z) = 1 - z
+and X_m here, phi = theta and Z_m with its dynamical shift on
+`elliptic.EllParams`.  As theta(z; 0) = 1 - z, the weights P are the p = 0
+form of the theta weights in their prefactor and pair factors.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ class PolyParams:
 
     eta^s != 1 for 1 <= s <= ell, so symmetrization prefactors and norms
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
-    field's and its factor is phi(z) = 1 - z.  `memo` keeps values that
-    every point shares, such as the multiplicity prefactors.
+    field's, its factor is phi(z) = 1 - z and its weight column X_m.
+    `memo` keeps values that every point shares, such as the multiplicity
+    prefactors.
     """
 
     def __init__(self, x, y, eta, ell, n, field):
@@ -55,6 +57,18 @@ class PolyParams:
     def column_shift(self, a, ell):
         """The polynomial weights' single factors depend only on the part."""
         return None
+
+    def column(self, u, m, shift, primed=False):
+        """X_m(u) = u prod_{j<m}(u - y_j) prod_{k>m}(u - x_k); the primed
+        variant drops the leading u and swaps the roles of x and y.  The
+        polynomial factor takes no shift."""
+        x, y = self.x, self.y
+        out = self.field.one if primed else u
+        for j in range(1, m):
+            out = out * (u - (x[j - 1] if primed else y[j - 1]))
+        for k in range(m + 1, self.n + 1):
+            out = out * (u - (y[k - 1] if primed else x[k - 1]))
+        return out
 
 
 def eta_constraint(one, ell):
@@ -113,7 +127,7 @@ def symmetrize(seqs, cols, pair, one, den=None):
         mod = modulus(fld)
         if den is None:
             keys, by_var, den = list(cols), [], 1
-            # a list after *, not a generator: see `weight_table`
+            # a list after *, not a generator: see `weights`
             for entries in zip(*[cols[key] for key in keys]):
                 nums, d = ints_over_den(fld, entries)
                 by_var.append(nums)
@@ -188,18 +202,6 @@ def pair_table(t, ratio):
 # weights
 # ---------------------------------------------------------------------------
 
-def x_factor(u, m, params, primed=False):
-    """X_m(u) = u prod_{j<m}(u - y_j) prod_{k>m}(u - x_k); the primed
-    variant drops the leading u and swaps the roles of x and y."""
-    x, y = params.x, params.y
-    out = params.field.one if primed else u
-    for j in range(1, m):
-        out = out * (u - (x[j - 1] if primed else y[j - 1]))
-    for k in range(m + 1, params.n + 1):
-        out = out * (u - (y[k - 1] if primed else x[k - 1]))
-    return out
-
-
 def multiplicity_prefactor(mults, params):
     """prod_m prod_{s=2}^{w_m} phi(eta)/phi(eta^s) of a multiplicity vector,
     memoized on params."""
@@ -222,27 +224,23 @@ def weight_pair_table(t, params, primed=False):
     return pair_table(t, lambda ta, tb: phi(eta * tb / ta) / phi(tb / ta))
 
 
-def weight_table(parts, t, params, column, primed):
+def weights(parts, t, params, primed=False):
     """[the multiplicity prefactor times the sum over S_ell of the single
-    factors column(u, part, shift) at each position a and the pair factors,
-    for lam in parts] at the point t; shift = params.column_shift(a, ell)."""
+    factors params.column(u, part, shift, primed) at each position a and
+    the pair factors, for lam in parts] at the point t, with shift =
+    params.column_shift(a, ell): P (or P') on `PolyParams`, the theta
+    weights Xi (or Xi') on `elliptic.EllParams`."""
     t = tuple(t)
     # lists, not tuple(generator): CPython builds such a tuple by resizing
     # it, and the resized tuples pile up in its tuple free lists (peak RSS
     # of the poly benchmark crept up about 0.4 MB over 12 passes)
     seqs = [[(params.column_shift(a, lam.ell), part)
              for a, part in enumerate(lam.entries, start=1)] for lam in parts]
-    cols = {key: [column(u, key[1], key[0]) for u in t]
+    cols = {key: [params.column(u, key[1], key[0], primed) for u in t]
             for key in dict.fromkeys(key for seq in seqs for key in seq)}
     sums = symmetrize(seqs, cols, weight_pair_table(t, params, primed), params.one)
     return [multiplicity_prefactor(lam.multiplicities(), params) * total
             for lam, total in zip(parts, sums)]
-
-
-def weights(parts, t, params, primed=False):
-    """[P (or P') of lam at the point t for lam in parts]."""
-    return weight_table(parts, t, params,
-                        lambda u, part, _: x_factor(u, part, params, primed), primed)
 
 
 def weight(lam, t, params, primed=False):
@@ -340,9 +338,9 @@ def jing_value(eta, t, one, zero, mutate=False):
     return total
 
 
-def window_value(params, t, i, j, coeff, weights, mutate=False):
+def window_value(params, t, i, j, coeff, mutate=False):
     """sum over the window [i, j] of coeff(lam, i, j, params) times lam's
-    entry of weights(lams, t, params); shared by both window identities."""
+    weight at t; shared by both window identities."""
     lams = enumerate_window(params.ell, i, j, params.n)
     coeffs = [coeff(lam, i, j, params) for lam in lams]
     if mutate and coeffs:
@@ -392,7 +390,7 @@ def verify_id(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "id1":
-            val = window_value(params, t, cfg.i, cfg.j, c_coeff, weights, cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, c_coeff, cfg.mutate)
         else:
             val = id2_value(params, t, cfg.j, mutate=cfg.mutate)
         return scalar_str(val), val == fld.zero, []

@@ -29,6 +29,12 @@ the denominator, divided by the derivative constant of phi at 1, which is 1
 for 1 - z and (p; p)^3 for theta (`elliptic.omega_residue`).  The scalar product
 is defined operationally by the residue sums; the torus contour it replaces
 is never integrated.
+
+Every residue sum is one dense product: `residue_pairing` evaluates both
+families and the residue once per point and ends in `linalg.mat_mul`, and
+the `mn` residual is the product of its Gram matrix with the transition
+matrix.  The weight family comes from the parameter object, so the Gram
+matrix, the special values and the transition solve serve P and Xi alike.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 from .errors import (
     ConsistencyError, DegenerateInputError, NonInvertibleError, PoleOrderError)
 from .exactnum import scalar_str
-from .linalg import mat_det, mat_solve, transpose
+from .linalg import mat_det, mat_mul, mat_solve, transpose
 from .partitions import binom, enumerate_partitions, x_point, y_point
 from .polyweights import monomials, norm_n, q_monomials, sample_poly_params, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
@@ -164,23 +170,15 @@ def residue_pairing(left, right, params, points, residue):
     """The matrix [sum over the points of left[a] * r * right[b]], where
     `left(t)` and `right(t)` return one value per family member and r is
     the kernel's `residue(params, point)`.  Each family and the residue are
-    evaluated once per point; shared by the rational and the theta kernel.
+    evaluated once per point, and the sum over the points is one `mat_mul`;
+    shared by the rational and the theta kernel.
     """
     scaled, plain = [], []     # per point: [left[a] r], [right[b]]
     for pt in points:
         r = residue(params, pt)
         scaled.append([v * r for v in left(pt.coords)])
         plain.append(right(pt.coords))
-    out = []
-    for a in range(len(scaled[0])):
-        row = []
-        for b in range(len(plain[0])):
-            total = params.zero
-            for wr, w in zip(scaled, plain):
-                total = total + wr[a] * w[b]
-            row.append(total)
-        out.append(row)
-    return out
+    return mat_mul(transpose(scaled), plain)
 
 
 def gram_matrix(left, right, ell, residue, params, mismatch):
@@ -227,11 +225,12 @@ def special_values(table, params):
     return transpose([table(parts, pt.coords, params) for pt in pts])
 
 
-def transition_matrix(weights, basis, params):
+def transition_matrix(basis, params):
     """(A, W, B) with W = special_values(weights), B = special_values(basis)
     and A B = W: weight(lam) = sum_mu A[lam][mu] basis(mu) at the special
-    points, for P over Q and for Xi over Theta alike.  A is found by one
-    solve, B^T A^T = W^T, never through B^(-1)."""
+    points, for P over Q and for Xi over Theta alike (the parameters
+    decide which weights).  A is found by one solve, B^T A^T = W^T, never
+    through B^(-1)."""
     w, b = special_values(weights, params), special_values(basis, params)
     return transpose(mat_solve(transpose(b), transpose(w), params.zero)), w, b
 
@@ -319,27 +318,18 @@ def verify_mn(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         parts = enumerate_partitions(cfg.ell, cfg.n)
         pts = point_family(x_point, params, cfg.ell)
-        a, _, q_mk = transition_matrix(weights, q_monomials, params)
+        a, _, _ = transition_matrix(q_monomials, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
-        minv = [kernel_residue(params, pt) for pt in pts]
         norms = [norm_n(lam, params) for lam in parts]
-        # pn[kap][lam] = P'_lam(x|>kap) N_lam
-        pn = [[w * nl for w, nl in zip(weights(parts, pt.coords, params, True), norms)]
-              for pt in pts]
-        size = len(parts)
-        # sum_lam pn[kap][lam] A[lam][nu] does not depend on mu
-        inner = [[sum((pn[kap][lam] * a[lam][nu] for lam in range(size)), fld.zero)
-                  for nu in range(size)] for kap in range(size)]
-        residual = []
-        for mu in range(size):
-            row = []
-            for nu in range(size):
-                acc = fld.zero
-                for kap in range(size):
-                    acc = acc + minv[kap] * q_mk[mu][kap] * inner[kap][nu]
-                row.append(acc - (fld.one if mu == nu else fld.zero))
-            residual.append(row)
+        # G[mu][lam] = sum_kap M_kap^{-1} Q_mu(x|>kap) P'_lam(x|>kap) N_lam
+        gram = residue_pairing(
+            lambda t: q_monomials(parts, t, params),
+            lambda t: [w * nl for w, nl in zip(weights(parts, t, params, True), norms)],
+            params, pts, kernel_residue)
+        residual = mat_mul(gram, a)
+        for mu, row in enumerate(residual):
+            row[mu] = row[mu] - fld.one
         flat = _fmt_residual_matrix(residual, fld.zero)
         return flat, not flat, []
 

@@ -27,9 +27,8 @@ class TensorVector:
     integer numerator over one positive denominator `den`, normalized so
     that gcd(den, *num.values()) == 1 over QQ; over GF(p) the numerators
     are residues in [0, p) over 1.  Field scalars go in through the
-    constructor and `add_term` and come out through `coeff`,
-    `nonzero_items` and `fmt`.  Every stored key has passed the depth-cap
-    check."""
+    constructor and `add_term` and come out through `coeff` and `fmt`.
+    Every stored key has passed the depth-cap check."""
 
     __slots__ = ("field", "mod", "nslots", "cap", "total_cap", "num", "den")
 
@@ -100,9 +99,6 @@ class TensorVector:
     def coeff(self, key):
         """The coefficient at `key` as a field scalar."""
         return scalar_of(self.mod, self.num.get(key, 0), self.den)
-
-    def nonzero_items(self):
-        return [(k, self.coeff(k)) for k in sorted(self.num)]
 
     def fmt(self, limit=None):
         """One line per nonzero coefficient in key order, the first `limit`

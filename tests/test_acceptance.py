@@ -80,7 +80,7 @@ def test_criterion_05_determinants():
     from qident.exactnum import Sampler, SamplerConfig
     from qident.linalg import mat_det
     from qident.partitions import enumerate_partitions, x_point
-    from qident.polyweights import q_monomials, sample_poly_params, weights
+    from qident.polyweights import q_monomials, sample_poly_params
     from qident.residues import transition_matrix
 
     ok = True
@@ -93,7 +93,7 @@ def test_criterion_05_determinants():
     parts = enumerate_partitions(1, 2)
     mat = [[q_monomials([lam], x_point(mu, p).coords, p)[0] for mu in parts] for lam in parts]
     ok = ok and mat_det(mat, QQ.one, QQ.zero) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
-    a, _, _ = transition_matrix(weights, q_monomials, p)
+    a, _, _ = transition_matrix(q_monomials, p)
     ok = ok and mat_det(a, QQ.one, QQ.zero) == p.y[0] - p.x[1]
     report_line(5, ok, "determinants match the closed forms exactly for "
                 "ell<=3, n<=3, including the quoted (1,2) values")

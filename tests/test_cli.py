@@ -163,6 +163,33 @@ def test_suite(tmp_path):
     assert run(["suite", str(manifest)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_manifest_is_a_usage_error(tmp_path, kind):
+    # a missing path exited 3 with "error: FileNotFoundError"
+    path = tmp_path / "absent.json" if kind == "missing" else tmp_path
+    code, output = run_captured(["suite", str(path)])
+    assert code == 2
+    assert "Traceback" not in output
+    assert output.startswith("usage error: cannot read manifest %s: " % path)
+
+
+def test_a_prime_modulus_without_the_prime_field_is_a_usage_error(tmp_path):
+    # `jing --prime 4` ran over QQ, exited 0 and ignored a composite modulus
+    argv = ["jing", "--ell", "2", "--trials", "1"]
+    assert run(argv + ["--prime", "4"]) == 2
+    assert run(argv + ["--field", "rational", "--prime", "101"]) == 2
+    assert run(argv + ["--field", "prime", "--prime", "101"]) == 0
+    manifest = tmp_path / "m.json"
+    for entry in ({"check": "jing", "ell": 2, "trials": 1, "prime": 4},
+                  {"check": "jing", "ell": 2, "trials": 1, "field": "rational", "prime": 101}):
+        manifest.write_text(json.dumps([entry]))
+        assert run(["suite", str(manifest)]) == 2, entry
+    # a replayed report config names the modulus over either field
+    report = run_one(RunConfig(check="jing", ell=2, trials=1))
+    manifest.write_text(json.dumps([report.config.to_dict()]))
+    assert run(["suite", str(manifest)]) == 0
+
+
 def test_suite_unknown_field_mode_is_a_usage_error(tmp_path):
     manifest = tmp_path / "m.json"
     aggregate = tmp_path / "agg.json"
@@ -387,11 +414,15 @@ def configs():
 
 
 def unused_options(cfg):
-    """The options of a manifest entry that its (known) check never reads."""
+    """The options of a manifest entry that its (known) check never reads,
+    a modulus without the prime field included."""
     if not isinstance(cfg, dict) or cfg.get("check") not in CHECKS:
         return []
-    return [key for key in cfg
-            if key in CHECK_OPTIONS and key not in CHECKS[cfg["check"]].reads]
+    unused = [key for key in cfg
+              if key in CHECK_OPTIONS and key not in CHECKS[cfg["check"]].reads]
+    if "prime" in cfg and cfg.get("field", "rational") != "prime":
+        unused.append("prime")
+    return unused
 
 
 def to_argv(cfg):

@@ -15,7 +15,7 @@ from qident.elliptic import (
     detae_rhs_nokappa, dett_rhs_nokappa, gram_xx, idp2_value, norm_d,
     omega_residue, sample_ell_params, sample_t,
     theta_lambda, theta_lambdas, vartheta, verify_detprod, verify_idp, verify_xt,
-    verify_xx, xi_weight, xi_weights, z_factor)
+    verify_xx, xi_weight)
 from qident.polyweights import window_value
 
 K = 4
@@ -26,31 +26,31 @@ def params_for(ell, n, seed=2, k=K, constrain=None):
 
 
 def idp1_value(params, t, i, j):
-    return window_value(params, t, i, j, c_coeff_ell, xi_weights)
+    return window_value(params, t, i, j, c_coeff_ell)
 
 
 def aell_matrix(params):
     """(A, Xi, Theta) with Xi_lam = sum_nu A[lam][nu] Theta_nu."""
-    return transition_matrix(xi_weights, theta_lambdas, params)
+    return transition_matrix(theta_lambdas, params)
 
 
 def test_z_factor_zeroth_order_and_duality():
     p = params_for(1, 1, k=0)
     u = Fraction(3, 7)
-    zf = z_factor(u, 1, p, p.alpha)
+    zf = p.column(u, 1, 0)
     assert zf.coeffs == [1 - u / (p.alpha * p.x[0])]
 
     p2 = params_for(1, 2, seed=5)
     sw = EllParams(p2.y, p2.x, p2.eta, 1 / p2.alpha, 1, 2, K, QQ)
     for m in (1, 2):
-        assert z_factor(u, m, p2, p2.alpha) == z_factor(u, m, sw, 1 / p2.alpha, primed=True)
+        assert p2.column(u, m, 0) == sw.column(u, m, 0, primed=True)
 
 
 def test_z_factor_reduces_to_linear_factors_at_order_zero():
     # at K = 0 each theta is 1 - argument
     p = params_for(1, 2, seed=7, k=0)
     u = Fraction(5, 9)
-    got = z_factor(u, 1, p, p.alpha)
+    got = p.column(u, 1, 0)
     expect = (1 - u / (p.alpha * p.x[0])) * (1 - u / p.x[1])
     assert got.coeffs == [expect]
 
@@ -59,7 +59,7 @@ def test_xi_single_term_and_bruteforce_oracle():
     p = params_for(1, 2, seed=3)
     t = sample_t(Sampler(SamplerConfig(4)), 1)
     lam = Partition((2,), 2)
-    assert xi_weight(lam, t, p) == z_factor(t[0], 2, p, p.alpha)
+    assert xi_weight(lam, t, p) == p.column(t[0], 2, 0)
 
     # independent two-permutation transcription at ell = 2, n = 1
     p2 = params_for(2, 1, seed=9)
@@ -69,7 +69,7 @@ def test_xi_single_term_and_bruteforce_oracle():
     total = p2.zero
     for sigma in permutations(range(2)):
         ta, tb = t2[sigma[0]], t2[sigma[1]]
-        term = z_factor(ta, 1, p2, p2.alpha * eta ** -2) * z_factor(tb, 1, p2, p2.alpha)
+        term = p2.column(ta, 1, -2) * p2.column(tb, 1, 0)
         term = term * p2.th(eta * tb / ta) / p2.th(tb / ta)
         total = total + term
     assert xi_weight(lam2, t2, p2) == p2.th(eta) / p2.th(eta ** 2) * total

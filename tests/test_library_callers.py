@@ -1,8 +1,8 @@
-"""Guard: every top-level function and class in src/qident has a caller in
-the library itself.  Code that only tests call belongs in tests/, as a
-labelled oracle next to the test that uses it.  The only exemptions are
-names the benchmark harness binds (benchmarks/*.py, read here, never
-changed).
+"""Guard: every top-level function and class in src/qident, and every
+public method of a top-level class, has a caller in the library itself.
+Code that only tests call belongs in tests/, as a labelled oracle or helper
+next to the test that uses it.  The only exemptions are names the benchmark
+harness binds (benchmarks/*.py, read here, never changed).
 """
 
 import ast
@@ -41,19 +41,33 @@ def benchmark_names():
 
 def library_without_caller():
     """"module.name" of each top-level function or class that no other
-    top-level statement of src/qident refers to."""
+    top-level statement of src/qident refers to, and "module.Class.name" of
+    each public method that nothing else in src/qident refers to (the other
+    top-level statements and the rest of its class)."""
     defined, statements = [], []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             statements.append((stmt, loaded_names(stmt)))
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((path.stem, stmt))
-    return sorted("%s.%s" % (module, stmt.name) for module, stmt in defined
-                  if not any(stmt.name in names for other, names in statements
-                             if other is not stmt))
+    out = []
+    for module, stmt in defined:
+        elsewhere = set().union(*(names for other, names in statements if other is not stmt))
+        if stmt.name not in elsewhere:
+            out.append("%s.%s" % (module, stmt.name))
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        for item in stmt.body:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                    and not any(item.name in loaded_names(other)
+                                for other in stmt.body if other is not item)
+                    and item.name not in elsewhere):
+                out.append("%s.%s.%s" % (module, stmt.name, item.name))
+    return sorted(out)
 
 
 def test_no_library_code_only_tests_call():
     exempt = benchmark_names()
     assert [name for name in library_without_caller()
-            if name.split(".")[1] not in exempt] == []
+            if name.rsplit(".", 1)[1] not in exempt] == []

@@ -9,7 +9,7 @@ from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
     PolyParams, c_coeff, id2_value, jing_value, monomial_symmetric, norm_n, q_monomials,
-    sample_poly_params, sample_t, weight, weights, window_value, x_factor)
+    sample_poly_params, sample_t, weight, window_value)
 from qident.reporting import RunConfig
 from qident.polyweights import verify_id, verify_jing
 
@@ -22,7 +22,7 @@ def params_for(ell, n, seed=2, constrain=None):
 
 
 def id1_value(params, t, i, j):
-    return window_value(params, t, i, j, c_coeff, weights)
+    return window_value(params, t, i, j, c_coeff)
 
 
 def swapped(p):
@@ -32,8 +32,8 @@ def swapped(p):
 def test_x_factor_base_cases():
     p = params_for(1, 1)
     u = Fraction(13, 5)
-    assert x_factor(u, 1, p) == u
-    assert x_factor(u, 1, p, primed=True) == 1
+    assert p.column(u, 1, None) == u
+    assert p.column(u, 1, None, primed=True) == 1
 
 
 def test_x_factor_duality():
@@ -42,14 +42,14 @@ def test_x_factor_duality():
         p = params_for(1, n, seed=n)
         u = Fraction(7, 11)
         for m in range(1, n + 1):
-            assert x_factor(u, m, p) == u * x_factor(u, m, swapped(p), primed=True)
+            assert p.column(u, m, None) == u * swapped(p).column(u, m, None, primed=True)
 
 
 def test_weight_small_cases():
     p = params_for(1, 2)
     t = sample_t(Sampler(SamplerConfig(8)), 1)
     lam = Partition((2,), 2)
-    assert weight(lam, t, p) == x_factor(t[0], 2, p)
+    assert weight(lam, t, p) == p.column(t[0], 2, None)
 
     p1 = params_for(2, 1)
     t2 = sample_t(Sampler(SamplerConfig(8)), 2)
@@ -180,7 +180,7 @@ def weight_at_special(lam, params, kind, primed=False):
     one, eta = params.field.one, params.eta
     term = one
     for a, part in enumerate(lam.entries):
-        term = term * x_factor(t[a], part, params, primed)
+        term = term * params.column(t[a], part, None, primed)
     for a in range(lam.ell):
         for b in range(a + 1, lam.ell):
             num = (eta * t[a] - t[b]) if primed else (t[a] - eta * t[b])

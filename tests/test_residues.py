@@ -13,8 +13,7 @@ from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
 from qident.linalg import mat_det, mat_mul
 from qident.partitions import Partition, enumerate_partitions, kappa, x_point, y_point
 from qident.polyweights import (
-    PolyParams, monomial_symmetric, norm_n, q_monomials, sample_poly_params, weight,
-    weights)
+    PolyParams, monomial_symmetric, norm_n, q_monomials, sample_poly_params, weight)
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
     admissible_exponent_tuples, d_exponent, deta_rhs, detq_rhs, gram_pp, kernel_residue,
@@ -29,7 +28,7 @@ def params_for(ell, n, seed=2, constrain=None):
 
 def poly_transition(params):
     """(A, P, Q) with P_lam = sum_mu A[lam][mu] Q_mu."""
-    return transition_matrix(weights, q_monomials, params)
+    return transition_matrix(q_monomials, params)
 
 
 def one_fn(t):

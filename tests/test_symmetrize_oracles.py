@@ -17,14 +17,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qident.elliptic import (
-    idp2_value, sample_ell_params, theta_lambda, theta_lambdas, vartheta, xi_weight,
-    xi_weights, z_factor)
+    idp2_value, sample_ell_params, theta_lambda, theta_lambdas, vartheta, xi_weight)
 from qident.errors import DegenerateInputError, UsageError
 from qident.exactnum import QQ, PrimeField, PSeries, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions
 from qident.polyweights import (
     eta_constraint, jing_value, monomial_symmetric, monomials, sample_poly_params,
-    sample_t, symmetrize, weight, weights, x_factor)
+    sample_t, symmetrize, weight, weights)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -69,7 +68,7 @@ def weight_oracle(lam, t, params, primed=False):
     for sigma in permutations(range(lam.ell)):
         term = one
         for a, part in enumerate(lam.entries):
-            term = term * x_factor(t[sigma[a]], part, params, primed)
+            term = term * params.column(t[sigma[a]], part, None, primed)
         for a in range(lam.ell):
             for b in range(a + 1, lam.ell):
                 ta, tb = t[sigma[a]], t[sigma[b]]
@@ -123,8 +122,8 @@ def xi_oracle(lam, t, params, primed=False):
     for sigma in permutations(range(ell)):
         term = params.one
         for a in range(1, ell + 1):
-            shift = params.alpha * eta ** (2 * a - 2 * ell)
-            term = term * z_factor(t[sigma[a - 1]], lam.entries[a - 1], params, shift, primed)
+            shift = 2 * a - 2 * ell
+            term = term * params.column(t[sigma[a - 1]], lam.entries[a - 1], shift, primed)
         for a in range(ell):
             for b in range(a + 1, ell):
                 ta, tb = t[sigma[a]], t[sigma[b]]
@@ -338,8 +337,8 @@ def test_weight_tables_match_permutation_sums(data, fld, elliptic, ell, n, seed,
     params = sample_ell_params(s, ell, n, 2) if elliptic else sample_poly_params(s, ell, n)
     t = sample_t(s, ell)
     parts = some_parts(data, ell, n)
-    table, oracle = (xi_weights, xi_oracle) if elliptic else (weights, weight_oracle)
-    assert table(parts, t, params, primed) == [oracle(lam, t, params, primed) for lam in parts]
+    oracle = xi_oracle if elliptic else weight_oracle
+    assert weights(parts, t, params, primed) == [oracle(lam, t, params, primed) for lam in parts]
 
 
 @given(st.data(), st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 10 ** 6))
@@ -368,7 +367,7 @@ def test_tables_whose_sequences_share_no_prefix(fld):
     parts = [Partition((k, 1, 1), 3) for k in (3, 1, 2)]
     assert weights(parts, t, params, True) == [weight_oracle(lam, t, params, True)
                                                for lam in parts]
-    assert xi_weights(parts, t, ep) == [xi_oracle(lam, t, ep) for lam in parts]
+    assert weights(parts, t, ep) == [xi_oracle(lam, t, ep) for lam in parts]
     assert theta_lambdas(parts, t, ep) == [theta_lambda_oracle(lam, t, ep) for lam in parts]
     sweep = [(0, 2, 2), (4, 0, 0), (1, 1, 0)]
     assert monomials(sweep, t, fld.one) == \
@@ -392,7 +391,7 @@ def test_xi_table_multiplies_less_than_one_call_per_partition(monkeypatch):
         s = sampler(97, QQ)
         params, t = sample_ell_params(s, 3, 3, 6), sample_t(s, 3)
         count[0] = 0
-        xi_weights(parts, t, params)
+        weights(parts, t, params)
         return count[0]
 
     monkeypatch.setattr(PSeries, "__mul__", counted)
@@ -417,7 +416,7 @@ def test_coincident_coordinates_are_rejected():
         with pytest.raises(DegenerateInputError):
             weights(enumerate_partitions(3, 2), t, params, primed)
         with pytest.raises(DegenerateInputError):
-            xi_weights(enumerate_partitions(3, 2), t, ep, primed)
+            weights(enumerate_partitions(3, 2), t, ep, primed)
     with pytest.raises(DegenerateInputError):
         jing_value(params.eta, t, QQ.one, QQ.zero)
     with pytest.raises(DegenerateInputError):
