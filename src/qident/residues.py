@@ -318,13 +318,16 @@ def verify_mn(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         parts = enumerate_partitions(cfg.ell, cfg.n)
         pts = point_family(x_point, params, cfg.ell)
-        a, _, _ = transition_matrix(q_monomials, params)
+        a, _, b = transition_matrix(q_monomials, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
         norms = [norm_n(lam, params) for lam in parts]
+        # B's columns are the Q_mu at the same x-points, so none is
+        # evaluated twice
+        q_at = dict(zip((pt.coords for pt in pts), transpose(b)))
         # G[mu][lam] = sum_kap M_kap^{-1} Q_mu(x|>kap) P'_lam(x|>kap) N_lam
         gram = residue_pairing(
-            lambda t: q_monomials(parts, t, params),
+            q_at.__getitem__,
             lambda t: [w * nl for w, nl in zip(weights(parts, t, params, True), norms)],
             params, pts, kernel_residue)
         residual = mat_mul(gram, a)

@@ -9,7 +9,10 @@ tensor operators.  No workload runs a mutated `mn` or `xt`; their reports
 at seeds 1 and 2 over both fields are pinned the same way in
 `PINNED_MUTATED`, recorded from the entry-by-entry product loops that
 `linalg.mat_mul` replaced in `residue_pairing`, `verify_mn` and
-`verify_xt`."""
+`verify_xt`.  Elimination and products at sizes no workload reaches are
+pinned in `PINNED_FRONTIER`, recorded from the `Fraction` and
+`PrimeScalar` elimination that `linalg` ran before its bare-integer
+paths."""
 
 import os
 import sys
@@ -23,7 +26,7 @@ sys.path.insert(0, BENCH)
 from worker import build_manifest, digest, load_goldens   # noqa: E402
 
 from qident.cli import run_one   # noqa: E402
-from qident.reporting import FALSIFIED, RunConfig   # noqa: E402
+from qident.reporting import FALSIFIED, VERIFIED, RunConfig   # noqa: E402
 
 RUNS = [(mix, seed) for seed in (1, 2) for mix in ("poly", "elliptic", "uq", "prime")]
 MANIFESTS = {run: build_manifest(*run, smoke=False) for run in RUNS}
@@ -52,6 +55,28 @@ PINNED_MUTATED = {
         ("090d09d8ff4b7a7c87e1e2f1c65b84a83b1fa55a10dff26c3b22b1c63306641f", 2262),
     ("xt", "prime", 2):
         ("7084106531863573d8f8f395acc6ba277cc87ebac9efac6c92e5766beaa9ac5f", 2258),
+}
+
+# (check, field, mutate) -> (digest, length) of one trial at seed 1 at
+# FRONTIER_SIZES
+FRONTIER_SIZES = {"detq": dict(ell=5, n=4), "deta": dict(ell=4, n=4), "mn": dict(ell=4, n=3)}
+PINNED_FRONTIER = {
+    ("detq", "rational", False):
+        ("5e0e51a98789db9650a9c30fc731a95ff1e894adfe6297bb2950e8c0f1678dcf", 705),
+    ("detq", "prime", False):
+        ("b316948f0f253608b0804ae13b1c4d0c9f98059956c49961ffbf6f1a944179fd", 852),
+    ("deta", "rational", False):
+        ("8b412836f5590d9a0e26395b4eaa6a7dc16cdf4fdd7e85b24f2dcb07c03b7f07", 705),
+    ("deta", "prime", False):
+        ("3ff12032b3a5369235670c0e9cbeca13b79fe933bc7f6a215512c8c9e959fbe2", 852),
+    ("mn", "rational", False):
+        ("9b38fa8b727234ae4c34751c975ea416937f2d562a3e70482edd8a72c935326e", 697),
+    ("mn", "prime", False):
+        ("54b0b269f151a6f26a590d2f5a89957e68904923e12cf15646c0608ccb2e530d", 820),
+    ("mn", "rational", True):
+        ("95c2ca7b1dbd5bbc572c1bf6158a9bacfab37085ec55e659f34b53b05760e3cc", 2749),
+    ("mn", "prime", True):
+        ("7a1d751ca78d72c316b7acd1f6baa7f1c662249bc2f29013b9d554e691d19f89", 1610),
 }
 
 
@@ -119,3 +144,11 @@ def test_mutated_report_matches_pinned_digest(check, field, seed):
                                **SIZES[check]))
     assert report.verdict == FALSIFIED
     assert digest(report) == PINNED_MUTATED[check, field, seed]
+
+
+@pytest.mark.parametrize("check, field, mutate", sorted(PINNED_FRONTIER))
+def test_frontier_report_matches_pinned_digest(check, field, mutate):
+    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field, mutate=mutate,
+                               **FRONTIER_SIZES[check]))
+    assert report.verdict == (FALSIFIED if mutate else VERIFIED)
+    assert digest(report) == PINNED_FRONTIER[check, field, mutate]

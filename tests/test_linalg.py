@@ -2,18 +2,24 @@
 inverse-then-multiply and against the product it must reproduce, over QQ,
 GF(101) and truncated series (K <= 3); `mat_det` against the Leibniz
 permutation sum; and singular input, which `mat_solve` rejects and
-`mat_det` maps to zero."""
+`mat_det` maps to zero.  At realistic heights (sampler draws, size >= 12,
+over QQ and GF(2^61 - 1)) the bare-integer paths are compared with the
+elimination on field scalars that they replaced, and a work count keeps
+`Fraction` and `PrimeScalar` arithmetic out of their loops."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident.errors import NonInvertibleError
-from qident.exactnum import PSeries, PrimeField, QQ
-from qident.linalg import mat_det, mat_inverse, mat_mul, mat_solve
+from qident.exactnum import PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig
+from qident.linalg import (
+    RatRows, eliminate, mat_det, mat_inverse, mat_mul, mat_solve, transpose)
 
 GF101 = PrimeField(101)
 
@@ -126,3 +132,171 @@ def test_series_solve_needs_unit_pivots():
     # [[p, p], [p, 1]] has det p - p^2, not a unit: no usable pivot in column 0
     with pytest.raises(NonInvertibleError):
         mat_solve([[p, p], [p, ring.one]], [[ring.one], [ring.zero]], ring.zero)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the elimination `linalg` ran before its bare-integer paths, on
+# field scalars by their own operators (`Fraction`, `PrimeScalar`)
+# ---------------------------------------------------------------------------
+
+def oracle_mul(a, b):
+    return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def oracle_solve(a, b, one, zero):
+    """Gauss-Jordan on [a | b] on the first nonzero pivot of each column."""
+    n = len(a)
+    work = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != zero), None)
+        if pivot is None:
+            raise NonInvertibleError("no invertible pivot in column %d" % col)
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = one / work[col][col]
+        tail = [v * inv for v in work[col][col + 1:]]
+        work[col][col + 1:] = tail
+        for r, row in enumerate(work):
+            f = row[col]
+            if r != col and f != zero:
+                row[col + 1:] = [v - f * w for v, w in zip(row[col + 1:], tail)]
+    return [row[n:] for row in work]
+
+
+def oracle_det(a, one, zero):
+    """Gaussian elimination on the first nonzero pivot of each column."""
+    n = len(a)
+    work = [list(row) for row in a]
+    det = one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != zero), None)
+        if pivot is None:
+            return zero
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
+        inv = one / work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] * inv
+            if f != zero:
+                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    return det
+
+
+HEIGHT_FIELDS = {"QQ": QQ, "GF(2^61-1)": PrimeField(2 ** 61 - 1)}
+
+
+def drawn(fld, seed, rows, cols):
+    """A rows x cols matrix of sampler draws of height <= 1000 in `fld`."""
+    sampler = Sampler(SamplerConfig(seed), fld)
+    return [[sampler.draw() for _ in range(cols)] for _ in range(rows)]
+
+
+def negative_pivots(a, fld):
+    # over QQ every diagonal entry negative, so the pivot inverse needs
+    # its denominator's sign moved to the numerator
+    for i in range(len(a)):
+        a[i][i] = -abs(a[i][i]) if fld == QQ else -a[i][i]
+
+
+def row_swaps(a, fld):
+    # zero below the diagonal in the left half, then the rows reversed:
+    # column 0 has its one nonzero entry in the last row
+    for c in range(len(a) // 2):
+        for r in range(c + 1, len(a)):
+            a[r][c] = fld.zero
+    a.reverse()
+
+
+def zero_column(a, fld):
+    for row in a:
+        row[len(a) // 2] = fld.zero
+
+
+def dependent_row(a, fld):
+    # the last row a combination of the others, with the diagonal as
+    # coefficients
+    last = [fld.zero] * len(a[0])
+    for i, row in enumerate(a[:-1]):
+        last = [v + row[i] * w for v, w in zip(last, row)]
+    a[-1] = last
+
+
+def mixed_ints(a, fld):
+    # every third entry, the first included, a plain int
+    for r, row in enumerate(a):
+        for c in range(r % 3, len(row), 3):
+            row[c] = row[c].numerator if fld == QQ else row[c].value
+
+
+SHAPES = {"dense": lambda a, fld: None, "negative pivots": negative_pivots,
+          "row swaps": row_swaps, "zero column": zero_column,
+          "dependent row": dependent_row, "mixed ints": mixed_ints}
+SINGULAR_SHAPES = {"zero column", "dependent row"}
+
+
+@pytest.mark.parametrize("field_name", sorted(HEIGHT_FIELDS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("n", [12, 13])
+def test_bare_integer_paths_match_the_field_scalar_oracle(field_name, shape, n):
+    fld = HEIGHT_FIELDS[field_name]
+    a = drawn(fld, n, n, n)
+    SHAPES[shape](a, fld)
+    b = drawn(fld, 100 + n, n, 3)
+    scalar = type(fld.one)
+
+    det = mat_det(a, fld.one, fld.zero)
+    assert det == oracle_det(a, fld.one, fld.zero)
+    assert type(det) is scalar
+    assert (det == fld.zero) == (shape in SINGULAR_SHAPES)
+    if shape in SINGULAR_SHAPES:
+        with pytest.raises(NonInvertibleError):
+            mat_solve(a, b, fld.zero)
+    else:
+        x = mat_solve(a, b, fld.zero)
+        assert x == oracle_solve(a, b, fld.one, fld.zero)
+        assert all(type(v) is scalar for row in x for v in row)
+    for left, right in ((a, b), (transpose(b), a)):
+        prod = mat_mul(left, right)
+        assert prod == oracle_mul(left, right)
+        assert all(type(v) is scalar for row in prod for v in row)
+
+
+def test_rational_entries_stay_reduced_pairs():
+    # every entry of a rational elimination is a reduced pair with a
+    # positive denominator, as small as the `Fraction` it stands for
+    a = drawn(QQ, 12, 12, 12)
+    negative_pivots(a, QQ)
+    ops = RatRows()
+    work = ops.load([ra + rb for ra, rb in zip(a, drawn(QQ, 112, 12, 3))])
+    pivots, _ = eliminate(ops, work, 12, jordan=True)
+    assert len(pivots) == 12
+    for nums, dens in work:
+        for num, den in zip(nums, dens):
+            assert (num, den) == (Fraction(num, den).numerator, Fraction(num, den).denominator)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__neg__")
+
+
+@pytest.mark.parametrize("field_name", sorted(HEIGHT_FIELDS))
+def test_scalar_paths_do_no_per_entry_scalar_arithmetic(field_name, monkeypatch):
+    # elimination is O(n^3) entry updates; the scalar objects may be
+    # touched O(n) times (the product of the pivots), not per entry
+    fld = HEIGHT_FIELDS[field_name]
+    n = 12
+    a, b = drawn(fld, n, n, n), drawn(fld, 100 + n, n, n)
+    calls = []
+    for cls in (Fraction, PrimeScalar):
+        for name in ARITHMETIC:
+            if hasattr(cls, name):
+                def counting(*args, _op=getattr(cls, name)):
+                    calls.append(_op)
+                    return _op(*args)
+                monkeypatch.setattr(cls, name, counting)
+    for run in (lambda: mat_det(a, fld.one, fld.zero), lambda: mat_solve(a, b, fld.zero),
+                lambda: mat_mul(a, b)):
+        calls.clear()
+        run()
+        assert len(calls) <= 2 * n

@@ -271,6 +271,21 @@ def test_mn_relation():
     assert verify_mn(cfg).verdict == "falsified"
 
 
+def test_mn_evaluates_q_once_per_point(monkeypatch):
+    # (4, 4) has 35 partitions, so 35 x-points; the transition solve and
+    # the residue pairing share one evaluation of every Q_mu there
+    calls = []
+
+    def counting(parts, t, params):
+        calls.append(t)
+        return q_monomials(parts, t, params)
+
+    monkeypatch.setattr("qident.residues.q_monomials", counting)
+    cfg = RunConfig(check="mn", ell=4, n=4, trials=1, seed=1)
+    assert verify_mn(cfg).verdict == "verified"
+    assert len(calls) == len(set(calls)) == 35
+
+
 def test_determinant_closed_forms():
     p = params_for(1, 2, seed=4)
     parts = enumerate_partitions(1, 2)
