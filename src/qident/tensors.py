@@ -151,26 +151,3 @@ class Module:
             rows = [tuple(nums[r:r + 3]) for r in range(1, len(nums), 3)]
             out = self._tables[cap] = (rows, nums[0], den)
         return out
-
-    def action(self, a, b, k, table, wn, wd, mutate):
-        """Matrix entry (a, b) of the evaluation operator on F^k at
-        w = wn/wd, read from `table`: the list of (new depth, integer
-        numerator over M wd) it produces, reduced mod p over GF(p)."""
-        rows, qq, m = table
-        if a == 1 and b == 2:
-            out = [(k + 1, -qq * wn)]
-        else:
-            ak, bk, low = rows[k]
-            if a == 1 and b == 1:
-                out = [(k, bk * wd - ak * wn)]
-            elif a == 2 and b == 2:
-                out = [(k, ak * wd - bk * wn)]
-            else:
-                out = [(k - 1, low * wd)] if k > 0 else []
-                if mutate:
-                    # deliberately broken lowering operator for negative
-                    # controls: an extra depth-preserving term
-                    out.append((k, m * wd))
-        if self.mod:
-            return [(k2, x % self.mod) for k2, x in out]
-        return out

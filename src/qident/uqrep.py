@@ -9,12 +9,13 @@ ground field stays rational.
 
 An operator entry acts on a tensor vector by one transfer-matrix sweep over
 the slots (`tensor_entry`), not by a walk over each of the 2^(n-1) index
-chains.  The tensor vectors and the depth tables of the `Module` objects
-that `modules_of` builds once per trial are fraction-free (`tensors`), so
-a sweep multiplies integers only and field scalars appear only at the
-report boundary.  The submodule sweep of `singular` applies its lowering
-string once per distinct basis key and combines the images by linearity
-(`apply_string_by_basis`).
+chains; the diagonal slot actions keep each key, so only a raise or a lower
+rebuilds one.  The tensor vectors and the depth tables of the `Module`
+objects that `modules_of` builds once per trial are fraction-free
+(`tensors`), so a sweep multiplies integers only and field scalars appear
+only at the report boundary.  The L entries of `rll` and the lowering
+string of `singular` go through `apply_by_basis`: a per-trial table holds
+the image of each basis key, and a vector's image is their combination.
 
 Depth caps are hard errors: in-contract computations provably stay below
 them, so an overflow is a bug.  The mutated lowering operator of the
@@ -97,15 +98,16 @@ def tensor_entry(vec, i, j, u, modules, q, mutate=False):
     slots carries, per chain index c in {1, 2}, a sparse map from keys to
     integer numerators; the keys hold the new depths in the slots already
     swept and the old ones after.  Slot m moves c to d by the slot action
-    (c, d), and the last slot is forced to d = j.  Paths that meet in a
-    state are summed there.  With w = u/z = wn/wd (no gcd), every chain
-    takes one value over M wd from each slot, so all of them share the
-    denominator den(vec) * prod_m M_m wd_m and the sweep multiplies
-    integers only.  Over GF(p) the slot values are residues and the sums
-    are reduced once, at the end: n slots grow them to about n+1 times
-    the bits of p, which costs less than a pass per slot.  Zero sums are
-    kept to the end: every key a chain reaches goes through the cap check,
-    as in the literal chain sum, before one gcd normalizes."""
+    (c, d) of the `Module` table, and the last slot is forced to d = j.  A
+    diagonal action keeps the key, so each target state starts as one
+    comprehension; the raise and the lower rebuild keys and add into it.
+    With w = u/z = wn/wd (no gcd), every chain takes one value over M wd
+    from each slot, so all share the denominator den(vec) * prod_m M_m wd_m.
+    Over GF(p) the slot values are residues and the sums are reduced once,
+    at the end: n slots grow them to about n+1 times the bits of p, which
+    costs less than a pass per slot.  Zero sums are kept to the end: every
+    key a chain reaches goes through the cap check, as in the literal chain
+    sum, before one gcd normalizes."""
     n = vec.nslots
     if len(modules) != n:
         raise UsageError("module list does not match slot count")
@@ -124,24 +126,39 @@ def tensor_entry(vec, i, j, u, modules, q, mutate=False):
         wn, wd = un * zn, ud * zd
         if p:
             wn %= p
-        table = mod.table(vec.cap)
-        den *= table[2] * wd
-        memo = {}
-        targets = (j,) if slot == n - 1 else (1, 2)
-        new = {d: {} for d in targets}
-        for c, part in states.items():
-            for d in targets:
-                dest = new[d]
-                for key, coeff in part.items():
+        rows, qq, m = mod.table(vec.cap)
+        den *= m * wd
+        new = {}
+        for d in (j,) if slot == n - 1 else (1, 2):
+            # (1,1): B_k wd - A_k wn, (2,2): A_k wd - B_k wn, at the depths
+            # k met in this slot
+            part = states.get(d, {})
+            on, off = (1, 0) if d == 1 else (0, 1)
+            diag = {k: rows[k][on] * wd - rows[k][off] * wn
+                    for k in {key[slot] for key in part}}
+            if p:
+                diag = {k: x % p for k, x in diag.items()}
+            dest = {key: x * diag[key[slot]] for key, x in part.items()}
+            part = states.get(3 - d, {})
+            if d == 2:
+                # raise (1,2): -qq wn, one depth up
+                up = -qq * wn % p if p else -qq * wn
+                for key, x in part.items():
+                    nk = key[:slot] + (key[slot] + 1,) + key[slot + 1:]
+                    dest[nk] = dest.get(nk, 0) + x * up
+            else:
+                # lower (2,1): L_k wd, one depth down; the mutated operator
+                # of the negative controls adds M wd at the same depth
+                keep = m * wd % p if p else m * wd
+                for key, x in part.items():
                     k = key[slot]
-                    steps = memo.get((c, d, k))
-                    if steps is None:
-                        steps = memo[c, d, k] = mod.action(c, d, k, table, wn, wd,
-                                                           mutate)
-                    for k2, c2 in steps:
-                        nk = key[:slot] + (k2,) + key[slot + 1:]
-                        prev = dest.get(nk)
-                        dest[nk] = coeff * c2 if prev is None else prev + coeff * c2
+                    if k:
+                        low = rows[k][2] * wd
+                        nk = key[:slot] + (k - 1,) + key[slot + 1:]
+                        dest[nk] = dest.get(nk, 0) + x * (low % p if p else low)
+                    if mutate:
+                        dest[key] = dest.get(key, 0) + x * keep
+            new[d] = dest
         states = new
     for key in states[j]:
         vec.check_key(key)
@@ -155,31 +172,28 @@ def apply_string(vec, entries, modules, q, mutate=False):
     return vec
 
 
-def apply_string_by_basis(vectors, entries, modules, q, mutate=False):
-    """Yield `apply_string` of each of `vectors` in turn, by linearity: the
-    string acts once on each distinct basis key (per cap pair), and each
-    output is the same combination of those images as its vector is of the
-    keys, summed over the lcm of the images' denominators."""
-    images = {}
-    for vec in vectors:
-        parts = []
-        for key, x in vec.num.items():
-            ident = (vec.cap, vec.total_cap, key)
-            image = images.get(ident)
-            if image is None:
-                basis = TensorVector(vec.field, vec.nslots, vec.cap, vec.total_cap,
-                                     {key: vec.field.one})
-                image = images[ident] = apply_string(basis, entries, modules, q,
-                                                    mutate=mutate)
-            parts.append((x, image))
-        den = math.lcm(*(image.den for _, image in parts))
-        acc = {}
-        for x, image in parts:
-            scale = x * (den // image.den)
-            for k2, c2 in image.num.items():
-                prev = acc.get(k2)
-                acc[k2] = scale * c2 if prev is None else prev + scale * c2
-        yield vec.with_ints(acc, vec.den * den)
+def apply_by_basis(vec, entries, modules, q, images, mutate=False):
+    """`apply_string` of `vec` by linearity, over the lcm of the images'
+    denominators.  `images`, the caller's dict for one trial and string,
+    maps (cap, total_cap, basis key) to the image of that key, so each key
+    is swept once however many vectors hold it.  A zero vector sweeps none."""
+    parts = []
+    for key, x in vec.num.items():
+        ident = (vec.cap, vec.total_cap, key)
+        image = images.get(ident)
+        if image is None:
+            basis = vec.copy_empty()
+            basis.num = {key: 1}
+            image = images[ident] = apply_string(basis, entries, modules, q,
+                                                 mutate=mutate)
+        parts.append((x, image))
+    den = math.lcm(*(image.den for _, image in parts))
+    acc = {}
+    for x, image in parts:
+        scale = x * (den // image.den)
+        for k2, c2 in image.num.items():
+            acc[k2] = acc.get(k2, 0) + scale * c2
+    return vec.with_ints(acc, vec.den * den)
 
 
 def mutated_caps(cap, total_cap, nslots, applications):
@@ -225,14 +239,18 @@ class AuxVector:
         cur = self.data.get(ab)
         self.data[ab] = tv if cur is None else cur + tv
 
-    def apply_l(self, side, u, modules, q):
+    def apply_l(self, side, u, modules, q, tables):
         """L_side(u): the operator entry (i, j) maps auxiliary index j to i
-        in factor `side` (1 or 2) of each key, the other factor kept."""
+        in factor `side` (1 or 2) of each key, the other factor kept.
+        `tables` maps (side, i, j) to an `apply_by_basis` image table, so
+        it must serve one argument u per side."""
         out = AuxVector(self.field)
         for ab, w in self.data.items():
+            j = ab[side - 1]
             for i in (1, 2):
                 key = (i, ab[1]) if side == 1 else (ab[0], i)
-                out.add(key, tensor_entry(w, i, ab[side - 1], u, modules, q))
+                images = tables.setdefault((side, i, j), {})
+                out.add(key, apply_by_basis(w, [(i, j, u)], modules, q, images))
         return out
 
     def apply_r(self, v, q, mutate=False):
@@ -331,14 +349,16 @@ def verify_rll(cfg):
         cap = depth + 3
         residuals = []
         keys = [k for k in iproduct(range(depth + 1), repeat=nfac) if sum(k) <= depth]
+        tables = {}
         for ab in iproduct((1, 2), repeat=2):
             for key in keys:
                 w = TensorVector(fld, nfac, cap, cap * nfac, {key: fld.one})
                 start = AuxVector(fld, {tuple(ab): w})
-                lhs = start.apply_l(2, zarg, mods, wp.q).apply_l(1, u, mods, wp.q) \
+                lhs = start.apply_l(2, zarg, mods, wp.q, tables) \
+                    .apply_l(1, u, mods, wp.q, tables) \
                     .apply_r(u / zarg, wp.q, mutate=cfg.mutate)
-                rhs = start.apply_r(u / zarg, wp.q).apply_l(1, u, mods, wp.q) \
-                    .apply_l(2, zarg, mods, wp.q)
+                rhs = start.apply_r(u / zarg, wp.q).apply_l(1, u, mods, wp.q, tables) \
+                    .apply_l(2, zarg, mods, wp.q, tables)
                 residuals.extend("%r %s" % (key, line) for line in lhs.residual(rhs))
         return residuals, not residuals, []
 
@@ -478,9 +498,10 @@ def verify_singular(cfg):
                         new.append(w)
             spanning.extend(new)
             frontier = new
-        for idx, out in enumerate(apply_string_by_basis(spanning, lower, mods, wp.q,
-                                                        mutate=cfg.mutate)):
-            record("word#%d " % idx, out)
+        images = {}
+        for idx, vec in enumerate(spanning):
+            record("word#%d " % idx, apply_by_basis(vec, lower, mods, wp.q, images,
+                                                    mutate=cfg.mutate))
         if unlisted:
             residuals.append("%d further nonzero residuals not listed" % unlisted)
         return residuals, not residuals, ["spanning set size %d" % len(spanning)]

@@ -12,7 +12,9 @@ at seeds 1 and 2 over both fields are pinned the same way in
 `verify_xt`.  Elimination and products at sizes no workload reaches are
 pinned in `PINNED_FRONTIER`, recorded from the `Fraction` and
 `PrimeScalar` elimination that `linalg` ran before its bare-integer
-paths."""
+paths.  Tensor checks at sizes no workload reaches, and mutated ones, are
+pinned in `PINNED_TENSOR`, recorded from the operator sweep that applied
+each entry to whole vectors, before the per-trial basis-image table."""
 
 import os
 import sys
@@ -152,3 +154,49 @@ def test_frontier_report_matches_pinned_digest(check, field, mutate):
                                **FRONTIER_SIZES[check]))
     assert report.verdict == (FALSIFIED if mutate else VERIFIED)
     assert digest(report) == PINNED_FRONTIER[check, field, mutate]
+
+
+# (check, field, mutate) -> (digest, length) of one trial at seed 1 at
+# TENSOR_SIZES
+TENSOR_SIZES = {
+    ("rll", False): dict(n=5),
+    ("singular", False): dict(ell=4, n=4, i=1, j=4),
+    ("kbi", False): dict(ell=6, n=4),
+    ("bc2", False): dict(ell=6, n=5, i=1, j=5),
+    ("singular", True): dict(ell=4, n=3, i=1, j=3),
+    ("rll", True): dict(n=4),
+}
+PINNED_TENSOR = {
+    ("rll", "rational", False):
+        ("1dd6ebb3ae746931119c11664f1cd4dfd8cdd0e95b029893b12f89eeaac2c433", 760),
+    ("rll", "prime", False):
+        ("24b59d597d7708096cefd16589368cb55e47495e25d1927a38382ef0be723483", 883),
+    ("singular", "rational", False):
+        ("2564d4285abc9c3cd17103abf1b1608f8f37bce8356c0ae008dd8026c2c43679", 13481),
+    ("singular", "prime", False):
+        ("a1466355ec57e67736814c28b39f42a33ce545e68fbb334a88d2fd97e55eb39c", 13606),
+    ("kbi", "rational", False):
+        ("24e7d7ee759e07299b666d246818ca0859de1d74e28630232462bc919b6959dd", 964),
+    ("kbi", "prime", False):
+        ("4d478c1af011fc1ef66bb593fe57ae5b34284f3a3d2939d98bfd45bd3da31ccb", 1089),
+    ("bc2", "rational", False):
+        ("8dccd217de47591dfa2de32c6c50cb01ae6dc18637201f4e4cca200fc28d4150", 886),
+    ("bc2", "prime", False):
+        ("35f0ad0b74e5cd33d229c7057efaafcc515ef9aeee544b7491b4185caa1bbb16", 1009),
+    ("singular", "rational", True):
+        ("4cc7cd1e282d0be9eb2175d2d260686088d1f0c0819debc60c2a8c52efdbafee", 128771),
+    ("singular", "prime", True):
+        ("2c461837aa414a9d3c969b0dd5a88c3e76d1ae3858b8f11589165c510f186780", 27705),
+    ("rll", "rational", True):
+        ("23a2dd726d5c79f6fe2849c7bd9a5128f56257faebcf39cebcb6cf29ccfb078f", 69358),
+    ("rll", "prime", True):
+        ("7c3d3dcc0df12470f882b23bb543cf7fa9dc9a3beda1db8eea3edb3e06b1fc0c", 28616),
+}
+
+
+@pytest.mark.parametrize("check, field, mutate", sorted(PINNED_TENSOR))
+def test_tensor_report_matches_pinned_digest(check, field, mutate):
+    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field, mutate=mutate,
+                               **TENSOR_SIZES[check, mutate]))
+    assert report.verdict == (FALSIFIED if mutate else VERIFIED)
+    assert digest(report) == PINNED_TENSOR[check, field, mutate]

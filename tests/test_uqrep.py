@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from qident import uqrep
 from qident.cli import validate
 from qident.errors import DepthOverflowError, UsageError
 from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
@@ -12,8 +14,8 @@ from qident.partitions import enumerate_partitions
 from qident.polyweights import weight
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.uqrep import (
-    MAX_LISTED_RESIDUALS, TensorVector, WeightParams, apply_string,
-    apply_string_by_basis, bc_strings, gamma, impose_resonance, kbi_lowering_rhs,
+    MAX_LISTED_RESIDUALS, TensorVector, WeightParams, apply_by_basis, apply_string,
+    bc_strings, gamma, impose_resonance, kbi_lowering_rhs,
     kbi_raising_rhs, modules_of, mutated_caps, param_map, sample_weight_params,
     tensor_entry, verify_bc, verify_kbi, verify_rll, verify_singular)
 
@@ -97,6 +99,89 @@ def test_transfer_matrix_matches_chain_sum_oracle(n, i, j, data):
             assert all(k <= max(t[m] for t in terms) + 1 for m, k in enumerate(key))
 
 
+# the same draws as the oracle test above; the table is shared by several
+# vectors whose keys come from one small pool, so that keys recur
+@given(st.integers(1, 4), st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.data())
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_basis_image_table_matches_chain_sum_oracle(n, i, j, data):
+    q = data.draw(nonzero_small.filter(lambda v: v * v != 1))
+    s = data.draw(st.lists(nonzero_small, min_size=n, max_size=n))
+    z = data.draw(st.lists(nonzero_small, min_size=n, max_size=n))
+    u = data.draw(st.one_of(st.just(Fraction(0)), small_fractions))
+    cap = data.draw(st.integers(1, 6))
+    total_cap = data.draw(st.integers(cap, cap * n))
+    keys = st.tuples(*[st.integers(0, cap)] * n).filter(lambda k: sum(k) <= total_cap)
+    pool = data.draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    vectors = data.draw(st.lists(st.dictionaries(st.sampled_from(pool), nonzero_small,
+                                                 min_size=1, max_size=len(pool)),
+                                 min_size=2, max_size=4))
+    vectors.insert(data.draw(st.integers(0, len(vectors))), {})
+    for fld, mutate in product((QQ, PrimeField(DEFAULT_PRIME)), (False, True)):
+        wp = WeightParams(fld.of(q), tuple(map(fld.of, s)), tuple(map(fld.of, z)), fld)
+        mods = modules_of(wp)
+        entries = [(i, j, fld.of(u))]
+        images, swept, overflows = {}, set(), 0
+        with mock.patch.object(uqrep, "tensor_entry", wraps=uqrep.tensor_entry) as sweep:
+            for terms in vectors:
+                vec = TensorVector(fld, n, cap, total_cap,
+                                   {k: fld.of(c) for k, c in terms.items()})
+                try:
+                    want = chain_sum_tensor_entry(vec, i, j, fld.of(u), mods, wp.q,
+                                                  mutate=mutate)
+                except DepthOverflowError:
+                    with pytest.raises(DepthOverflowError):
+                        apply_by_basis(vec, entries, mods, wp.q, images, mutate=mutate)
+                    overflows += 1
+                    continue
+                got = apply_by_basis(vec, entries, mods, wp.q, images, mutate=mutate)
+                assert nonzero_items(got) == nonzero_items(want)
+                swept.update(terms)
+        # each stored image took one sweep, and each overflow one more that
+        # stored nothing; the zero vector took none
+        assert {(cap, total_cap, k) for k in swept} <= set(images)
+        assert set(images) <= {(cap, total_cap, k) for k in pool}
+        assert sweep.call_count == len(images) + overflows
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(DEFAULT_PRIME)], ids=["QQ", "GF(p)"])
+def test_depth_overflow_inside_an_image_build_is_loud(fld):
+    # past the slot cap in the last slot, past it in the first slot in the
+    # middle of a string, and past the total cap
+    wq = wp_for(3, seed=8)
+    wp = WeightParams(fld.of(wq.q), tuple(map(fld.of, wq.s)), tuple(map(fld.of, wq.z)), fld)
+    mods = modules_of(wp)
+    up, diag = (1, 2, fld.of(Fraction(1, 2))), (1, 1, fld.of(Fraction(3, 7)))
+    for key, caps, entries in [((0, 0, 2), (2, 4), [up]),
+                               ((2, 0, 0), (2, 4), [diag, up, diag]),
+                               ((1, 1, 1), (2, 3), [up, diag])]:
+        images = {}
+        vec = TensorVector(fld, 3, *caps, {(0, 0, 0): fld.of(5), key: fld.one})
+        with pytest.raises(DepthOverflowError):
+            apply_by_basis(vec, entries, mods, wp.q, images)
+        # the key swept before the overflow keeps its image; the
+        # overflowing one has none
+        assert list(images) == [(*caps, (0, 0, 0))]
+
+
+@pytest.mark.parametrize("field", ["rational", "prime"])
+def test_rll_sweeps_each_basis_image_once(monkeypatch, field):
+    # one sweep per distinct (cap pair, basis key, entry, argument): 160 at
+    # n = 3, where applying every L entry to every vector made 600
+    calls = []
+    sweep = uqrep.tensor_entry
+
+    def counted(vec, i, j, u, *args, **kwargs):
+        calls.append((vec.cap, vec.total_cap, tuple(vec.num), i, j, u))
+        return sweep(vec, i, j, u, *args, **kwargs)
+
+    monkeypatch.setattr(uqrep, "tensor_entry", counted)
+    report = verify_rll(RunConfig(check="rll", n=3, trials=1, seed=1, field=field))
+    assert report.verdict == "verified"
+    assert len(calls) == len(set(calls)) == 160
+    assert all(len(key) == 1 for _, _, key, *_ in calls)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_prime_field_strings_reduce_the_rational_ones(seed):
     # a mutated bc1 string and a by-basis lowering string over QQ and over
@@ -119,9 +204,10 @@ def test_prime_field_strings_reduce_the_rational_ones(seed):
         v0 = TensorVector.generating(fld, 3, cap, total_cap)
         spanning = [v0] + [tensor_entry(v0, i, j, fld.of(u), mods, wp.q)
                            for (i, j), u in zip([(1, 2), (1, 1), (2, 2), (1, 2)], word_u)]
-        lower = ents[:cfg.ell + 1]
+        lower, images = ents[:cfg.ell + 1], {}
         outs[fld] = ([apply_string(v0, ents, mods, wp.q, mutate=True)]
-                     + list(apply_string_by_basis(spanning, lower, mods, wp.q, mutate=True)))
+                     + [apply_by_basis(vec, lower, mods, wp.q, images, mutate=True)
+                        for vec in spanning])
     assert len(outs[QQ]) == len(outs[gf]) == 6
     assert any(not out.is_zero() for out in outs[QQ])
     for rat, red in zip(outs[QQ], outs[gf]):
@@ -138,7 +224,9 @@ def test_linear_reuse_matches_direct_strings(mutate):
     for u, (i, j) in zip(us, [(1, 2), (1, 1), (2, 2), (1, 2)]):
         spanning.extend(tensor_entry(vec, i, j, u, mods, wp.q) for vec in list(spanning))
     lower = [(2, 1, u) for u in us[4:6]]
-    outs = list(apply_string_by_basis(spanning, lower, mods, wp.q, mutate=mutate))
+    images = {}
+    outs = [apply_by_basis(vec, lower, mods, wp.q, images, mutate=mutate)
+            for vec in spanning]
     assert len(outs) == len(spanning) == 16
     assert any(not out.is_zero() for out in outs)
     for vec, out in zip(spanning, outs):
