@@ -33,7 +33,8 @@ class PolyParams:
 
     eta^s != 1 for 1 <= s <= ell, so symmetrization prefactors and norms
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
-    field's, its factor is phi(z) = 1 - z and its weight column X_m.
+    field's, its factor is phi(z) = 1 - z, its weight column X_m and its
+    kernel constant prod_m (x_m y_m)^ell.
     `memo` keeps values that every point shares, such as the multiplicity
     prefactors.
     """
@@ -53,6 +54,16 @@ class PolyParams:
 
     def phi(self, z):
         return self.one - z
+
+    def kernel_constant(self, ell):
+        """prod_m (x_m y_m)^ell, the ratio of S to its p = 0 theta form
+        Omega, by which `residues.kernel_residue` divides."""
+        def make():
+            out = self.one
+            for xm, ym in zip(self.x, self.y):
+                out = out * (xm * ym) ** ell
+            return out
+        return self.memo(("kernel_constant", ell), make)
 
     def column_shift(self, a, ell):
         """The polynomial weights' single factors depend only on the part."""

@@ -3,8 +3,8 @@ product, biorthogonality of the primed/unprimed weights, the transition solve
 (to the monomial basis here, to the theta basis in the elliptic layer), and
 the closed determinant formulas.
 
-One pole-cancellation engine serves the rational and the theta kernel.
-Both are stored as the factors phi(c t_i/t_j) of
+One kernel residue serves the rational and the theta kernel.  Both are
+products of the factors phi(c t_i/t_j) of
 
     Omega(t) = prod_a prod_m phi(t_a/x_m) phi(t_a/y_m)
                prod_{a != b} phi(eta t_a/t_b) / phi(t_a/t_b),
@@ -25,16 +25,18 @@ limiting: at each step (innermost variable first) exactly one numerator
 factor vanishes at the target coordinate (its argument becomes 1); it is
 removed and the variable is substituted.  A step contributes -1 when t_a
 stands in the numerator of the cancelled argument and +1 when it stands in
-the denominator, divided by the derivative constant of phi at 1, which is 1
-for 1 - z and (p; p)^3 for theta (`elliptic.omega_residue`).  The scalar product
-is defined operationally by the residue sums; the torus contour it replaces
-is never integrated.
+the denominator.  The parameter object supplies phi and the constant the
+residue divides by: prod_m (x_m y_m)^ell on `PolyParams`, and on
+`elliptic.EllParams` ((p; p)^3)^ell, theta's derivative constant at 1 once
+per step.  The scalar product is defined operationally by the residue
+sums; the torus contour it replaces is never integrated.
 
 Every residue sum is one dense product: `residue_pairing` evaluates both
 families and the residue once per point and ends in `linalg.mat_mul`, and
 the `mn` residual is the product of its Gram matrix with the transition
-matrix.  The weight family comes from the parameter object, so the Gram
-matrix, the special values and the transition solve serve P and Xi alike.
+matrix.  The kernel, the weight family and ell all come from the
+parameter object, so the residue, the Gram matrix, the special values and
+the transition solve serve P and Xi alike.
 """
 
 from __future__ import annotations
@@ -51,176 +53,147 @@ from .polyweights import weight  # noqa: F401
 from .reporting import run_trials
 
 
-class KernelFactor:
-    """phi(c * t_i / t_j) with scalar c; either variable slot may be absent
-    or already substituted.  The factor vanishes at a substitution exactly
-    when its argument becomes 1."""
-
-    __slots__ = ("i", "j", "c", "tag")
-
-    def __init__(self, i, j, c, tag):
-        self.i, self.j, self.c, self.tag = i, j, c, tag
-
-    def substitute(self, a, value):
-        if self.i == a:
-            self.c = self.c * value
-            self.i = None
-        if self.j == a:
-            self.c = self.c / value
-            self.j = None
-
-    def vanishes_at(self, a, value, one):
-        if self.i == a and self.j is None:
-            return self.c * value == one
-        if self.j == a and self.i is None:
-            return self.c / value == one
-        return False
-
-
-def kernel_factors(params, ell):
-    """Numerator and denominator factor lists of Omega: (a, m) factors at
-    c = 1/x_m and 1/y_m, pair factors (i, j) at c = eta over c = 1."""
-    one = params.field.one
-    inv_x = [one / v for v in params.x]
-    inv_y = [one / v for v in params.y]
-    numer, denom = [], []
-    for a in range(ell):
-        for m in range(params.n):
-            numer.append(KernelFactor(a, None, inv_x[m], ("x", a, m + 1)))
-            numer.append(KernelFactor(a, None, inv_y[m], ("y", a, m + 1)))
-    for i in range(ell):
-        for j in range(ell):
-            if i != j:
-                numer.append(KernelFactor(i, j, params.eta, ("pair", i, j)))
-                denom.append(KernelFactor(i, j, one, ("den", i, j)))
-    return numer, denom
-
-
 def cancel_poles(params, point):
     """Cancel one kernel factor per variable, innermost last variable
     first, and return (sign, numerator arguments, denominator arguments):
     sign is -1 per cancelled factor with t_a in the numerator of its
     argument, the argument lists are those of the remaining factors.
 
-    The vanishing factor is discovered and must be unique, with no
-    vanishing denominator factor (the simple-pole condition).
+    Substituting from the last variable down completes phi(c t_i/t_j) at
+    step min(i, j), and phi(t_a/x_m), phi(t_a/y_m) at step a, so each
+    argument is evaluated once at the point and tested only at its step.
+    There the vanishing numerator factor is discovered and must be unique,
+    with no vanishing denominator factor (the simple-pole condition).
     """
-    numer, denom = kernel_factors(params, point.ell)
-    one = params.field.one
-    sign = one
-    for a in reversed(range(point.ell)):
-        c = point.coords[a]
-        hits = [f for f in numer if f.vanishes_at(a, c, one)]
+    one, eta, t = params.field.one, params.eta, point.coords
+    # per step: (t_step in the numerator, argument, tag)
+    numer = [[] for _ in t]
+    denom = [[] for _ in t]
+    for a, u in enumerate(t):
+        for m in range(params.n):
+            numer[a].append((True, u / params.x[m], ("x", a, m + 1)))
+            numer[a].append((True, u / params.y[m], ("y", a, m + 1)))
+        for b in range(a + 1, len(t)):
+            r = u / t[b]
+            numer[a].append((True, eta * r, ("pair", a, b)))
+            numer[a].append((False, eta / r, ("pair", b, a)))
+            denom[a].append((r, ("den", a, b)))
+            denom[a].append((one / r, ("den", b, a)))
+    sign, rest_numer, rest_denom = one, [], []
+    for a in reversed(range(len(t))):
+        hits = [f for f in numer[a] if f[1] == one]
         if len(hits) != 1:
             raise PoleOrderError(
                 "step t_%d -> %s: %d vanishing numerator factors (need exactly 1)"
-                % (a + 1, c, len(hits)))
-        bad = [f for f in denom if f.vanishes_at(a, c, one)]
+                % (a + 1, t[a], len(hits)))
+        bad = [tag for c, tag in denom[a] if c == one]
         if bad:
             raise PoleOrderError(
-                "step t_%d -> %s: denominator factor %r vanishes"
-                % (a + 1, c, bad[0].tag))
-        f = hits[0]
-        if f.i == a:
+                "step t_%d -> %s: denominator factor %r vanishes" % (a + 1, t[a], bad[0]))
+        hit = hits[0]
+        if hit[0]:
             sign = -sign
-        numer.remove(f)
-        for g in numer:
-            g.substitute(a, c)
-        for g in denom:
-            g.substitute(a, c)
-    return sign, [g.c for g in numer], [g.c for g in denom]
+        rest_numer.extend(f[1] for f in numer[a] if f is not hit)
+        rest_denom.extend(c for c, _ in denom[a])
+    return sign, rest_numer, rest_denom
+
+
+def phi_product(params, args):
+    """prod phi(c) over the arguments, from the first factor on."""
+    factors = map(params.phi, args)
+    out = next(factors, params.one)
+    for f in factors:
+        out = out * f
+    return out
 
 
 def kernel_residue_parts(params, point):
     """Cancel one kernel factor per variable (see `cancel_poles`) and return
-    (scale_inv, numer_value, denom_value), so that
+    (scale, numer_value, denom_value), so that
 
-        Res(1/S (dt/t)^ell) = denom_value / (numer_value * scale_inv),
+        Res(1/kernel (dt/t)^ell) = denom_value / (numer_value * scale),
 
-    with phi(z) = 1 - z and scale_inv = sign * prod_m (x_m y_m)^ell.
+    with scale = sign * `params.kernel_constant(ell)` and the values the
+    products of phi over the remaining arguments.  Every remaining argument
+    differs from 1 (`cancel_poles` tested it at its step), and phi(c) has
+    constant term 1 - c, so numer_value is invertible.
     """
     sign, numer, denom = cancel_poles(params, point)
-    one = params.field.one
-    scale_inv = sign
-    for xm, ym in zip(params.x, params.y):
-        scale_inv = scale_inv * (xm * ym) ** point.ell
-    nval, dval = one, one
-    for c in numer:
-        nval = nval * (one - c)
-    for c in denom:
-        dval = dval * (one - c)
-    return scale_inv, nval, dval
+    return (params.kernel_constant(point.ell) * sign, phi_product(params, numer),
+            phi_product(params, denom))
 
 
 def kernel_residue(params, point):
-    """Res(1/S (dt/t)^ell) at the point."""
-    scale_inv, nval, dval = kernel_residue_parts(params, point)
-    if nval == params.field.zero:
-        raise PoleOrderError("kernel residue is singular at %r" % (point.partition,))
-    return dval / (nval * scale_inv)
+    """Res(1/kernel (dt/t)^ell) at the point: 1/S for `PolyParams`, 1/Omega
+    as a truncated series for `elliptic.EllParams`."""
+    scale, nval, dval = kernel_residue_parts(params, point)
+    return dval / (nval * scale)
 
 
-def point_family(make_point, params, ell):
+def point_family(make_point, params):
     """The special points of one side (`x_point` or `y_point`), one per
-    partition, in enumeration order."""
-    return [make_point(lam, params) for lam in enumerate_partitions(ell, params.n)]
+    partition of params.ell, in enumeration order."""
+    return [make_point(lam, params) for lam in enumerate_partitions(params.ell, params.n)]
 
 
-def residue_pairing(left, right, params, points, residue):
+def residue_pairing(left, right, params, points):
     """The matrix [sum over the points of left[a] * r * right[b]], where
     `left(t)` and `right(t)` return one value per family member and r is
-    the kernel's `residue(params, point)`.  Each family and the residue are
-    evaluated once per point, and the sum over the points is one `mat_mul`;
-    shared by the rational and the theta kernel.
+    the `kernel_residue` of the parameters' kernel.  Each family and the
+    residue are evaluated once per point, and the sum over the points is
+    one `mat_mul`.
     """
     scaled, plain = [], []     # per point: [left[a] r], [right[b]]
     for pt in points:
-        r = residue(params, pt)
+        r = kernel_residue(params, pt)
         scaled.append([v * r for v in left(pt.coords)])
         plain.append(right(pt.coords))
     return mat_mul(transpose(scaled), plain)
 
 
-def gram_matrix(left, right, ell, residue, params, mismatch):
-    """The x-side `residue_pairing` of two families over the special points
-    of partitions of ell.  The y side checks every entry against (-1)^ell
-    times the x side and raises ConsistencyError(mismatch) on any
-    difference, which flags an inadmissible product rather than a bug
-    downstream.
-    """
-    xs, ys = (residue_pairing(left, right, params, point_family(make_point, params, ell),
-                              residue)
-              for make_point in (x_point, y_point))
-    sign = (-params.field.one) ** ell
-    for x_row, y_row in zip(xs, ys):
-        if any(x != sign * y for x, y in zip(x_row, y_row)):
-            raise ConsistencyError(mismatch)
-    return xs
+def side_pairings(left, right, params):
+    """The x-side and the y-side `residue_pairing` over the special points
+    of the partitions of params.ell."""
+    return tuple(residue_pairing(left, right, params, point_family(make_point, params))
+                 for make_point in (x_point, y_point))
 
 
 MISMATCH = "x- and y-side residue sums disagree; f*g is not admissible"
 
 
-def scalar_product(f, g, params, ell):
-    """<f, g> against the rational kernel, with the (-1)^ell y-side
+def gram_matrix(left, right, params):
+    """The x-side pairing of two families.  The y side checks every entry
+    against (-1)^ell times the x side and raises ConsistencyError on any
+    difference, which flags an inadmissible product rather than a bug
+    downstream.
+    """
+    xs, ys = side_pairings(left, right, params)
+    sign = (-params.field.one) ** params.ell
+    for x_row, y_row in zip(xs, ys):
+        if any(x != sign * y for x, y in zip(x_row, y_row)):
+            raise ConsistencyError(MISMATCH)
+    return xs
+
+
+def scalar_product(f, g, params):
+    """<f, g> against the parameters' kernel, with the (-1)^ell y-side
     self-check."""
-    return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], ell, kernel_residue,
-                       params, MISMATCH)[0][0]
+    return gram_matrix(lambda t: [f(t)], lambda t: [g(t)], params)[0][0]
 
 
-def gram_pp(params):
-    """The matrix [<P'_lam, P_mu>] over all partitions, in enumeration order."""
+def weight_gram(params):
+    """The matrix [<W'_lam, W_mu>] of the parameters' weights (P over Q,
+    Xi over the theta kernel) over all partitions, in enumeration order."""
     parts = enumerate_partitions(params.ell, params.n)
     return gram_matrix(lambda t: weights(parts, t, params, primed=True),
-                       lambda t: weights(parts, t, params),
-                       params.ell, kernel_residue, params, MISMATCH)
+                       lambda t: weights(parts, t, params), params)
 
 
 def special_values(table, params):
     """[[lam's value at x |> kap for kap] for lam] over the partitions of
     params.ell in enumeration order, from one call table(parts, x |> kap,
     params) per point."""
-    pts = point_family(x_point, params, params.ell)
+    pts = point_family(x_point, params)
     parts = enumerate_partitions(params.ell, params.n)
     return transpose([table(parts, pt.coords, params) for pt in pts])
 
@@ -292,7 +265,7 @@ def verify_pp(cfg):
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        gram = gram_pp(params)
+        gram = weight_gram(params)
         residual = []
         for r, lam in enumerate(parts):
             inv_norm = fld.one / norm_n(lam, params)
@@ -317,7 +290,7 @@ def verify_mn(cfg):
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         parts = enumerate_partitions(cfg.ell, cfg.n)
-        pts = point_family(x_point, params, cfg.ell)
+        pts = point_family(x_point, params)
         a, _, b = transition_matrix(q_monomials, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
@@ -329,7 +302,7 @@ def verify_mn(cfg):
         gram = residue_pairing(
             q_at.__getitem__,
             lambda t: [w * nl for w, nl in zip(weights(parts, t, params, True), norms)],
-            params, pts, kernel_residue)
+            params, pts)
         residual = mat_mul(gram, a)
         for mu, row in enumerate(residual):
             row[mu] = row[mu] - fld.one
@@ -391,11 +364,8 @@ def verify_resi(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         sweep = admissible_exponent_tuples(cfg.ell, cfg.n)
 
-        xs, ys = (residue_pairing(lambda t: monomials(sweep, t, fld.one),
-                                  lambda t: [fld.one], params,
-                                  point_family(make_point, params, cfg.ell),
-                                  kernel_residue)
-                  for make_point in (x_point, y_point))
+        xs, ys = side_pairings(lambda t: monomials(sweep, t, fld.one),
+                               lambda t: [fld.one], params)
         findings, spurious = [], []
         ok = True
         for exps, (x,), (y,) in zip(sweep, xs, ys):

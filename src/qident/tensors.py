@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DepthOverflowError
+from .errors import DepthOverflowError, UsageError
 from .exactnum import canonical_ints, field_of, ints_over_den, modulus, scalar_of
 
 
@@ -78,8 +78,11 @@ class TensorVector:
         return self.with_ints({k: v * x for k, v in self.num.items()}, self.den * d)
 
     def _combine(self, other, sign):
-        for key in other.num:
-            self.check_key(key)
+        # every stored key has passed the cap check, so equal caps suffice
+        if (self.mod, self.nslots, self.cap, self.total_cap) != \
+                (other.mod, other.nslots, other.cap, other.total_cap):
+            raise UsageError("combining tensor vectors of different fields, slot "
+                             "counts or depth caps")
         den = math.lcm(self.den, other.den)
         sa, sb = den // self.den, sign * (den // other.den)
         num = {k: v * sa for k, v in self.num.items()}

@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from qident.cli import run_one
 from qident.exactnum import QQ, Sampler, SamplerConfig, theta, triple_pochhammer_p
-from qident.elliptic import norm_d, omega_residue, sample_ell_params, xi_weight
-from qident.partitions import Partition, x_point, y_point
+from qident.elliptic import norm_d, sample_ell_params, xi_weight
+from qident.partitions import Partition
 from qident.reporting import RunConfig
-from qident.residues import point_family, residue_pairing
+from qident.residues import side_pairings
 
 from test_exactnum import theta_reduced
 
@@ -119,9 +119,7 @@ def test_criterion_07_elliptic_biorthogonality():
     lam = Partition((1,), 1)
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
-    xs, ys = (residue_pairing(lambda t: [f(t)], lambda t: [g(t)], p,
-                              point_family(make_point, p, 1), omega_residue)[0][0]
-              for make_point in (x_point, y_point))
+    xs, ys = (m[0][0] for m in side_pairings(lambda t: [f(t)], lambda t: [g(t)], p))
     ok = ok and (xs + ys).is_zero() and (xs - norm_d(lam, p).inverse()).is_zero()
     report_line(7, ok, "theta-weight Gram equals diag(1/D) to order 6; "
                 "residue-sum sign relation holds")

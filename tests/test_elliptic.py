@@ -7,12 +7,12 @@ from qident.cli import validate
 from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig, theta, triple_pochhammer_p
 from qident.linalg import mat_det
-from qident.partitions import Partition, binom, enumerate_partitions, x_point, y_point
+from qident.partitions import Partition, binom, enumerate_partitions, x_point
 from qident.reporting import RunConfig
-from qident.residues import point_family, residue_pairing, transition_matrix
+from qident.residues import side_pairings, transition_matrix, weight_gram
 from qident.elliptic import (
     EllParams, c_coeff_ell, d_lattice,
-    detae_rhs_nokappa, dett_rhs_nokappa, gram_xx, idp2_value, norm_d,
+    detae_rhs_nokappa, dett_rhs_nokappa, idp2_value, norm_d,
     omega_residue, sample_ell_params, sample_t,
     theta_lambda, theta_lambdas, vartheta, verify_detprod, verify_idp, verify_xt,
     verify_xx, xi_weight)
@@ -142,19 +142,17 @@ def test_idp_identities():
 def test_gram_xx_and_res_sign():
     p = params_for(1, 1, seed=21)
     lam = Partition((1,), 1)
-    gram = gram_xx(p)
+    gram = weight_gram(p)
     assert (gram[0][0] - norm_d(lam, p).inverse()).is_zero()
 
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
-    xs, ys = (residue_pairing(lambda t: [f(t)], lambda t: [g(t)], p,
-                              point_family(make_point, p, 1), omega_residue)[0][0]
-              for make_point in (x_point, y_point))
+    xs, ys = (m[0][0] for m in side_pairings(lambda t: [f(t)], lambda t: [g(t)], p))
     assert (xs + ys).is_zero()  # (-1)^ell with ell = 1
 
     p12 = params_for(1, 2, seed=22)
     parts = enumerate_partitions(1, 2)
-    gram12 = gram_xx(p12)
+    gram12 = weight_gram(p12)
     for r, lamr in enumerate(parts):
         for c in range(len(parts)):
             expect = norm_d(lamr, p12).inverse() if r == c else p12.zero

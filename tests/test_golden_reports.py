@@ -14,7 +14,10 @@ pinned in `PINNED_FRONTIER`, recorded from the `Fraction` and
 `PrimeScalar` elimination that `linalg` ran before its bare-integer
 paths.  Tensor checks at sizes no workload reaches, and mutated ones, are
 pinned in `PINNED_TENSOR`, recorded from the operator sweep that applied
-each entry to whole vectors, before the per-trial basis-image table."""
+each entry to whole vectors, before the per-trial basis-image table.
+Residue sums at sizes no workload reaches are pinned in `PINNED_RESIDUE`,
+recorded from the step-by-step pole cancellation and the separate theta
+residue that one kernel residue for both layers replaced."""
 
 import os
 import sys
@@ -200,3 +203,34 @@ def test_tensor_report_matches_pinned_digest(check, field, mutate):
                                **TENSOR_SIZES[check, mutate]))
     assert report.verdict == (FALSIFIED if mutate else VERIFIED)
     assert digest(report) == PINNED_TENSOR[check, field, mutate]
+
+
+# (check, field) -> (digest, length) of one trial at seed 1 at RESIDUE_SIZES
+RESIDUE_SIZES = {"pp": dict(ell=5, n=4), "mn": dict(ell=4, n=4), "resI": dict(ell=4, n=3),
+                 "xx": dict(ell=3, n=3, k=6)}
+PINNED_RESIDUE = {
+    ("mn", "prime"):
+        ("9920d7f4ee5bd584cf52426bcfc9b59cdc64d0762f6d37df80bbdb8bff867174", 852),
+    ("mn", "rational"):
+        ("60507467cd8dee0f6d7ba191c11af7a4e3037accbe54886ef777b4f5b7e967d7", 729),
+    ("pp", "prime"):
+        ("8b1a2bf1082b1727a1b16ad783c91a0dbf2554a20e80a91a585a4d6a846ab3e9", 825),
+    ("pp", "rational"):
+        ("0811f9f9cef777d8aa45b224c329d59c4307f655bd33c96e4929ff90626f849f", 702),
+    ("resI", "prime"):
+        ("2b9de8e556338a73f790920d78bdd9c4a10a4f18d63a87bbad177b3b3c67434b", 3921),
+    ("resI", "rational"):
+        ("cb5d8ea5ab8d88d68cf6c63d6fc01bb5dec99cdf702c74be6055a0067347c938", 3796),
+    ("xx", "prime"):
+        ("2488bad8fb3a559abe04c0f23fb2f9b9b929ac262251240d4dcd7f1b5c32aab0", 856),
+    ("xx", "rational"):
+        ("c47b948c41db6ffa02460be7832b373c596201f9ae08e76373fa3a3d9e2038af", 733),
+}
+
+
+@pytest.mark.parametrize("check, field", sorted(PINNED_RESIDUE))
+def test_residue_report_matches_pinned_digest(check, field):
+    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field,
+                               **RESIDUE_SIZES[check]))
+    assert report.verdict == VERIFIED
+    assert digest(report) == PINNED_RESIDUE[check, field]

@@ -1,25 +1,26 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from qident.elliptic import (
-    gram_xx, omega_residue, sample_ell_params, scalar_product_omega, xi_weight)
+from qident.elliptic import sample_ell_params, scalar_product_omega, xi_weight
 from qident.errors import ConsistencyError, DegenerateInputError, PoleOrderError
 from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
 from qident.linalg import mat_det, mat_mul
-from qident.partitions import Partition, enumerate_partitions, kappa, x_point, y_point
+from qident.partitions import (
+    EvalPoint, Partition, enumerate_partitions, kappa, x_point, y_point)
 from qident.polyweights import (
     PolyParams, monomial_symmetric, norm_n, q_monomials, sample_poly_params, weight)
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
-    admissible_exponent_tuples, d_exponent, deta_rhs, detq_rhs, gram_pp, kernel_residue,
-    kernel_residue_parts, point_family, residue_pairing, scalar_product, special_values,
-    transition_matrix,
-    verify_det, verify_mn, verify_pp, verify_resi)
+    admissible_exponent_tuples, cancel_poles, d_exponent, deta_rhs, detq_rhs,
+    kernel_residue, kernel_residue_parts, point_family, scalar_product, side_pairings,
+    special_values, transition_matrix, verify_det, verify_mn, verify_pp, verify_resi,
+    weight_gram)
 
 
 def params_for(ell, n, seed=2, constrain=None):
@@ -119,6 +120,72 @@ def linear_kernel_residue_oracle(params, point, plan=None):
     return scale_inv, nval, dval
 
 
+# ---------------------------------------------------------------------------
+# oracle: `cancel_poles` by substitution, one variable per step, over the
+# factors phi(c t_i/t_j) of the kernel, testing every factor at every step
+# ---------------------------------------------------------------------------
+
+class KernelFactor:
+    """phi(c * t_i / t_j) with scalar c; either variable slot may be absent
+    or already substituted.  The factor vanishes at a substitution exactly
+    when its argument becomes 1."""
+
+    def __init__(self, i, j, c, tag):
+        self.i, self.j, self.c, self.tag = i, j, c, tag
+
+    def substitute(self, a, value):
+        if self.i == a:
+            self.c = self.c * value
+            self.i = None
+        if self.j == a:
+            self.c = self.c / value
+            self.j = None
+
+    def vanishes_at(self, a, value, one):
+        if self.i == a and self.j is None:
+            return self.c * value == one
+        if self.j == a and self.i is None:
+            return self.c / value == one
+        return False
+
+
+def stepwise_cancel_poles(params, point):
+    """(sign, numerator arguments, denominator arguments) as `cancel_poles`
+    returns them, with the same PoleOrderError messages: the factors of
+    Omega are substituted one variable at a time, last variable first."""
+    one = params.field.one
+    numer, denom = [], []
+    for a in range(point.ell):
+        for m in range(params.n):
+            numer.append(KernelFactor(a, None, one / params.x[m], ("x", a, m + 1)))
+            numer.append(KernelFactor(a, None, one / params.y[m], ("y", a, m + 1)))
+    for i in range(point.ell):
+        for j in range(point.ell):
+            if i != j:
+                numer.append(KernelFactor(i, j, params.eta, ("pair", i, j)))
+                denom.append(KernelFactor(i, j, one, ("den", i, j)))
+    sign = one
+    for a in reversed(range(point.ell)):
+        c = point.coords[a]
+        hits = [f for f in numer if f.vanishes_at(a, c, one)]
+        if len(hits) != 1:
+            raise PoleOrderError(
+                "step t_%d -> %s: %d vanishing numerator factors (need exactly 1)"
+                % (a + 1, c, len(hits)))
+        bad = [f for f in denom if f.vanishes_at(a, c, one)]
+        if bad:
+            raise PoleOrderError(
+                "step t_%d -> %s: denominator factor %r vanishes"
+                % (a + 1, c, bad[0].tag))
+        f = hits[0]
+        if f.i == a:
+            sign = -sign
+        numer.remove(f)
+        for g in numer + denom:
+            g.substitute(a, c)
+    return sign, [g.c for g in numer], [g.c for g in denom]
+
+
 def m_kappa(params, lam):
     """Oracle: M at the special point of lam, the reciprocal of the kernel
     residue, as the planned product of `linear_kernel_residue_oracle`, so
@@ -160,7 +227,7 @@ FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
 @settings(max_examples=60, deadline=None)
 def test_kernel_residue_parts_matches_linear_oracle(fld, ell, n, seed, make_point, planned):
     p = sample_poly_params(Sampler(SamplerConfig(seed), fld), ell, n)
-    for pt in point_family(make_point, p, ell):
+    for pt in point_family(make_point, p):
         s, nv, dv = kernel_residue_parts(p, pt)
         o_s, o_n, o_d = linear_kernel_residue_oracle(
             p, pt, plan=cancellation_plan(pt) if planned else None)
@@ -171,6 +238,48 @@ def test_kernel_residue_parts_matches_linear_oracle(fld, ell, n, seed, make_poin
             assert dv / (nv * s) == o_d / (o_n * o_s)
 
 
+def cancellation_outcome(cancel, params, point):
+    """(sign, numerator multiset, denominator multiset), or the
+    PoleOrderError message."""
+    try:
+        sign, numer, denom = cancel(params, point)
+    except PoleOrderError as exc:
+        return str(exc)
+    return sign, Counter(numer), Counter(denom)
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 3), st.integers(1, 5),
+       st.sampled_from([x_point, y_point]), st.data())
+@settings(max_examples=80, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_cancel_poles_matches_stepwise_oracle(fld, ell, n, seed, make_point, data):
+    # at sampled parameters, and at engineered collisions x_1 = x_2 and
+    # x_j = eta^s y_i that leave a double pole or a vanishing denominator
+    p = sample_poly_params(Sampler(SamplerConfig(seed), fld), ell, n)
+    x = list(p.x)
+    collision = data.draw(st.sampled_from(["none", "x1=x2", "x=eta^s y"]))
+    if collision == "x1=x2" and n >= 2:
+        x[1] = x[0]
+    elif collision == "x=eta^s y":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        x[j] = p.eta ** data.draw(st.integers(-ell, ell)) * p.y[i]
+    p = PolyParams(x, p.y, p.eta, ell, n, fld)
+    for pt in point_family(make_point, p):
+        assert cancellation_outcome(cancel_poles, p, pt) \
+            == cancellation_outcome(stepwise_cancel_poles, p, pt)
+
+
+@pytest.mark.parametrize("fld", FIELDS)
+def test_cancel_poles_rejects_a_repeated_coordinate_as_the_oracle_does(fld):
+    # t_1 = t_2 = x_1: each step has one vanishing numerator factor, and
+    # the step of t_1 then meets the denominator phi(t_1/t_2) = phi(1)
+    p = sample_poly_params(Sampler(SamplerConfig(3), fld), 2, 1)
+    pt = EvalPoint((p.x[0], p.x[0]), "x", Partition((1, 1), 1))
+    message = cancellation_outcome(cancel_poles, p, pt)
+    assert message == cancellation_outcome(stepwise_cancel_poles, p, pt)
+    assert message == "step t_1 -> %s: denominator factor ('den', 0, 1) vanishes" % p.x[0]
+
+
 @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
        st.sampled_from([x_point, y_point]))
 @settings(max_examples=30, deadline=None)
@@ -178,11 +287,12 @@ def test_theta_residue_reduces_to_rational_residue_at_p0(fld, ell, n, seed, make
     # theta(z; 0) = 1 - z, so the constant term of Res 1/Omega is
     # prod_m (x_m y_m)^ell times Res 1/S at the same parameters
     p = sample_ell_params(Sampler(SamplerConfig(seed), fld), ell, n, 2)
+    rational = PolyParams(p.x, p.y, p.eta, ell, n, fld)
     scale = fld.one
     for xm, ym in zip(p.x, p.y):
         scale = scale * (xm * ym) ** ell
-    for pt in point_family(make_point, p, ell):
-        assert omega_residue(p, pt).coeffs[0] == scale * kernel_residue(p, pt)
+    for pt in point_family(make_point, p):
+        assert kernel_residue(p, pt).coeffs[0] == scale * kernel_residue(rational, pt)
 
 
 def test_single_pole_residue_by_hand():
@@ -203,13 +313,13 @@ def test_smallest_biorthogonality_cases():
     lam = Partition((1,), 1)
     f = lambda t: weight(lam, t, p, primed=True)
     g = lambda t: weight(lam, t, p)
-    assert scalar_product(f, g, p, 1) == 1 / (p.x[0] - p.y[0])
-    assert scalar_product(f, g, p, 1) == 1 / norm_n(lam, p)
+    assert scalar_product(f, g, p) == 1 / (p.x[0] - p.y[0])
+    assert scalar_product(f, g, p) == 1 / norm_n(lam, p)
 
     p2 = params_for(1, 2)
     f1 = lambda t: weight(Partition((1,), 2), t, p2, primed=True)
     g2 = lambda t: weight(Partition((2,), 2), t, p2)
-    assert scalar_product(f1, g2, p2, 1) == 0
+    assert scalar_product(f1, g2, p2) == 0
 
 
 def test_pole_order_error_on_engineered_collision():
@@ -223,7 +333,7 @@ def test_gram_pp_is_diagonal_of_inverse_norms():
     for (ell, n) in [(1, 1), (2, 2), (2, 3)]:
         p = params_for(ell, n, seed=ell * 10 + n)
         parts = enumerate_partitions(ell, n)
-        gram = gram_pp(p)
+        gram = weight_gram(p)
         for r, lam in enumerate(parts):
             for c in range(len(parts)):
                 expect = 1 / norm_n(lam, p) if r == c else QQ.zero
@@ -237,10 +347,7 @@ def test_resi_agreement_exactly_on_divisible_bounded_monomials():
         p = params_for(ell, n, seed=50 + 10 * ell + n)
         for exps in admissible_exponent_tuples(ell, n):
             g = lambda t, e=exps: monomial_symmetric(e, t, QQ.one, QQ.zero)
-            xs, ys = (residue_pairing(lambda t: [QQ.one], lambda t: [g(t)], p,
-                                      point_family(make_point, p, ell),
-                                      kernel_residue)[0][0]
-                      for make_point in (x_point, y_point))
+            xs, ys = (m[0][0] for m in side_pairings(lambda t: [QQ.one], lambda t: [g(t)], p))
             assert (xs == (-QQ.one) ** ell * ys) == (min(exps) >= 1)
 
 
@@ -248,7 +355,7 @@ def test_scalar_product_flags_inadmissible_input():
     p = params_for(1, 1, seed=61)
     g = lambda t: t[0] ** 2  # degree 2n = 2 violates the bound
     with pytest.raises(ConsistencyError):
-        scalar_product(one_fn, g, p, 1)
+        scalar_product(one_fn, g, p)
 
 
 def test_transition_matrix_small_case():
@@ -368,7 +475,7 @@ def test_scalar_product_agrees_with_m_product_assembly():
             for mu in parts:
                 f = lambda t: weight(lam, t, p, primed=True)
                 g = lambda t: weight(mu, t, p)
-                direct = scalar_product(f, g, p, ell)
+                direct = scalar_product(f, g, p)
                 assembled = QQ.zero
                 for kap in parts:
                     pt = x_point(kap, p)
@@ -394,18 +501,18 @@ def test_gram_entries_are_scalar_products(fld, ell, n, seed, k):
     # one pairing: each Gram entry is the one-member pairing of its weights
     parts = enumerate_partitions(ell, n)
     p = sample_poly_params(Sampler(SamplerConfig(seed), fld), ell, n)
-    gram = gram_pp(p)
+    gram = weight_gram(p)
     for r, lam in enumerate(parts):
         for c, mu in enumerate(parts):
             assert gram[r][c] == scalar_product(
-                lambda t: weight(lam, t, p, primed=True), lambda t: weight(mu, t, p), p, ell)
+                lambda t: weight(lam, t, p, primed=True), lambda t: weight(mu, t, p), p)
     q = sample_ell_params(Sampler(SamplerConfig(seed), fld), ell, n, k)
-    gram = gram_xx(q)
+    gram = weight_gram(q)
     for r, lam in enumerate(parts):
         for c, mu in enumerate(parts):
             assert gram[r][c] == scalar_product_omega(
                 lambda t: xi_weight(lam, t, q, primed=True), lambda t: xi_weight(mu, t, q),
-                q, ell)
+                q)
 
 
 def test_drivers():

@@ -329,6 +329,30 @@ def test_depth_cap_overflow_is_loud():
         tensor_entry(vec, 1, 2, Fraction(1, 2), mods, wp.q)
 
 
+@pytest.mark.parametrize("fld", [QQ, PrimeField(DEFAULT_PRIME)])
+def test_combining_vectors_checks_caps_once_not_keys(monkeypatch, fld):
+    # every stored key has passed the cap check, so + and - compare the
+    # caps of the two vectors and re-check no key
+    a = TensorVector(fld, 2, 3, 4, {(1, 2): fld.of(3), (0, 0): fld.one})
+    b = TensorVector(fld, 2, 3, 4, {(1, 2): fld.of(2), (3, 1): fld.of(5)})
+    for other in (TensorVector(fld, 2, 4, 4), TensorVector(fld, 2, 3, 5),
+                  TensorVector(fld, 3, 3, 4),
+                  TensorVector(QQ if fld is not QQ else PrimeField(101), 2, 3, 4)):
+        with pytest.raises(UsageError):
+            a + other
+        with pytest.raises(UsageError):
+            other - a
+    checked = []
+    monkeypatch.setattr(TensorVector, "check_key",
+                        lambda self, key: checked.append(key))
+    total, diff = a + b, a - b
+    assert checked == []
+    assert nonzero_items(total) == [((0, 0), fld.one), ((1, 2), fld.of(5)),
+                                    ((3, 1), fld.of(5))]
+    assert nonzero_items(diff) == [((0, 0), fld.one), ((1, 2), fld.one),
+                                   ((3, 1), -fld.of(5))]
+
+
 def test_operator_entries_are_polynomial_of_degree_n_in_u():
     # Lagrange interpolation through n+1 points predicts an (n+2)-nd value
     for n in (2, 3):
