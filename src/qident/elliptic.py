@@ -9,7 +9,9 @@ residues, Gram matrix and transition solve are those of the polynomial
 layer: `EllParams` supplies theta in place of 1 - z, the column Z_m in
 place of X_m and the residue constant ((p; p)^3)^ell in place of
 prod_m (x_m y_m)^ell, and `polyweights.weights` and `residues` do the
-rest.  This module has no residue code of its own.
+rest.  This module has no residue code of its own.  Every infinite
+product here, (p; p)_inf and (p^n; p^n)_inf, is a theta value:
+(p^e; p^e)_inf = theta(p^e; p^(3e)).
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import UsageError
-from .exactnum import (
-    PSeries, pochhammer, pochhammer_p, theta, triple_pochhammer_p)
+from .exactnum import PSeries, theta, triple_pochhammer_p
 from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
@@ -54,9 +55,9 @@ class EllParams(PolyParams):
         constant at 1, the triple Pochhammer (p; p)^3."""
         return self.memo(("kernel_constant", ell), lambda: self.triple_poch ** ell)
 
-    def th(self, arg, e=1):
-        """theta(arg; p^e) truncated, cached for scalar arguments."""
-        return self.memo(("theta", arg, e), lambda: theta(arg, e, self.k))
+    def th(self, arg):
+        """theta(arg; p) truncated, cached for scalar arguments."""
+        return self.memo(("theta", arg), lambda: theta(arg, 1, self.k))
 
     phi = th
 
@@ -68,10 +69,10 @@ class EllParams(PolyParams):
     @cached_property
     def basis_norm(self):
         """(p^n; p^n)_inf^(-1) (p; p)_inf^n, the normalization of every
-        basis function `vartheta`."""
-        fld, k, n = self.field, self.k, self.n
-        pn = PSeries.constant(fld, fld.one, k).shift(n)
-        return pochhammer(pn, n, k).inverse() * pochhammer_p(fld, k) ** n
+        basis function `vartheta`, with (p^e; p^e)_inf = theta(p^e; p^(3e))
+        by Euler's pentagonal number theorem."""
+        one, k, n = self.field.one, self.k, self.n
+        return theta(one, 3 * n, k, n).inverse() * theta(one, 3, k, 1) ** n
 
     def alpha_static(self, m):
         """alpha_m = alpha prod_{j<m} x_j/y_j."""

@@ -8,8 +8,9 @@ fraction-free: integer numerators over one common denominator over QQ, raw
 residues over GF(p), turned into field scalars only at the report boundary
 (`PSeries.coeffs`).  `ints_over_den` and `scalar_of` are the one conversion
 path between field scalars and that form, shared with the tensor vectors
-of `tensors`.  The q-Pochhammer factors are finite truncated products
-and theta is a finite truncated sum (the Jacobi triple product), so no
+of `tensors`.  Theta is a finite truncated sum (the Jacobi triple
+product), and so is every q-Pochhammer constant: (p^e; p^e)_inf is theta
+at p^e with nome p^(3e) (Euler's pentagonal number theorem), so no
 convergence questions ever arise.
 """
 
@@ -237,15 +238,7 @@ def field_of(x):
         return PrimeField(x.p)
     if isinstance(x, (int, Fraction)):
         return QQ
-    if isinstance(x, PSeries):
-        return x.field
     raise UsageError("not an exact scalar: %r" % (x,))
-
-
-def scalar_str(x):
-    if isinstance(x, PSeries):
-        return x.coeff_strings()
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +326,6 @@ class PSeries:
     @classmethod
     def constant(cls, fld, value, order):
         return cls(fld, [value], order)
-
-    @classmethod
-    def nome(cls, fld, order):
-        """The series p itself."""
-        return cls(fld, [0, 1], order)
 
     @property
     def coeffs(self):
@@ -453,12 +441,6 @@ class PSeries:
             out = out * base
         return out
 
-    def shift(self, m):
-        """Multiply by p^m (truncating)."""
-        if m < 0:
-            raise UsageError("negative shift would leave the power series ring")
-        return self._new(([0] * m + self.num)[: self.order + 1], self.den)
-
     def is_zero(self):
         return not any(self.num)
 
@@ -484,33 +466,6 @@ class PSeries:
                 terms.append("%s*p^%d" % (c, i) if i else str(c))
         body = " + ".join(terms) if terms else "0"
         return "PSeries(%s; mod p^%d)" % (body, self.order + 1)
-
-
-def _as_series(u, order):
-    if isinstance(u, PSeries):
-        if u.order != order:
-            raise UsageError("series argument has order %d, expected %d" % (u.order, order))
-        return u
-    return PSeries.constant(field_of(u), u, order)
-
-
-def pochhammer(u, e, order):
-    """Truncation of (u; p^e)_inf = prod_{s>=0} (1 - p^{es} u) mod p^(order+1).
-
-    Keeps the s = 0 factor and every factor with e*s <= order; all later
-    factors are congruent to 1.
-    """
-    if e < 1:
-        raise UsageError("pochhammer step must be a positive integer")
-    us = _as_series(u, order)
-    fld = us.field
-    one = PSeries.constant(fld, fld.one, order)
-    out = one - us
-    s = 1
-    while e * s <= order:
-        out = out * (one - us.shift(e * s))
-        s += 1
-    return out
 
 
 def theta(c, e, order, v=0):
@@ -563,14 +518,10 @@ def theta(c, e, order, v=0):
     return PSeries._from_ints(fld, num, am // a * bm, order)
 
 
-def pochhammer_p(fld, order):
-    """(p; p)_inf truncated."""
-    return pochhammer(PSeries.nome(fld, order), 1, order)
-
-
 def triple_pochhammer_p(fld, order):
-    """((p; p)_inf)^3, the derivative constant behind every theta residue."""
-    q = pochhammer_p(fld, order)
+    """((p; p)_inf)^3, the derivative constant behind every theta residue;
+    (p; p)_inf = theta(p; p^3) by Euler's pentagonal number theorem."""
+    q = theta(fld.one, 3, order, 1)
     return q * q * q
 
 

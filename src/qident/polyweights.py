@@ -23,7 +23,7 @@ import math
 from collections import Counter
 
 from .errors import DegenerateInputError, UsageError
-from .exactnum import PSeries, field_of, ints_over_den, modulus, scalar_of, scalar_str
+from .exactnum import PSeries, field_of, ints_over_den, modulus, scalar_of
 from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
 from .reporting import run_trials
 
@@ -387,7 +387,7 @@ def verify_jing(cfg):
         eta = sampler.draw((eta_constraint(fld.one, cfg.ell),), "eta")
         t = sample_t(sampler, cfg.ell)
         val = jing_value(eta, t, fld.one, fld.zero, mutate=cfg.mutate)
-        return scalar_str(val), val == fld.zero, []
+        return str(val), val == fld.zero, []
 
     return run_trials(cfg, ["eta^s != 1 for s = 1..ell", "t pairwise distinct"], trial)
 
@@ -404,7 +404,7 @@ def verify_id(cfg):
             val = window_value(params, t, cfg.i, cfg.j, c_coeff, cfg.mutate)
         else:
             val = id2_value(params, t, cfg.j, mutate=cfg.mutate)
-        return scalar_str(val), val == fld.zero, []
+        return str(val), val == fld.zero, []
 
     desc = ["eta^s != 1 for s = 1..ell", "x,y nonzero pairwise distinct",
             "t pairwise distinct"]

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from .errors import (
     ConsistencyError, DegenerateInputError, NonInvertibleError, PoleOrderError)
-from .exactnum import scalar_str
 from .linalg import mat_det, mat_mul, mat_solve, transpose
 from .partitions import binom, enumerate_partitions, x_point, y_point
 from .polyweights import monomials, norm_n, q_monomials, sample_poly_params, weights
@@ -254,7 +253,7 @@ def _fmt_residual_matrix(mat, zero):
     for r, row in enumerate(mat):
         for c, v in enumerate(row):
             if v != zero:
-                out.append("[%d,%d]=%s" % (r, c, scalar_str(v)))
+                out.append("[%d,%d]=%s" % (r, c, v))
     return out
 
 
@@ -332,7 +331,7 @@ def verify_det(cfg):
         if cfg.mutate:
             rhs = rhs * 2
         diff = lhs - rhs
-        return scalar_str(diff), diff == fld.zero, []
+        return str(diff), diff == fld.zero, []
 
     return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct"], trial)
 

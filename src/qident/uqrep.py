@@ -34,7 +34,7 @@ from itertools import product as iproduct
 from .errors import UsageError
 from .exactnum import ints_over_den
 from .partitions import enumerate_partitions
-from .polyweights import PolyParams, weights
+from .polyweights import PolyParams, sample_t, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
 # the one-partition `weight` in this module
 from .polyweights import weight  # noqa: F401
@@ -373,7 +373,7 @@ def verify_kbi(cfg):
 
     def trial(sampler):
         wp = sample_weight_params(sampler, cfg.n)
-        t = tuple(sampler.draw_distinct(cfg.ell, (), "t"))
+        t = sample_t(sampler, cfg.ell)
         mods = modules_of(wp)
         cap = cfg.ell + 2
         residuals = []
@@ -415,7 +415,7 @@ def verify_bc(cfg):
         wp = sample_weight_params(sampler, cfg.n)
         if not cfg.no_constraint:
             wp = impose_resonance(wp, cfg.i, cfg.j, cfg.ell)
-        t = tuple(sampler.draw_distinct(cfg.ell, (), "t"))
+        t = sample_t(sampler, cfg.ell)
         args = bc_strings(cfg, wp)
         if cfg.check == "bc1":
             mods = modules_of(wp)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from qident.errors import (
     DegenerateInputError, NonInvertibleError, SamplingError, UsageError)
 from qident.exactnum import (
-    MR_EXACT_BELOW, PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, _as_series,
-    is_probable_prime, pochhammer, pochhammer_p, theta, to_prime_field, triple_pochhammer_p)
+    MR_EXACT_BELOW, PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, field_of,
+    is_probable_prime, theta, to_prime_field, triple_pochhammer_p)
 from qident.reporting import DEFAULT_PRIME
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -66,6 +66,37 @@ def fraction_series_oracle(op, fld, *args):
     return ops[op](*args)
 
 
+def as_series(u, order):
+    """Test helper: a series as it is, a scalar as the constant series of
+    the given order."""
+    return u if isinstance(u, PSeries) else PSeries.constant(field_of(u), u, order)
+
+
+def nome_power(fld, m, order):
+    """Test helper: the series p^m (zero once m exceeds the order)."""
+    return PSeries(fld, [fld.zero] * m + [fld.one], order)
+
+
+def shifted(series, m):
+    """Test helper: multiply by p^m, truncating."""
+    return PSeries(series.field, [series.field.zero] * m + series.coeffs, series.order)
+
+
+def pochhammer_oracle(u, e, order):
+    """Test oracle for the q-Pochhammer constants that `theta` computes:
+    the truncated product (u; p^e)_inf = prod_{s>=0} (1 - p^(es) u)
+    mod p^(order+1), factor by factor.  Keeps the s = 0 factor and every
+    factor with e*s <= order; all later factors are congruent to 1."""
+    us = as_series(u, order)
+    one = PSeries.constant(us.field, us.field.one, order)
+    out = one - us
+    s = 1
+    while e * s <= order:
+        out = out * (one - shifted(us, e * s))
+        s += 1
+    return out
+
+
 def valuation(series):
     """Test helper: the index of a series' first nonzero coefficient, or
     None for the zero series."""
@@ -86,7 +117,7 @@ def theta_reduced(u, order):
     cancelled symbolically, (pu; p)_inf (p u^{-1}; p)_inf (p; p)_inf.
     Regular at u = 1, where it equals ((p; p)_inf)^3.
     """
-    us = _as_series(u, order)
+    us = as_series(u, order)
     fld = us.field
     one = PSeries.constant(fld, fld.one, order)
     val = valuation(us)
@@ -97,9 +128,9 @@ def theta_reduced(u, order):
     u_inv = us.inverse()
     out = one
     for s in range(1, order + 1):
-        out = out * (one - us.shift(s))
-        out = out * (one - u_inv.shift(s))
-        out = out * (one - PSeries.nome(fld, order).shift(s - 1))
+        out = out * (one - shifted(us, s))
+        out = out * (one - shifted(u_inv, s))
+        out = out * (one - nome_power(fld, s, order))
     return out
 
 
@@ -107,13 +138,13 @@ def theta_product_oracle(u, e, order):
     """Test oracle for `theta`: the defining truncated product
     (u; p^e)_inf (p^e u^{-1}; p^e)_inf (p^e; p^e)_inf, factor by factor.
     Accepts a scalar or a series argument of valuation at most e."""
-    us = _as_series(u, order)
+    us = as_series(u, order)
     fld = us.field
     one = PSeries.constant(fld, fld.one, order)
     val = valuation(us)
     if val is None:
         raise DegenerateInputError("theta of the zero series is undefined")
-    out = pochhammer(us, e, order)
+    out = pochhammer_oracle(us, e, order)
     # reciprocal factors 1 - p^{es}/u = 1 - p^{es-val} * w^{-1}, u = p^val w
     if e * 1 <= order + val:
         if val > e:
@@ -122,11 +153,11 @@ def theta_product_oracle(u, e, order):
         w_inv = shifted_down(us, val).inverse()
         s = 1
         while e * s - val <= order:
-            out = out * (one - w_inv.shift(e * s - val))
+            out = out * (one - shifted(w_inv, e * s - val))
             s += 1
     s = 1
     while e * s <= order:
-        out = out * (one - PSeries.nome(fld, order).shift(e * s - 1))
+        out = out * (one - nome_power(fld, e * s, order))
         s += 1
     return out
 
@@ -205,9 +236,9 @@ def test_prime_sampler_never_draws_zero():
 
 def test_pochhammer_examples():
     u = Fraction(5, 3)
-    assert pochhammer(u, 1, 0) == const(1, 0) - const(u, 0)
-    assert pochhammer(Fraction(0), 1, 3) == const(1, 3)
-    got = pochhammer(Fraction(2), 1, 1)
+    assert pochhammer_oracle(u, 1, 0) == const(1, 0) - const(u, 0)
+    assert pochhammer_oracle(Fraction(0), 1, 3) == const(1, 3)
+    got = pochhammer_oracle(Fraction(2), 1, 1)
     assert got.coeffs == [Fraction(-1), Fraction(2)]
 
 
@@ -302,7 +333,7 @@ def test_series_division_inverts_multiplication(a, b):
 
 def test_series_division_requires_invertible_constant_term():
     with pytest.raises(NonInvertibleError):
-        PSeries.nome(QQ, 3).inverse()
+        nome_power(QQ, 1, 3).inverse()
 
 
 def assert_canonical(s):
@@ -373,8 +404,19 @@ def test_pochhammer_p_matches_direct_product():
     k = 5
     direct = PSeries.constant(QQ, 1, k)
     for s in range(1, k + 1):
-        direct = direct * (PSeries.constant(QQ, 1, k) - PSeries.nome(QQ, k).shift(s - 1))
-    assert pochhammer_p(QQ, k) == direct
+        direct = direct * (PSeries.constant(QQ, 1, k) - nome_power(QQ, s, k))
+    assert pochhammer_oracle(nome_power(QQ, 1, k), 1, k) == direct
+    assert theta(QQ.one, 3, k, 1) == direct
+    assert triple_pochhammer_p(QQ, k) == direct * direct * direct
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(DEFAULT_PRIME), PrimeField(7)], ids=str)
+def test_euler_products_are_theta_values(fld):
+    # (p^e; p^e)_inf = theta(p^e; p^(3e)) (Euler's pentagonal number theorem)
+    for e in range(1, 6):
+        for order in range(31):
+            want = pochhammer_oracle(nome_power(fld, e, order), e, order)
+            assert theta(fld.one, 3 * e, order, e) == want
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ pinned in `PINNED_TENSOR`, recorded from the operator sweep that applied
 each entry to whole vectors, before the per-trial basis-image table.
 Residue sums at sizes no workload reaches are pinned in `PINNED_RESIDUE`,
 recorded from the step-by-step pole cancellation and the separate theta
-residue that one kernel residue for both layers replaced."""
+residue that one kernel residue for both layers replaced.  Mutated `xx`
+and `xt` reports print every series coefficient, so those in
+`PINNED_SERIES` pin (p; p)^3 and (p^5; p^5)_inf themselves; they were
+recorded from the truncated q-Pochhammer products that theta values
+replaced."""
 
 import os
 import sys
@@ -85,62 +89,33 @@ PINNED_FRONTIER = {
 }
 
 
-def replay(mix, index, seed=1):
-    cfg, expect = MANIFESTS[mix, seed][index]
-    report = run_one(cfg)
-    assert report.verdict == expect
-    golden = GOLDENS[mix, seed][index]
-    pinned = PINNED.get((mix, seed, index))
-    if pinned is None:
-        assert digest(report)[0] == golden
-    else:
-        assert golden is None and digest(report) == pinned
+def replay_test(mix, seed):
+    """The replay test of one (mix, seed) of RUNS, parametrized over the
+    manifest's entries: each has a golden digest, except the PINNED ones."""
+
+    @pytest.mark.parametrize("index", range(len(MANIFESTS[mix, seed])))
+    def test(index):
+        cfg, expect = MANIFESTS[mix, seed][index]
+        report = run_one(cfg)
+        assert report.verdict == expect
+        golden = GOLDENS[mix, seed][index]
+        pinned = PINNED.get((mix, seed, index))
+        if pinned is None:
+            assert golden is not None and digest(report)[0] == golden
+        else:
+            assert golden is None and digest(report) == pinned
+    return test
 
 
-@pytest.mark.parametrize("index", range(len(MANIFESTS["poly", 1])))
-def test_poly_report_matches_golden_digest(index):
-    assert GOLDENS["poly", 1][index] is not None
-    replay("poly", index)
-
-
-@pytest.mark.parametrize("index", range(len(MANIFESTS["elliptic", 1])))
-def test_elliptic_report_matches_golden_digest(index):
-    assert GOLDENS["elliptic", 1][index] is not None
-    replay("elliptic", index)
-
-
-@pytest.mark.parametrize("index", range(len(MANIFESTS["uq", 1])))
-def test_uq_report_matches_golden_digest(index):
-    replay("uq", index)
-
-
-@pytest.mark.parametrize("index", range(len(MANIFESTS["prime", 1])))
-def test_prime_report_matches_golden_digest(index):
-    assert GOLDENS["prime", 1][index] is not None
-    replay("prime", index)
-
-
-@pytest.mark.parametrize("index", range(len(MANIFESTS["poly", 2])))
-def test_poly_seed_2_report_matches_golden_digest(index):
-    assert GOLDENS["poly", 2][index] is not None
-    replay("poly", index, seed=2)
-
-
-@pytest.mark.parametrize("index", range(len(MANIFESTS["uq", 2])))
-def test_uq_seed_2_report_matches_golden_digest(index):
-    replay("uq", index, seed=2)
-
-
-@pytest.mark.parametrize("index", range(len(MANIFESTS["elliptic", 2])))
-def test_elliptic_seed_2_report_matches_golden_digest(index):
-    assert GOLDENS["elliptic", 2][index] is not None
-    replay("elliptic", index, seed=2)
-
-
-@pytest.mark.parametrize("index", range(len(MANIFESTS["prime", 2])))
-def test_prime_seed_2_report_matches_golden_digest(index):
-    assert GOLDENS["prime", 2][index] is not None
-    replay("prime", index, seed=2)
+# one body for every run, bound under the test ids the replays have always had
+test_poly_report_matches_golden_digest = replay_test("poly", 1)
+test_elliptic_report_matches_golden_digest = replay_test("elliptic", 1)
+test_uq_report_matches_golden_digest = replay_test("uq", 1)
+test_prime_report_matches_golden_digest = replay_test("prime", 1)
+test_poly_seed_2_report_matches_golden_digest = replay_test("poly", 2)
+test_elliptic_seed_2_report_matches_golden_digest = replay_test("elliptic", 2)
+test_uq_seed_2_report_matches_golden_digest = replay_test("uq", 2)
+test_prime_seed_2_report_matches_golden_digest = replay_test("prime", 2)
 
 
 @pytest.mark.parametrize("check, field, seed", sorted(PINNED_MUTATED))
@@ -234,3 +209,26 @@ def test_residue_report_matches_pinned_digest(check, field):
                                **RESIDUE_SIZES[check]))
     assert report.verdict == VERIFIED
     assert digest(report) == PINNED_RESIDUE[check, field]
+
+
+# (check, field) -> (digest, length) of one mutated trial at seed 1 at
+# SERIES_SIZES
+SERIES_SIZES = {"xx": dict(ell=2, n=3, k=20), "xt": dict(ell=1, n=5, k=16)}
+PINNED_SERIES = {
+    ("xt", "prime"):
+        ("f1cb1d16d3ba3fd6c45dda18bd9353c4ab64ac5ffb648bde1a202ec420455cc3", 3396),
+    ("xt", "rational"):
+        ("a2e28dad7b158dc20f4174152c255d1dadcde1dcf10b0b5ef875cfba71b9634d", 7865),
+    ("xx", "prime"):
+        ("83a4350407bd1b050156b334ea4b95225e1f5dbda70ddddea5f5e1d93b54e621", 1843),
+    ("xx", "rational"):
+        ("ac73d4f07e21831810ad2be312c92d04bb65fc26e837d0010ca8bef168a73304", 9341),
+}
+
+
+@pytest.mark.parametrize("check, field", sorted(PINNED_SERIES))
+def test_series_report_matches_pinned_digest(check, field):
+    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field, mutate=True,
+                               **SERIES_SIZES[check]))
+    assert report.verdict == FALSIFIED
+    assert digest(report) == PINNED_SERIES[check, field]
