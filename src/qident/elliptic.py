@@ -6,37 +6,39 @@ Everything is computed coefficient-wise in the ring of power series in the
 nome modulo p^(K+1); "an identity holds" means all K+1 coefficients vanish
 at every sampled parameter point.  The weights, window sums, kernel
 residues, Gram matrix and transition solve are those of the polynomial
-layer: `EllParams` supplies theta in place of 1 - z, the column Z_m in
-place of X_m and the residue constant ((p; p)^3)^ell in place of
-prod_m (x_m y_m)^ell, and `polyweights.weights` and `residues` do the
-rest.  This module has no residue code of its own.  Every infinite
-product here, (p; p)_inf and (p^n; p^n)_inf, is a theta value:
+layer: `EllParams` supplies phi = theta, the linear factor theta(u/c),
+Z_m's column lead and the residue constant ((p; p)^3)^ell, and
+`polyweights` and `residues` do the rest; the norm, window coefficient
+and det A add here only the thetas of the dynamical parameter.  Every
+infinite product here, (p; p)_inf and (p^n; p^n)_inf, is a theta value:
 (p^e; p^e)_inf = theta(p^e; p^(3e)).
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
+from itertools import chain
 
 from .errors import UsageError
 from .exactnum import PSeries, theta, triple_pochhammer_p
 from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
-    PolyParams, sample_poly_params, sample_t, symmetric_products, symmetrize,
-    weight_pair_table, weights, window_value)
+    PolyParams, norm_n, sample_poly_params, sample_t, symmetric_products, symmetrize,
+    weight_pair_table, weights, window_products, window_value)
 from .reporting import run_trials
 from .residues import (
-    d_exponent, kernel_residue, scalar_product, special_values, transition_matrix,
-    weight_gram)
+    d_exponent, deta_rhs, kernel_residue, scalar_product, special_values,
+    transition_matrix, weight_gram)
 
 
 class EllParams(PolyParams):
     """Ground parameters plus the dynamical parameter and truncation order.
 
-    `one`/`zero` are truncated series, phi is theta, the weight column
-    is Z_m with a dynamical shift and the kernel constant is
-    ((p; p)^3)^ell.  The memo also keeps
+    `one`/`zero` are truncated series, phi is theta, the linear factor
+    theta(u/c), the column lead that of Z_m with a dynamical shift and the
+    kernel constant ((p; p)^3)^ell.  The memo also keeps
     theta values at scalar arguments and the basis functions.  Every theta
     that ends up in a denominator must have nonzero constant term, i.e.
     argument different from 1, which the arithmetic enforces by raising.
@@ -61,6 +63,9 @@ class EllParams(PolyParams):
 
     phi = th
 
+    def factor(self, u, c):
+        return self.th(u / c)
+
     def column_shift(self, a, ell):
         """The exponent s of the dynamical shift alpha eta^s of the theta
         weights' single factor at position a of ell."""
@@ -81,11 +86,9 @@ class EllParams(PolyParams):
             out = out * self.x[j] / self.y[j]
         return out
 
-    def column(self, u, m, shift, primed=False):
-        """Z_m(u) = theta(u/(alpha_m x_m)) prod_{j<m} theta(u/y_j)
-        prod_{k>m} theta(u/x_k) with the dynamical shift alpha_m =
-        alpha_static(m) eta^shift; the primed variant uses
-        theta(alpha_m u / y_m) and swaps x with y in the tail products.
+    def column_lead(self, u, m, shift, primed):
+        """Z_m's leading theta(u/(alpha_m x_m)), or theta(alpha_m u/y_m) for
+        Z'_m, with the dynamical shift alpha_m = alpha_static(m) eta^shift.
 
         The shift direction is the same in both variants: with the opposite
         direction on the primed family, the primed weights leave the
@@ -95,22 +98,24 @@ class EllParams(PolyParams):
         """
         am = self.alpha_static(m) * self.eta ** shift
         if primed:
-            out = self.th(am * u / self.y[m - 1])
-        else:
-            out = self.th(u / (am * self.x[m - 1]))
-        for j in range(1, m):
-            out = out * self.th(u / (self.x[j - 1] if primed else self.y[j - 1]))
-        for k in range(m + 1, self.n + 1):
-            out = out * self.th(u / (self.y[k - 1] if primed else self.x[k - 1]))
-        return out
+            return self.th(am * u / self.y[m - 1])
+        return self.th(u / (am * self.x[m - 1]))
 
     def alpha_dyn(self, m, lam):
-        """alpha_{m,lam} = alpha prod_{j<m} eta^(-2 w_j) x_j/y_j."""
-        mults = lam.multiplicities()
-        out = self.alpha
-        for j in range(m - 1):
-            out = out * self.eta ** (-2 * mults[j]) * self.x[j] / self.y[j]
-        return out
+        """alpha_{m,lam} = alpha_static(m) eta^(-2 (w_1 + ... + w_{m-1}))."""
+        return self.alpha_static(m) * self.eta ** (-2 * sum(lam.multiplicities()[:m - 1]))
+
+    def alpha_thetas(self, m, lam):
+        """Lazy A_{m,s} = theta(eta^s/alpha_{m,lam}) and B_{m,s} =
+        theta(eta^(1-s-w_m) alpha_{m,lam} x_m/y_m), s < w_m; a window
+        coefficient reads only B of its first block and A of its last."""
+        w = lam.multiplicities()[m - 1]
+        if not w:
+            return (), ()
+        aml = self.alpha_dyn(m, lam)
+        xy = self.x[m - 1] / self.y[m - 1]
+        return ((self.th(self.eta ** s / aml) for s in range(w)),
+                (self.th(self.eta ** (1 - s - w) * aml * xy) for s in range(w)))
 
 
 def sample_ell_params(sampler, ell, n, k, constrain=None):
@@ -124,63 +129,41 @@ def sample_ell_params(sampler, ell, n, k, constrain=None):
 # weights
 # ---------------------------------------------------------------------------
 
+def alpha_theta_product(params, lam, blocks):
+    """prod_{s<w_m} A_{m,s} B_{m,s} over the blocks m (`EllParams.alpha_thetas`)."""
+    return math.prod((v for m in blocks for ab in params.alpha_thetas(m, lam) for v in ab),
+                     start=params.one)
+
+
 def xi_weight(lam, t, params, primed=False):
     """One partition's theta weight: `weights` on `EllParams`."""
     return weights([lam], t, params, primed)[0]
 
 
 def norm_d(lam, params):
-    """The biorthogonality norm: a product of theta ratios carrying the
-    triple Pochhammer constant once per part."""
-    eta = params.eta
-    out = params.one * (-params.field.one) ** lam.ell
-    for m, w in enumerate(lam.multiplicities(), start=1):
-        if w == 0:
-            continue
-        aml = params.alpha_dyn(m, lam)
-        xy = params.x[m - 1] / params.y[m - 1]
-        for s in range(w):
-            num = params.triple_poch * params.th(eta ** (s + 1)) * params.th(eta ** (-s) * xy)
-            den = params.th(eta) * params.th(eta ** s / aml) * params.th(eta ** (1 - s - w) * aml * xy)
-            out = out * num / den
-    return out
+    """The norm (-1)^ell N prod_m prod_{s<w_m} (p; p)^3/(A_{m,s} B_{m,s}),
+    N the theta `norm_n`, the ell factors (p; p)^3 the `kernel_constant`."""
+    den = alpha_theta_product(params, lam, range(1, params.n + 1))
+    return norm_n(lam, params) * (-params.field.one) ** lam.ell \
+        * params.kernel_constant(lam.ell) / den
 
 
 def c_coeff_ell(lam, i, j, params):
-    """The elliptic window coefficient attached to lam in the window [i, j]."""
-    if lam.entries and not (i <= lam.entries[-1] and lam.entries[0] <= j):
-        raise UsageError("partition %r lies outside the window [%d, %d]" % (lam.entries, i, j))
-    eta = params.eta
-    mults = lam.multiplicities()
-    ell = lam.ell
+    """lam's window coefficient in [i, j]: the theta `window_products` times
+    (alpha_i x_i/y_i)^(w_i) eta^(-w_i (w_i - 1)) and, for w_j < a <= ell - w_i,
+    theta(alpha_static(lam_a) eta^(a-ell) y_i/y_lam_a), over the A B of the
+    blocks i < k < j, the B of block i and the A of block j."""
+    out = window_products(lam, i, j, params)
+    eta, mults, ell = params.eta, lam.multiplicities(), lam.ell
     wi, wj = mults[i - 1], mults[j - 1]
-    scalar = (params.alpha_static(i) * params.x[i - 1] / params.y[i - 1]) ** wi \
-        * eta ** (-wi * (wi - 1))
-    out = params.one * scalar
-    for k in range(i + 1, j):
-        wk = mults[k - 1]
-        akl = params.alpha_dyn(k, lam)
-        xy = params.x[k - 1] / params.y[k - 1]
-        for s in range(wk):
-            out = out * params.th(eta ** (-s) * xy)
-            out = out / (params.th(eta ** s / akl) * params.th(eta ** (1 - s - wk) * akl * xy))
-    ail = params.alpha_dyn(i, lam)
-    for s in range(wi):
-        out = out / params.th(eta ** (1 - s - wi) * ail * params.x[i - 1] / params.y[i - 1])
-    ajl = params.alpha_dyn(j, lam)
-    for s in range(wj):
-        out = out / params.th(eta ** s / ajl)
+    den = math.prod(chain(params.alpha_thetas(i, lam)[1], params.alpha_thetas(j, lam)[0]),
+                    start=alpha_theta_product(params, lam, range(i + 1, j)))
+    out = out * ((params.alpha_static(i) * params.x[i - 1] / params.y[i - 1]) ** wi
+                 * eta ** (-wi * (wi - 1))) / den
     for a in range(wj + 1, ell - wi + 1):
         la = lam.entries[a - 1]
         out = out * params.th(
             params.alpha_static(la) * eta ** (a - ell) * params.y[i - 1] / params.y[la - 1])
-    for a in range(1, ell + 1):
-        la = lam.entries[a - 1]
-        lead = eta ** (ell - a) * params.y[i - 1]
-        for k in range(i + 1, la):
-            out = out * params.th(lead / params.x[k - 1])
-        for m in range(la + 1, j):
-            out = out * params.th(lead / params.y[m - 1])
     return out
 
 
@@ -309,6 +292,8 @@ def dett_rhs_nokappa(params):
 
 
 def detae_rhs_nokappa(params):
+    """det A over theta without its root-of-unity constant: a scalar and
+    the thetas of alpha times `residues.deta_rhs`."""
     ell, n, eta = params.ell, params.n, params.eta
     scalar = params.field.one
     for m in range(1, n + 1):
@@ -320,12 +305,7 @@ def detae_rhs_nokappa(params):
             for j in range(1, m + 1):
                 ratio = ratio * params.y[j - 1] / params.x[j - 1]
             out = out * params.th(eta ** (s + ell - 1) * ratio) ** d_lattice(n, m, ell, s)
-    for s in range(ell):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                out = out * params.th(eta ** s * params.y[j - 1] / params.x[k - 1]) \
-                    ** binom(n + ell - s - 2, n - 1)
-    return out
+    return out * deta_rhs(params)
 
 
 # ---------------------------------------------------------------------------

@@ -560,13 +560,10 @@ class Sampler:
         self.config = config
         self.field = fld
         self._state = config.seed & MASK64
-        self._word_index = 0
-        self.draw_index = 0
         self.log = []
 
     def _next_word(self):
         self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
-        self._word_index += 1
         return _splitmix64(self._state)
 
     def _candidate(self):
@@ -592,9 +589,7 @@ class Sampler:
                 continue
             # a zero value (numerator divisible by p) is rejected as well
             if value and all(c(value) for c in constraints):
-                entry = (self.draw_index, str(q))
-                self.log.append(entry)
-                self.draw_index += 1
+                self.log.append((len(self.log), str(q)))
                 return value
         raise SamplingError(
             "no candidate satisfied %r within %d retries"

@@ -10,11 +10,11 @@ depend only on which of two variables comes first, so the sums are
 accumulated over subsets of variables, with the pair products built once
 per point and shared leading parts sharing their layers.  No closed-form
 simplification is attempted; the tests keep the literal permutation sums
-as oracles.  One weight table, `weights`, serves both layers: the
-parameter object supplies phi and the single-factor column, phi(z) = 1 - z
-and X_m here, phi = theta and Z_m with its dynamical shift on
-`elliptic.EllParams`.  As theta(z; 0) = 1 - z, the weights P are the p = 0
-form of the theta weights in their prefactor and pair factors.
+as oracles.  The weights, norms and window products serve both layers:
+the parameter object supplies phi, the linear factor f and the column
+lead, 1 - z, u - c and X_m's u here, theta, theta(u/c) and Z_m's theta
+with its dynamical shift on `elliptic.EllParams`.  As theta(z; 0) = 1 - z,
+each product here has the shape of its elliptic twin.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class PolyParams:
 
     eta^s != 1 for 1 <= s <= ell, so symmetrization prefactors and norms
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
-    field's, its factor is phi(z) = 1 - z, its weight column X_m and its
-    kernel constant prod_m (x_m y_m)^ell.
+    field's, phi(z) = 1 - z, its linear factor u - c, its column lead that
+    of X_m and its kernel constant prod_m (x_m y_m)^ell.
     `memo` keeps values that every point shares, such as the multiplicity
     prefactors.
     """
@@ -55,6 +55,9 @@ class PolyParams:
     def phi(self, z):
         return self.one - z
 
+    def factor(self, u, c):
+        return u - c
+
     def kernel_constant(self, ell):
         """prod_m (x_m y_m)^ell, the ratio of S to its p = 0 theta form
         Omega, by which `residues.kernel_residue` divides."""
@@ -69,16 +72,17 @@ class PolyParams:
         """The polynomial weights' single factors depend only on the part."""
         return None
 
+    def column_lead(self, u, m, shift, primed):
+        """X_m's leading u, dropped by X'_m; it takes no shift."""
+        return self.one if primed else u
+
     def column(self, u, m, shift, primed=False):
-        """X_m(u) = u prod_{j<m}(u - y_j) prod_{k>m}(u - x_k); the primed
-        variant drops the leading u and swaps the roles of x and y.  The
-        polynomial factor takes no shift."""
-        x, y = self.x, self.y
-        out = self.field.one if primed else u
-        for j in range(1, m):
-            out = out * (u - (x[j - 1] if primed else y[j - 1]))
-        for k in range(m + 1, self.n + 1):
-            out = out * (u - (y[k - 1] if primed else x[k - 1]))
+        """The lead times prod_{j<m} f(u, y_j) prod_{k>m} f(u, x_k), x and y
+        swapped when primed: X_m(u) here, Z_m on `elliptic.EllParams`."""
+        x, y = (self.y, self.x) if primed else (self.x, self.y)
+        out = self.column_lead(u, m, shift, primed)
+        for c in y[:m - 1] + x[m:]:
+            out = out * self.factor(u, c)
         return out
 
 
@@ -293,38 +297,46 @@ def q_monomials(parts, t, params):
     return monomials([lam.entries for lam in parts], t, params.one)
 
 
+def block_product(params, m, w):
+    """prod_{s<w} f(x_m, eta^s y_m) of the parameters' linear factor f."""
+    out = params.one
+    for s in range(w):
+        out = out * params.factor(params.x[m - 1], params.eta ** s * params.y[m - 1])
+    return out
+
+
 def norm_n(lam, params):
-    """N = prod_m prod_{s=1}^{w_m} (1 - eta^s)(x_m - eta^(s-1) y_m)/(1 - eta)."""
-    one, eta = params.field.one, params.eta
-    out = one
-    for m, w in enumerate(lam.multiplicities(), start=1):
-        for s in range(1, w + 1):
-            out = out * (one - eta ** s) * (params.x[m - 1] - eta ** (s - 1) * params.y[m - 1]) / (one - eta)
+    """N = prod_m prod_{s=1}^{w_m} phi(eta^s) f(x_m, eta^(s-1) y_m)/phi(eta),
+    the block products over the multiplicity prefactor."""
+    mults = lam.multiplicities()
+    out = params.one
+    for m, w in enumerate(mults, start=1):
+        out = out * block_product(params, m, w)
+    return out / multiplicity_prefactor(mults, params)
+
+
+def window_products(lam, i, j, params):
+    """The block products for i < k < j times, with lead_a = eta^(ell-a) y_i,
+    f(lead_a, x_k) for i < k < lam_a and f(lead_a, y_m) for lam_a < m < j."""
+    if lam.entries and not (i <= lam.entries[-1] and lam.entries[0] <= j):
+        raise UsageError("partition %r lies outside the window [%d, %d]" % (lam.entries, i, j))
+    mults = lam.multiplicities()
+    out = params.one
+    for k in range(i + 1, j):
+        out = out * block_product(params, k, mults[k - 1])
+    for a, la in enumerate(lam.entries, start=1):
+        lead = params.eta ** (lam.ell - a) * params.y[i - 1]
+        for c in params.x[i:la - 1] + params.y[la:j - 1]:
+            out = out * params.factor(lead, c)
     return out
 
 
 def c_coeff(lam, i, j, params):
-    """The window coefficient attached to lam inside the window [i, j]."""
-    if lam.entries and not (i <= lam.entries[-1] and lam.entries[0] <= j):
-        raise UsageError("partition %r lies outside the window [%d, %d]" % (lam.entries, i, j))
-    one, eta = params.field.one, params.eta
-    x, y = params.x, params.y
-    mults = lam.multiplicities()
-    ell = lam.ell
-    wi = mults[i - 1]
-    wj = mults[j - 1]
-    out = (-one) ** wi * eta ** (wj * (wj - 1) // 2)
-    for k in range(i + 1, j):
-        for s in range(mults[k - 1]):
-            out = out * (x[k - 1] - eta ** s * y[k - 1])
-    for a in range(1, ell + 1):
-        la = lam.entries[a - 1]
-        lead = eta ** (ell - a) * y[i - 1]
-        for k in range(i + 1, la):
-            out = out * (lead - x[k - 1])
-        for m in range(la + 1, j):
-            out = out * (lead - y[m - 1])
-    return out
+    """The window coefficient of lam in the window [i, j]:
+    (-1)^(w_i) eta^(w_j (w_j - 1)/2) times the `window_products`."""
+    out = window_products(lam, i, j, params)
+    wi, wj = lam.multiplicities()[i - 1], lam.multiplicities()[j - 1]
+    return (-params.one) ** wi * params.eta ** (wj * (wj - 1) // 2) * out
 
 
 # ---------------------------------------------------------------------------

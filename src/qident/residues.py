@@ -25,11 +25,11 @@ limiting: at each step (innermost variable first) exactly one numerator
 factor vanishes at the target coordinate (its argument becomes 1); it is
 removed and the variable is substituted.  A step contributes -1 when t_a
 stands in the numerator of the cancelled argument and +1 when it stands in
-the denominator.  The parameter object supplies phi and the constant the
-residue divides by: prod_m (x_m y_m)^ell on `PolyParams`, and on
-`elliptic.EllParams` ((p; p)^3)^ell, theta's derivative constant at 1 once
-per step.  The scalar product is defined operationally by the residue
-sums; the torus contour it replaces is never integrated.
+the denominator.  The parameter object supplies phi, the linear factor of
+det A and the constant the residue divides by: prod_m (x_m y_m)^ell on
+`PolyParams`, and on `elliptic.EllParams` ((p; p)^3)^ell, theta's
+derivative constant at 1 once per step.  The scalar product is defined
+operationally by the residue sums; the torus contour is never integrated.
 
 Every residue sum is one dense product: `residue_pairing` evaluates both
 families and the residue once per point and ends in `linalg.mat_mul`, and
@@ -65,17 +65,17 @@ def cancel_poles(params, point):
     with no vanishing denominator factor (the simple-pole condition).
     """
     one, eta, t = params.field.one, params.eta, point.coords
-    # per step: (t_step in the numerator, argument, tag)
+    # per step: (t_step in the numerator, argument); (argument, tag)
     numer = [[] for _ in t]
     denom = [[] for _ in t]
     for a, u in enumerate(t):
         for m in range(params.n):
-            numer[a].append((True, u / params.x[m], ("x", a, m + 1)))
-            numer[a].append((True, u / params.y[m], ("y", a, m + 1)))
+            numer[a].append((True, u / params.x[m]))
+            numer[a].append((True, u / params.y[m]))
         for b in range(a + 1, len(t)):
             r = u / t[b]
-            numer[a].append((True, eta * r, ("pair", a, b)))
-            numer[a].append((False, eta / r, ("pair", b, a)))
+            numer[a].append((True, eta * r))
+            numer[a].append((False, eta / r))
             denom[a].append((r, ("den", a, b)))
             denom[a].append((one / r, ("den", b, a)))
     sign, rest_numer, rest_denom = one, [], []
@@ -219,10 +219,10 @@ def d_exponent(n, ell, s):
     return total
 
 
-def detq_rhs(ell, n, params):
+def detq_rhs(params):
     """Closed form for det[Q_lam(x |> mu)]: a deformed symmetric power of
     the Vandermonde determinant."""
-    one, eta, x = params.field.one, params.eta, params.x
+    ell, n, eta, x = params.ell, params.n, params.eta, params.x
     out = eta ** (-(n * (n + 1) // 2) * binom(n + ell - 1, n + 1))
     for m in range(n):
         out = out * x[m] ** binom(n + ell - 1, n)
@@ -233,14 +233,16 @@ def detq_rhs(ell, n, params):
     return out
 
 
-def deta_rhs(ell, n, params):
-    """Closed form for det[A]."""
-    eta, x, y = params.eta, params.x, params.y
-    out = params.field.one
+def deta_rhs(params):
+    """Closed form for det[A]: prod_{s<ell} prod_{j<k} f(eta^s y_j, x_k)^e,
+    e = C(n+ell-s-2, n-1), f the parameters' linear factor."""
+    ell, n, eta, x, y = params.ell, params.n, params.eta, params.x, params.y
+    out = params.one
     for s in range(ell):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                out = out * (eta ** s * y[j - 1] - x[k - 1]) ** binom(n + ell - s - 2, n - 1)
+        e = binom(n + ell - s - 2, n - 1)
+        for j in range(n):
+            for k in range(j + 1, n):
+                out = out * params.factor(eta ** s * y[j], x[k]) ** e
     return out
 
 
@@ -322,12 +324,12 @@ def verify_det(cfg):
         params = sample_poly_params(sampler, cfg.ell, cfg.n)
         det_b = mat_det(special_values(q_monomials, params), fld.one, fld.zero)
         if cfg.check == "detq":
-            lhs, rhs = det_b, detq_rhs(cfg.ell, cfg.n, params)
+            lhs, rhs = det_b, detq_rhs(params)
         else:
             if det_b == fld.zero:
                 raise NonInvertibleError("det[Q_lam(x|>mu)] = 0: A is undefined")
             lhs = mat_det(special_values(weights, params), fld.one, fld.zero) / det_b
-            rhs = deta_rhs(cfg.ell, cfg.n, params)
+            rhs = deta_rhs(params)
         if cfg.mutate:
             rhs = rhs * 2
         diff = lhs - rhs

@@ -103,11 +103,11 @@ def tensor_entry(vec, i, j, u, modules, q, mutate=False):
     comprehension; the raise and the lower rebuild keys and add into it.
     With w = u/z = wn/wd (no gcd), every chain takes one value over M wd
     from each slot, so all share the denominator den(vec) * prod_m M_m wd_m.
-    Over GF(p) the slot values are residues and the sums are reduced once,
-    at the end: n slots grow them to about n+1 times the bits of p, which
-    costs less than a pass per slot.  Zero sums are kept to the end: every
-    key a chain reaches goes through the cap check, as in the literal chain
-    sum, before one gcd normalizes."""
+    Over GF(p) wd = M = 1, the slot values are residues and the sums are
+    reduced once, at the end: n slots grow them to about n+1 times the bits
+    of p, which costs less than a pass per slot.  Zero sums are kept to the
+    end: every key a chain reaches goes through the cap check, as in the
+    literal chain sum, before one gcd normalizes."""
     n = vec.nslots
     if len(modules) != n:
         raise UsageError("module list does not match slot count")
@@ -149,13 +149,13 @@ def tensor_entry(vec, i, j, u, modules, q, mutate=False):
             else:
                 # lower (2,1): L_k wd, one depth down; the mutated operator
                 # of the negative controls adds M wd at the same depth
-                keep = m * wd % p if p else m * wd
+                keep = m * wd
                 for key, x in part.items():
                     k = key[slot]
                     if k:
                         low = rows[k][2] * wd
                         nk = key[:slot] + (k - 1,) + key[slot + 1:]
-                        dest[nk] = dest.get(nk, 0) + x * (low % p if p else low)
+                        dest[nk] = dest.get(nk, 0) + x * low
                     if mutate:
                         dest[key] = dest.get(key, 0) + x * keep
             new[d] = dest

@@ -5,10 +5,11 @@ import pytest
 
 from qident.cli import validate
 from qident.errors import UsageError
-from qident.exactnum import QQ, Sampler, SamplerConfig, theta, triple_pochhammer_p
+from qident.exactnum import (
+    QQ, PrimeField, Sampler, SamplerConfig, theta, triple_pochhammer_p)
 from qident.linalg import mat_det
-from qident.partitions import Partition, binom, enumerate_partitions, x_point
-from qident.reporting import RunConfig
+from qident.partitions import Partition, binom, enumerate_partitions, enumerate_window, x_point
+from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import side_pairings, transition_matrix, weight_gram
 from qident.elliptic import (
     EllParams, c_coeff_ell, d_lattice,
@@ -115,6 +116,91 @@ def test_c_coeff_ell_small_values():
     assert c_coeff_ell(lam1, 1, 2, p) == expect
     with pytest.raises(UsageError):
         c_coeff_ell(Partition((3,), 3), 1, 2, params_for(1, 3, seed=8))
+
+
+# oracles: the per-layer products of the elliptic norm and window
+# coefficient, as written before both layers shared them over the
+# parameters' linear factor
+
+def alpha_dyn_oracle(params, m, lam):
+    """alpha_{m,lam} = alpha prod_{j<m} eta^(-2 w_j) x_j/y_j."""
+    mults = lam.multiplicities()
+    out = params.alpha
+    for j in range(m - 1):
+        out = out * params.eta ** (-2 * mults[j]) * params.x[j] / params.y[j]
+    return out
+
+
+def norm_d_oracle(lam, params):
+    """Oracle for `norm_d`: a product of theta ratios carrying the triple
+    Pochhammer constant once per part."""
+    eta = params.eta
+    out = params.one * (-params.field.one) ** lam.ell
+    for m, w in enumerate(lam.multiplicities(), start=1):
+        if w == 0:
+            continue
+        aml = alpha_dyn_oracle(params, m, lam)
+        xy = params.x[m - 1] / params.y[m - 1]
+        for s in range(w):
+            num = params.triple_poch * params.th(eta ** (s + 1)) * params.th(eta ** (-s) * xy)
+            den = params.th(eta) * params.th(eta ** s / aml) * params.th(eta ** (1 - s - w) * aml * xy)
+            out = out * num / den
+    return out
+
+
+def c_coeff_ell_oracle(lam, i, j, params):
+    """Oracle for `c_coeff_ell`, the elliptic window coefficient attached
+    to lam in the window [i, j]."""
+    if lam.entries and not (i <= lam.entries[-1] and lam.entries[0] <= j):
+        raise UsageError("partition %r lies outside the window [%d, %d]" % (lam.entries, i, j))
+    eta = params.eta
+    mults = lam.multiplicities()
+    ell = lam.ell
+    wi, wj = mults[i - 1], mults[j - 1]
+    scalar = (params.alpha_static(i) * params.x[i - 1] / params.y[i - 1]) ** wi \
+        * eta ** (-wi * (wi - 1))
+    out = params.one * scalar
+    for k in range(i + 1, j):
+        wk = mults[k - 1]
+        akl = alpha_dyn_oracle(params, k, lam)
+        xy = params.x[k - 1] / params.y[k - 1]
+        for s in range(wk):
+            out = out * params.th(eta ** (-s) * xy)
+            out = out / (params.th(eta ** s / akl) * params.th(eta ** (1 - s - wk) * akl * xy))
+    ail = alpha_dyn_oracle(params, i, lam)
+    for s in range(wi):
+        out = out / params.th(eta ** (1 - s - wi) * ail * params.x[i - 1] / params.y[i - 1])
+    ajl = alpha_dyn_oracle(params, j, lam)
+    for s in range(wj):
+        out = out / params.th(eta ** s / ajl)
+    for a in range(wj + 1, ell - wi + 1):
+        la = lam.entries[a - 1]
+        out = out * params.th(
+            params.alpha_static(la) * eta ** (a - ell) * params.y[i - 1] / params.y[la - 1])
+    for a in range(1, ell + 1):
+        la = lam.entries[a - 1]
+        lead = eta ** (ell - a) * params.y[i - 1]
+        for k in range(i + 1, la):
+            out = out * params.th(lead / params.x[k - 1])
+        for m in range(la + 1, j):
+            out = out * params.th(lead / params.y[m - 1])
+    return out
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(DEFAULT_PRIME)], ids=["QQ", "GFp"])
+def test_norm_and_window_coefficient_match_per_layer_oracles(fld):
+    for seed in range(1, 6):
+        for ell in range(1, 4):
+            for n in range(1, 4):
+                windows = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+                for constrain in [None] + windows:
+                    p = sample_ell_params(Sampler(SamplerConfig(seed), fld), ell, n, K,
+                                          constrain)
+                    for lam in enumerate_partitions(ell, n):
+                        assert norm_d(lam, p) == norm_d_oracle(lam, p)
+                    for i, j in windows:
+                        for lam in enumerate_window(ell, i, j, n):
+                            assert c_coeff_ell(lam, i, j, p) == c_coeff_ell_oracle(lam, i, j, p)
 
 
 def test_idp_identities():

@@ -21,7 +21,10 @@ residue that one kernel residue for both layers replaced.  Mutated `xx`
 and `xt` reports print every series coefficient, so those in
 `PINNED_SERIES` pin (p; p)^3 and (p^5; p^5)_inf themselves; they were
 recorded from the truncated q-Pochhammer products that theta values
-replaced."""
+replaced.  Negative controls that print a whole window sum or det A are
+pinned in `PINNED_FORMULA`, recorded from the column, norm, window
+coefficient and det A products written once per layer, before both layers
+wrote them once over the parameters' linear factor."""
 
 import os
 import sys
@@ -35,7 +38,8 @@ sys.path.insert(0, BENCH)
 from worker import build_manifest, digest, load_goldens   # noqa: E402
 
 from qident.cli import run_one   # noqa: E402
-from qident.reporting import FALSIFIED, VERIFIED, RunConfig   # noqa: E402
+from qident.reporting import (   # noqa: E402
+    CONDITION_NOT_SATISFIED, FALSIFIED, VERIFIED, RunConfig)
 
 RUNS = [(mix, seed) for seed in (1, 2) for mix in ("poly", "elliptic", "uq", "prime")]
 MANIFESTS = {run: build_manifest(*run, smoke=False) for run in RUNS}
@@ -118,22 +122,6 @@ test_uq_seed_2_report_matches_golden_digest = replay_test("uq", 2)
 test_prime_seed_2_report_matches_golden_digest = replay_test("prime", 2)
 
 
-@pytest.mark.parametrize("check, field, seed", sorted(PINNED_MUTATED))
-def test_mutated_report_matches_pinned_digest(check, field, seed):
-    report = run_one(RunConfig(check=check, trials=1, seed=seed, field=field, mutate=True,
-                               **SIZES[check]))
-    assert report.verdict == FALSIFIED
-    assert digest(report) == PINNED_MUTATED[check, field, seed]
-
-
-@pytest.mark.parametrize("check, field, mutate", sorted(PINNED_FRONTIER))
-def test_frontier_report_matches_pinned_digest(check, field, mutate):
-    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field, mutate=mutate,
-                               **FRONTIER_SIZES[check]))
-    assert report.verdict == (FALSIFIED if mutate else VERIFIED)
-    assert digest(report) == PINNED_FRONTIER[check, field, mutate]
-
-
 # (check, field, mutate) -> (digest, length) of one trial at seed 1 at
 # TENSOR_SIZES
 TENSOR_SIZES = {
@@ -172,14 +160,6 @@ PINNED_TENSOR = {
 }
 
 
-@pytest.mark.parametrize("check, field, mutate", sorted(PINNED_TENSOR))
-def test_tensor_report_matches_pinned_digest(check, field, mutate):
-    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field, mutate=mutate,
-                               **TENSOR_SIZES[check, mutate]))
-    assert report.verdict == (FALSIFIED if mutate else VERIFIED)
-    assert digest(report) == PINNED_TENSOR[check, field, mutate]
-
-
 # (check, field) -> (digest, length) of one trial at seed 1 at RESIDUE_SIZES
 RESIDUE_SIZES = {"pp": dict(ell=5, n=4), "mn": dict(ell=4, n=4), "resI": dict(ell=4, n=3),
                  "xx": dict(ell=3, n=3, k=6)}
@@ -203,14 +183,6 @@ PINNED_RESIDUE = {
 }
 
 
-@pytest.mark.parametrize("check, field", sorted(PINNED_RESIDUE))
-def test_residue_report_matches_pinned_digest(check, field):
-    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field,
-                               **RESIDUE_SIZES[check]))
-    assert report.verdict == VERIFIED
-    assert digest(report) == PINNED_RESIDUE[check, field]
-
-
 # (check, field) -> (digest, length) of one mutated trial at seed 1 at
 # SERIES_SIZES
 SERIES_SIZES = {"xx": dict(ell=2, n=3, k=20), "xt": dict(ell=1, n=5, k=16)}
@@ -225,10 +197,67 @@ PINNED_SERIES = {
         ("ac73d4f07e21831810ad2be312c92d04bb65fc26e837d0010ca8bef168a73304", 9341),
 }
 
+# (check, field) -> (digest, length) of one trial at seed 1 at FORMULA_SIZES:
+# negative controls that print a whole window sum or a closed form, so they
+# pin the products written once over the parameters' linear factor
+FORMULA_SIZES = {
+    "id1": dict(ell=4, n=3, i=1, j=3, no_constraint=True),
+    "idp1": dict(ell=2, n=4, i=1, j=4, k=6, no_constraint=True),
+    "deta": dict(ell=4, n=3, mutate=True),
+    "detprod": dict(ell=3, n=3, k=6, mutate=True),
+}
+PINNED_FORMULA = {
+    ("deta", "prime"):
+        ("594b551a0a08339e4533060d266e63fe9bdeacc18c7eb2c47526e7a1904061ff", 839),
+    ("deta", "rational"):
+        ("4334c04f3506158953744f2f79bb6e95e597c82cf036ba3d799336a4d4344d2c", 1398),
+    ("detprod", "prime"):
+        ("5a8078990824d8a2fc9bd12572edb266ae49119675a538055dc8fe82a7d07f53", 1322),
+    ("detprod", "rational"):
+        ("8f0990eecd8c9b7c25106921678901d129eb133280530d9d867c5b136dbac542", 10444),
+    ("id1", "prime"):
+        ("bbcbf0b957bed07286948946c14bdb1772bfe26c42bb6bad8932bf3ae9440d58", 996),
+    ("id1", "rational"):
+        ("75d1dfb886f63bd3bd7ae8a640ce5b91b981d46f38591700b539b82a1284ef61", 998),
+    ("idp1", "prime"):
+        ("d5ec01b6604de5b82465596d9feb78db6d9cb58e13feb7cf880ba585c0215d11", 1294),
+    ("idp1", "rational"):
+        ("ca4dfd64d89b9c0d2e2f4c7fe7068766086334a05ab518d67f605067f074134a", 3545),
+}
 
-@pytest.mark.parametrize("check, field", sorted(PINNED_SERIES))
-def test_series_report_matches_pinned_digest(check, field):
-    report = run_one(RunConfig(check=check, trials=1, seed=1, field=field, mutate=True,
-                               **SERIES_SIZES[check]))
-    assert report.verdict == FALSIFIED
-    assert digest(report) == PINNED_SERIES[check, field]
+
+def pinned_test(table, options):
+    """The test of one pinned table, parametrized over its keys:
+    `options(*key)` gives the run's `RunConfig` fields besides trials=1.
+    A lifted constraint must not be satisfied, a mutated run must be
+    falsified and any other run verified."""
+
+    @pytest.mark.parametrize("key", sorted(table), ids=lambda key: "-".join(map(str, key)))
+    def test(key):
+        cfg = RunConfig(trials=1, **options(*key))
+        report = run_one(cfg)
+        assert report.verdict == (CONDITION_NOT_SATISFIED if cfg.no_constraint
+                                  else FALSIFIED if cfg.mutate else VERIFIED)
+        assert digest(report) == table[key]
+    return test
+
+
+# one body for every pinned table, bound under the test ids they have always had
+test_mutated_report_matches_pinned_digest = pinned_test(
+    PINNED_MUTATED, lambda check, field, seed: dict(
+        check=check, field=field, seed=seed, mutate=True, **SIZES[check]))
+test_frontier_report_matches_pinned_digest = pinned_test(
+    PINNED_FRONTIER, lambda check, field, mutate: dict(
+        check=check, field=field, seed=1, mutate=mutate, **FRONTIER_SIZES[check]))
+test_tensor_report_matches_pinned_digest = pinned_test(
+    PINNED_TENSOR, lambda check, field, mutate: dict(
+        check=check, field=field, seed=1, mutate=mutate, **TENSOR_SIZES[check, mutate]))
+test_residue_report_matches_pinned_digest = pinned_test(
+    PINNED_RESIDUE, lambda check, field: dict(
+        check=check, field=field, seed=1, **RESIDUE_SIZES[check]))
+test_series_report_matches_pinned_digest = pinned_test(
+    PINNED_SERIES, lambda check, field: dict(
+        check=check, field=field, seed=1, mutate=True, **SERIES_SIZES[check]))
+test_formula_report_matches_pinned_digest = pinned_test(
+    PINNED_FORMULA, lambda check, field: dict(
+        check=check, field=field, seed=1, **FORMULA_SIZES[check]))

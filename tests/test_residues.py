@@ -398,19 +398,19 @@ def test_determinant_closed_forms():
     parts = enumerate_partitions(1, 2)
     mat = [[q_monomials([lam], x_point(mu, p).coords, p)[0] for mu in parts] for lam in parts]
     assert mat_det(mat, QQ.one, QQ.zero) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
-    assert detq_rhs(1, 2, p) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
+    assert detq_rhs(p) == p.x[0] * p.x[1] * (p.x[1] - p.x[0])
     a, _, _ = poly_transition(p)
     assert mat_det(a, QQ.one, QQ.zero) == p.y[0] - p.x[1]
-    assert deta_rhs(1, 2, p) == p.y[0] - p.x[1]
+    assert deta_rhs(p) == p.y[0] - p.x[1]
 
     for (ell, n) in [(2, 2), (3, 2), (2, 3)]:
         pp = params_for(ell, n, seed=ell + 10 * n)
         parts = enumerate_partitions(ell, n)
         mat = [[q_monomials([lam], x_point(mu, pp).coords, pp)[0] for mu in parts]
                for lam in parts]
-        assert mat_det(mat, QQ.one, QQ.zero) == detq_rhs(ell, n, pp)
+        assert mat_det(mat, QQ.one, QQ.zero) == detq_rhs(pp)
         a, _, _ = poly_transition(pp)
-        assert mat_det(a, QQ.one, QQ.zero) == deta_rhs(ell, n, pp)
+        assert mat_det(a, QQ.one, QQ.zero) == deta_rhs(pp)
 
 
 # (check, seed, mutate) -> (sha256, length) of the sorted-key JSON of the
