@@ -5,13 +5,14 @@ basis, transition coefficients, and the determinant product check.
 Everything is computed coefficient-wise in the ring of power series in the
 nome modulo p^(K+1); "an identity holds" means all K+1 coefficients vanish
 at every sampled parameter point.  The weights, window sums, kernel
-residues, Gram matrix and transition solve are those of the polynomial
-layer: `EllParams` supplies phi = theta, the linear factor theta(u/c),
-Z_m's column lead and the residue constant ((p; p)^3)^ell, and
-`polyweights` and `residues` do the rest; the norm, window coefficient
-and det A add here only the thetas of the dynamical parameter.  Every
-infinite product here, (p; p)_inf and (p^n; p^n)_inf, is a theta value:
-(p^e; p^e)_inf = theta(p^e; p^(3e)).
+residues, Gram matrix and its check, and the transition solve are those of
+the polynomial layer: `EllParams` supplies phi = theta, the linear factor
+theta(u/c), Z_m's column lead, the residue constant ((p; p)^3)^ell, the
+norm D and the window coefficient, and `polyweights` and `residues` do the
+rest; the norm, window coefficient and det A add here only the thetas of
+the dynamical parameter.  Every infinite product here, (p; p)_inf and
+(p^n; p^n)_inf, is a theta value: (p^e; p^e)_inf = theta(p^e; p^(3e)).
+`reporting` writes the series values coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import UsageError
-from .exactnum import PSeries, theta, triple_pochhammer_p
+from .exactnum import PSeries, product, theta, triple_pochhammer_p
 from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
-    PolyParams, norm_n, sample_poly_params, sample_t, symmetric_products, symmetrize,
+    PolyParams, sample_poly_params, sample_t, symmetric_products, symmetrize,
     weight_pair_table, weights, window_products, window_value)
-from .reporting import run_trials
+from .reporting import exact_form, residual_lines, run_trials
 from .residues import (
     d_exponent, deta_rhs, kernel_residue, scalar_product, special_values,
-    transition_matrix, weight_gram)
+    transition_matrix, verify_gram)
 
 
 class EllParams(PolyParams):
@@ -38,7 +39,9 @@ class EllParams(PolyParams):
 
     `one`/`zero` are truncated series, phi is theta, the linear factor
     theta(u/c), the column lead that of Z_m with a dynamical shift and the
-    kernel constant ((p; p)^3)^ell.  The memo also keeps
+    kernel constant ((p; p)^3)^ell; the norm and the window coefficient add
+    the thetas of the dynamical parameter.  `alphas[m - 1]` is
+    alpha_m = alpha prod_{j<m} x_j/y_j.  The memo also keeps
     theta values at scalar arguments and the basis functions.  Every theta
     that ends up in a denominator must have nonzero constant term, i.e.
     argument different from 1, which the arithmetic enforces by raising.
@@ -47,6 +50,10 @@ class EllParams(PolyParams):
     def __init__(self, x, y, eta, alpha, ell, n, k, fld):
         super().__init__(x, y, eta, ell, n, fld)
         self.alpha = alpha
+        alphas = [alpha]
+        for xj, yj in zip(self.x[:n - 1], self.y):
+            alphas.append(alphas[-1] * xj / yj)
+        self.alphas = tuple(alphas)
         self.k = k
         self.one = PSeries.constant(fld, fld.one, k)
         self.zero = PSeries.constant(fld, fld.zero, k)
@@ -79,16 +86,9 @@ class EllParams(PolyParams):
         one, k, n = self.field.one, self.k, self.n
         return theta(one, 3 * n, k, n).inverse() * theta(one, 3, k, 1) ** n
 
-    def alpha_static(self, m):
-        """alpha_m = alpha prod_{j<m} x_j/y_j."""
-        out = self.alpha
-        for j in range(m - 1):
-            out = out * self.x[j] / self.y[j]
-        return out
-
     def column_lead(self, u, m, shift, primed):
         """Z_m's leading theta(u/(alpha_m x_m)), or theta(alpha_m u/y_m) for
-        Z'_m, with the dynamical shift alpha_m = alpha_static(m) eta^shift.
+        Z'_m, with the dynamical shift alpha_m eta^shift.
 
         The shift direction is the same in both variants: with the opposite
         direction on the primed family, the primed weights leave the
@@ -96,14 +96,14 @@ class EllParams(PolyParams):
         and both the biorthogonality and the duality relation fail, so that
         reading is untenable.
         """
-        am = self.alpha_static(m) * self.eta ** shift
+        am = self.alphas[m - 1] * self.eta ** shift
         if primed:
             return self.th(am * u / self.y[m - 1])
         return self.th(u / (am * self.x[m - 1]))
 
     def alpha_dyn(self, m, lam):
-        """alpha_{m,lam} = alpha_static(m) eta^(-2 (w_1 + ... + w_{m-1}))."""
-        return self.alpha_static(m) * self.eta ** (-2 * sum(lam.multiplicities()[:m - 1]))
+        """alpha_{m,lam} = alpha_m eta^(-2 (w_1 + ... + w_{m-1}))."""
+        return self.alphas[m - 1] * self.eta ** (-2 * sum(lam.multiplicities()[:m - 1]))
 
     def alpha_thetas(self, m, lam):
         """Lazy A_{m,s} = theta(eta^s/alpha_{m,lam}) and B_{m,s} =
@@ -116,6 +116,33 @@ class EllParams(PolyParams):
         xy = self.x[m - 1] / self.y[m - 1]
         return ((self.th(self.eta ** s / aml) for s in range(w)),
                 (self.th(self.eta ** (1 - s - w) * aml * xy) for s in range(w)))
+
+    def norm(self, lam):
+        """The norm D = (-1)^ell N prod_m prod_{s<w_m} (p; p)^3/(A_{m,s} B_{m,s}),
+        N the theta norm of `PolyParams`, the ell factors (p; p)^3 the
+        `kernel_constant`."""
+        den = alpha_theta_product(self, lam, range(1, self.n + 1))
+        return super().norm(lam) * (-self.field.one) ** lam.ell \
+            * self.kernel_constant(lam.ell) / den
+
+    def window_coeff(self, lam, i, j):
+        """lam's window coefficient in [i, j]: the theta `window_products`
+        times (alpha_i x_i/y_i)^(w_i) eta^(-w_i (w_i - 1)) and, for
+        w_j < a <= ell - w_i, theta(alpha_(lam_a) eta^(a-ell) y_i/y_lam_a),
+        over the A B of the blocks i < k < j, the B of block i and the A of
+        block j."""
+        out = window_products(lam, i, j, self)
+        eta, mults, ell = self.eta, lam.multiplicities(), lam.ell
+        wi, wj = mults[i - 1], mults[j - 1]
+        den = math.prod(chain(self.alpha_thetas(i, lam)[1], self.alpha_thetas(j, lam)[0]),
+                        start=alpha_theta_product(self, lam, range(i + 1, j)))
+        out = out * ((self.alphas[i - 1] * self.x[i - 1] / self.y[i - 1]) ** wi
+                     * eta ** (-wi * (wi - 1))) / den
+        for a in range(wj + 1, ell - wi + 1):
+            la = lam.entries[a - 1]
+            out = out * self.th(
+                self.alphas[la - 1] * eta ** (a - ell) * self.y[i - 1] / self.y[la - 1])
+        return out
 
 
 def sample_ell_params(sampler, ell, n, k, constrain=None):
@@ -131,40 +158,13 @@ def sample_ell_params(sampler, ell, n, k, constrain=None):
 
 def alpha_theta_product(params, lam, blocks):
     """prod_{s<w_m} A_{m,s} B_{m,s} over the blocks m (`EllParams.alpha_thetas`)."""
-    return math.prod((v for m in blocks for ab in params.alpha_thetas(m, lam) for v in ab),
-                     start=params.one)
+    return product((v for m in blocks for ab in params.alpha_thetas(m, lam) for v in ab),
+                   params.one)
 
 
 def xi_weight(lam, t, params, primed=False):
     """One partition's theta weight: `weights` on `EllParams`."""
     return weights([lam], t, params, primed)[0]
-
-
-def norm_d(lam, params):
-    """The norm (-1)^ell N prod_m prod_{s<w_m} (p; p)^3/(A_{m,s} B_{m,s}),
-    N the theta `norm_n`, the ell factors (p; p)^3 the `kernel_constant`."""
-    den = alpha_theta_product(params, lam, range(1, params.n + 1))
-    return norm_n(lam, params) * (-params.field.one) ** lam.ell \
-        * params.kernel_constant(lam.ell) / den
-
-
-def c_coeff_ell(lam, i, j, params):
-    """lam's window coefficient in [i, j]: the theta `window_products` times
-    (alpha_i x_i/y_i)^(w_i) eta^(-w_i (w_i - 1)) and, for w_j < a <= ell - w_i,
-    theta(alpha_static(lam_a) eta^(a-ell) y_i/y_lam_a), over the A B of the
-    blocks i < k < j, the B of block i and the A of block j."""
-    out = window_products(lam, i, j, params)
-    eta, mults, ell = params.eta, lam.multiplicities(), lam.ell
-    wi, wj = mults[i - 1], mults[j - 1]
-    den = math.prod(chain(params.alpha_thetas(i, lam)[1], params.alpha_thetas(j, lam)[0]),
-                    start=alpha_theta_product(params, lam, range(i + 1, j)))
-    out = out * ((params.alpha_static(i) * params.x[i - 1] / params.y[i - 1]) ** wi
-                 * eta ** (-wi * (wi - 1))) / den
-    for a in range(wj + 1, ell - wi + 1):
-        la = lam.entries[a - 1]
-        out = out * params.th(
-            params.alpha_static(la) * eta ** (a - ell) * params.y[i - 1] / params.y[la - 1])
-    return out
 
 
 def idp2_value(params, t, mutate=False):
@@ -312,14 +312,6 @@ def detae_rhs_nokappa(params):
 # drivers
 # ---------------------------------------------------------------------------
 
-def _series_residual_list(entries):
-    out = []
-    for label, series in entries:
-        if not series.is_zero():
-            out.append("%s: %s" % (label, series.coeff_strings()))
-    return out
-
-
 def verify_idp(cfg):
     """Driver for both elliptic window identities (idp1, idp2)."""
     constrain = None if cfg.no_constraint else (cfg.i, cfg.j)
@@ -328,10 +320,10 @@ def verify_idp(cfg):
         params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "idp1":
-            val = window_value(params, t, cfg.i, cfg.j, c_coeff_ell, cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, cfg.mutate)
         else:
             val = idp2_value(params, t, mutate=cfg.mutate)
-        return val.coeff_strings(), val.is_zero(), []
+        return *exact_form(val), []
 
     notes = []
     if cfg.check == "idp2":
@@ -347,24 +339,9 @@ def verify_idp(cfg):
 def verify_xx(cfg):
     """Gram matrix of the theta weights == diag(1/D_lam) to order K, plus
     the x/y sign self-check inside every scalar product."""
-
-    def trial(sampler):
-        params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
-        parts = enumerate_partitions(cfg.ell, cfg.n)
-        gram = weight_gram(params)
-        entries = []
-        for r, lam in enumerate(parts):
-            dinv = norm_d(lam, params).inverse()
-            if cfg.mutate and r == 0:
-                dinv = dinv * 2
-            for c in range(len(parts)):
-                expected = dinv if r == c else params.zero
-                entries.append(("[%d,%d]" % (r, c), gram[r][c] - expected))
-        flat = _series_residual_list(entries)
-        return flat, not flat, []
-
-    return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct",
-                            "alpha != 1", "denominator thetas invertible"], trial)
+    return verify_gram(cfg, lambda sampler: sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k),
+                       ["eta^s != 1", "x,y nonzero pairwise distinct", "alpha != 1",
+                        "denominator thetas invertible"])
 
 
 def verify_xt(cfg):
@@ -383,8 +360,8 @@ def verify_xt(cfg):
             fit = mat_mul(a, [[b] for b in theta_lambdas(parts, t, params)])
             for r, (xi, (ax,)) in enumerate(zip(weights(parts, t, params), fit)):
                 entries.append(("fresh%d[%d]" % (fresh, r), xi - ax))
-        flat = _series_residual_list(entries)
-        return flat, not flat, []
+        lines = residual_lines(entries)
+        return lines, not lines, []
 
     return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct",
                             "alpha != 1", "basis matrix invertible to order K"], trial)
@@ -401,8 +378,7 @@ def verify_detprod(cfg):
         rhs = dett_rhs_nokappa(params) * detae_rhs_nokappa(params)
         if cfg.mutate:
             rhs = rhs * 2
-        diff = lhs - rhs
-        return diff.coeff_strings(), diff.is_zero(), []
+        return *exact_form(lhs - rhs), []
 
     return run_trials(
         cfg, ["eta^s != 1", "x,y nonzero pairwise distinct", "alpha != 1"], trial,

@@ -241,6 +241,16 @@ def field_of(x):
     raise UsageError("not an exact scalar: %r" % (x,))
 
 
+def product(factors, one):
+    """The product of the factors from the first one on; `one` if there
+    are none, so no product pays a multiplication by one."""
+    factors = iter(factors)
+    out = next(factors, one)
+    for f in factors:
+        out = out * f
+    return out
+
+
 # ---------------------------------------------------------------------------
 # truncated power series in the nome p
 # ---------------------------------------------------------------------------
@@ -436,10 +446,8 @@ class PSeries:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self.inverse() if exponent < 0 else self
-        out = PSeries.constant(self.field, self.field.one, self.order)
-        for _ in range(abs(exponent)):
-            out = out * base
-        return out
+        return product([base] * abs(exponent),
+                       PSeries.constant(self.field, self.field.one, self.order))
 
     def is_zero(self):
         return not any(self.num)

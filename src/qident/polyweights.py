@@ -10,22 +10,25 @@ depend only on which of two variables comes first, so the sums are
 accumulated over subsets of variables, with the pair products built once
 per point and shared leading parts sharing their layers.  No closed-form
 simplification is attempted; the tests keep the literal permutation sums
-as oracles.  The weights, norms and window products serve both layers:
-the parameter object supplies phi, the linear factor f and the column
-lead, 1 - z, u - c and X_m's u here, theta, theta(u/c) and Z_m's theta
-with its dynamical shift on `elliptic.EllParams`.  As theta(z; 0) = 1 - z,
-each product here has the shape of its elliptic twin.
+as oracles.  The weights, norms and window sums serve both layers: the
+parameter object supplies phi, the linear factor f and the column lead,
+1 - z, u - c and X_m's u here, theta, theta(u/c) and Z_m's theta with its
+dynamical shift on `elliptic.EllParams`, and with them the norm and the
+window coefficient of each partition.  As theta(z; 0) = 1 - z, each
+product here has the shape of its elliptic twin.  The drivers leave the
+report form of their values to `reporting.exact_form`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 
 from .errors import DegenerateInputError, UsageError
-from .exactnum import PSeries, field_of, ints_over_den, modulus, scalar_of
+from .exactnum import PSeries, field_of, ints_over_den, modulus, product, scalar_of
 from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
-from .reporting import run_trials
+from .reporting import exact_form, run_trials
 
 
 class PolyParams:
@@ -34,7 +37,8 @@ class PolyParams:
     eta^s != 1 for 1 <= s <= ell, so symmetrization prefactors and norms
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
     field's, phi(z) = 1 - z, its linear factor u - c, its column lead that
-    of X_m and its kernel constant prod_m (x_m y_m)^ell.
+    of X_m and its kernel constant prod_m (x_m y_m)^ell; the norm and the
+    window coefficient are built from them.
     `memo` keeps values that every point shares, such as the multiplicity
     prefactors.
     """
@@ -61,12 +65,8 @@ class PolyParams:
     def kernel_constant(self, ell):
         """prod_m (x_m y_m)^ell, the ratio of S to its p = 0 theta form
         Omega, by which `residues.kernel_residue` divides."""
-        def make():
-            out = self.one
-            for xm, ym in zip(self.x, self.y):
-                out = out * (xm * ym) ** ell
-            return out
-        return self.memo(("kernel_constant", ell), make)
+        return self.memo(("kernel_constant", ell), lambda: product(
+            ((xm * ym) ** ell for xm, ym in zip(self.x, self.y)), self.one))
 
     def column_shift(self, a, ell):
         """The polynomial weights' single factors depend only on the part."""
@@ -84,6 +84,20 @@ class PolyParams:
         for c in y[:m - 1] + x[m:]:
             out = out * self.factor(u, c)
         return out
+
+    def norm(self, lam):
+        """N = prod_m prod_{s=1}^{w_m} phi(eta^s) f(x_m, eta^(s-1) y_m)/phi(eta),
+        the block products over the multiplicity prefactor."""
+        mults = lam.multiplicities()
+        return product((block_product(self, m, w) for m, w in enumerate(mults, start=1)),
+                       self.one) / multiplicity_prefactor(mults, self)
+
+    def window_coeff(self, lam, i, j):
+        """lam's coefficient in the window [i, j]:
+        (-1)^(w_i) eta^(w_j (w_j - 1)/2) times the `window_products`."""
+        out = window_products(lam, i, j, self)
+        wi, wj = lam.multiplicities()[i - 1], lam.multiplicities()[j - 1]
+        return (-self.one) ** wi * self.eta ** (wj * (wj - 1) // 2) * out
 
 
 def eta_constraint(one, ell):
@@ -220,13 +234,9 @@ def pair_table(t, ratio):
 def multiplicity_prefactor(mults, params):
     """prod_m prod_{s=2}^{w_m} phi(eta)/phi(eta^s) of a multiplicity vector,
     memoized on params."""
-    def make():
-        out = params.one
-        for w in mults:
-            for s in range(2, w + 1):
-                out = out * params.phi(params.eta) / params.phi(params.eta ** s)
-        return out
-    return params.memo(("prefactor", mults), make)
+    phi, eta = params.phi, params.eta
+    return params.memo(("prefactor", mults), lambda: product(
+        (phi(eta) / phi(eta ** s) for w in mults for s in range(2, w + 1)), params.one))
 
 
 def weight_pair_table(t, params, primed=False):
@@ -299,20 +309,8 @@ def q_monomials(parts, t, params):
 
 def block_product(params, m, w):
     """prod_{s<w} f(x_m, eta^s y_m) of the parameters' linear factor f."""
-    out = params.one
-    for s in range(w):
-        out = out * params.factor(params.x[m - 1], params.eta ** s * params.y[m - 1])
-    return out
-
-
-def norm_n(lam, params):
-    """N = prod_m prod_{s=1}^{w_m} phi(eta^s) f(x_m, eta^(s-1) y_m)/phi(eta),
-    the block products over the multiplicity prefactor."""
-    mults = lam.multiplicities()
-    out = params.one
-    for m, w in enumerate(mults, start=1):
-        out = out * block_product(params, m, w)
-    return out / multiplicity_prefactor(mults, params)
+    xm, ym = params.x[m - 1], params.y[m - 1]
+    return product((params.factor(xm, params.eta ** s * ym) for s in range(w)), params.one)
 
 
 def window_products(lam, i, j, params):
@@ -321,22 +319,11 @@ def window_products(lam, i, j, params):
     if lam.entries and not (i <= lam.entries[-1] and lam.entries[0] <= j):
         raise UsageError("partition %r lies outside the window [%d, %d]" % (lam.entries, i, j))
     mults = lam.multiplicities()
-    out = params.one
-    for k in range(i + 1, j):
-        out = out * block_product(params, k, mults[k - 1])
-    for a, la in enumerate(lam.entries, start=1):
-        lead = params.eta ** (lam.ell - a) * params.y[i - 1]
-        for c in params.x[i:la - 1] + params.y[la:j - 1]:
-            out = out * params.factor(lead, c)
-    return out
-
-
-def c_coeff(lam, i, j, params):
-    """The window coefficient of lam in the window [i, j]:
-    (-1)^(w_i) eta^(w_j (w_j - 1)/2) times the `window_products`."""
-    out = window_products(lam, i, j, params)
-    wi, wj = lam.multiplicities()[i - 1], lam.multiplicities()[j - 1]
-    return (-params.one) ** wi * params.eta ** (wj * (wj - 1) // 2) * out
+    leads = [params.eta ** (lam.ell - a) * params.y[i - 1] for a in range(1, lam.ell + 1)]
+    return product(chain(
+        (block_product(params, k, mults[k - 1]) for k in range(i + 1, j)),
+        (params.factor(lead, c) for lead, la in zip(leads, lam.entries)
+         for c in params.x[i:la - 1] + params.y[la:j - 1])), params.one)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +348,11 @@ def jing_value(eta, t, one, zero, mutate=False):
     return total
 
 
-def window_value(params, t, i, j, coeff, mutate=False):
-    """sum over the window [i, j] of coeff(lam, i, j, params) times lam's
-    weight at t; shared by both window identities."""
+def window_value(params, t, i, j, mutate=False):
+    """sum over the window [i, j] of params.window_coeff(lam, i, j) times
+    lam's weight at t; shared by both window identities."""
     lams = enumerate_window(params.ell, i, j, params.n)
-    coeffs = [coeff(lam, i, j, params) for lam in lams]
+    coeffs = [params.window_coeff(lam, i, j) for lam in lams]
     if mutate and coeffs:
         coeffs[0] = coeffs[0] * 2
     total = params.zero
@@ -381,7 +368,7 @@ def id2_value(params, t, j, mutate=False):
     total = params.field.zero
     for idx, (lam, wp, w) in enumerate(zip(parts, weights(parts, kap_pt.coords, params, True),
                                            weights(parts, t, params))):
-        coeff = wp * norm_n(lam, params)
+        coeff = wp * params.norm(lam)
         if mutate and idx == 0:
             coeff = coeff * 2
         total = total + coeff * w
@@ -398,25 +385,23 @@ def verify_jing(cfg):
     def trial(sampler):
         eta = sampler.draw((eta_constraint(fld.one, cfg.ell),), "eta")
         t = sample_t(sampler, cfg.ell)
-        val = jing_value(eta, t, fld.one, fld.zero, mutate=cfg.mutate)
-        return str(val), val == fld.zero, []
+        return *exact_form(jing_value(eta, t, fld.one, fld.zero, mutate=cfg.mutate)), []
 
     return run_trials(cfg, ["eta^s != 1 for s = 1..ell", "t pairwise distinct"], trial)
 
 
 def verify_id(cfg):
     """Driver for both window identities (check name id1 or id2)."""
-    fld = cfg.scalar_field()
     constrain = None if cfg.no_constraint else (cfg.i, cfg.j)
 
     def trial(sampler):
         params = sample_poly_params(sampler, cfg.ell, cfg.n, constrain)
         t = sample_t(sampler, cfg.ell)
         if cfg.check == "id1":
-            val = window_value(params, t, cfg.i, cfg.j, c_coeff, cfg.mutate)
+            val = window_value(params, t, cfg.i, cfg.j, cfg.mutate)
         else:
             val = id2_value(params, t, cfg.j, mutate=cfg.mutate)
-        return str(val), val == fld.zero, []
+        return *exact_form(val), []
 
     desc = ["eta^s != 1 for s = 1..ell", "x,y nonzero pairwise distinct",
             "t pairwise distinct"]

@@ -3,7 +3,9 @@
 A report embeds the exact configuration that produced it; replaying that
 configuration reproduces the per-trial values bit for bit (timing is the
 one field excluded from the replay comparison).  All numbers are emitted as
-exact numerator/denominator strings, never decimals.
+exact numerator/denominator strings, never decimals, and `exact_form` and
+`residual_lines` are the one place that decides how an exact value, a
+scalar or a truncated series, enters a report.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import get_type_hints
 
 from .errors import SamplingError, UsageError, VerifierError
 from .exactnum import (
-    MR_BASES, MR_EXACT_BELOW, PRNG_DESCRIPTION, PrimeField, QQ, Sampler, SamplerConfig,
-    resample)
+    MR_BASES, MR_EXACT_BELOW, PRNG_DESCRIPTION, PrimeField, PSeries, QQ, Sampler,
+    SamplerConfig, resample)
 
 SCHEMA_VERSION = 1
 
@@ -128,6 +130,25 @@ class Report:
         if self.verdict in (FALSIFIED, CONDITION_NOT_SATISFIED):
             return EXIT_FALSIFIED
         return EXIT_ERROR
+
+
+def exact_form(value):
+    """(report form, is zero) of an exact value: the coefficient strings of
+    a truncated series, the string of a scalar."""
+    if isinstance(value, PSeries):
+        return value.coeff_strings(), value.is_zero()
+    return str(value), value == 0
+
+
+def residual_lines(entries):
+    """One line per nonzero (label, value): "label=value" for a scalar,
+    "label: [coefficients]" for a series."""
+    out = []
+    for label, value in entries:
+        form, zero = exact_form(value)
+        if not zero:
+            out.append(("%s: %s" if isinstance(form, list) else "%s=%s") % (label, form))
+    return out
 
 
 def verdict_for(all_zero, no_constraint=False):

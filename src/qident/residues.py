@@ -34,22 +34,26 @@ operationally by the residue sums; the torus contour is never integrated.
 Every residue sum is one dense product: `residue_pairing` evaluates both
 families and the residue once per point and ends in `linalg.mat_mul`, and
 the `mn` residual is the product of its Gram matrix with the transition
-matrix.  The kernel, the weight family and ell all come from the
-parameter object, so the residue, the Gram matrix, the special values and
-the transition solve serve P and Xi alike.
+matrix.  The kernel, the weight family, the norms and ell all come from
+the parameter object, so the residue, the Gram matrix and its check
+`verify_gram`, the special values and the transition solve serve P and Xi
+alike; `reporting.residual_lines` writes the residuals of either layer.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .errors import (
     ConsistencyError, DegenerateInputError, NonInvertibleError, PoleOrderError)
+from .exactnum import product
 from .linalg import mat_det, mat_mul, mat_solve, transpose
 from .partitions import binom, enumerate_partitions, x_point, y_point
-from .polyweights import monomials, norm_n, q_monomials, sample_poly_params, weights
+from .polyweights import monomials, q_monomials, sample_poly_params, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
 # the one-partition `weight` in this module
 from .polyweights import weight  # noqa: F401
-from .reporting import run_trials
+from .reporting import exact_form, residual_lines, run_trials
 
 
 def cancel_poles(params, point):
@@ -97,15 +101,6 @@ def cancel_poles(params, point):
     return sign, rest_numer, rest_denom
 
 
-def phi_product(params, args):
-    """prod phi(c) over the arguments, from the first factor on."""
-    factors = map(params.phi, args)
-    out = next(factors, params.one)
-    for f in factors:
-        out = out * f
-    return out
-
-
 def kernel_residue_parts(params, point):
     """Cancel one kernel factor per variable (see `cancel_poles`) and return
     (scale, numer_value, denom_value), so that
@@ -118,8 +113,9 @@ def kernel_residue_parts(params, point):
     constant term 1 - c, so numer_value is invertible.
     """
     sign, numer, denom = cancel_poles(params, point)
-    return (params.kernel_constant(point.ell) * sign, phi_product(params, numer),
-            phi_product(params, denom))
+    return (params.kernel_constant(point.ell) * sign,
+            product(map(params.phi, numer), params.one),
+            product(map(params.phi, denom), params.one))
 
 
 def kernel_residue(params, point):
@@ -237,50 +233,43 @@ def deta_rhs(params):
     """Closed form for det[A]: prod_{s<ell} prod_{j<k} f(eta^s y_j, x_k)^e,
     e = C(n+ell-s-2, n-1), f the parameters' linear factor."""
     ell, n, eta, x, y = params.ell, params.n, params.eta, params.x, params.y
-    out = params.one
-    for s in range(ell):
-        e = binom(n + ell - s - 2, n - 1)
-        for j in range(n):
-            for k in range(j + 1, n):
-                out = out * params.factor(eta ** s * y[j], x[k]) ** e
-    return out
+    return product((params.factor(eta ** s * y[j], x[k]) ** binom(n + ell - s - 2, n - 1)
+                    for s in range(ell) for j in range(n) for k in range(j + 1, n)), params.one)
 
 
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
-def _fmt_residual_matrix(mat, zero):
-    out = []
-    for r, row in enumerate(mat):
-        for c, v in enumerate(row):
-            if v != zero:
-                out.append("[%d,%d]=%s" % (r, c, v))
-    return out
+def matrix_entries(mat):
+    """("[r,c]", entry) for every entry of a matrix, rows first."""
+    return [("[%d,%d]" % (r, c), v) for r, row in enumerate(mat) for c, v in enumerate(row)]
+
+
+def verify_gram(cfg, sample, desc):
+    """The Gram matrix [<W'_lam, W_mu>] of the parameters' weights ==
+    diag(1/N_lam), N_lam the parameters' norm, exactly: P over Q for
+    `verify_pp`, Xi to order K for `elliptic.verify_xx`.  `sample(sampler)`
+    draws the parameters and `desc` lists their constraints."""
+
+    def trial(sampler):
+        params = sample(sampler)
+        gram = weight_gram(params)
+        for r, lam in enumerate(enumerate_partitions(cfg.ell, cfg.n)):
+            inv_norm = params.one / params.norm(lam)
+            if cfg.mutate and r == 0:
+                inv_norm = inv_norm * 2
+            gram[r][r] = gram[r][r] - inv_norm
+        lines = residual_lines(matrix_entries(gram))
+        return lines, not lines, []
+
+    return run_trials(cfg, desc, trial)
 
 
 def verify_pp(cfg):
     """Gram matrix [<P'_lam, P_mu>] == diag(1/N_lam), exactly."""
-    fld = cfg.scalar_field()
-
-    def trial(sampler):
-        params = sample_poly_params(sampler, cfg.ell, cfg.n)
-        parts = enumerate_partitions(cfg.ell, cfg.n)
-        gram = weight_gram(params)
-        residual = []
-        for r, lam in enumerate(parts):
-            inv_norm = fld.one / norm_n(lam, params)
-            if cfg.mutate and r == 0:
-                inv_norm = inv_norm * 2
-            row = []
-            for c in range(len(parts)):
-                expected = inv_norm if r == c else fld.zero
-                row.append(gram[r][c] - expected)
-            residual.append(row)
-        flat = _fmt_residual_matrix(residual, fld.zero)
-        return flat, not flat, []
-
-    return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct"], trial)
+    return verify_gram(cfg, lambda sampler: sample_poly_params(sampler, cfg.ell, cfg.n),
+                       ["eta^s != 1", "x,y nonzero pairwise distinct"])
 
 
 def verify_mn(cfg):
@@ -295,7 +284,7 @@ def verify_mn(cfg):
         a, _, b = transition_matrix(q_monomials, params)
         if cfg.mutate:
             a[0][0] = a[0][0] + 1
-        norms = [norm_n(lam, params) for lam in parts]
+        norms = [params.norm(lam) for lam in parts]
         # B's columns are the Q_mu at the same x-points, so none is
         # evaluated twice
         q_at = dict(zip((pt.coords for pt in pts), transpose(b)))
@@ -307,8 +296,8 @@ def verify_mn(cfg):
         residual = mat_mul(gram, a)
         for mu, row in enumerate(residual):
             row[mu] = row[mu] - fld.one
-        flat = _fmt_residual_matrix(residual, fld.zero)
-        return flat, not flat, []
+        lines = residual_lines(matrix_entries(residual))
+        return lines, not lines, []
 
     return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct",
                             "det[Q_lam(x|>kap)] != 0"], trial)
@@ -332,8 +321,7 @@ def verify_det(cfg):
             rhs = deta_rhs(params)
         if cfg.mutate:
             rhs = rhs * 2
-        diff = lhs - rhs
-        return str(diff), diff == fld.zero, []
+        return *exact_form(lhs - rhs), []
 
     return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct"], trial)
 
@@ -342,14 +330,7 @@ def admissible_exponent_tuples(ell, n):
     """Weakly decreasing exponent tuples with entries in [0, 2n-1]; the
     residue-sum agreement sweep runs over all of them and records which
     ones satisfy the x/y relation."""
-    def rec(slots, top):
-        if slots == 0:
-            yield ()
-            return
-        for e in range(top, -1, -1):
-            for rest in rec(slots - 1, e):
-                yield (e,) + rest
-    return list(rec(ell, 2 * n - 1))
+    return list(combinations_with_replacement(range(2 * n - 1, -1, -1), ell))
 
 
 def verify_resi(cfg):

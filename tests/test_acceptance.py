@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from qident.cli import run_one
 from qident.exactnum import QQ, Sampler, SamplerConfig, theta, triple_pochhammer_p
-from qident.elliptic import norm_d, sample_ell_params, xi_weight
+from qident.elliptic import sample_ell_params, xi_weight
 from qident.partitions import Partition
 from qident.reporting import RunConfig
 from qident.residues import side_pairings
@@ -120,7 +120,7 @@ def test_criterion_07_elliptic_biorthogonality():
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
     xs, ys = (m[0][0] for m in side_pairings(lambda t: [f(t)], lambda t: [g(t)], p))
-    ok = ok and (xs + ys).is_zero() and (xs - norm_d(lam, p).inverse()).is_zero()
+    ok = ok and (xs + ys).is_zero() and (xs - p.norm(lam).inverse()).is_zero()
     report_line(7, ok, "theta-weight Gram equals diag(1/D) to order 6; "
                 "residue-sum sign relation holds")
 

@@ -12,8 +12,7 @@ from qident.partitions import Partition, binom, enumerate_partitions, enumerate_
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import side_pairings, transition_matrix, weight_gram
 from qident.elliptic import (
-    EllParams, c_coeff_ell, d_lattice,
-    detae_rhs_nokappa, dett_rhs_nokappa, idp2_value, norm_d,
+    EllParams, d_lattice, detae_rhs_nokappa, dett_rhs_nokappa, idp2_value,
     omega_residue, sample_ell_params, sample_t,
     theta_lambda, theta_lambdas, vartheta, verify_detprod, verify_idp, verify_xt,
     verify_xx, xi_weight)
@@ -27,7 +26,7 @@ def params_for(ell, n, seed=2, k=K, constrain=None):
 
 
 def idp1_value(params, t, i, j):
-    return window_value(params, t, i, j, c_coeff_ell)
+    return window_value(params, t, i, j)
 
 
 def aell_matrix(params):
@@ -101,21 +100,21 @@ def test_norm_d_examples():
     p = params_for(1, 1, seed=6)
     expect = -triple_pochhammer_p(QQ, K) * p.th(p.x[0] / p.y[0]) \
         / (p.th(1 / p.alpha) * p.th(p.alpha * p.x[0] / p.y[0]))
-    assert norm_d(Partition((1,), 1), p) == expect
+    assert p.norm(Partition((1,), 1)) == expect
     p0 = params_for(0, 2, seed=6)
-    assert norm_d(Partition((), 2), p0) == p0.one
+    assert p0.norm(Partition((), 2)) == p0.one
 
 
 def test_c_coeff_ell_small_values():
     p = params_for(1, 2, seed=8, constrain=(1, 2))
     lam2 = Partition((2,), 2)
     a2l = p.alpha * p.x[0] / p.y[0]
-    assert c_coeff_ell(lam2, 1, 2, p) == p.one / p.th(1 / a2l)
+    assert p.window_coeff(lam2, 1, 2) == p.one / p.th(1 / a2l)
     lam1 = Partition((1,), 2)
     expect = (p.alpha * p.x[0] / p.y[0]) * p.one / p.th(p.alpha * p.x[0] / p.y[0])
-    assert c_coeff_ell(lam1, 1, 2, p) == expect
+    assert p.window_coeff(lam1, 1, 2) == expect
     with pytest.raises(UsageError):
-        c_coeff_ell(Partition((3,), 3), 1, 2, params_for(1, 3, seed=8))
+        params_for(1, 3, seed=8).window_coeff(Partition((3,), 3), 1, 2)
 
 
 # oracles: the per-layer products of the elliptic norm and window
@@ -132,7 +131,7 @@ def alpha_dyn_oracle(params, m, lam):
 
 
 def norm_d_oracle(lam, params):
-    """Oracle for `norm_d`: a product of theta ratios carrying the triple
+    """Oracle for `EllParams.norm`: a product of theta ratios carrying the triple
     Pochhammer constant once per part."""
     eta = params.eta
     out = params.one * (-params.field.one) ** lam.ell
@@ -149,7 +148,7 @@ def norm_d_oracle(lam, params):
 
 
 def c_coeff_ell_oracle(lam, i, j, params):
-    """Oracle for `c_coeff_ell`, the elliptic window coefficient attached
+    """Oracle for `EllParams.window_coeff`, the elliptic window coefficient attached
     to lam in the window [i, j]."""
     if lam.entries and not (i <= lam.entries[-1] and lam.entries[0] <= j):
         raise UsageError("partition %r lies outside the window [%d, %d]" % (lam.entries, i, j))
@@ -157,7 +156,7 @@ def c_coeff_ell_oracle(lam, i, j, params):
     mults = lam.multiplicities()
     ell = lam.ell
     wi, wj = mults[i - 1], mults[j - 1]
-    scalar = (params.alpha_static(i) * params.x[i - 1] / params.y[i - 1]) ** wi \
+    scalar = (params.alphas[i - 1] * params.x[i - 1] / params.y[i - 1]) ** wi \
         * eta ** (-wi * (wi - 1))
     out = params.one * scalar
     for k in range(i + 1, j):
@@ -176,7 +175,7 @@ def c_coeff_ell_oracle(lam, i, j, params):
     for a in range(wj + 1, ell - wi + 1):
         la = lam.entries[a - 1]
         out = out * params.th(
-            params.alpha_static(la) * eta ** (a - ell) * params.y[i - 1] / params.y[la - 1])
+            params.alphas[la - 1] * eta ** (a - ell) * params.y[i - 1] / params.y[la - 1])
     for a in range(1, ell + 1):
         la = lam.entries[a - 1]
         lead = eta ** (ell - a) * params.y[i - 1]
@@ -197,10 +196,10 @@ def test_norm_and_window_coefficient_match_per_layer_oracles(fld):
                     p = sample_ell_params(Sampler(SamplerConfig(seed), fld), ell, n, K,
                                           constrain)
                     for lam in enumerate_partitions(ell, n):
-                        assert norm_d(lam, p) == norm_d_oracle(lam, p)
+                        assert p.norm(lam) == norm_d_oracle(lam, p)
                     for i, j in windows:
                         for lam in enumerate_window(ell, i, j, n):
-                            assert c_coeff_ell(lam, i, j, p) == c_coeff_ell_oracle(lam, i, j, p)
+                            assert p.window_coeff(lam, i, j) == c_coeff_ell_oracle(lam, i, j, p)
 
 
 def test_idp_identities():
@@ -229,7 +228,7 @@ def test_gram_xx_and_res_sign():
     p = params_for(1, 1, seed=21)
     lam = Partition((1,), 1)
     gram = weight_gram(p)
-    assert (gram[0][0] - norm_d(lam, p).inverse()).is_zero()
+    assert (gram[0][0] - p.norm(lam).inverse()).is_zero()
 
     f = lambda t: xi_weight(lam, t, p, primed=True)
     g = lambda t: xi_weight(lam, t, p)
@@ -241,7 +240,7 @@ def test_gram_xx_and_res_sign():
     gram12 = weight_gram(p12)
     for r, lamr in enumerate(parts):
         for c in range(len(parts)):
-            expect = norm_d(lamr, p12).inverse() if r == c else p12.zero
+            expect = p12.norm(lamr).inverse() if r == c else p12.zero
             assert (gram12[r][c] - expect).is_zero()
 
 

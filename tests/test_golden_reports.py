@@ -24,7 +24,12 @@ recorded from the truncated q-Pochhammer products that theta values
 replaced.  Negative controls that print a whole window sum or det A are
 pinned in `PINNED_FORMULA`, recorded from the column, norm, window
 coefficient and det A products written once per layer, before both layers
-wrote them once over the parameters' linear factor."""
+wrote them once over the parameters' linear factor.  Mutated `pp`, `detq`,
+`id1`, `id2`, `idp1` and `idp2` reports, which no workload runs, are
+pinned in `PINNED_DRIVER`, recorded from the drivers that formatted their
+values themselves and the per-layer Gram checks, norms and window
+coefficients, before the parameters supplied the norm and the window
+coefficient and `reporting` wrote every exact value."""
 
 import os
 import sys
@@ -261,3 +266,43 @@ test_series_report_matches_pinned_digest = pinned_test(
 test_formula_report_matches_pinned_digest = pinned_test(
     PINNED_FORMULA, lambda check, field: dict(
         check=check, field=field, seed=1, **FORMULA_SIZES[check]))
+
+# (check, field) -> (digest, length) of one mutated trial at seed 1 at
+# DRIVER_SIZES: the drivers whose report values `reporting` writes
+DRIVER_SIZES = {
+    "pp": dict(ell=3, n=3),
+    "detq": dict(ell=4, n=3),
+    "id1": dict(ell=4, n=3, i=1, j=3),
+    "id2": dict(ell=4, n=3, i=1, j=3),
+    "idp1": dict(ell=2, n=3, i=1, j=3, k=6),
+    "idp2": dict(ell=3, n=2, k=6),
+}
+PINNED_DRIVER = {
+    ("detq", "prime"):
+        ("15ffa18b1237260ed17ec1746502777d2a4b18bdecd4a906f46d5e67b6d6f700", 839),
+    ("detq", "rational"):
+        ("02dbb3249c93a0f6dadc27909a3f23e02d038304518665815f8dbe2f98316e0c", 1779),
+    ("id1", "prime"):
+        ("a3a8fc67b20925e2855f05a6c0b5b03ba95e9b021dabf6f45fc9c8a19bc7991b", 974),
+    ("id1", "rational"):
+        ("049eb6a5cbfc02a987370cfe89c6d23523414078437b846077cccab55691fe23", 1010),
+    ("id2", "prime"):
+        ("736bab2df9b3780f90c60704190657080cb7cec72311b155e70d1c694e42b4f7", 975),
+    ("id2", "rational"):
+        ("5acc1750da650ca9c21246b723729806dc04faefb6dbe9d621e1c6b136c41b4c", 1157),
+    ("idp1", "prime"):
+        ("5710dc030b0a4bb5eb855613acc297db10dc382a55dd2579837b1992b8b93678", 1240),
+    ("idp1", "rational"):
+        ("e0601506ecd38270278626760f2aaf22d60fbd02dedb4bea34bdb78dbc5fd64a", 2700),
+    ("idp2", "prime"):
+        ("ccd29a196c1cd887d31e604cd05ef31890b10f5adf74c8bd4e9bbe5774b742b4", 1305),
+    ("idp2", "rational"):
+        ("ab9217a42df6f6f7f08fcae934dc532c367346dcaed595fdbb742e630aebc239", 3415),
+    ("pp", "prime"):
+        ("6ecab131f3e6704a91da858d7ee9715b0da6a632eaf474ac708086bef6f70ba7", 844),
+    ("pp", "rational"):
+        ("7b8f02808b815eb2afe7430b912c39f1d6765cd4ebc6cb0c91ec69d4bf8e9674", 727),
+}
+test_driver_report_matches_pinned_digest = pinned_test(
+    PINNED_DRIVER, lambda check, field: dict(
+        check=check, field=field, seed=1, mutate=True, **DRIVER_SIZES[check]))

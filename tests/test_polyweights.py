@@ -8,8 +8,8 @@ from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    PolyParams, c_coeff, id2_value, jing_value, monomial_symmetric, norm_n, q_monomials,
-    sample_poly_params, sample_t, weight, window_value)
+    PolyParams, id2_value, jing_value, monomial_symmetric, q_monomials, sample_poly_params,
+    sample_t, weight, window_value)
 from qident.reporting import RunConfig
 from qident.polyweights import verify_id, verify_jing
 
@@ -22,7 +22,7 @@ def params_for(ell, n, seed=2, constrain=None):
 
 
 def id1_value(params, t, i, j):
-    return window_value(params, t, i, j, c_coeff)
+    return window_value(params, t, i, j)
 
 
 def swapped(p):
@@ -212,19 +212,19 @@ def test_q_monomial():
 
 def test_norm_examples():
     p = params_for(1, 1)
-    assert norm_n(Partition((1,), 1), p) == p.x[0] - p.y[0]
+    assert p.norm(Partition((1,), 1)) == p.x[0] - p.y[0]
     p2 = params_for(2, 1)
     expect = (p2.x[0] - p2.y[0]) * (1 + p2.eta) * (p2.x[0] - p2.eta * p2.y[0])
-    assert norm_n(Partition((1, 1), 1), p2) == expect
-    assert norm_n(Partition((), 2), params_for(0, 2)) == 1
+    assert p2.norm(Partition((1, 1), 1)) == expect
+    assert params_for(0, 2).norm(Partition((), 2)) == 1
 
 
 def test_c_coeff_examples():
     p = params_for(1, 2, constrain=(1, 2))
-    assert c_coeff(Partition((1,), 2), 1, 2, p) == -1
-    assert c_coeff(Partition((2,), 2), 1, 2, p) == 1
+    assert p.window_coeff(Partition((1,), 2), 1, 2) == -1
+    assert p.window_coeff(Partition((2,), 2), 1, 2) == 1
     with pytest.raises(UsageError):
-        c_coeff(Partition((3,), 3), 1, 2, params_for(1, 3))
+        params_for(1, 3).window_coeff(Partition((3,), 3), 1, 2)
 
 
 def test_jing_small_cases():

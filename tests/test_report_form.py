@@ -1,0 +1,47 @@
+"""The one report form of exact values: `reporting.exact_form` and
+`reporting.residual_lines` over QQ, GF(p) and truncated series, and a
+guard that no other module of src/qident formats series coefficients
+itself (`PSeries.coeff_strings` is called only in reporting.py).
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+from qident.exactnum import PSeries, PrimeField, QQ
+from qident.reporting import DEFAULT_PRIME, exact_form, residual_lines
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qident"
+GFP = PrimeField(DEFAULT_PRIME)
+
+
+def test_exact_form_of_scalars_and_series():
+    assert exact_form(Fraction(-3, 4)) == ("-3/4", False)
+    assert exact_form(QQ.zero) == ("0", True)
+    assert exact_form(GFP.of(-1)) == ("%d mod %d" % (DEFAULT_PRIME - 1, DEFAULT_PRIME), False)
+    assert exact_form(GFP.zero) == ("0 mod %d" % DEFAULT_PRIME, True)
+    series = PSeries(QQ, [Fraction(1, 2), 0, -3], 2)
+    assert exact_form(series) == (["1/2", "0", "-3"], False)
+    assert exact_form(PSeries.constant(GFP, GFP.zero, 3)) == \
+        (["0 mod %d" % DEFAULT_PRIME] * 4, True)
+
+
+def test_residual_lines_drop_zero_entries():
+    assert residual_lines([("[0,0]", Fraction(0)), ("[0,1]", Fraction(5, 7)),
+                           ("[1,0]", QQ.zero), ("[1,1]", Fraction(-2))]) == \
+        ["[0,1]=5/7", "[1,1]=-2"]
+    assert residual_lines([("[0,0]", GFP.of(3)), ("[0,1]", GFP.zero)]) == \
+        ["[0,0]=3 mod %d" % DEFAULT_PRIME]
+    zero, value = PSeries.constant(QQ, QQ.zero, 1), PSeries(QQ, [0, Fraction(1, 3)], 1)
+    assert residual_lines([("fresh0[0]", zero), ("fresh0[1]", value)]) == \
+        ["fresh0[1]: ['0', '1/3']"]
+    assert residual_lines([]) == []
+
+
+def test_only_reporting_formats_series_coefficients():
+    callers = sorted(
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "coeff_strings")
+    assert callers == ["reporting.py"]

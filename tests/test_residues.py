@@ -14,7 +14,7 @@ from qident.linalg import mat_det, mat_mul
 from qident.partitions import (
     EvalPoint, Partition, enumerate_partitions, kappa, x_point, y_point)
 from qident.polyweights import (
-    PolyParams, monomial_symmetric, norm_n, q_monomials, sample_poly_params, weight)
+    PolyParams, monomial_symmetric, q_monomials, sample_poly_params, weight)
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
     admissible_exponent_tuples, cancel_poles, d_exponent, deta_rhs, detq_rhs,
@@ -314,7 +314,7 @@ def test_smallest_biorthogonality_cases():
     f = lambda t: weight(lam, t, p, primed=True)
     g = lambda t: weight(lam, t, p)
     assert scalar_product(f, g, p) == 1 / (p.x[0] - p.y[0])
-    assert scalar_product(f, g, p) == 1 / norm_n(lam, p)
+    assert scalar_product(f, g, p) == 1 / p.norm(lam)
 
     p2 = params_for(1, 2)
     f1 = lambda t: weight(Partition((1,), 2), t, p2, primed=True)
@@ -336,7 +336,7 @@ def test_gram_pp_is_diagonal_of_inverse_norms():
         gram = weight_gram(p)
         for r, lam in enumerate(parts):
             for c in range(len(parts)):
-                expect = 1 / norm_n(lam, p) if r == c else QQ.zero
+                expect = 1 / p.norm(lam) if r == c else QQ.zero
                 assert gram[r][c] == expect
 
 
