@@ -1,5 +1,6 @@
-"""Command-line driver: subcommand routing, configuration, seeded trial
-orchestration, machine-readable reports, and negative-control self-tests.
+"""Command-line driver: subcommand routing, configuration, and the check
+table `CHECKS`, whose rows name each value check's sampler, value and
+constraint lines (run by `reporting.run_check`) or the check's own driver.
 
 Exit codes: 0 verified, 1 falsified (or condition not satisfied), 2 usage
 error, 3 internal or degenerate-input error.  A check can only exit 0 when
@@ -21,7 +22,7 @@ from . import elliptic, polyweights, residues, uqrep
 from .errors import UsageError
 from .reporting import (
     ERROR, EXIT_ERROR, EXIT_FALSIFIED, EXIT_USAGE, EXIT_VERIFIED,
-    Report, RunConfig, TrialRecord, VERIFIED)
+    Report, RunConfig, TrialRecord, VERIFIED, run_check)
 
 SEED_ENV_VAR = "QIDENT_SEED"
 
@@ -30,37 +31,91 @@ _WINDOW = ("ell", "n", "i", "j", "no_constraint")
 
 
 class Check(NamedTuple):
-    """A row of the check table, all that `validate` needs.  `reads` names
-    the CHECK_OPTIONS the check reads (every check reads trials, seed, field,
-    prime, bound and mutate); giving any other is a usage error, since the
-    check would ignore it and still report a verdict.  A check that reads
-    `i` needs the window 1 <= i < j <= n."""
-    driver: Callable
+    """A row of the check table.  `reads` names the CHECK_OPTIONS the check
+    reads (every check reads trials, seed, field, prime, bound and mutate);
+    giving any other is a usage error, since the check would ignore it and
+    still report a verdict.  A check that reads `i` needs the window
+    1 <= i < j <= n.  A value check, run by `reporting.run_check`, names
+    its `sample(sampler, cfg)`, `value(cfg, params, sampler)`, constraint
+    lines, the (imposed, lifted) line pair of a window identity and its
+    notes; any other check is its own `driver(cfg)`."""
     reads: tuple
     min_ell: int
+    driver: Callable = None
+    sample: Callable = None
+    value: Callable = None
+    constraints: tuple = ()
+    window: tuple = ()
+    notes: tuple = ()
 
+
+def draw_eta(sampler, cfg):
+    return polyweights.sample_eta(sampler, cfg.ell)
+
+
+def draw_poly(sampler, cfg):
+    return polyweights.sample_poly_params(sampler, cfg.ell, cfg.n)
+
+
+def draw_poly_window(sampler, cfg):
+    return polyweights.sample_poly_params(sampler, cfg.ell, cfg.n,
+                                          None if cfg.no_constraint else (cfg.i, cfg.j))
+
+
+def draw_elliptic(sampler, cfg):
+    return elliptic.sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
+
+
+def draw_elliptic_window(sampler, cfg):
+    return elliptic.sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k,
+                                      None if cfg.no_constraint else (cfg.i, cfg.j))
+
+
+_POLY = ("eta^s != 1", "x,y nonzero pairwise distinct")
+_ELLIPTIC = _POLY + ("alpha != 1",)
+_ID = ("eta^s != 1 for s = 1..ell", "x,y nonzero pairwise distinct", "t pairwise distinct")
+_IMPOSED = ("imposed x_j = eta^(ell-1) y_i", "constraint lifted (negative control)")
 
 CHECKS = {
-    "jing": Check(polyweights.verify_jing, ("ell",), 1),
-    "id1": Check(polyweights.verify_id, _WINDOW, 1),
-    "id2": Check(polyweights.verify_id, _WINDOW, 1),
-    "pp": Check(residues.verify_pp, ("ell", "n"), 1),
-    "mn": Check(residues.verify_mn, ("ell", "n"), 1),
-    "detq": Check(residues.verify_det, ("ell", "n"), 1),
-    "deta": Check(residues.verify_det, ("ell", "n"), 1),
-    "resI": Check(residues.verify_resi, ("ell", "n"), 1),
-    "idp1": Check(elliptic.verify_idp, _WINDOW + ("k",), 1),
-    "idp2": Check(elliptic.verify_idp, _WINDOW + ("k",), 1),
-    "xx": Check(elliptic.verify_xx, ("ell", "n", "k"), 1),
-    "xt": Check(elliptic.verify_xt, ("ell", "n", "k"), 1),
-    "detprod": Check(elliptic.verify_detprod, ("ell", "n", "k"), 1),
-    "rll": Check(uqrep.verify_rll, ("n",), 0),
-    "kbi": Check(uqrep.verify_kbi, ("ell", "n"), 0),
-    "bc1": Check(uqrep.verify_bc, _WINDOW, 0),
+    "jing": Check(("ell",), 1, sample=draw_eta, value=polyweights.jing_residual,
+                  constraints=("eta^s != 1 for s = 1..ell", "t pairwise distinct")),
+    "id1": Check(_WINDOW, 1, sample=draw_poly_window, value=polyweights.window_residual,
+                 constraints=_ID, window=_IMPOSED),
+    "id2": Check(_WINDOW, 1, sample=draw_poly_window, value=polyweights.id2_residual,
+                 constraints=_ID, window=_IMPOSED),
+    "pp": Check(("ell", "n"), 1, sample=draw_poly, value=residues.gram_residual,
+                constraints=_POLY),
+    "mn": Check(("ell", "n"), 1, sample=draw_poly, value=residues.mn_residual,
+                constraints=_POLY + ("det[Q_lam(x|>kap)] != 0",)),
+    "detq": Check(("ell", "n"), 1, sample=draw_poly, value=residues.detq_residual,
+                  constraints=_POLY),
+    "deta": Check(("ell", "n"), 1, sample=draw_poly, value=residues.deta_residual,
+                  constraints=_POLY),
+    "resI": Check(("ell", "n"), 1, residues.verify_resi),
+    "idp1": Check(_WINDOW + ("k",), 1, sample=draw_elliptic_window,
+                  value=polyweights.window_residual,
+                  constraints=_ELLIPTIC + ("t pairwise distinct",), window=_IMPOSED),
+    "idp2": Check(_WINDOW + ("k",), 1, sample=draw_elliptic_window,
+                  value=elliptic.idp2_residual,
+                  constraints=_ELLIPTIC + ("t pairwise distinct",), window=_IMPOSED,
+                  notes=("idp2 depends on the parameters only through "
+                         "beta = eta^(1-2 ell) alpha x_1/y_1",)),
+    "xx": Check(("ell", "n", "k"), 1, sample=draw_elliptic, value=residues.gram_residual,
+                constraints=_ELLIPTIC + ("denominator thetas invertible",)),
+    "xt": Check(("ell", "n", "k"), 1, sample=draw_elliptic, value=elliptic.xt_residual,
+                constraints=_ELLIPTIC + ("basis matrix invertible to order K",)),
+    "detprod": Check(("ell", "n", "k"), 1, sample=draw_elliptic,
+                     value=elliptic.detprod_residual, constraints=_ELLIPTIC,
+                     notes=("the root-of-unity constant of the basis determinant and "
+                            "its inverse in the transition determinant cancel in the "
+                            "asserted product; cyclotomic values are never computed",)),
+    "rll": Check(("n",), 0, uqrep.verify_rll),
+    "kbi": Check(("ell", "n"), 0, uqrep.verify_kbi),
+    "bc1": Check(_WINDOW, 0, uqrep.verify_bc),
     # with no lowering arguments the string value is the singular vector
     # itself, not zero
-    "bc2": Check(uqrep.verify_bc, _WINDOW, 1),
-    "singular": Check(uqrep.verify_singular, _WINDOW + ("word_len",), 0),
+    "bc2": Check(_WINDOW, 1, uqrep.verify_bc),
+    "singular": Check(_WINDOW + ("word_len",), 0, uqrep.verify_singular),
 }
 
 
@@ -164,7 +219,8 @@ def run_one(cfg):
     alike, becomes an `error` report (exit 3), never a traceback."""
     validate(cfg)
     try:
-        return CHECKS[cfg.check].driver(cfg)
+        check = CHECKS[cfg.check]
+        return check.driver(cfg) if check.driver else run_check(cfg, check)
     except Exception as exc:
         return error_report(cfg, exc)
 

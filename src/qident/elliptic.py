@@ -1,11 +1,11 @@
 """The elliptic layer: theta-weight functions with a dynamical parameter,
 their window coefficients and biorthogonality norms, the one-variable theta
-basis, transition coefficients, and the determinant product check.
+basis, transition coefficients, and the idp2, xt and detprod check values.
 
 Everything is computed coefficient-wise in the ring of power series in the
 nome modulo p^(K+1); "an identity holds" means all K+1 coefficients vanish
 at every sampled parameter point.  The weights, window sums, kernel
-residues, Gram matrix and its check, and the transition solve are those of
+residues, Gram matrix and its residual, and the transition solve are those of
 the polynomial layer: `EllParams` supplies phi = theta, the linear factor
 theta(u/c), Z_m's column lead, the residue constant ((p; p)^3)^ell, the
 norm D and the window coefficient, and `polyweights` and `residues` do the
@@ -27,11 +27,10 @@ from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
     PolyParams, sample_poly_params, sample_t, symmetric_products, symmetrize,
-    weight_pair_table, weights, window_products, window_value)
-from .reporting import exact_form, residual_lines, run_trials
+    weight_pair_table, weights, window_products)
 from .residues import (
     d_exponent, deta_rhs, kernel_residue, scalar_product, special_values,
-    transition_matrix, verify_gram)
+    transition_matrix)
 
 
 class EllParams(PolyParams):
@@ -309,79 +308,35 @@ def detae_rhs_nokappa(params):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# check values value(cfg, params, sampler), points drawn after the parameters
 # ---------------------------------------------------------------------------
 
-def verify_idp(cfg):
-    """Driver for both elliptic window identities (idp1, idp2)."""
-    constrain = None if cfg.no_constraint else (cfg.i, cfg.j)
-
-    def trial(sampler):
-        params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k, constrain)
-        t = sample_t(sampler, cfg.ell)
-        if cfg.check == "idp1":
-            val = window_value(params, t, cfg.i, cfg.j, cfg.mutate)
-        else:
-            val = idp2_value(params, t, mutate=cfg.mutate)
-        return *exact_form(val), []
-
-    notes = []
-    if cfg.check == "idp2":
-        notes.append("idp2 depends on the parameters only through "
-                     "beta = eta^(1-2 ell) alpha x_1/y_1")
-    desc = ["eta^s != 1", "x,y nonzero pairwise distinct", "alpha != 1",
-            "t pairwise distinct",
-            "constraint lifted (negative control)" if cfg.no_constraint
-            else "imposed x_j = eta^(ell-1) y_i"]
-    return run_trials(cfg, desc, trial, notes=notes)
+def idp2_residual(cfg, params, sampler):
+    """`idp2_value` at a fresh point."""
+    return idp2_value(params, sample_t(sampler, cfg.ell), cfg.mutate)
 
 
-def verify_xx(cfg):
-    """Gram matrix of the theta weights == diag(1/D_lam) to order K, plus
-    the x/y sign self-check inside every scalar product."""
-    return verify_gram(cfg, lambda sampler: sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k),
-                       ["eta^s != 1", "x,y nonzero pairwise distinct", "alpha != 1",
-                        "denominator thetas invertible"])
+def xt_residual(cfg, params, sampler):
+    """The entries Xi(t) - A Theta(t) at three fresh points t, drawn after
+    the transition solve Xi = A Theta at the special points.  A mutated run
+    adds 1 to A[0][0]."""
+    parts = enumerate_partitions(params.ell, params.n)
+    a, _, _ = transition_matrix(theta_lambdas, params)
+    if cfg.mutate:
+        a[0][0] = a[0][0] + 1
+    entries = []
+    for fresh in range(3):
+        t = sample_t(sampler, params.ell)
+        fit = mat_mul(a, [[b] for b in theta_lambdas(parts, t, params)])
+        for r, (xi, (ax,)) in enumerate(zip(weights(parts, t, params), fit)):
+            entries.append(("fresh%d[%d]" % (fresh, r), xi - ax))
+    return entries
 
 
-def verify_xt(cfg):
-    """Transition solve Xi = A Theta at the special points, then residual
-    zero at fresh t-points to order K."""
-
-    def trial(sampler):
-        params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
-        parts = enumerate_partitions(cfg.ell, cfg.n)
-        a, _, _ = transition_matrix(theta_lambdas, params)
-        if cfg.mutate:
-            a[0][0] = a[0][0] + 1
-        entries = []
-        for fresh in range(3):
-            t = sample_t(sampler, cfg.ell)
-            fit = mat_mul(a, [[b] for b in theta_lambdas(parts, t, params)])
-            for r, (xi, (ax,)) in enumerate(zip(weights(parts, t, params), fit)):
-                entries.append(("fresh%d[%d]" % (fresh, r), xi - ax))
-        lines = residual_lines(entries)
-        return lines, not lines, []
-
-    return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct",
-                            "alpha != 1", "basis matrix invertible to order K"], trial)
-
-
-def verify_detprod(cfg):
-    """det[Xi_lam(x |> mu)] == RHS(detT) * RHS(detAe) to order K; the
-    root-of-unity constants of the two closed forms cancel in the product,
-    so neither is ever computed on its own."""
-
-    def trial(sampler):
-        params = sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
-        lhs = mat_det(special_values(weights, params), params.one, params.zero)
-        rhs = dett_rhs_nokappa(params) * detae_rhs_nokappa(params)
-        if cfg.mutate:
-            rhs = rhs * 2
-        return *exact_form(lhs - rhs), []
-
-    return run_trials(
-        cfg, ["eta^s != 1", "x,y nonzero pairwise distinct", "alpha != 1"], trial,
-        notes=["the root-of-unity constant of the basis determinant and its "
-               "inverse in the transition determinant cancel in the asserted "
-               "product; cyclotomic values are never computed"])
+def detprod_residual(cfg, params, sampler):
+    """det[Xi_lam(x |> mu)] minus RHS(detT) RHS(detAe), which a mutated run
+    doubles; the root-of-unity constants of the two closed forms cancel in
+    the product, so neither is ever computed on its own."""
+    lhs = mat_det(special_values(weights, params), params.one, params.zero)
+    rhs = dett_rhs_nokappa(params) * detae_rhs_nokappa(params)
+    return lhs - (rhs * 2 if cfg.mutate else rhs)

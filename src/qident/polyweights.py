@@ -1,7 +1,7 @@
 """The polynomial layer: per-variable factors X_m and X'_m, the symmetrized
 weights P and P' with their eta-dependent prefactor, monomial symmetric
-polynomials, biorthogonality norms, window coefficients, and the drivers
-for the combinatorial identities built out of them.
+polynomials, biorthogonality norms, window coefficients, and the values
+of the combinatorial identities built out of them.
 
 Every sum over S_ell here (and in the elliptic layer) goes through
 `symmetrize`, one call per point for all the sums wanted there: their terms
@@ -15,8 +15,9 @@ parameter object supplies phi, the linear factor f and the column lead,
 1 - z, u - c and X_m's u here, theta, theta(u/c) and Z_m's theta with its
 dynamical shift on `elliptic.EllParams`, and with them the norm and the
 window coefficient of each partition.  As theta(z; 0) = 1 - z, each
-product here has the shape of its elliptic twin.  The drivers leave the
-report form of their values to `reporting.exact_form`.
+product here has the shape of its elliptic twin.  A check value
+value(cfg, params, sampler) draws its point after the parameters and
+leaves its report form to `reporting`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from itertools import chain
 from .errors import DegenerateInputError, UsageError
 from .exactnum import PSeries, field_of, ints_over_den, modulus, product, scalar_of
 from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
-from .reporting import exact_form, run_trials
 
 
 class PolyParams:
@@ -100,15 +100,17 @@ class PolyParams:
         return (-self.one) ** wi * self.eta ** (wj * (wj - 1) // 2) * out
 
 
-def eta_constraint(one, ell):
-    return lambda v: all(v ** s != one for s in range(1, max(ell, 2) + 1))
+def sample_eta(sampler, ell):
+    """Draw eta with eta^s != 1 for s = 1..max(ell, 2)."""
+    one, powers = sampler.field.one, range(1, max(ell, 2) + 1)
+    return sampler.draw((lambda v: all(v ** s != one for s in powers),), "eta")
 
 
 def sample_poly_params(sampler, ell, n, constrain=None):
     """Draw admissible parameters; `constrain=(i, j)` then overwrites
     x_j := eta^(ell-1) y_i, exactly matching the theorem hypothesis."""
     fld = sampler.field
-    eta = sampler.draw((eta_constraint(fld.one, ell),), "eta")
+    eta = sample_eta(sampler, ell)
     xy = sampler.draw_distinct(2 * n, (), "x,y")
     x, y = list(xy[:n]), list(xy[n:])
     if constrain is not None:
@@ -327,7 +329,7 @@ def window_products(lam, i, j, params):
 
 
 # ---------------------------------------------------------------------------
-# identity values
+# identity values, and the check values value(cfg, params, sampler)
 # ---------------------------------------------------------------------------
 
 def jing_value(eta, t, one, zero, mutate=False):
@@ -375,38 +377,17 @@ def id2_value(params, t, j, mutate=False):
     return total
 
 
-# ---------------------------------------------------------------------------
-# drivers
-# ---------------------------------------------------------------------------
-
-def verify_jing(cfg):
-    fld = cfg.scalar_field()
-
-    def trial(sampler):
-        eta = sampler.draw((eta_constraint(fld.one, cfg.ell),), "eta")
-        t = sample_t(sampler, cfg.ell)
-        return *exact_form(jing_value(eta, t, fld.one, fld.zero, mutate=cfg.mutate)), []
-
-    return run_trials(cfg, ["eta^s != 1 for s = 1..ell", "t pairwise distinct"], trial)
+def jing_residual(cfg, eta, sampler):
+    """`jing_value` at a fresh point."""
+    fld = sampler.field
+    return jing_value(eta, sample_t(sampler, cfg.ell), fld.one, fld.zero, cfg.mutate)
 
 
-def verify_id(cfg):
-    """Driver for both window identities (check name id1 or id2)."""
-    constrain = None if cfg.no_constraint else (cfg.i, cfg.j)
+def window_residual(cfg, params, sampler):
+    """`window_value` at a fresh point, in either layer."""
+    return window_value(params, sample_t(sampler, cfg.ell), cfg.i, cfg.j, cfg.mutate)
 
-    def trial(sampler):
-        params = sample_poly_params(sampler, cfg.ell, cfg.n, constrain)
-        t = sample_t(sampler, cfg.ell)
-        if cfg.check == "id1":
-            val = window_value(params, t, cfg.i, cfg.j, cfg.mutate)
-        else:
-            val = id2_value(params, t, cfg.j, mutate=cfg.mutate)
-        return *exact_form(val), []
 
-    desc = ["eta^s != 1 for s = 1..ell", "x,y nonzero pairwise distinct",
-            "t pairwise distinct"]
-    if constrain is not None:
-        desc.append("imposed x_j = eta^(ell-1) y_i")
-    else:
-        desc.append("constraint lifted (negative control)")
-    return run_trials(cfg, desc, trial)
+def id2_residual(cfg, params, sampler):
+    """`id2_value` at a fresh point."""
+    return id2_value(params, sample_t(sampler, cfg.ell), cfg.j, cfg.mutate)

@@ -3,9 +3,10 @@
 A report embeds the exact configuration that produced it; replaying that
 configuration reproduces the per-trial values bit for bit (timing is the
 one field excluded from the replay comparison).  All numbers are emitted as
-exact numerator/denominator strings, never decimals, and `exact_form` and
-`residual_lines` are the one place that decides how an exact value, a
-scalar or a truncated series, enters a report.
+exact numerator/denominator strings, never decimals, and `exact_form` is
+the one place that decides how an exact value (a scalar, a truncated
+series or a list of residual entries) enters a report.  `run_trials` is
+the seeded trial loop and `run_check` runs any value check on it.
 """
 
 from __future__ import annotations
@@ -134,21 +135,19 @@ class Report:
 
 def exact_form(value):
     """(report form, is zero) of an exact value: the coefficient strings of
-    a truncated series, the string of a scalar."""
+    a truncated series, the string of a scalar, and for a list of (label,
+    value) residual entries one line per nonzero entry, "label=value" for
+    a scalar and "label: [coefficients]" for a series."""
+    if isinstance(value, list):
+        lines = []
+        for label, entry in value:
+            form, zero = exact_form(entry)
+            if not zero:
+                lines.append(("%s: %s" if isinstance(form, list) else "%s=%s") % (label, form))
+        return lines, not lines
     if isinstance(value, PSeries):
         return value.coeff_strings(), value.is_zero()
     return str(value), value == 0
-
-
-def residual_lines(entries):
-    """One line per nonzero (label, value): "label=value" for a scalar,
-    "label: [coefficients]" for a series."""
-    out = []
-    for label, value in entries:
-        form, zero = exact_form(value)
-        if not zero:
-            out.append(("%s: %s" if isinstance(form, list) else "%s=%s") % (label, form))
-    return out
 
 
 def verdict_for(all_zero, no_constraint=False):
@@ -203,3 +202,17 @@ def run_trials(cfg, constraints_desc, trial_fn, notes=None):
         trials=trials,
         notes=notes,
         timing_s=time.perf_counter() - start)
+
+
+def run_check(cfg, check):
+    """The report of a value check, a row of the check table (`cli.Check`):
+    per trial, `check.sample` draws the parameters and `check.value` the
+    value that `exact_form` writes."""
+    constraints = list(check.constraints)
+    if check.window:
+        constraints.append(check.window[cfg.no_constraint])
+
+    def trial(sampler):
+        return *exact_form(check.value(cfg, check.sample(sampler, cfg), sampler)), []
+
+    return run_trials(cfg, constraints, trial, notes=check.notes)

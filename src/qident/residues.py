@@ -35,9 +35,10 @@ Every residue sum is one dense product: `residue_pairing` evaluates both
 families and the residue once per point and ends in `linalg.mat_mul`, and
 the `mn` residual is the product of its Gram matrix with the transition
 matrix.  The kernel, the weight family, the norms and ell all come from
-the parameter object, so the residue, the Gram matrix and its check
-`verify_gram`, the special values and the transition solve serve P and Xi
-alike; `reporting.residual_lines` writes the residuals of either layer.
+the parameter object, so the residue, the Gram matrix and its residual
+`gram_residual`, the special values and the transition solve serve P and
+Xi alike; the check values return residual entries, which `reporting`
+writes for either layer.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .polyweights import monomials, q_monomials, sample_poly_params, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
 # the one-partition `weight` in this module
 from .polyweights import weight  # noqa: F401
-from .reporting import exact_form, residual_lines, run_trials
+from .reporting import run_trials
 
 
 def cancel_poles(params, point):
@@ -238,7 +239,7 @@ def deta_rhs(params):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# check values: value(cfg, params, sampler), and the resI driver
 # ---------------------------------------------------------------------------
 
 def matrix_entries(mat):
@@ -246,84 +247,60 @@ def matrix_entries(mat):
     return [("[%d,%d]" % (r, c), v) for r, row in enumerate(mat) for c, v in enumerate(row)]
 
 
-def verify_gram(cfg, sample, desc):
-    """The Gram matrix [<W'_lam, W_mu>] of the parameters' weights ==
-    diag(1/N_lam), N_lam the parameters' norm, exactly: P over Q for
-    `verify_pp`, Xi to order K for `elliptic.verify_xx`.  `sample(sampler)`
-    draws the parameters and `desc` lists their constraints."""
-
-    def trial(sampler):
-        params = sample(sampler)
-        gram = weight_gram(params)
-        for r, lam in enumerate(enumerate_partitions(cfg.ell, cfg.n)):
-            inv_norm = params.one / params.norm(lam)
-            if cfg.mutate and r == 0:
-                inv_norm = inv_norm * 2
-            gram[r][r] = gram[r][r] - inv_norm
-        lines = residual_lines(matrix_entries(gram))
-        return lines, not lines, []
-
-    return run_trials(cfg, desc, trial)
+def gram_residual(cfg, params, sampler):
+    """The entries of [<W'_lam, W_mu>] - diag(1/N_lam), N_lam the
+    parameters' norm: P over Q, Xi to order K.  A mutated run doubles
+    1/N of the first partition."""
+    gram = weight_gram(params)
+    for r, lam in enumerate(enumerate_partitions(params.ell, params.n)):
+        inv_norm = params.one / params.norm(lam)
+        if cfg.mutate and r == 0:
+            inv_norm = inv_norm * 2
+        gram[r][r] = gram[r][r] - inv_norm
+    return matrix_entries(gram)
 
 
-def verify_pp(cfg):
-    """Gram matrix [<P'_lam, P_mu>] == diag(1/N_lam), exactly."""
-    return verify_gram(cfg, lambda sampler: sample_poly_params(sampler, cfg.ell, cfg.n),
-                       ["eta^s != 1", "x,y nonzero pairwise distinct"])
+def mn_residual(cfg, params, sampler):
+    """The entries of G A - 1, where G[mu][lam] = sum_kap M_kap^{-1}
+    Q_mu(x|>kap) P'_lam(x|>kap) N_lam and A is the transition matrix to
+    the monomials.  A mutated run adds 1 to A[0][0]."""
+    parts = enumerate_partitions(params.ell, params.n)
+    pts = point_family(x_point, params)
+    a, _, b = transition_matrix(q_monomials, params)
+    if cfg.mutate:
+        a[0][0] = a[0][0] + 1
+    norms = [params.norm(lam) for lam in parts]
+    # B's columns are the Q_mu at the same x-points, so none is
+    # evaluated twice
+    q_at = dict(zip((pt.coords for pt in pts), transpose(b)))
+    gram = residue_pairing(
+        q_at.__getitem__,
+        lambda t: [w * nl for w, nl in zip(weights(parts, t, params, True), norms)],
+        params, pts)
+    residual = mat_mul(gram, a)
+    for mu, row in enumerate(residual):
+        row[mu] = row[mu] - params.one
+    return matrix_entries(residual)
 
 
-def verify_mn(cfg):
-    """sum_{kap,lam} M_kap^{-1} Q_mu(x|>kap) P'_lam(x|>kap) N_lam A[lam][nu]
-    == delta_{mu,nu}, exactly."""
-    fld = cfg.scalar_field()
-
-    def trial(sampler):
-        params = sample_poly_params(sampler, cfg.ell, cfg.n)
-        parts = enumerate_partitions(cfg.ell, cfg.n)
-        pts = point_family(x_point, params)
-        a, _, b = transition_matrix(q_monomials, params)
-        if cfg.mutate:
-            a[0][0] = a[0][0] + 1
-        norms = [params.norm(lam) for lam in parts]
-        # B's columns are the Q_mu at the same x-points, so none is
-        # evaluated twice
-        q_at = dict(zip((pt.coords for pt in pts), transpose(b)))
-        # G[mu][lam] = sum_kap M_kap^{-1} Q_mu(x|>kap) P'_lam(x|>kap) N_lam
-        gram = residue_pairing(
-            q_at.__getitem__,
-            lambda t: [w * nl for w, nl in zip(weights(parts, t, params, True), norms)],
-            params, pts)
-        residual = mat_mul(gram, a)
-        for mu, row in enumerate(residual):
-            row[mu] = row[mu] - fld.one
-        lines = residual_lines(matrix_entries(residual))
-        return lines, not lines, []
-
-    return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct",
-                            "det[Q_lam(x|>kap)] != 0"], trial)
+def detq_residual(cfg, params, sampler):
+    """det B = det[Q_lam(x|>mu)] minus its closed form, which a mutated run
+    doubles."""
+    lhs = mat_det(special_values(q_monomials, params), params.one, params.zero)
+    rhs = detq_rhs(params)
+    return lhs - (rhs * 2 if cfg.mutate else rhs)
 
 
-def verify_det(cfg):
-    """detq: det B = det[Q_lam(x|>mu)] against its closed form; deta:
-    det A = det W / det B with W = [P_lam(x|>mu)], resampled where B is
-    singular and A therefore undefined."""
-    fld = cfg.scalar_field()
-
-    def trial(sampler):
-        params = sample_poly_params(sampler, cfg.ell, cfg.n)
-        det_b = mat_det(special_values(q_monomials, params), fld.one, fld.zero)
-        if cfg.check == "detq":
-            lhs, rhs = det_b, detq_rhs(params)
-        else:
-            if det_b == fld.zero:
-                raise NonInvertibleError("det[Q_lam(x|>mu)] = 0: A is undefined")
-            lhs = mat_det(special_values(weights, params), fld.one, fld.zero) / det_b
-            rhs = deta_rhs(params)
-        if cfg.mutate:
-            rhs = rhs * 2
-        return *exact_form(lhs - rhs), []
-
-    return run_trials(cfg, ["eta^s != 1", "x,y nonzero pairwise distinct"], trial)
+def deta_residual(cfg, params, sampler):
+    """det A = det W / det B, W = [P_lam(x|>mu)], minus its closed form,
+    which a mutated run doubles; resampled where B is singular and A
+    therefore undefined."""
+    det_b = mat_det(special_values(q_monomials, params), params.one, params.zero)
+    if det_b == params.zero:
+        raise NonInvertibleError("det[Q_lam(x|>mu)] = 0: A is undefined")
+    lhs = mat_det(special_values(weights, params), params.one, params.zero) / det_b
+    rhs = deta_rhs(params)
+    return lhs - (rhs * 2 if cfg.mutate else rhs)
 
 
 def admissible_exponent_tuples(ell, n):

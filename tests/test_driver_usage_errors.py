@@ -1,29 +1,34 @@
-"""Guard: no check driver (a `verify_*` function in src/qident) raises
-UsageError.  `cli.validate` decides every usage error of a run from the
-check table before any driver runs; a UsageError raised inside a running
-check is a broken library invariant and is reported as an internal fault.
+"""Guard: no function a check runs raises UsageError.  `cli.validate`
+decides every usage error of a run from the check table before any check
+runs; a UsageError raised inside a running check is a broken library
+invariant and is reported as an internal fault.  The functions walked are
+those every row of `cli.CHECKS` names: the driver of a check that writes
+its own report, the sampler and the value of a value check.
 """
 
 import ast
-from pathlib import Path
+import inspect
+import textwrap
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qident"
+from qident.cli import CHECKS
 
 
 def raises_usage_error(func):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
     return any(isinstance(node, ast.Raise) and node.exc is not None
                and any(isinstance(sub, ast.Name) and sub.id == "UsageError"
                        for sub in ast.walk(node.exc))
-               for node in ast.walk(func))
+               for node in ast.walk(tree))
 
 
 def test_no_driver_raises_a_usage_error():
-    drivers, offenders = [], []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_"):
-                drivers.append(node.name)
-                if raises_usage_error(node):
-                    offenders.append("%s.%s" % (path.stem, node.name))
-    assert len(drivers) >= 13
+    walked, offenders = set(), []
+    for name, check in CHECKS.items():
+        funcs = [check.driver] if check.driver else [check.sample, check.value]
+        assert all(callable(func) for func in funcs), name
+        for func in funcs:
+            if raises_usage_error(func):
+                offenders.append("%s: %s.%s" % (name, func.__module__, func.__qualname__))
+        walked.add(name)
+    assert len(walked) == 18 and walked == set(CHECKS)
     assert offenders == []

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from qident.cli import validate
+from qident.cli import run_one, validate
 from qident.errors import UsageError
 from qident.exactnum import (
     QQ, PrimeField, Sampler, SamplerConfig, theta, triple_pochhammer_p)
@@ -14,8 +14,7 @@ from qident.residues import side_pairings, transition_matrix, weight_gram
 from qident.elliptic import (
     EllParams, d_lattice, detae_rhs_nokappa, dett_rhs_nokappa, idp2_value,
     omega_residue, sample_ell_params, sample_t,
-    theta_lambda, theta_lambdas, vartheta, verify_detprod, verify_idp, verify_xt,
-    verify_xx, xi_weight)
+    theta_lambda, theta_lambdas, vartheta, xi_weight)
 from qident.polyweights import window_value
 
 K = 4
@@ -334,21 +333,21 @@ def test_d_lattice_count():
 
 
 def test_drivers():
-    assert verify_idp(RunConfig(check="idp1", ell=1, n=2, k=4, trials=1,
-                                seed=1)).verdict == "verified"
-    assert verify_idp(RunConfig(check="idp2", ell=1, n=2, k=4, trials=1, seed=1,
-                                mutate=True)).verdict == "falsified"
-    assert verify_idp(RunConfig(check="idp1", ell=1, n=2, k=4, trials=1, seed=1,
-                                no_constraint=True)).verdict == "condition-not-satisfied"
-    assert verify_xx(RunConfig(check="xx", ell=1, n=1, k=4, trials=1,
-                               seed=1)).verdict == "verified"
-    assert verify_xx(RunConfig(check="xx", ell=1, n=1, k=4, trials=1, seed=1,
-                               mutate=True)).verdict == "falsified"
-    assert verify_xt(RunConfig(check="xt", ell=1, n=2, k=4, trials=1,
-                               seed=1)).verdict == "verified"
-    assert verify_xt(RunConfig(check="xt", ell=1, n=2, k=4, trials=1, seed=1,
-                               mutate=True)).verdict == "falsified"
-    r = verify_detprod(RunConfig(check="detprod", ell=1, n=2, k=4, trials=1, seed=1))
+    assert run_one(RunConfig(check="idp1", ell=1, n=2, k=4, trials=1,
+                             seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="idp2", ell=1, n=2, k=4, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="idp1", ell=1, n=2, k=4, trials=1, seed=1,
+                             no_constraint=True)).verdict == "condition-not-satisfied"
+    assert run_one(RunConfig(check="xx", ell=1, n=1, k=4, trials=1,
+                             seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="xx", ell=1, n=1, k=4, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="xt", ell=1, n=2, k=4, trials=1,
+                             seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="xt", ell=1, n=2, k=4, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
+    r = run_one(RunConfig(check="detprod", ell=1, n=2, k=4, trials=1, seed=1))
     assert r.verdict == "verified"
     assert any("cancel" in note for note in r.notes)
     with pytest.raises(UsageError):
@@ -364,4 +363,4 @@ def test_xt_with_order_below_the_basis_valuation():
     for (ell, n, k) in [(1, 3, 1), (2, 3, 0), (1, 4, 1)]:
         for mutate, verdict in ((False, "verified"), (True, "falsified")):
             cfg = RunConfig(check="xt", ell=ell, n=n, k=k, trials=1, seed=1, mutate=mutate)
-            assert verify_xt(cfg).verdict == verdict
+            assert run_one(cfg).verdict == verdict

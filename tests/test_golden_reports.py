@@ -8,8 +8,8 @@ golden digest; its report, thousands of large exact rationals, is pinned in
 tensor operators.  No workload runs a mutated `mn` or `xt`; their reports
 at seeds 1 and 2 over both fields are pinned the same way in
 `PINNED_MUTATED`, recorded from the entry-by-entry product loops that
-`linalg.mat_mul` replaced in `residue_pairing`, `verify_mn` and
-`verify_xt`.  Elimination and products at sizes no workload reaches are
+`linalg.mat_mul` replaced in `residue_pairing` and the `mn` and `xt`
+checks.  Elimination and products at sizes no workload reaches are
 pinned in `PINNED_FRONTIER`, recorded from the `Fraction` and
 `PrimeScalar` elimination that `linalg` ran before its bare-integer
 paths.  Tensor checks at sizes no workload reaches, and mutated ones, are
@@ -29,7 +29,14 @@ wrote them once over the parameters' linear factor.  Mutated `pp`, `detq`,
 pinned in `PINNED_DRIVER`, recorded from the drivers that formatted their
 values themselves and the per-layer Gram checks, norms and window
 coefficients, before the parameters supplied the norm and the window
-coefficient and `reporting` wrote every exact value."""
+coefficient and `reporting` wrote every exact value.  The prime-field runs
+of `id1`, `id2`, `idp1`, `idp2`, `xt` and `detprod` and the lifted-constraint
+runs of `id2` and `idp2`, which nothing above prints, are pinned in
+`PINNED_ROWS`, recorded from the per-module drivers before each of these
+checks became a row of the check table (sampler, value, constraint lines)
+run by `reporting.run_check`.  Each entry states its verdict: a lifted
+constraint leaves `id2` not satisfied but `idp2` verified, since `idp2`
+depends on the parameters only through beta."""
 
 import os
 import sys
@@ -306,3 +313,48 @@ PINNED_DRIVER = {
 test_driver_report_matches_pinned_digest = pinned_test(
     PINNED_DRIVER, lambda check, field: dict(
         check=check, field=field, seed=1, mutate=True, **DRIVER_SIZES[check]))
+
+# (check, field, no_constraint) -> (verdict, digest, length) of one trial at
+# seed 1 at ROW_SIZES: the prime-field and lifted-constraint variants of the
+# value checks that no golden or other pinned table prints
+ROW_SIZES = {
+    "id1": dict(ell=4, n=3, i=1, j=3),
+    "id2": dict(ell=4, n=3, i=1, j=3),
+    "idp1": dict(ell=2, n=3, i=1, j=3, k=6),
+    "idp2": dict(ell=3, n=2, k=6),
+    "xt": dict(ell=2, n=3, k=8),
+    "detprod": dict(ell=3, n=3, k=6),
+}
+PINNED_ROWS = {
+    ("detprod", "prime", False): (VERIFIED,
+        "ce72b8022e850febcbf302e946698c07b18c5d77dcb204d76a4e76738eb7af89", 1199),
+    ("id1", "prime", False): (VERIFIED,
+        "d685358fddab9bd32aab8a5c9f5aec0d8c99af9d0de7baa2ede5a2636311ebd2", 956),
+    ("id2", "prime", False): (VERIFIED,
+        "49b1f7005d778ab960a4cdc97bfe49d3bdd4fbda389d06323eba0f61f50907ff", 956),
+    ("id2", "prime", True): (CONDITION_NOT_SATISFIED,
+        "a96c35cbf5124695f07b9ddcc498eb024a55d85b7491b46e32ea72b021261570", 996),
+    ("idp1", "prime", False): (VERIFIED,
+        "4a3700d4e8caf622e5a261a03a6677d7a49e349b5697369a3693b97c7f212f36", 1115),
+    ("idp2", "prime", False): (VERIFIED,
+        "1d698e5d6ee126988929435c5dedef85e7a40c432df6bc27301fb441349e9f10", 1180),
+    # idp2 depends on the parameters only through beta, so lifting the
+    # window constraint leaves it an identity: verified, not a failed
+    # condition
+    ("idp2", "prime", True): (VERIFIED,
+        "9cd758b30f6be331f2eeba24b7a460becd0b809fdd6a5267148da7e13c7cf61a", 1186),
+    ("idp2", "rational", True): (VERIFIED,
+        "0f1df18ff43248b9c90d5afba86f5817593e946e95025fb6c4a5fdd555afd6d5", 893),
+    ("xt", "prime", False): (VERIFIED,
+        "2bf0e746a2b3a80dfd7b73e5c64254471ca370c8dc0a7280157a7740b2340889", 961),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ROWS), ids=lambda key: "-".join(map(str, key)))
+def test_row_report_matches_pinned_digest(key):
+    check, field, no_constraint = key
+    verdict, *pinned = PINNED_ROWS[key]
+    report = run_one(RunConfig(check=check, field=field, seed=1, trials=1,
+                               no_constraint=no_constraint, **ROW_SIZES[check]))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)

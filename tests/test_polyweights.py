@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from qident.cli import validate
+from qident.cli import run_one, validate
 from qident.errors import UsageError
 from qident.exactnum import QQ, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
@@ -11,7 +11,6 @@ from qident.polyweights import (
     PolyParams, id2_value, jing_value, monomial_symmetric, q_monomials, sample_poly_params,
     sample_t, weight, window_value)
 from qident.reporting import RunConfig
-from qident.polyweights import verify_id, verify_jing
 
 from test_partitions import BOTH, GE, LE, leq
 from test_symmetrize_oracles import prefactor_oracle
@@ -255,13 +254,13 @@ def test_id_values():
 
 
 def test_drivers():
-    r = verify_jing(RunConfig(check="jing", ell=3, trials=2, seed=1))
+    r = run_one(RunConfig(check="jing", ell=3, trials=2, seed=1))
     assert r.verdict == "verified"
-    r = verify_id(RunConfig(check="id1", ell=2, n=2, trials=2, seed=1))
+    r = run_one(RunConfig(check="id1", ell=2, n=2, trials=2, seed=1))
     assert r.verdict == "verified"
-    r = verify_id(RunConfig(check="id2", ell=2, n=2, trials=1, seed=1, mutate=True))
+    r = run_one(RunConfig(check="id2", ell=2, n=2, trials=1, seed=1, mutate=True))
     assert r.verdict == "falsified"
-    r = verify_id(RunConfig(check="id2", ell=2, n=2, trials=1, seed=1, no_constraint=True))
+    r = run_one(RunConfig(check="id2", ell=2, n=2, trials=1, seed=1, no_constraint=True))
     assert r.verdict == "condition-not-satisfied"
     with pytest.raises(UsageError):
         validate(RunConfig(check="id1", ell=2, n=2, i=2, j=2))

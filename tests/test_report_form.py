@@ -1,7 +1,8 @@
-"""The one report form of exact values: `reporting.exact_form` and
-`reporting.residual_lines` over QQ, GF(p) and truncated series, and a
-guard that no other module of src/qident formats series coefficients
-itself (`PSeries.coeff_strings` is called only in reporting.py).
+"""The one report form of exact values: `reporting.exact_form` of a
+scalar, a truncated series or a list of residual entries (zero entries
+dropped) over QQ and GF(p), and a guard that no other module of
+src/qident formats series coefficients itself (`PSeries.coeff_strings` is
+called only in reporting.py).
 """
 
 import ast
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from qident.exactnum import PSeries, PrimeField, QQ
-from qident.reporting import DEFAULT_PRIME, exact_form, residual_lines
+from qident.reporting import DEFAULT_PRIME, exact_form
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qident"
 GFP = PrimeField(DEFAULT_PRIME)
@@ -27,15 +28,20 @@ def test_exact_form_of_scalars_and_series():
 
 
 def test_residual_lines_drop_zero_entries():
-    assert residual_lines([("[0,0]", Fraction(0)), ("[0,1]", Fraction(5, 7)),
-                           ("[1,0]", QQ.zero), ("[1,1]", Fraction(-2))]) == \
-        ["[0,1]=5/7", "[1,1]=-2"]
-    assert residual_lines([("[0,0]", GFP.of(3)), ("[0,1]", GFP.zero)]) == \
-        ["[0,0]=3 mod %d" % DEFAULT_PRIME]
+    assert exact_form([("[0,0]", Fraction(0)), ("[0,1]", Fraction(5, 7)),
+                       ("[1,0]", QQ.zero), ("[1,1]", Fraction(-2))]) == \
+        (["[0,1]=5/7", "[1,1]=-2"], False)
+    assert exact_form([("[0,0]", GFP.of(3)), ("[0,1]", GFP.zero)]) == \
+        (["[0,0]=3 mod %d" % DEFAULT_PRIME], False)
     zero, value = PSeries.constant(QQ, QQ.zero, 1), PSeries(QQ, [0, Fraction(1, 3)], 1)
-    assert residual_lines([("fresh0[0]", zero), ("fresh0[1]", value)]) == \
-        ["fresh0[1]: ['0', '1/3']"]
-    assert residual_lines([]) == []
+    assert exact_form([("fresh0[0]", zero), ("fresh0[1]", value)]) == \
+        (["fresh0[1]: ['0', '1/3']"], False)
+    gfp_zero, gfp_two = (PSeries.constant(GFP, GFP.of(c), 1) for c in (0, 2))
+    assert exact_form([("fresh1[0]", gfp_two), ("fresh1[1]", gfp_zero)]) == \
+        (["fresh1[0]: ['2 mod %d', '0 mod %d']" % (DEFAULT_PRIME, DEFAULT_PRIME)], False)
+    assert exact_form([("[0,0]", QQ.zero), ("fresh0[0]", zero), ("fresh1[1]", gfp_zero)]) == \
+        ([], True)
+    assert exact_form([]) == ([], True)
 
 
 def test_only_reporting_formats_series_coefficients():

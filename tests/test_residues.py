@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from qident.cli import run_one
 from qident.elliptic import sample_ell_params, scalar_product_omega, xi_weight
 from qident.errors import ConsistencyError, DegenerateInputError, PoleOrderError
 from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
@@ -19,8 +20,7 @@ from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
     admissible_exponent_tuples, cancel_poles, d_exponent, deta_rhs, detq_rhs,
     kernel_residue, kernel_residue_parts, point_family, scalar_product, side_pairings,
-    special_values, transition_matrix, verify_det, verify_mn, verify_pp, verify_resi,
-    weight_gram)
+    special_values, transition_matrix, verify_resi, weight_gram)
 
 
 def params_for(ell, n, seed=2, constrain=None):
@@ -373,9 +373,9 @@ def test_transition_matrix_small_case():
 def test_mn_relation():
     for (ell, n) in [(1, 2), (2, 2)]:
         cfg = RunConfig(check="mn", ell=ell, n=n, trials=1, seed=5)
-        assert verify_mn(cfg).verdict == "verified"
+        assert run_one(cfg).verdict == "verified"
     cfg = RunConfig(check="mn", ell=1, n=2, trials=1, seed=5, mutate=True)
-    assert verify_mn(cfg).verdict == "falsified"
+    assert run_one(cfg).verdict == "falsified"
 
 
 def test_mn_evaluates_q_once_per_point(monkeypatch):
@@ -389,7 +389,7 @@ def test_mn_evaluates_q_once_per_point(monkeypatch):
 
     monkeypatch.setattr("qident.residues.q_monomials", counting)
     cfg = RunConfig(check="mn", ell=4, n=4, trials=1, seed=1)
-    assert verify_mn(cfg).verdict == "verified"
+    assert run_one(cfg).verdict == "verified"
     assert len(calls) == len(set(calls)) == 35
 
 
@@ -437,7 +437,7 @@ def test_singular_basis_matrix_resamples_as_pinned(check, seed, mutate):
     assert mat_det(special_values(q_monomials, first), fld.one, fld.zero) == fld.zero
     cfg = RunConfig(check=check, ell=2, n=2, seed=seed, field="prime", prime=101,
                     mutate=mutate)
-    report = (verify_mn if check == "mn" else verify_det)(cfg)
+    report = run_one(cfg)
     assert report.verdict == ("falsified" if mutate else "verified")
     assert [len(t.draws) for t in report.trials] == [10, 5, 5]
     canonical = json.dumps(report.canonical(), sort_keys=True)
@@ -516,12 +516,12 @@ def test_gram_entries_are_scalar_products(fld, ell, n, seed, k):
 
 
 def test_drivers():
-    assert verify_pp(RunConfig(check="pp", ell=2, n=2, trials=1, seed=1)).verdict == "verified"
-    assert verify_pp(RunConfig(check="pp", ell=1, n=1, trials=1, seed=1,
-                               mutate=True)).verdict == "falsified"
-    assert verify_det(RunConfig(check="detq", ell=2, n=2, trials=1, seed=1)).verdict == "verified"
-    assert verify_det(RunConfig(check="deta", ell=2, n=2, trials=1, seed=1,
-                                mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="pp", ell=2, n=2, trials=1, seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="pp", ell=1, n=1, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="detq", ell=2, n=2, trials=1, seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="deta", ell=2, n=2, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
     r = verify_resi(RunConfig(check="resI", ell=2, n=2, trials=1, seed=1))
     assert r.verdict == "verified"
     assert any("divisib" in note for note in r.notes)

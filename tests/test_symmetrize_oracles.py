@@ -22,7 +22,7 @@ from qident.errors import DegenerateInputError, UsageError
 from qident.exactnum import QQ, PrimeField, PSeries, Sampler, SamplerConfig
 from qident.partitions import Partition, enumerate_partitions
 from qident.polyweights import (
-    eta_constraint, jing_value, monomial_symmetric, monomials, sample_poly_params,
+    jing_value, monomial_symmetric, monomials, sample_eta, sample_poly_params,
     sample_t, symmetrize, weight, weights)
 from qident.reporting import DEFAULT_PRIME
 
@@ -280,7 +280,7 @@ def test_weight_matches_permutation_sum(fld, ell, n):
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_jing_matches_permutation_sum(fld, ell):
     s = sampler(50 + ell, fld)
-    eta = s.draw((eta_constraint(fld.one, ell),))
+    eta = sample_eta(s, ell)
     t = sample_t(s, ell)
     for mutate in (False, True):
         assert jing_value(eta, t, fld.one, fld.zero, mutate=mutate) == \
