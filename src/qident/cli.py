@@ -260,7 +260,9 @@ def run_suite(path, out):
         with open(out, "w") as handle:
             handle.write(json.dumps(aggregate, indent=2, sort_keys=True))
     for idx, r in enumerate(reports):
-        print("[%d] %s: %s" % (idx, r.config.check, r.verdict))
+        print("[%d] %s: %s (%.3fs)" % (idx, r.config.check, r.verdict, r.timing_s))
+    idx, r = max(enumerate(reports), key=lambda item: item[1].timing_s)
+    print("slowest: [%d] %s (%.3fs)" % (idx, r.config.check, r.timing_s))
     if aggregate["all_verified"]:
         return EXIT_VERIFIED
     if any(r.verdict == ERROR for r in reports):

@@ -6,7 +6,12 @@ when no usable pivot exists.
 Field matrices run on bare integers, never on `Fraction` or `PrimeScalar`
 objects: over QQ as reduced (numerator, denominator) pairs, with the gcd
 cancellations of `Fraction` so that entries stay as small, over GF(p) as
-residues.  Series matrices keep the ring operations of `PSeries`.
+residues.  Rational rows are loaded as primitive integer rows, each divided
+by its content (von zur Gathen & Gerhard, Modern Computer Algebra, 6.2),
+so that no common factor of a row is carried through the gcds of the
+elimination; `mat_det` multiplies the contents back once, and a solve needs
+nothing, as scaling a row of [a | b] leaves X unchanged.  Series matrices
+keep the ring operations of `PSeries`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from math import gcd
 from operator import add, mul
 
 from .errors import NonInvertibleError
-from .exactnum import PrimeScalar, PSeries, field_of, ints_over_den, modulus, scalar_of
+from .exactnum import QQ, PrimeScalar, PSeries, field_of, ints_over_den, modulus, scalar_of
 
 
 class SeriesRows:
@@ -88,10 +93,22 @@ def qq_mul(an, ad, bn, bd):
 
 class RatRows:
     """Rows of rationals, each row a pair of lists: reduced numerators and
-    their positive denominators."""
+    their positive denominators.  `load` makes each nonzero row primitive:
+    it divides the row by its content, gcd(numerators)/lcm(denominators),
+    which leaves coprime integers over denominators 1, and keeps the
+    product of the contents as the pair `content`."""
 
     def load(self, rows):
-        return [([x.numerator for x in row], [x.denominator for x in row]) for row in rows]
+        work, cn, cd = [], 1, 1
+        for row in rows:
+            nums, den = ints_over_den(QQ, row)
+            g = gcd(*nums)
+            if g:
+                nums = [n // g for n in nums]
+                cn, cd = cn * g, cd * den
+            work.append((nums, [1] * len(nums)))
+        self.content = cn, cd
+        return work
 
     def pivot(self, row, col):
         return row[0][col] != 0
@@ -225,5 +242,7 @@ def mat_det(a, one, zero, invertible=None, is_zero=None):
             return zero
         raise NonInvertibleError(
             "column %d has nonzero entries but no invertible pivot" % col)
+    if isinstance(ops, RatRows):
+        pivots.append(scalar_of(0, *ops.content))
     det = reduce(mul, pivots, one)
     return -det if swaps % 2 else det

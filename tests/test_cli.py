@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -161,6 +162,26 @@ def test_suite(tmp_path):
 
     manifest.write_text("not json {")
     assert run(["suite", str(manifest)]) == 2
+
+
+def test_suite_prints_each_entry_seconds_and_the_slowest(tmp_path):
+    manifest = tmp_path / "m.json"
+    entries = [{"check": "jing", "ell": 2, "trials": 1, "seed": 3},
+               {"check": "detq", "ell": 1, "n": 2, "trials": 1, "seed": 4}]
+    manifest.write_text(json.dumps(entries))
+    code, output = run_captured(["suite", str(manifest)])
+    assert code == 0
+    lines = output.splitlines()
+    assert len(lines) == 3
+    seconds = []
+    for idx, (line, entry) in enumerate(zip(lines, entries)):
+        head, _, tail = line.partition(" (")
+        assert head == "[%d] %s: verified" % (idx, entry["check"])
+        assert re.fullmatch(r"\d+\.\d{3}s\)", tail), line
+        seconds.append(float(tail[:-2]))
+    # the printed seconds are rounded, so two entries may tie
+    assert lines[2] in ["slowest: [%d] %s (%.3fs)" % (idx, entry["check"], seconds[idx])
+                        for idx, entry in enumerate(entries) if seconds[idx] == max(seconds)]
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

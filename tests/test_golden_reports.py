@@ -12,9 +12,12 @@ at seeds 1 and 2 over both fields are pinned the same way in
 checks.  Elimination and products at sizes no workload reaches are
 pinned in `PINNED_FRONTIER`, recorded from the `Fraction` and
 `PrimeScalar` elimination that `linalg` ran before its bare-integer
-paths.  Tensor checks at sizes no workload reaches, and mutated ones, are
-pinned in `PINNED_TENSOR`, recorded from the operator sweep that applied
-each entry to whole vectors, before the per-trial basis-image table.
+paths; detq at (5, 5) over QQ is pinned in `PINNED_DETQ_FRONTIER`,
+recorded from the rational elimination before it loaded each row
+primitive.  Tensor checks at sizes no workload reaches, and mutated ones,
+are pinned in `PINNED_TENSOR`, recorded from the operator sweep that
+applied each entry to whole vectors, before the per-trial basis-image
+table.
 Residue sums at sizes no workload reaches are pinned in `PINNED_RESIDUE`,
 recorded from the step-by-step pole cancellation and the separate theta
 residue that one kernel residue for both layers replaced.  Mutated `xx`
@@ -103,6 +106,18 @@ PINNED_FRONTIER = {
     ("mn", "prime", True):
         ("7a1d751ca78d72c316b7acd1f6baa7f1c662249bc2f29013b9d554e691d19f89", 1610),
 }
+
+# detq at (ell, n) = (5, 5), rational, one trial at seed 1: the largest
+# rational elimination pinned, recorded before `RatRows.load` made each row
+# primitive
+PINNED_DETQ_FRONTIER = (
+    "dd78f66a491505d058b08add9ff90eecce0e84faf1a2572993171ccd5538095e", 739)
+
+
+def test_detq_frontier_report_matches_pinned_digest():
+    report = run_one(RunConfig(check="detq", field="rational", seed=1, trials=1, ell=5, n=5))
+    assert report.verdict == VERIFIED
+    assert digest(report) == PINNED_DETQ_FRONTIER
 
 
 def replay_test(mix, seed):

@@ -5,11 +5,13 @@ permutation sum; and singular input, which `mat_solve` rejects and
 `mat_det` maps to zero.  At realistic heights (sampler draws, size >= 12,
 over QQ and GF(2^61 - 1)) the bare-integer paths are compared with the
 elimination on field scalars that they replaced, and a work count keeps
-`Fraction` and `PrimeScalar` arithmetic out of their loops."""
+`Fraction` and `PrimeScalar` arithmetic out of their loops.  Rational rows
+load as primitive integer rows whose contents multiply back to the input."""
 
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
+from math import gcd
 from operator import add, mul
 
 import pytest
@@ -232,10 +234,23 @@ def mixed_ints(a, fld):
             row[c] = row[c].numerator if fld == QQ else row[c].value
 
 
+def row_contents(a, fld):
+    # row r times (-1)^r 3^(181 + r) / 7^(90 + r), about 290 bits over
+    # 250: a large common factor in every row
+    for r, row in enumerate(a):
+        c = fld.of(Fraction((-1) ** r * 3 ** (181 + r), 7 ** (90 + r)))
+        row[:] = [v * c for v in row]
+
+
+def zero_row(a, fld):
+    a[len(a) // 2] = [fld.zero] * len(a[0])
+
+
 SHAPES = {"dense": lambda a, fld: None, "negative pivots": negative_pivots,
           "row swaps": row_swaps, "zero column": zero_column,
-          "dependent row": dependent_row, "mixed ints": mixed_ints}
-SINGULAR_SHAPES = {"zero column", "dependent row"}
+          "dependent row": dependent_row, "mixed ints": mixed_ints,
+          "row contents": row_contents, "zero row": zero_row}
+SINGULAR_SHAPES = {"zero column", "dependent row", "zero row"}
 
 
 @pytest.mark.parametrize("field_name", sorted(HEIGHT_FIELDS))
@@ -277,6 +292,28 @@ def test_rational_entries_stay_reduced_pairs():
     for nums, dens in work:
         for num, den in zip(nums, dens):
             assert (num, den) == (Fraction(num, den).numerator, Fraction(num, den).denominator)
+
+
+def test_rational_rows_load_primitive():
+    # each nonzero row loads as coprime integers over denominators 1, a
+    # zero row as it is, and the recorded content is the product of what
+    # each row was divided by
+    a = drawn(QQ, 12, 12, 12)
+    row_contents(a, QQ)
+    zero_row(a, QQ)
+    ops = RatRows()
+    work = ops.load(a)
+    content = Fraction(1)
+    for row, (nums, dens) in zip(a, work):
+        assert dens == [1] * len(row)
+        if not any(row):
+            assert nums == [0] * len(row)
+            continue
+        assert gcd(*nums) == 1
+        c = next(x / n for x, n in zip(row, nums) if n)
+        assert row == [c * n for n in nums]
+        content *= c
+    assert Fraction(*ops.content) == content
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
