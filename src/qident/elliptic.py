@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import UsageError
-from .exactnum import PSeries, product, theta, triple_pochhammer_p
+from .exactnum import PSeries, product, scalar_of, theta, triple_pochhammer_p
 from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
@@ -69,8 +69,20 @@ class EllParams(PolyParams):
 
     phi = th
 
+    def phi_product(self, args):
+        """prod theta(P/Q) over the integer pairs (P, Q) of
+        `residues.cancel_poles`."""
+        mod = self.cleared[0]
+        return product((self.th(scalar_of(mod, p, q)) for p, q in args), self.one)
+
     def factor(self, u, c):
         return self.th(u / c)
+
+    def weight_tables(self, keys, t, primed):
+        """The series columns Z_m (or Z'_m) of the keys (shift, m) at t and
+        the theta pair factors, for `symmetrize`, over no denominator."""
+        cols = {key: [self.column(u, key[1], key[0], primed) for u in t] for key in keys}
+        return cols, weight_pair_table(t, self, primed), None
 
     def column_shift(self, a, ell):
         """The exponent s of the dynamical shift alpha eta^s of the theta

@@ -6,12 +6,13 @@ prime field GF(p) (fast mode; an unlucky prime can produce spurious zeros,
 so rational mode has the final word).  Series are exact modulo p^(K+1) and
 fraction-free: integer numerators over one common denominator over QQ, raw
 residues over GF(p), turned into field scalars only at the report boundary
-(`PSeries.coeffs`).  `ints_over_den` and `scalar_of` are the one conversion
-path between field scalars and that form, shared with the tensor vectors
-of `tensors`.  Theta is a finite truncated sum (the Jacobi triple
-product), and so is every q-Pochhammer constant: (p^e; p^e)_inf is theta
-at p^e with nome p^(3e) (Euler's pentagonal number theorem), so no
-convergence questions ever arise.
+(`PSeries.coeffs`).  `ints_over_den`, `num_den` and `scalar_of` are the
+one conversion path between field scalars and that form, shared with the
+tensor vectors of `tensors` and the per-point tables of `polyweights`.
+Theta is a finite truncated sum (the Jacobi triple product), and so is
+every q-Pochhammer constant: (p^e; p^e)_inf is theta at p^e with nome
+p^(3e) (Euler's pentagonal number theorem), so no convergence questions
+ever arise.
 """
 
 from __future__ import annotations
@@ -293,7 +294,16 @@ def canonical_ints(mod, num, den):
 def scalar_of(mod, num, den=1):
     """num/den as a field scalar: a `PrimeScalar` modulo `mod`, or a
     `Fraction` when `mod` is 0 (QQ)."""
-    return PrimeScalar(num, mod) if mod else Fraction(num, den)
+    if not mod:
+        return Fraction(num, den)
+    return PrimeScalar(num if den == 1 else num * PrimeScalar(den, mod).inverse().value, mod)
+
+
+def num_den(mod, c):
+    """(numerator, denominator) of one field scalar, the inverse of
+    `scalar_of`: the reduced pair over QQ (`mod` 0), the residue over 1
+    modulo `mod`."""
+    return (c.value, 1) if mod else (c.numerator, c.denominator)
 
 
 class PSeries:

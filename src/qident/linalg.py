@@ -10,19 +10,22 @@ residues.  Rational rows are loaded as primitive integer rows, each divided
 by its content (von zur Gathen & Gerhard, Modern Computer Algebra, 6.2),
 so that no common factor of a row is carried through the gcds of the
 elimination; `mat_det` multiplies the contents back once, and a solve needs
-nothing, as scaling a row of [a | b] leaves X unchanged.  Series matrices
-keep the ring operations of `PSeries`.
+nothing, as scaling a row of [a | b] leaves X unchanged.  A product, and
+the sum over points of a residue pairing (`diag_mat_mul`), is one integer
+product over cleared rows and columns.  Series matrices keep the ring
+operations of `PSeries`.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NonInvertibleError
-from .exactnum import QQ, PrimeScalar, PSeries, field_of, ints_over_den, modulus, scalar_of
+from .exactnum import (
+    QQ, PrimeScalar, PSeries, field_of, ints_over_den, modulus, num_den, scalar_of)
 
 
 class SeriesRows:
@@ -198,11 +201,46 @@ def mat_mul(a, b):
     if isinstance(x, PSeries):
         return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
     fld = field_of(x)
-    mod = modulus(fld)
-    rows = [ints_over_den(fld, row) for row in a]
-    cols = [ints_over_den(fld, col) for col in zip(*b)]
+    return cleared_mat_mul(modulus(fld), [ints_over_den(fld, row) for row in a],
+                           [ints_over_den(fld, col) for col in zip(*b)])
+
+
+def cleared_mat_mul(mod, rows, cols):
+    """The product of the matrices with the given rows and columns, each
+    a pair (integers, denominator): one integer dot product per entry,
+    reduced once."""
     return [[scalar_of(mod, sum(map(mul, r, c)), dr * dc) for c, dc in cols]
             for r, dr in rows]
+
+
+def diag_mat_mul(a, d, b):
+    """transpose(a) diag(d) b, the matrix [sum_k a[k][i] d[k] b[k][j]], for
+    one row a[k], one scalar d[k] and one row b[k] per k (a point of a
+    residue sum).  Over a field each k's rows are cleared to integers, d[k]
+    is folded into a[k]'s, the contents of the two rows are divided out of
+    their common denominator (over QQ), and all k are brought to one
+    denominator, so the sum is one `cleared_mat_mul`; series rows are
+    scaled entry by entry for `mat_mul`."""
+    if isinstance(d[0], PSeries):
+        return mat_mul(transpose([[v * dk for v in ak] for ak, dk in zip(a, d)]), b)
+    fld = field_of(d[0])
+    mod = modulus(fld)
+    left, right, dens = [], [], []
+    for ak, dk, bk in zip(a, d, b):
+        an, ad = ints_over_den(fld, ak)
+        dn, dd = num_den(mod, dk)
+        bn, bd = ints_over_den(fld, bk)
+        den = ad * dd * bd
+        ga = gcd(dn * gcd(*an), den)
+        gb = gcd(gcd(*bn), den // ga)
+        left.append([x * dn // ga for x in an])
+        right.append([x // gb for x in bn] if gb != 1 else bn)
+        dens.append(den // (ga * gb))
+    den = lcm(*dens)
+    left = [[x * (den // row_den) for x in row] if row_den != den else row
+            for row, row_den in zip(left, dens)]
+    return cleared_mat_mul(mod, [(list(r), den) for r in zip(*left)],
+                           [(list(c), 1) for c in zip(*right)])
 
 
 def mat_solve(a, b, zero):

@@ -15,19 +15,25 @@ parameter object supplies phi, the linear factor f and the column lead,
 1 - z, u - c and X_m's u here, theta, theta(u/c) and Z_m's theta with its
 dynamical shift on `elliptic.EllParams`, and with them the norm and the
 window coefficient of each partition.  As theta(z; 0) = 1 - z, each
-product here has the shape of its elliptic twin.  A check value
+product here has the shape of its elliptic twin.  Over a field the
+tables of a point are built fraction-free, with one common denominator
+per table (von zur Gathen & Gerhard, Modern Computer Algebra, 6): from
+the cleared coordinates t_v = a_v/b_v and parameters, each column is one
+homogeneous integer product and each pair factor a cross product, so no
+field operation is made per factor.  A check value
 value(cfg, params, sampler) draws its point after the parameters and
 leaves its report form to `reporting`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from itertools import chain
 
 from .errors import DegenerateInputError, UsageError
-from .exactnum import PSeries, field_of, ints_over_den, modulus, product, scalar_of
+from .exactnum import PrimeScalar, PSeries, field_of, modulus, num_den, product, scalar_of
 from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
 
 
@@ -38,7 +44,10 @@ class PolyParams:
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
     field's, phi(z) = 1 - z, its linear factor u - c, its column lead that
     of X_m and its kernel constant prod_m (x_m y_m)^ell; the norm and the
-    window coefficient are built from them.
+    window coefficient are built from them.  `cleared` is (mod, x, y, eta)
+    with the field's modulus and each parameter as its (numerator,
+    denominator) pair (`num_den`), for the tables built without field
+    operations.
     `memo` keeps values that every point shares, such as the multiplicity
     prefactors.
     """
@@ -48,6 +57,9 @@ class PolyParams:
         self.ell, self.n, self.field = ell, n, field
         self.one, self.zero = field.one, field.zero
         self._memo = {}
+        mod = modulus(field)
+        self.cleared = (mod, [num_den(mod, c) for c in self.x],
+                        [num_den(mod, c) for c in self.y], num_den(mod, eta))
 
     def memo(self, key, make):
         """make(), computed once per key; keys start with a family tag."""
@@ -58,6 +70,14 @@ class PolyParams:
 
     def phi(self, z):
         return self.one - z
+
+    def phi_product(self, args):
+        """prod phi(P/Q) over the integer pairs (P, Q) of
+        `residues.cancel_poles`: here prod (Q - P) over prod Q, one integer
+        product over one denominator; theta of each argument on
+        `elliptic.EllParams`."""
+        return scalar_of(self.cleared[0], math.prod([q - p for p, q in args]),
+                         math.prod([q for _, q in args]))
 
     def factor(self, u, c):
         return u - c
@@ -78,12 +98,32 @@ class PolyParams:
 
     def column(self, u, m, shift, primed=False):
         """The lead times prod_{j<m} f(u, y_j) prod_{k>m} f(u, x_k), x and y
-        swapped when primed: X_m(u) here, Z_m on `elliptic.EllParams`."""
+        swapped when primed: X_m(u) here (by field operations; the weights
+        take its integer form from `weight_tables`), Z_m on
+        `elliptic.EllParams`."""
         x, y = (self.y, self.x) if primed else (self.x, self.y)
         out = self.column_lead(u, m, shift, primed)
         for c in y[:m - 1] + x[m:]:
             out = out * self.factor(u, c)
         return out
+
+    def weight_tables(self, keys, t, primed):
+        """(cols, pair, den) for `symmetrize` at the point t: the `column`s
+        of the keys (shift, m) and the `weight_pair_table`.  Here they are
+        integers over one denominator den, built from the cleared
+        coordinates with no field operation: X_m is one homogeneous product
+        (`linear_columns`), each pair factor a cross product over one L
+        (`pair_numerators`).  `elliptic.EllParams` keeps series tables."""
+        mod, xs, ys, eta = self.cleared
+        n, ts = self.n, [num_den(mod, u) for u in t]
+        # column m: the lead u (1 primed), then y_1..y_(m-1), x_(m+1)..x_n
+        # of the constants x_1..x_n, y_1..y_n (x and y swapped when primed)
+        cols, den = linear_columns(
+            ts, ys + xs if primed else xs + ys,
+            {key: (0 if primed else 1, [*range(n, n + key[1] - 1), *range(key[1], n)])
+             for key in keys}, mod)
+        pair, pair_den = pair_numerators(ts, eta, mod, primed)
+        return cols, pair, den * pair_den
 
     def norm(self, lam):
         """N = prod_m prod_{s=1}^{w_m} phi(eta^s) f(x_m, eta^(s-1) y_m)/phi(eta),
@@ -127,10 +167,11 @@ def sample_t(sampler, ell):
 # symmetrization
 # ---------------------------------------------------------------------------
 
-def symmetrize(seqs, cols, pair, one, den=None):
-    """[sum over sigma in S_ell of prod_a cols[seq[a]][sigma_a]
-    prod_{a<b} pair[sigma_a][sigma_b] for seq in seqs], exactly: one sum per
-    sequence of column keys, all of one length ell, at one point.
+def symmetrize(seqs, cols, pair, one, den=1, scales=None):
+    """[scales[i] times the sum over sigma in S_ell of prod_a
+    cols[seq[a]][sigma_a] prod_{a<b} pair[sigma_a][sigma_b] for the i-th
+    seq in seqs], exactly: one sum per sequence of column keys, all of one
+    length ell, at one point (no scales: each sum itself).
 
     cols[key][v] is the factor of variable v at a position keyed `key`,
     pair[w][v] that of w placed anywhere before v (pair may be None).  The
@@ -142,35 +183,21 @@ def symmetrize(seqs, cols, pair, one, den=None):
     about ell 2^(ell-1) multiplies for G plus two per (k-subset, variable
     outside it) per trie node at depth k, in place of 1 + k per sequence.
 
-    Scalar tables run on integers cleared once per call: every term holds
-    each column at v once and one of pair[w][v], pair[v][w], so all sums
-    share the denominator prod_v D_v prod_{w<v} L_wv (D_v the lcm at v over
-    every column, L_wv over the pair), divided out once per sum.  Columns
-    that are integers from the start come with `den` and no pair table.
-    GF(p) terms are reduced once; series keep the ring operations.
+    Scalar tables are integers over one denominator `den` of every term:
+    each term holds each column at v once and one of pair[w][v],
+    pair[v][w], so the callers clear the columns at v over one D_v and each
+    pair over one L_wv (`linear_columns`, `pair_numerators`, `monomials`)
+    and pass den = prod_v D_v prod_{w<v} L_wv.  GF(p) terms are reduced
+    once, and each sum leaves as one field scalar with den and its scale
+    folded in.  Series keep the ring operations.
     """
     ell = len(seqs[0]) if seqs else 0
     if any(len(seq) != ell for seq in seqs) or any(len(c) != ell for c in cols.values()):
         raise UsageError("the key sequences and columns at a point differ in length")
+    series = isinstance(one, PSeries)
     mod = 0
-    if not isinstance(one, PSeries):
-        fld = field_of(one)
-        mod = modulus(fld)
-        if den is None:
-            keys, by_var, den = list(cols), [], 1
-            # a list after *, not a generator: see `weights`
-            for entries in zip(*[cols[key] for key in keys]):
-                nums, d = ints_over_den(fld, entries)
-                by_var.append(nums)
-                den *= d
-            cols = dict(zip(keys, zip(*by_var)))
-            if pair is not None:
-                table, pair = pair, [[None] * ell for _ in range(ell)]
-                for w in range(ell):
-                    for v in range(w + 1, ell):
-                        (pair[w][v], pair[v][w]), d = ints_over_den(
-                            fld, [table[w][v], table[v][w]])
-                        den *= d
+    if not series:
+        mod = modulus(field_of(one))
         one = 1
     full = (1 << ell) - 1
     gtab = [None] * full          # G(S, v) for S != 0 and v outside S
@@ -211,7 +238,60 @@ def symmetrize(seqs, cols, pair, one, den=None):
                     sv = s | 1 << v
                     nxt[sv] = nxt[sv] + term if sv in nxt else term
             todo.append((nxt, depth + 1, sub))
-    return out if den is None else [scalar_of(mod, x, den) for x in out]
+    if series:
+        return out if scales is None else [x * c for x, c in zip(out, scales)]
+    scales = [num_den(mod, c) for c in scales] if scales else [(1, 1)] * len(out)
+    if mod:
+        inv = PrimeScalar(den, mod).inverse().value
+        return [PrimeScalar(x * c * inv, mod) for x, (c, _) in zip(out, scales)]
+    return [scalar_of(0, x * c, den * d) for x, (c, d) in zip(out, scales)]
+
+
+def linear_columns(ts, consts, columns, mod):
+    """(cols, den): the columns u^e prod_{i in idx} (u - consts[i]) of
+    `columns` (key -> (e, idx), all of one degree d = e + len(idx)) at the
+    cleared coordinates ts = [(a_v, b_v)], as integers over one
+    denominator.  As u - c_n/c_d = (a c_d - c_n b)/(b c_d) at u = a/b, each
+    column at v is one homogeneous integer product over b_v^d C, C the
+    product of the c_d of all the constants, times the c_d of the
+    constants it leaves out; den = prod_v b_v^d C."""
+    big_c = math.prod([cd for _, cd in consts])
+    spec = [(key, e, idx, big_c // math.prod([consts[i][1] for i in idx]))
+            for key, (e, idx) in columns.items()]
+    degree = spec[0][1] + len(spec[0][2]) if spec else 0
+    cols, den = {key: [] for key in columns}, 1
+    for a, b in ts:
+        diffs = [a * cd - cn * b for cn, cd in consts]
+        for key, e, idx, cofactor in spec:
+            x = math.prod([diffs[i] for i in idx], start=cofactor * a ** e)
+            cols[key].append(x % mod if mod else x)
+        den *= b ** degree * big_c
+    return cols, den % mod if mod else den
+
+
+def pair_numerators(ts, eta, mod, primed=False):
+    """(pair, den): the pair factors (t_w - eta t_v)/(t_w - t_v) of t_w
+    placed before t_v (when primed, that of t_v placed before t_w) at the
+    cleared coordinates ts, eta = e_1/e_2 cleared, as integers over one
+    denominator.  With A = a_w b_v and B = a_v b_w the factors of w before
+    v and of v before w are e_2 A - e_1 B and e_1 A - e_2 B over the one
+    L = e_2 (A - B), and den is the product of the L; coincident
+    coordinates (A = B) are rejected."""
+    (e1, e2), ell = eta, len(ts)
+    pair, den = [[None] * ell for _ in ts], 1
+    for w, (aw, bw) in enumerate(ts):
+        for v in range(w + 1, ell):
+            av, bv = ts[v]
+            big_a, big_b = aw * bv, av * bw
+            diff = big_a - big_b
+            if not (diff % mod if mod else diff):
+                raise DegenerateInputError("coincident t coordinates in symmetrized sum")
+            before, after = e2 * big_a - e1 * big_b, e1 * big_a - e2 * big_b
+            if primed:
+                before, after = after, before
+            pair[w][v], pair[v][w] = (before % mod, after % mod) if mod else (before, after)
+            den *= e2 * diff
+    return pair, den % mod if mod else den
 
 
 def pair_table(t, ratio):
@@ -256,18 +336,17 @@ def weights(parts, t, params, primed=False):
     factors params.column(u, part, shift, primed) at each position a and
     the pair factors, for lam in parts] at the point t, with shift =
     params.column_shift(a, ell): P (or P') on `PolyParams`, the theta
-    weights Xi (or Xi') on `elliptic.EllParams`."""
-    t = tuple(t)
+    weights Xi (or Xi') on `elliptic.EllParams`, whose
+    `weight_tables` supply the columns and pair factors."""
     # lists, not tuple(generator): CPython builds such a tuple by resizing
     # it, and the resized tuples pile up in its tuple free lists (peak RSS
     # of the poly benchmark crept up about 0.4 MB over 12 passes)
     seqs = [[(params.column_shift(a, lam.ell), part)
              for a, part in enumerate(lam.entries, start=1)] for lam in parts]
-    cols = {key: [params.column(u, key[1], key[0], primed) for u in t]
-            for key in dict.fromkeys(key for seq in seqs for key in seq)}
-    sums = symmetrize(seqs, cols, weight_pair_table(t, params, primed), params.one)
-    return [multiplicity_prefactor(lam.multiplicities(), params) * total
-            for lam, total in zip(parts, sums)]
+    cols, pair, den = params.weight_tables(
+        dict.fromkeys(key for seq in seqs for key in seq), tuple(t), primed)
+    return symmetrize(seqs, cols, pair, params.one, den,
+                      [multiplicity_prefactor(lam.multiplicities(), params) for lam in parts])
 
 
 def weight(lam, t, params, primed=False):
@@ -275,13 +354,22 @@ def weight(lam, t, params, primed=False):
     return weights([lam], t, params, primed)[0]
 
 
-def symmetric_products(seqs, column, one, den=None):
+def symmetric_products(seqs, column, one, den=1):
     """[(1/prod_k mult_k!) sum_sigma prod_a column(seq[a])[sigma_a] for seq
     in seqs]: symmetrized products of one column per key, keys may repeat,
-    each distinct key's column built once."""
+    each distinct key's column built once; scalar columns are integers
+    over den, and the divisors fold into the final denominators."""
     cols = {key: column(key) for key in dict.fromkeys(key for seq in seqs for key in seq)}
-    return [total / math.prod(map(math.factorial, Counter(seq).values()))
-            for seq, total in zip(seqs, symmetrize(seqs, cols, None, one, den))]
+    mod = modulus(one.field if isinstance(one, PSeries) else field_of(one))
+    return symmetrize(seqs, cols, None, one, den,
+                      [multiplicity_scale(tuple(seq), mod) for seq in seqs])
+
+
+@functools.lru_cache(maxsize=4096)
+def multiplicity_scale(seq, mod):
+    """1/prod_k mult_k! of a key sequence as a field scalar modulo `mod`
+    (QQ for 0), built once for all the points that repeat the sequence."""
+    return scalar_of(mod, 1, math.prod(map(math.factorial, Counter(seq).values())))
 
 
 def monomials(seqs, t, one):
@@ -292,7 +380,7 @@ def monomials(seqs, t, one):
     fld = field_of(one)
     mod, ts = modulus(fld), [fld.of(u) for u in t]
     if mod:
-        return symmetric_products(seqs, lambda e: [pow(u.value, e, mod) for u in ts], one, 1)
+        return symmetric_products(seqs, lambda e: [pow(u.value, e, mod) for u in ts], one)
     top = max((e for seq in seqs for e in seq), default=0)
     return symmetric_products(
         seqs, lambda e: [u.numerator ** e * u.denominator ** (top - e) for u in ts],
@@ -335,12 +423,15 @@ def window_products(lam, i, j, params):
 def jing_value(eta, t, one, zero, mutate=False):
     """The double sum over k and S_ell whose vanishing is the base
     combinatorial identity; a mutated run perturbs the k = 1 prefactor."""
-    ell = len(t)
-    pair = pair_table(t, lambda ta, tb: (ta - eta * tb) / (ta - tb))
-    cols = {"low": [u - one for u in t], "high": [u - eta ** (ell - 1) for u in t]}
+    ell, mod = len(t), modulus(field_of(one))
+    ts = [num_den(mod, u) for u in t]
+    # the weights' unprimed pair table, and columns u - 1 and u - eta^(ell-1)
+    pair, pair_den = pair_numerators(ts, num_den(mod, eta), mod)
+    cols, den = linear_columns(ts, [(1, 1), num_den(mod, eta ** (ell - 1))],
+                               {"low": (0, [0]), "high": (0, [1])}, mod)
     seqs = [("low",) * k + ("high",) * (ell - k) for k in range(ell + 1)]
     total = zero
-    for k, inner in enumerate(symmetrize(seqs, cols, pair, one)):
+    for k, inner in enumerate(symmetrize(seqs, cols, pair, one, den * pair_den)):
         pref = one
         for s in range(k):
             pref = pref * (eta ** ell - eta ** s) / (one - eta ** (s + 1))

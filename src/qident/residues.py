@@ -31,14 +31,17 @@ det A and the constant the residue divides by: prod_m (x_m y_m)^ell on
 derivative constant at 1 once per step.  The scalar product is defined
 operationally by the residue sums; the torus contour is never integrated.
 
-Every residue sum is one dense product: `residue_pairing` evaluates both
-families and the residue once per point and ends in `linalg.mat_mul`, and
-the `mn` residual is the product of its Gram matrix with the transition
-matrix.  The kernel, the weight family, the norms and ell all come from
-the parameter object, so the residue, the Gram matrix and its residual
-`gram_residual`, the special values and the transition solve serve P and
-Xi alike; the check values return residual entries, which `reporting`
-writes for either layer.
+Over a field the arguments of the kernel factors are integer pairs built
+from the cleared coordinates, so the residue at a point is one integer
+product over one denominator.  Every residue sum is one dense product:
+`residue_pairing` evaluates both families and the residue once per point
+and ends in `linalg.diag_mat_mul`, which folds the residue into each
+point's cleared row, and the `mn` residual is the product of its Gram
+matrix with the transition matrix.  The kernel, the weight family, the
+norms and ell all come from the parameter object, so the residue, the
+Gram matrix and its residual `gram_residual`, the special values and the
+transition solve serve P and Xi alike; the check values return residual
+entries, which `reporting` writes for either layer.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from itertools import combinations_with_replacement
 
 from .errors import (
     ConsistencyError, DegenerateInputError, NonInvertibleError, PoleOrderError)
-from .exactnum import product
-from .linalg import mat_det, mat_mul, mat_solve, transpose
+from .exactnum import num_den, product
+from .linalg import diag_mat_mul, mat_det, mat_mul, mat_solve, transpose
 from .partitions import binom, enumerate_partitions, x_point, y_point
 from .polyweights import monomials, q_monomials, sample_poly_params, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
@@ -61,36 +64,48 @@ def cancel_poles(params, point):
     """Cancel one kernel factor per variable, innermost last variable
     first, and return (sign, numerator arguments, denominator arguments):
     sign is -1 per cancelled factor with t_a in the numerator of its
-    argument, the argument lists are those of the remaining factors.
+    argument, the argument lists are those of the remaining factors, each
+    argument P/Q an integer pair (P, Q).
 
     Substituting from the last variable down completes phi(c t_i/t_j) at
     step min(i, j), and phi(t_a/x_m), phi(t_a/y_m) at step a, so each
-    argument is evaluated once at the point and tested only at its step.
-    There the vanishing numerator factor is discovered and must be unique,
-    with no vanishing denominator factor (the simple-pole condition).
+    argument is built once at the point and tested only at its step.  The
+    arguments are cross products of the cleared coordinates and parameters
+    (`exactnum.num_den`), and one is tested as P = Q (P = Q mod p), with
+    no field operation.  At its step the vanishing numerator factor is
+    discovered and must be unique, with no vanishing denominator factor
+    (the simple-pole condition).
     """
-    one, eta, t = params.field.one, params.eta, point.coords
+    mod, xs, ys, (e1, e2) = params.cleared
+    t = point.coords
+    ts = [num_den(mod, u) for u in t]
     # per step: (t_step in the numerator, argument); (argument, tag)
     numer = [[] for _ in t]
     denom = [[] for _ in t]
-    for a, u in enumerate(t):
-        for m in range(params.n):
-            numer[a].append((True, u / params.x[m]))
-            numer[a].append((True, u / params.y[m]))
+    for a, (ua, ub) in enumerate(ts):
+        for (xn, xd), (yn, yd) in zip(xs, ys):
+            numer[a].append((True, (ua * xd, ub * xn)))
+            numer[a].append((True, (ua * yd, ub * yn)))
         for b in range(a + 1, len(t)):
-            r = u / t[b]
-            numer[a].append((True, eta * r))
-            numer[a].append((False, eta / r))
-            denom[a].append((r, ("den", a, b)))
-            denom[a].append((one / r, ("den", b, a)))
-    sign, rest_numer, rest_denom = one, [], []
+            va, vb = ts[b]
+            r, s = ua * vb, ub * va          # t_a/t_b = r/s
+            numer[a].append((True, (e1 * r, e2 * s)))
+            numer[a].append((False, (e1 * s, e2 * r)))
+            denom[a].append(((r, s), ("den", a, b)))
+            denom[a].append(((s, r), ("den", b, a)))
+
+    def is_one(arg):
+        diff = arg[0] - arg[1]
+        return not (diff % mod if mod else diff)
+
+    sign, rest_numer, rest_denom = 1, [], []
     for a in reversed(range(len(t))):
-        hits = [f for f in numer[a] if f[1] == one]
+        hits = [f for f in numer[a] if is_one(f[1])]
         if len(hits) != 1:
             raise PoleOrderError(
                 "step t_%d -> %s: %d vanishing numerator factors (need exactly 1)"
                 % (a + 1, t[a], len(hits)))
-        bad = [tag for c, tag in denom[a] if c == one]
+        bad = [tag for c, tag in denom[a] if is_one(c)]
         if bad:
             raise PoleOrderError(
                 "step t_%d -> %s: denominator factor %r vanishes" % (a + 1, t[a], bad[0]))
@@ -108,15 +123,16 @@ def kernel_residue_parts(params, point):
 
         Res(1/kernel (dt/t)^ell) = denom_value / (numer_value * scale),
 
-    with scale = sign * `params.kernel_constant(ell)` and the values the
-    products of phi over the remaining arguments.  Every remaining argument
-    differs from 1 (`cancel_poles` tested it at its step), and phi(c) has
-    constant term 1 - c, so numer_value is invertible.
+    with scale = sign * `params.kernel_constant(ell)` and the values
+    `params.phi_product` of the remaining arguments: over a field one
+    integer product over one denominator each, theta products on
+    `elliptic.EllParams`.  Every remaining argument differs from 1
+    (`cancel_poles` tested it at its step), and phi(c) has constant term
+    1 - c, so numer_value is invertible.
     """
     sign, numer, denom = cancel_poles(params, point)
     return (params.kernel_constant(point.ell) * sign,
-            product(map(params.phi, numer), params.one),
-            product(map(params.phi, denom), params.one))
+            params.phi_product(numer), params.phi_product(denom))
 
 
 def kernel_residue(params, point):
@@ -137,14 +153,15 @@ def residue_pairing(left, right, params, points):
     `left(t)` and `right(t)` return one value per family member and r is
     the `kernel_residue` of the parameters' kernel.  Each family and the
     residue are evaluated once per point, and the sum over the points is
-    one `mat_mul`.
+    one `linalg.diag_mat_mul`, which folds r into each point's cleared
+    left row.
     """
-    scaled, plain = [], []     # per point: [left[a] r], [right[b]]
+    lefts, residues, rights = [], [], []
     for pt in points:
-        r = kernel_residue(params, pt)
-        scaled.append([v * r for v in left(pt.coords)])
-        plain.append(right(pt.coords))
-    return mat_mul(transpose(scaled), plain)
+        residues.append(kernel_residue(params, pt))
+        lefts.append(left(pt.coords))
+        rights.append(right(pt.coords))
+    return diag_mat_mul(lefts, residues, rights)
 
 
 def side_pairings(left, right, params):

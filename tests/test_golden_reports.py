@@ -39,7 +39,11 @@ runs of `id2` and `idp2`, which nothing above prints, are pinned in
 checks became a row of the check table (sampler, value, constraint lines)
 run by `reporting.run_check`.  Each entry states its verdict: a lifted
 constraint leaves `id2` not satisfied but `idp2` verified, since `idp2`
-depends on the parameters only through beta."""
+depends on the parameters only through beta.  Plain and mutated `kbi`,
+`jing`, `id2`, `deta` and `pp` runs at seed 3 over both fields are pinned
+in `PINNED_POINTS`, recorded from the weight columns, pair tables and
+kernel residues built by field operations, before they were built from
+cleared integer coordinates."""
 
 import os
 import sys
@@ -371,5 +375,72 @@ def test_row_report_matches_pinned_digest(key):
     verdict, *pinned = PINNED_ROWS[key]
     report = run_one(RunConfig(check=check, field=field, seed=1, trials=1,
                                no_constraint=no_constraint, **ROW_SIZES[check]))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)
+
+
+# (check, field, mutate) -> (verdict, digest, length) of one trial at seed 3
+# at POINT_SIZES: the callers of the per-point weight and residue tables
+# that no other table prints at these sizes or this seed (`kbi` is `uq`'s
+# only caller of `weights`), recorded from the `Fraction` and `PrimeScalar`
+# weight columns, pair tables and kernel residues before they were built
+# from cleared integer coordinates
+POINT_SIZES = {
+    "kbi": dict(ell=5, n=3),
+    "jing": dict(ell=8),
+    "id2": dict(ell=4, n=3, i=1, j=3),
+    "deta": dict(ell=4, n=4),
+    "pp": dict(ell=3, n=3),
+}
+PINNED_POINTS = {
+    ("deta", "prime", False): (VERIFIED,
+        "3fb47f005c3269528e2aa183d4bfee6f344abc1bedfb48d0d6fe627c73c25268", 852),
+    ("deta", "prime", True): (FALSIFIED,
+        "e40ce8d1f8c42286a020bab28214745f8e727c20ba06b34641b6b74624c4c4e2", 871),
+    ("deta", "rational", False): (VERIFIED,
+        "42d205db3a8592099baf8438d8af5463ef087870035c47205f27cd25cec58424", 705),
+    ("deta", "rational", True): (FALSIFIED,
+        "18beb6bd38c93162cb4db1b2e6870ff499f2d8cdcf29edba1831962c57e7573e", 2969),
+    ("id2", "prime", False): (VERIFIED,
+        "dbb34a41b5dc831357800935fcf39b2b9412c400c30f0434ae0bb8694a37455d", 956),
+    ("id2", "prime", True): (FALSIFIED,
+        "1e552cc1cc5dc7477a89876b4c1d7c210c513f051201a6125bd266dac206fc10", 974),
+    ("id2", "rational", False): (VERIFIED,
+        "98812d42cdc08c7883c84b048b9a552d5900776d3c7abf4d07f8508326fc3b3f", 809),
+    ("id2", "rational", True): (FALSIFIED,
+        "b634f9dab15292163bd12da6e50ddbf4899c4e8671c89c944d28ec6753f7f169", 1136),
+    ("jing", "prime", False): (VERIFIED,
+        "35eb44d04ffc57682f830a4f831ef027f431ec84315382de4267030fe8801994", 857),
+    ("jing", "prime", True): (FALSIFIED,
+        "6e7de6d37fe53eae5be872a1fed7978491414fbfacb751c8b77ce7ae07219c9f", 876),
+    ("jing", "rational", False): (VERIFIED,
+        "4637e6f649472751f7c12b780a0e65fce683ad1ec03fb97e2f37fe334f47cae0", 710),
+    ("jing", "rational", True): (FALSIFIED,
+        "d31f9300a5545e5a9cca0ba03d8328306109342495278a649bbb172b9907b5ee", 1094),
+    ("kbi", "prime", False): (VERIFIED,
+        "909e59ef2fbbfa2b8cdba256bf9c46da1751dc70e0cf90b5ecf8bcc71c27abd8", 1040),
+    ("kbi", "prime", True): (FALSIFIED,
+        "9c6516af94459c229a2aebe5fd2214d36d77dce9b4ac5ca477b5955a6001b7f4", 4147),
+    ("kbi", "rational", False): (VERIFIED,
+        "bd994deb110411ba122d4441d52442dd8d8ccfb3f24ebc35e8b0cdba86444d69", 915),
+    ("kbi", "rational", True): (FALSIFIED,
+        "edc8b93ef6fd26ae57a694c3d42507f1e04cccd0dc3bd993969fe9bd2bff2baf", 16165),
+    ("pp", "prime", False): (VERIFIED,
+        "4b9d72ecc09f13d6e24e71127f7dd7c3bc0c3dde8823d992e20f9f90e310598f", 794),
+    ("pp", "prime", True): (FALSIFIED,
+        "7abc92a28d6147463f5a928a05f1d0cfa6664d6977c850593e3d65915f314d6b", 845),
+    ("pp", "rational", False): (VERIFIED,
+        "ca16308554913a82edf6c28b4c3f3e6a8240bc03f374ab1c7a66e24e487b3337", 671),
+    ("pp", "rational", True): (FALSIFIED,
+        "dc34a7b67febb96e44e3616043dc95e2b4d4a4e2abf4d9051b3d80ca3303d5c3", 733),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_POINTS), ids=lambda key: "-".join(map(str, key)))
+def test_point_table_report_matches_pinned_digest(key):
+    check, field, mutate = key
+    verdict, *pinned = PINNED_POINTS[key]
+    report = run_one(RunConfig(check=check, field=field, seed=3, trials=1, mutate=mutate,
+                               **POINT_SIZES[check]))
     assert report.verdict == verdict
     assert digest(report) == tuple(pinned)

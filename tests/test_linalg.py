@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from qident.errors import NonInvertibleError
 from qident.exactnum import PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig
 from qident.linalg import (
-    RatRows, eliminate, mat_det, mat_inverse, mat_mul, mat_solve, transpose)
+    RatRows, diag_mat_mul, eliminate, mat_det, mat_inverse, mat_mul, mat_solve, transpose)
 
 GF101 = PrimeField(101)
 
@@ -105,6 +105,20 @@ def test_mat_det_matches_leibniz_sum(ring_name, data, n):
         assert ring_name == "series" and not ring.invertible(expected)
         return
     assert got == expected
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@given(st.data(), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+def test_diag_mat_mul_matches_the_entry_sum(ring_name, data, k, m, p):
+    # one row of a, one scalar of d and one row of b per k, as a residue
+    # sum has per point
+    ring = data.draw(RINGS[ring_name])
+    a, b = matrix(data, ring, k, m), matrix(data, ring, k, p)
+    d = data.draw(st.lists(ring.entries, min_size=k, max_size=k))
+    assert diag_mat_mul(a, d, b) == [
+        [reduce(add, (a[r][i] * d[r] * b[r][j] for r in range(k))) for j in range(p)]
+        for i in range(m)]
 
 
 @pytest.mark.parametrize("ring_name", sorted(FIELD_RINGS))
@@ -336,7 +350,7 @@ def test_scalar_paths_do_no_per_entry_scalar_arithmetic(field_name, monkeypatch)
                     return _op(*args)
                 monkeypatch.setattr(cls, name, counting)
     for run in (lambda: mat_det(a, fld.one, fld.zero), lambda: mat_solve(a, b, fld.zero),
-                lambda: mat_mul(a, b)):
+                lambda: mat_mul(a, b), lambda: diag_mat_mul(a, b[0], b)):
         calls.clear()
         run()
         assert len(calls) <= 2 * n

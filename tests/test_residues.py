@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from qident.cli import run_one
 from qident.elliptic import sample_ell_params, scalar_product_omega, xi_weight
 from qident.errors import ConsistencyError, DegenerateInputError, PoleOrderError
-from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
+from qident.exactnum import (
+    PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, modulus, scalar_of)
 from qident.linalg import mat_det, mat_mul
 from qident.partitions import (
     EvalPoint, Partition, enumerate_partitions, kappa, x_point, y_point)
 from qident.polyweights import (
-    PolyParams, monomial_symmetric, q_monomials, sample_poly_params, weight)
+    PolyParams, monomial_symmetric, q_monomials, sample_poly_params, weight, weights)
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
     admissible_exponent_tuples, cancel_poles, d_exponent, deta_rhs, detq_rhs,
@@ -240,12 +241,17 @@ def test_kernel_residue_parts_matches_linear_oracle(fld, ell, n, seed, make_poin
 
 def cancellation_outcome(cancel, params, point):
     """(sign, numerator multiset, denominator multiset), or the
-    PoleOrderError message."""
+    PoleOrderError message; the integer pairs (P, Q) of `cancel_poles`
+    count as the field scalars P/Q."""
     try:
         sign, numer, denom = cancel(params, point)
     except PoleOrderError as exc:
         return str(exc)
-    return sign, Counter(numer), Counter(denom)
+    mod = modulus(params.field)
+
+    def scalars(args):
+        return Counter(scalar_of(mod, *c) if isinstance(c, tuple) else c for c in args)
+    return sign, scalars(numer), scalars(denom)
 
 
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 3), st.integers(1, 5),
@@ -527,3 +533,50 @@ def test_drivers():
     assert any("divisib" in note for note in r.notes)
     assert verify_resi(RunConfig(check="resI", ell=1, n=1, trials=1, seed=1,
                                  mutate=True)).verdict == "falsified"
+
+
+# ---------------------------------------------------------------------------
+# work guard: field operations per point
+# ---------------------------------------------------------------------------
+
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__", "__pow__", "__neg__", "__eq__", "__bool__",
+             "inverse")
+
+
+def count_field_operations(monkeypatch):
+    """A counter of every `Fraction` and `PrimeScalar` operator call from
+    now until the test ends."""
+    counter = Counter()
+    for cls in (Fraction, PrimeScalar):
+        for name in OPERATORS:
+            if name in vars(cls):
+                def counted(*args, _op=vars(cls)[name], **kwargs):
+                    counter["ops"] += 1
+                    return _op(*args, **kwargs)
+                monkeypatch.setattr(cls, name, counted)
+    return counter
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=["QQ", "GFp"])
+@pytest.mark.parametrize("ell, n", [(1, 1), (3, 3), (5, 2), (4, 4)])
+def test_weights_and_residue_make_few_field_operations_per_point(fld, ell, n, monkeypatch):
+    # the weight columns, pair tables and kernel residue of a point are
+    # built from its cleared integer coordinates, so the field operations
+    # per point grow neither with the ell (n + ell) kernel factors nor with
+    # the ell n column factors and ell^2 pair factors
+    p = sample_poly_params(Sampler(SamplerConfig(5), fld), ell, n)
+    parts = enumerate_partitions(ell, n)
+    points = point_family(x_point, p) + point_family(y_point, p)
+
+    def evaluate(pt):
+        weights(parts, pt.coords, p)
+        weights(parts, pt.coords, p, primed=True)
+        kernel_residue(p, pt)
+
+    evaluate(points[0])     # the values memoized per parameters first
+    counter = count_field_operations(monkeypatch)
+    for pt in points:
+        before = counter["ops"]
+        evaluate(pt)
+        assert counter["ops"] - before <= 4 * (n + ell)

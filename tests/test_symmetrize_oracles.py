@@ -5,7 +5,10 @@ monomial symmetric polynomials, the theta weights, the explicit two-column
 elliptic identity and the symmetrized basis products, for ell <= 4 over
 both QQ and GF(2^61 - 1), one partition at a time and as the per-point
 tables the checks use; and the kernel itself on arbitrary scalar and
-series tables."""
+series tables.  At ell 5 to 7, where the literal sums are too slow, the
+weights and the base identity are checked against the tables they had
+before their columns and pair factors were built from cleared integer
+coordinates: field-scalar tables cleared per call."""
 
 import math
 from collections import Counter
@@ -19,11 +22,12 @@ from hypothesis import strategies as st
 from qident.elliptic import (
     idp2_value, sample_ell_params, theta_lambda, theta_lambdas, vartheta, xi_weight)
 from qident.errors import DegenerateInputError, UsageError
-from qident.exactnum import QQ, PrimeField, PSeries, Sampler, SamplerConfig
-from qident.partitions import Partition, enumerate_partitions
+from qident.exactnum import (
+    QQ, PrimeField, PSeries, Sampler, SamplerConfig, field_of, ints_over_den)
+from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    jing_value, monomial_symmetric, monomials, sample_eta, sample_poly_params,
-    sample_t, symmetrize, weight, weights)
+    jing_value, monomial_symmetric, monomials, multiplicity_prefactor, pair_table,
+    sample_eta, sample_poly_params, sample_t, symmetrize, weight, weight_pair_table, weights)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -179,6 +183,66 @@ def theta_lambda_oracle(lam, t, params):
 
 
 # ---------------------------------------------------------------------------
+# oracles: the field-scalar tables that the cleared integer tables replaced
+# ---------------------------------------------------------------------------
+
+def cleared_tables(fld, cols, pair):
+    """(cols, pair, den): scalar tables as the integers over one
+    denominator that `symmetrize` takes, cleared as `symmetrize` once
+    cleared them itself: every column at v over the lcm D_v of its
+    denominators, pair[w][v] and pair[v][w] over their lcm L_wv, and den =
+    prod D_v prod L_wv."""
+    keys, by_var, den = list(cols), [], 1
+    for entries in zip(*[cols[key] for key in keys]):
+        nums, d = ints_over_den(fld, entries)
+        by_var.append(nums)
+        den *= d
+    cleared = dict(zip(keys, zip(*by_var)))
+    if pair is None:
+        return cleared, None, den
+    ell = len(pair)
+    out = [[None] * ell for _ in range(ell)]
+    for w in range(ell):
+        for v in range(w + 1, ell):
+            (out[w][v], out[v][w]), d = ints_over_den(fld, [pair[w][v], pair[v][w]])
+            den *= d
+    return cleared, out, den
+
+
+def field_weights(parts, t, params, primed=False):
+    """`weights` on `PolyParams` from field-scalar tables: each column
+    `params.column` and each pair factor (`weight_pair_table`) by field
+    operations, cleared per call, and the prefactor multiplied in."""
+    fld = params.field
+    seqs = [[(None, part) for part in lam.entries] for lam in parts]
+    cols = {key: [params.column(u, key[1], None, primed) for u in t]
+            for key in dict.fromkeys(key for seq in seqs for key in seq)}
+    int_cols, int_pair, den = cleared_tables(fld, cols, weight_pair_table(t, params, primed))
+    return [multiplicity_prefactor(lam.multiplicities(), params) * total
+            for lam, total in zip(parts, symmetrize(seqs, int_cols, int_pair, fld.one, den))]
+
+
+def field_jing(eta, t, one, zero, mutate=False):
+    """`jing_value` from field-scalar tables: columns u - 1 and
+    u - eta^(ell-1) and the pair factors (t_a - eta t_b)/(t_a - t_b) by
+    field operations, cleared per call."""
+    ell, fld = len(t), field_of(one)
+    pair = pair_table(t, lambda ta, tb: (ta - eta * tb) / (ta - tb))
+    cols = {"low": [u - one for u in t], "high": [u - eta ** (ell - 1) for u in t]}
+    seqs = [("low",) * k + ("high",) * (ell - k) for k in range(ell + 1)]
+    int_cols, int_pair, den = cleared_tables(fld, cols, pair)
+    total = zero
+    for k, inner in enumerate(symmetrize(seqs, int_cols, int_pair, one, den)):
+        pref = one
+        for s in range(k):
+            pref = pref * (eta ** ell - eta ** s) / (one - eta ** (s + 1))
+        if mutate and k == 1:
+            pref = pref * 2
+        total = total + pref * inner
+    return total
+
+
+# ---------------------------------------------------------------------------
 # the kernel against the oracles
 # ---------------------------------------------------------------------------
 
@@ -238,7 +302,8 @@ def test_symmetrize_matches_permutation_sum_on_arbitrary_tables(fld, with_pair, 
     # scalar tables run on integers over one denominator per call; tables
     # shaped like nothing in the package pin that the denominator is right
     seqs, cols, pair = tables(data, ell, table_scalars(fld), with_pair)
-    got = symmetrize(seqs, cols, pair, fld.one)
+    int_cols, int_pair, den = cleared_tables(fld, cols, pair)
+    got = symmetrize(seqs, int_cols, int_pair, fld.one, den)
     assert got == oracle_sums(seqs, cols, pair, fld.one, fld.zero)
     assert all(type(x) is type(fld.one) for x in got)
 
@@ -319,6 +384,32 @@ def test_idp2_matches_permutation_sum(fld, ell):
     for mutate in (False, True):
         assert idp2_value(params, t, mutate=mutate) == idp2_oracle(params, t, mutate=mutate)
     assert not idp2_value(params, t, mutate=True).is_zero()
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("ell, n", [(5, 2), (5, 3), (6, 2)])
+def test_cleared_weight_tables_match_field_tables(fld, ell, n):
+    # at a drawn point and at the special points, where coordinates share
+    # factors with the parameters
+    s = sampler(110 + ell + n, fld)
+    params = sample_poly_params(s, ell, n)
+    parts = enumerate_partitions(ell, n)
+    points = [sample_t(s, ell)] + [make(lam, params).coords for lam in parts[:3]
+                                   for make in (x_point, y_point)]
+    for t in points:
+        for primed in (False, True):
+            assert weights(parts, t, params, primed) == field_weights(parts, t, params, primed)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("ell", [5, 6, 7])
+def test_cleared_jing_tables_match_field_tables(fld, ell):
+    s = sampler(120 + ell, fld)
+    eta = sample_eta(s, ell)
+    t = sample_t(s, ell)
+    for mutate in (False, True):
+        assert jing_value(eta, t, fld.one, fld.zero, mutate) == \
+            field_jing(eta, t, fld.one, fld.zero, mutate)
 
 
 def some_parts(data, ell, n):
