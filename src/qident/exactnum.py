@@ -12,7 +12,9 @@ tensor vectors of `tensors` and the per-point tables of `polyweights`.
 Theta is a finite truncated sum (the Jacobi triple product), and so is
 every q-Pochhammer constant: (p^e; p^e)_inf is theta at p^e with nome
 p^(3e) (Euler's pentagonal number theorem), so no convergence questions
-ever arise.
+ever arise.  The theta layer's per-point tables take theta's integer
+numerator before normalization (`theta_ints`) and multiply such lists
+as `IntSeries`, normalizing only their sums.
 """
 
 from __future__ import annotations
@@ -398,16 +400,7 @@ class PSeries:
     def __mul__(self, other):
         if isinstance(other, PSeries):
             o = self._coerce(other)
-            a, b = self.num, o.num
-            if a.count(0) < b.count(0):   # the outer loop skips zeros
-                a, b = b, a
-            size = self.order + 1
-            out = [0] * size
-            for i, x in enumerate(a):
-                if x:
-                    for k, y in enumerate(b[: size - i], i):
-                        out[k] += x * y
-            return self._new(out, self.den * o.den)
+            return self._new(convolve(self.num, o.num), self.den * o.den)
         if isinstance(other, (int, Fraction, PrimeScalar)):
             (c,), d = ints_over_den(self.field, [other])
             return self._new([x * c for x in self.num], self.den * d)
@@ -427,17 +420,25 @@ class PSeries:
             for k in range(1, order + 1):
                 out.append(-inv0 * sum(map(operator.mul, num[1:k + 1], out[::-1])) % mod)
             return self._new(out)
-        # num/den = N(p)/D, so its inverse is D/N(p), whose coefficient k is
-        # D M_k / N_0^(k+1) with M_0 = 1, M_k = -sum_{j=1..k} N_j N_0^(j-1) M_{k-j}
-        powers = [1]
-        for _ in range(order + 1):
-            powers.append(powers[-1] * n0)
-        t = [num[j] * powers[j - 1] for j in range(1, order + 1)]
-        m = [1]
+        # num/den = N(p)/D, so its inverse is D/N(p): c_0 = D/N_0 and
+        # c_k = -(sum_{j=1..k} N_j c_(k-j))/N_0, each c_k = p_k/q_k reduced by
+        # one gcd; out holds c_0..c_(k-1) over the lcm `den` of their q
+        lead = self.den
+        if n0 < 0:                        # N/D = (-N)/(-D), with -N_0 > 0
+            num, n0, lead = [-x for x in num], -n0, -lead
+        g = math.gcd(lead, n0)
+        out, den = [lead // g], n0 // g
         for k in range(1, order + 1):
-            m.append(-sum(map(operator.mul, t[:k], m[::-1])))
-        return self._new([self.den * m[k] * powers[order - k] for k in range(order + 1)],
-                         powers[order + 1])
+            acc = -sum(map(operator.mul, num[1:k + 1], out[::-1]))
+            q = den * n0
+            g = math.gcd(acc, q)
+            p, q = acc // g, q // g
+            scale = q // math.gcd(den, q)     # lcm(den, q)/den
+            if scale != 1:
+                out = [x * scale for x in out]
+                den *= scale
+            out.append(p * (den // q))
+        return self._new(out, den)
 
     def __truediv__(self, other):
         if isinstance(other, PSeries):
@@ -486,6 +487,48 @@ class PSeries:
         return "PSeries(%s; mod p^%d)" % (body, self.order + 1)
 
 
+def convolve(a, b):
+    """The product of two integer coefficient lists of one length K+1,
+    truncated at p^K; the outer loop runs over the sparser list and skips
+    its zeros (a theta value has O(sqrt K) nonzero coefficients)."""
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    size = len(a)
+    out = [0] * size
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b[: size - i], i):
+                out[k] += x * y
+    return out
+
+
+class IntSeries:
+    """The K+1 integer coefficients of a truncated series with no
+    denominator and no normalization: `*` is `convolve`, `+` adds
+    coefficient-wise and `% p` reduces each coefficient.  The theta layer's
+    per-point tables hold their columns and pair factors in this form over
+    one denominator per point, so `polyweights.symmetrize` runs its one
+    subset DP on them as on scalar integers and normalizes only its sums."""
+
+    __slots__ = ("num",)
+
+    def __init__(self, num):
+        self.num = num
+
+    def __mul__(self, other):
+        return IntSeries(convolve(self.num, other.num))
+
+    def __add__(self, other):
+        return IntSeries(list(map(operator.add, self.num, other.num)))
+
+    def __mod__(self, mod):
+        return IntSeries([x % mod for x in self.num])
+
+    def scaled(self, c):
+        """Each coefficient times the integer c."""
+        return IntSeries([x * c for x in self.num])
+
+
 def theta(c, e, order, v=0):
     """Truncation of the Jacobi theta function at u = c p^v,
     theta(u; p^e) = (u; p^e)_inf (p^e u^{-1}; p^e)_inf (p^e; p^e)_inf,
@@ -511,6 +554,16 @@ def theta(c, e, order, v=0):
             "theta argument has valuation %d outside [0, nome exponent %d]" % (v, e))
     fld = field_of(c)
     (a,), b = ints_over_den(fld, [c])
+    num, last = theta_ints(a, b, e, order, v)
+    return PSeries._from_ints(fld, num, a ** (last - 1) * b ** last, order)
+
+
+def theta_ints(a, b, e, order, v=0):
+    """(num, last): theta(c p^v; p^e) at c = a/b for nonzero integers a and
+    b as the K+1 integers num over a^(last-1) b^last, K the order, with no
+    normalization.  Every coefficient is a homogeneous form of degree
+    2 last - 1 in (a, b), as is the denominator, so a/b need not be reduced;
+    `last` depends only on e, v and the order."""
     # c = a/b: the terms of step n are integers over a^(n-1) b^n, so after
     # the last step `last` everything sits over a^(last-1) b^last
     terms = []                     # (index, numerator over a^(n-1) b^n, n)
@@ -533,7 +586,7 @@ def theta(c, e, order, v=0):
     num = [0] * (order + 1)
     for i, x, k in terms:
         num[i] += x * (a * b) ** (last - k)
-    return PSeries._from_ints(fld, num, am // a * bm, order)
+    return num, last
 
 
 def triple_pochhammer_p(fld, order):

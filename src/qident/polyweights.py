@@ -11,16 +11,20 @@ accumulated over subsets of variables, with the pair products built once
 per point and shared leading parts sharing their layers.  No closed-form
 simplification is attempted; the tests keep the literal permutation sums
 as oracles.  The weights, norms and window sums serve both layers: the
-parameter object supplies phi, the linear factor f and the column lead,
-1 - z, u - c and X_m's u here, theta, theta(u/c) and Z_m's theta with its
-dynamical shift on `elliptic.EllParams`, and with them the norm and the
-window coefficient of each partition.  As theta(z; 0) = 1 - z, each
-product here has the shape of its elliptic twin.  Over a field the
-tables of a point are built fraction-free, with one common denominator
-per table (von zur Gathen & Gerhard, Modern Computer Algebra, 6): from
-the cleared coordinates t_v = a_v/b_v and parameters, each column is one
-homogeneous integer product and each pair factor a cross product, so no
-field operation is made per factor.  A check value
+parameter object supplies phi, the linear factor f and the weight
+tables, 1 - z, u - c and the columns X_m here, theta, theta(u/c) and the
+columns Z_m with their dynamical shift on `elliptic.EllParams`, and with
+them the norm and the window coefficient of each partition.  As
+theta(z; 0) = 1 - z, each product here has the shape of its elliptic
+twin.  The tables of a point are built fraction-free in both layers,
+with one common denominator per table (von zur Gathen & Gerhard, Modern
+Computer Algebra, 6): from the cleared coordinates t_v = a_v/b_v and
+parameters, each column is one homogeneous integer product and each pair
+factor a cross product here, and on `elliptic.EllParams` each column one
+truncated product of theta numerators and each pair factor a theta
+numerator over theta(t_v/t_w), so no field or series operation is made
+per factor and `symmetrize` runs one DP loop on ints or on integer
+coefficient lists alike.  A check value
 value(cfg, params, sampler) draws its point after the parameters and
 leaves its report form to `reporting`.
 """
@@ -33,7 +37,8 @@ from collections import Counter
 from itertools import chain
 
 from .errors import DegenerateInputError, UsageError
-from .exactnum import PrimeScalar, PSeries, field_of, modulus, num_den, product, scalar_of
+from .exactnum import (
+    IntSeries, PrimeScalar, PSeries, field_of, modulus, num_den, product, scalar_of)
 from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
 
 
@@ -42,9 +47,9 @@ class PolyParams:
 
     eta^s != 1 for 1 <= s <= ell, so symmetrization prefactors and norms
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
-    field's, phi(z) = 1 - z, its linear factor u - c, its column lead that
-    of X_m and its kernel constant prod_m (x_m y_m)^ell; the norm and the
-    window coefficient are built from them.  `cleared` is (mod, x, y, eta)
+    field's, phi(z) = 1 - z, its linear factor u - c and its kernel
+    constant prod_m (x_m y_m)^ell; the norm and the window coefficient are
+    built from them.  `cleared` is (mod, x, y, eta)
     with the field's modulus and each parameter as its (numerator,
     denominator) pair (`num_den`), for the tables built without field
     operations.
@@ -92,28 +97,19 @@ class PolyParams:
         """The polynomial weights' single factors depend only on the part."""
         return None
 
-    def column_lead(self, u, m, shift, primed):
-        """X_m's leading u, dropped by X'_m; it takes no shift."""
-        return self.one if primed else u
-
-    def column(self, u, m, shift, primed=False):
-        """The lead times prod_{j<m} f(u, y_j) prod_{k>m} f(u, x_k), x and y
-        swapped when primed: X_m(u) here (by field operations; the weights
-        take its integer form from `weight_tables`), Z_m on
-        `elliptic.EllParams`."""
-        x, y = (self.y, self.x) if primed else (self.x, self.y)
-        out = self.column_lead(u, m, shift, primed)
-        for c in y[:m - 1] + x[m:]:
-            out = out * self.factor(u, c)
-        return out
-
     def weight_tables(self, keys, t, primed):
-        """(cols, pair, den) for `symmetrize` at the point t: the `column`s
-        of the keys (shift, m) and the `weight_pair_table`.  Here they are
-        integers over one denominator den, built from the cleared
-        coordinates with no field operation: X_m is one homogeneous product
-        (`linear_columns`), each pair factor a cross product over one L
-        (`pair_numerators`).  `elliptic.EllParams` keeps series tables."""
+        """(cols, pair, den, key_dens) for `symmetrize` at the point t: the
+        columns X_m (or X'_m) of the keys (shift, m), the lead u (1
+        primed) times prod_{j<m} (u - y_j) prod_{k>m} (u - x_k) (x and y
+        swapped when primed), and the pair factors
+        (t_w - eta t_v)/(t_w - t_v) of t_w placed before t_v (that of t_v
+        before t_w when primed), as integers over one denominator den built
+        from the cleared coordinates with no field operation: X_m is one
+        homogeneous product (`linear_columns`), each pair factor a cross
+        product over one L (`pair_numerators`); key_dens is None, as each
+        column takes a cofactor instead.  `elliptic.EllParams` builds the
+        theta columns Z_m and pair factors the same way, as integer
+        coefficient lists."""
         mod, xs, ys, eta = self.cleared
         n, ts = self.n, [num_den(mod, u) for u in t]
         # column m: the lead u (1 primed), then y_1..y_(m-1), x_(m+1)..x_n
@@ -123,7 +119,7 @@ class PolyParams:
             {key: (0 if primed else 1, [*range(n, n + key[1] - 1), *range(key[1], n)])
              for key in keys}, mod)
         pair, pair_den = pair_numerators(ts, eta, mod, primed)
-        return cols, pair, den * pair_den
+        return cols, pair, den * pair_den, None
 
     def norm(self, lam):
         """N = prod_m prod_{s=1}^{w_m} phi(eta^s) f(x_m, eta^(s-1) y_m)/phi(eta),
@@ -167,7 +163,7 @@ def sample_t(sampler, ell):
 # symmetrization
 # ---------------------------------------------------------------------------
 
-def symmetrize(seqs, cols, pair, one, den=1, scales=None):
+def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     """[scales[i] times the sum over sigma in S_ell of prod_a
     cols[seq[a]][sigma_a] prod_{a<b} pair[sigma_a][sigma_b] for the i-th
     seq in seqs], exactly: one sum per sequence of column keys, all of one
@@ -183,22 +179,29 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None):
     about ell 2^(ell-1) multiplies for G plus two per (k-subset, variable
     outside it) per trie node at depth k, in place of 1 + k per sequence.
 
-    Scalar tables are integers over one denominator `den` of every term:
+    The tables hold integers over one denominator `den` of every term:
     each term holds each column at v once and one of pair[w][v],
     pair[v][w], so the callers clear the columns at v over one D_v and each
-    pair over one L_wv (`linear_columns`, `pair_numerators`, `monomials`)
-    and pass den = prod_v D_v prod_{w<v} L_wv.  GF(p) terms are reduced
-    once, and each sum leaves as one field scalar with den and its scale
-    folded in.  Series keep the ring operations.
+    pair over one L_wv (`linear_columns`, `pair_numerators`, `monomials`,
+    `elliptic.theta_columns`, `elliptic.theta_pairs`) and pass
+    den = prod_v D_v prod_{w<v} L_wv.  With a field scalar `one` they are
+    ints; with a series `one` they are `IntSeries` coefficient lists, and
+    den is an int or a series (inverted once per call).  A column whose
+    entries share a denominator at every v may keep it apart in
+    key_dens[key]: each sum is then also divided by the key_dens along its
+    sequence, as every term holds one column of each of its keys.  The one
+    DP loop runs on both alike, GF(p) terms reduced once, and each sum
+    leaves as one field scalar or one series brought to canonical form
+    once, with den, its key_dens and its scale folded in.
     """
     ell = len(seqs[0]) if seqs else 0
     if any(len(seq) != ell for seq in seqs) or any(len(c) != ell for c in cols.values()):
         raise UsageError("the key sequences and columns at a point differ in length")
     series = isinstance(one, PSeries)
-    mod = 0
-    if not series:
-        mod = modulus(field_of(one))
-        one = 1
+    if series:
+        mod, unit = one.mod, IntSeries([1] + [0] * one.order)
+    else:
+        mod, unit = modulus(field_of(one)), 1
     full = (1 << ell) - 1
     gtab = [None] * full          # G(S, v) for S != 0 and v outside S
     for s in range(1, full if pair is not None else 0):
@@ -209,7 +212,7 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None):
                 x = gtab[rest][v] * row[v] if rest else row[v]
                 g[v] = x % mod if mod else x
     out = [None] * len(seqs)
-    todo = [({0: one}, 0, range(len(seqs)))]    # (layer, depth, sequences)
+    todo = [({0: unit}, 0, range(len(seqs)))]    # (layer, depth, sequences)
     while todo:
         layer, depth, members = todo.pop()
         if depth == ell:
@@ -238,13 +241,41 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None):
                     sv = s | 1 << v
                     nxt[sv] = nxt[sv] + term if sv in nxt else term
             todo.append((nxt, depth + 1, sub))
+    extra = [math.prod([key_dens[key] for key in seq]) for seq in seqs] if key_dens else \
+        [1] * len(out)
     if series:
-        return out if scales is None else [x * c for x, c in zip(out, scales)]
+        return series_sums(out, one, den, scales, extra)
     scales = [num_den(mod, c) for c in scales] if scales else [(1, 1)] * len(out)
     if mod:
         inv = PrimeScalar(den, mod).inverse().value
-        return [PrimeScalar(x * c * inv, mod) for x, (c, _) in zip(out, scales)]
-    return [scalar_of(0, x * c, den * d) for x, (c, d) in zip(out, scales)]
+        return [scalar_of(mod, x * c * inv, e) for x, (c, _), e in zip(out, scales, extra)]
+    return [scalar_of(0, x * c, den * d * e) for x, (c, d), e in zip(out, scales, extra)]
+
+
+def series_sums(sums, one, den, scales, extra):
+    """[sums[i]/(den extra[i]) times scales[i]] as series of the order of
+    `one`: den an int or a series, inverted once, extra[i] an int; each
+    scale a series (`one` is skipped) or a field scalar.  Each value is one
+    integer list over one integer, brought to canonical form once."""
+    mod, order = one.mod, one.order
+    if isinstance(den, PSeries):
+        inv = den.inverse()
+        inv_num, den = IntSeries(inv.num), inv.den
+    else:
+        inv_num = None
+    out = []
+    for x, c, e in zip(sums, scales or [None] * len(sums), extra):
+        d = den * e
+        if inv_num is not None:
+            x = x * inv_num
+        if isinstance(c, PSeries):
+            if c != one:
+                x, d = x * IntSeries(c.num), d * c.den
+        elif c is not None:
+            cn, cd = num_den(mod, c)
+            x, d = x.scaled(cn), d * cd
+        out.append(PSeries._from_ints(one.field, x.num, d, order))
+    return out
 
 
 def linear_columns(ts, consts, columns, mod):
@@ -294,21 +325,6 @@ def pair_numerators(ts, eta, mod, primed=False):
     return pair, den % mod if mod else den
 
 
-def pair_table(t, ratio):
-    """ratio(t_w, t_v) for every ordered pair w != v of coordinates (the
-    diagonal is unused); coincident coordinates are rejected."""
-    ell = len(t)
-    table = [[None] * ell for _ in range(ell)]
-    for w in range(ell):
-        for v in range(ell):
-            if w != v:
-                if t[w] == t[v]:
-                    raise DegenerateInputError(
-                        "coincident t coordinates in symmetrized sum")
-                table[w][v] = ratio(t[w], t[v])
-    return table
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -321,32 +337,23 @@ def multiplicity_prefactor(mults, params):
         (phi(eta) / phi(eta ** s) for w in mults for s in range(2, w + 1)), params.one))
 
 
-def weight_pair_table(t, params, primed=False):
-    """The pair factors phi(eta t_a/t_b)/phi(t_a/t_b) (primed) or
-    phi(eta t_b/t_a)/phi(t_b/t_a) for t_a placed before t_b;
-    (t_a - eta t_b)/(t_a - t_b) for 1 - z."""
-    eta, phi = params.eta, params.phi
-    if primed:
-        return pair_table(t, lambda ta, tb: phi(eta * ta / tb) / phi(ta / tb))
-    return pair_table(t, lambda ta, tb: phi(eta * tb / ta) / phi(tb / ta))
-
-
 def weights(parts, t, params, primed=False):
-    """[the multiplicity prefactor times the sum over S_ell of the single
-    factors params.column(u, part, shift, primed) at each position a and
-    the pair factors, for lam in parts] at the point t, with shift =
-    params.column_shift(a, ell): P (or P') on `PolyParams`, the theta
-    weights Xi (or Xi') on `elliptic.EllParams`, whose
-    `weight_tables` supply the columns and pair factors."""
+    """[the multiplicity prefactor times the sum over S_ell of the column
+    of (shift, part) at each position a and the pair factors, for lam in
+    parts] at the point t, with shift = params.column_shift(a, ell): P (or
+    P') on `PolyParams`, the theta weights Xi (or Xi') on
+    `elliptic.EllParams`, whose `weight_tables` supply the columns and pair
+    factors."""
     # lists, not tuple(generator): CPython builds such a tuple by resizing
     # it, and the resized tuples pile up in its tuple free lists (peak RSS
     # of the poly benchmark crept up about 0.4 MB over 12 passes)
     seqs = [[(params.column_shift(a, lam.ell), part)
              for a, part in enumerate(lam.entries, start=1)] for lam in parts]
-    cols, pair, den = params.weight_tables(
+    cols, pair, den, key_dens = params.weight_tables(
         dict.fromkeys(key for seq in seqs for key in seq), tuple(t), primed)
     return symmetrize(seqs, cols, pair, params.one, den,
-                      [multiplicity_prefactor(lam.multiplicities(), params) for lam in parts])
+                      [multiplicity_prefactor(lam.multiplicities(), params) for lam in parts],
+                      key_dens)
 
 
 def weight(lam, t, params, primed=False):
@@ -357,8 +364,9 @@ def weight(lam, t, params, primed=False):
 def symmetric_products(seqs, column, one, den=1):
     """[(1/prod_k mult_k!) sum_sigma prod_a column(seq[a])[sigma_a] for seq
     in seqs]: symmetrized products of one column per key, keys may repeat,
-    each distinct key's column built once; scalar columns are integers
-    over den, and the divisors fold into the final denominators."""
+    each distinct key's column built once; the columns are integers (or,
+    for series, `IntSeries`) over den, and the divisors fold into the
+    final denominators."""
     cols = {key: column(key) for key in dict.fromkeys(key for seq in seqs for key in seq)}
     mod = modulus(one.field if isinstance(one, PSeries) else field_of(one))
     return symmetrize(seqs, cols, None, one, den,

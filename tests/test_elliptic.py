@@ -17,6 +17,8 @@ from qident.elliptic import (
     theta_lambda, theta_lambdas, vartheta, xi_weight)
 from qident.polyweights import window_value
 
+from test_symmetrize_oracles import column_oracle
+
 K = 4
 
 
@@ -34,22 +36,25 @@ def aell_matrix(params):
 
 
 def test_z_factor_zeroth_order_and_duality():
+    # at ell = 1 the weight of (m,) is the column Z_m itself, shift 0
     p = params_for(1, 1, k=0)
     u = Fraction(3, 7)
-    zf = p.column(u, 1, 0)
+    zf = xi_weight(Partition((1,), 1), (u,), p)
     assert zf.coeffs == [1 - u / (p.alpha * p.x[0])]
 
     p2 = params_for(1, 2, seed=5)
     sw = EllParams(p2.y, p2.x, p2.eta, 1 / p2.alpha, 1, 2, K, QQ)
     for m in (1, 2):
-        assert p2.column(u, m, 0) == sw.column(u, m, 0, primed=True)
+        lam = Partition((m,), 2)
+        assert xi_weight(lam, (u,), p2) == xi_weight(lam, (u,), sw, primed=True)
+        assert xi_weight(lam, (u,), p2) == column_oracle(p2, u, m, 0)
 
 
 def test_z_factor_reduces_to_linear_factors_at_order_zero():
     # at K = 0 each theta is 1 - argument
     p = params_for(1, 2, seed=7, k=0)
     u = Fraction(5, 9)
-    got = p.column(u, 1, 0)
+    got = xi_weight(Partition((1,), 2), (u,), p)
     expect = (1 - u / (p.alpha * p.x[0])) * (1 - u / p.x[1])
     assert got.coeffs == [expect]
 
@@ -58,7 +63,7 @@ def test_xi_single_term_and_bruteforce_oracle():
     p = params_for(1, 2, seed=3)
     t = sample_t(Sampler(SamplerConfig(4)), 1)
     lam = Partition((2,), 2)
-    assert xi_weight(lam, t, p) == p.column(t[0], 2, 0)
+    assert xi_weight(lam, t, p) == column_oracle(p, t[0], 2, 0)
 
     # independent two-permutation transcription at ell = 2, n = 1
     p2 = params_for(2, 1, seed=9)
@@ -68,7 +73,7 @@ def test_xi_single_term_and_bruteforce_oracle():
     total = p2.zero
     for sigma in permutations(range(2)):
         ta, tb = t2[sigma[0]], t2[sigma[1]]
-        term = p2.column(ta, 1, -2) * p2.column(tb, 1, 0)
+        term = column_oracle(p2, ta, 1, -2) * column_oracle(p2, tb, 1, 0)
         term = term * p2.th(eta * tb / ta) / p2.th(tb / ta)
         total = total + term
     assert xi_weight(lam2, t2, p2) == p2.th(eta) / p2.th(eta ** 2) * total

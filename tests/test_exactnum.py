@@ -9,7 +9,7 @@ from qident.errors import (
     DegenerateInputError, NonInvertibleError, SamplingError, UsageError)
 from qident.exactnum import (
     MR_EXACT_BELOW, PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, field_of,
-    is_probable_prime, theta, to_prime_field, triple_pochhammer_p)
+    is_probable_prime, theta, theta_ints, to_prime_field, triple_pochhammer_p)
 from qident.reporting import DEFAULT_PRIME
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -307,6 +307,42 @@ def test_theta_quasi_periodicity_and_inversion(u):
     k = 8
     assert theta(u, 1, k, 1) == theta(u, 1, k) * (-1 / u)
     assert theta(1 / u, 1, k) == theta(u, 1, k) * (-1 / u)
+
+
+@given(fields_st, nonzero_fractions, st.integers(0, 30))
+@settings(max_examples=40, deadline=None)
+def test_theta_reflection(fld, z, order):
+    # theta(1/z) = -z^(-1) theta(z) (Gasper-Rahman, eq. 1.6.1), which puts
+    # both orders of a theta pair factor over one theta(t_v/t_w)
+    z = fld.of(z)
+    assert theta(fld.one / z, 1, order) == theta(z, 1, order) * (-fld.one / z)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       st.integers(1, 50), st.integers(0, 30))
+@settings(max_examples=40, deadline=None)
+def test_theta_integer_form_is_homogeneous_and_reflects(a, b, c, order):
+    # theta(a/b) is theta_ints(a, b) over a^(L-1) b^L for any integers a, b,
+    # not only coprime ones, and the reflection swaps a and b up to sign
+    num, last = theta_ints(a, b, 1, order)
+    assert theta(Fraction(a, b), 1, order) == PSeries(
+        QQ, [Fraction(x, a ** (last - 1) * b ** last) for x in num], order)
+    scaled, same = theta_ints(c * a, c * b, 1, order)
+    assert same == last and scaled == [x * c ** (2 * last - 1) for x in num]
+    assert theta_ints(b, a, 1, order) == ([-x for x in num], last)
+
+
+@given(fields_st, st.integers(0, 30), st.data())
+@settings(max_examples=40, deadline=None)
+def test_inverse_matches_fraction_series_oracle(fld, order, data):
+    # the rational inverse keeps each coefficient reduced; heights up to
+    # 10^6 and either sign of the constant term
+    big = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 3)
+    first = data.draw(big.filter(lambda q: q != 0 and fld.of(q) != fld.zero))
+    b = [fld.of(q) for q in [first] + data.draw(st.lists(big, min_size=order,
+                                                          max_size=order))]
+    assert_matches(PSeries(fld, b, order).inverse(),
+                   fraction_series_oracle("inverse", fld, b), fld)
 
 
 @given(st.lists(fractions_st, min_size=4, max_size=4),

@@ -43,7 +43,11 @@ depends on the parameters only through beta.  Plain and mutated `kbi`,
 `jing`, `id2`, `deta` and `pp` runs at seed 3 over both fields are pinned
 in `PINNED_POINTS`, recorded from the weight columns, pair tables and
 kernel residues built by field operations, before they were built from
-cleared integer coordinates."""
+cleared integer coordinates.  Plain and mutated `xx`, `idp1`, `idp2`, `xt`
+and `detprod` runs at seed 3 over both fields are pinned in
+`PINNED_THETA_POINTS`, recorded from the theta columns, pair factors and
+basis products built by series ring operations, before they were built as
+integer coefficient lists over one denominator per point."""
 
 import os
 import sys
@@ -442,5 +446,72 @@ def test_point_table_report_matches_pinned_digest(key):
     verdict, *pinned = PINNED_POINTS[key]
     report = run_one(RunConfig(check=check, field=field, seed=3, trials=1, mutate=mutate,
                                **POINT_SIZES[check]))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)
+
+
+# (check, field, mutate) -> (verdict, digest, length) of one trial at seed 3
+# at THETA_POINT_SIZES: the callers of the theta layer's per-point weight
+# tables and symmetrized basis products, recorded from the series columns
+# and theta pair quotients built by `PSeries` ring operations, before they
+# were built as integer coefficient lists over one denominator per point
+THETA_POINT_SIZES = {
+    "xx": dict(ell=3, n=3, k=8),
+    "idp1": dict(ell=3, n=3, i=1, j=3, k=8),
+    "idp2": dict(ell=4, n=2, k=8),
+    "xt": dict(ell=2, n=3, k=10),
+    "detprod": dict(ell=4, n=3, k=6),
+}
+PINNED_THETA_POINTS = {
+    ("detprod", "prime", False): (VERIFIED,
+        "c6135ee1860d86f387247ec6b618d33fd89b2b98f96753709c8e2300ea45f0b9", 1201),
+    ("detprod", "prime", True): (FALSIFIED,
+        "3c35a737c92e1b04858c36cd5b170e3d9b92f2283ab329d1a8ad230f7083feaa", 1326),
+    ("detprod", "rational", False): (VERIFIED,
+        "65b08670396d8482555eada3c17d7343efd5b4802ee91fbe264f303153d6e579", 908),
+    ("detprod", "rational", True): (FALSIFIED,
+        "c767f976e98bee51528242b2c7d01d496d967301e984dc842ff85995c5b70c12", 21535),
+    ("idp1", "prime", False): (VERIFIED,
+        "43d21a90365da32a993169225989ef78589e12e57f9fa2b5f5106572c2cea2e8", 1190),
+    ("idp1", "prime", True): (FALSIFIED,
+        "1eb7746f52acb28d31bbf328e4ecfbf579e94e2b8e0f5a946580219e349de50f", 1350),
+    ("idp1", "rational", False): (VERIFIED,
+        "2b74617063b6c6e45a23d60ef507f15bbbbb4a96977061fc5f874a65b0802c03", 851),
+    ("idp1", "rational", True): (FALSIFIED,
+        "dc81a4e5c4cc4fb6c1e69e681286b5e3668736dae932a89335454cdecce6b1e0", 5408),
+    ("idp2", "prime", False): (VERIFIED,
+        "d2a2f5de8c97886f9734252390ad50bd935224d94ded722c217e164e50bb5f5c", 1254),
+    ("idp2", "prime", True): (FALSIFIED,
+        "faf0b639595c43ef50cbb7fe29c2332c602a64e0ae8925727270b0f5fb961224", 1411),
+    ("idp2", "rational", False): (VERIFIED,
+        "f282b5d9a3c6edd50ebedfe9d9411937abd3ca98561b89fa250c8963fc15a65c", 913),
+    ("idp2", "rational", True): (FALSIFIED,
+        "148106fa639ad44392dc8e0e65b7e6ef22896298fec0a3a12381cd9d49a2f162", 6477),
+    ("xt", "prime", False): (VERIFIED,
+        "a30d1da2902f2443574abaf4982bc7ab74172808634d727f6d814916ce8783bc", 965),
+    ("xt", "prime", True): (FALSIFIED,
+        "d316f3d60cc8af89179ca4f0c0f65ee95ec70775305379e932640c70e0283e12", 2538),
+    ("xt", "rational", False): (VERIFIED,
+        "b67385fe6902af883d71b26ea11fccfd6b14288f18c31ed5e23638c13eea6fad", 842),
+    ("xt", "rational", True): (FALSIFIED,
+        "eef6e682b38ebc75975c2c061b94b1506afe23fffd4667bfe2ded385972f3d5e", 6377),
+    ("xx", "prime", False): (VERIFIED,
+        "daa6bc9cb0dd2265f84eec6912f949e8220ca1b60a0b934ceee6b1b0d8548392", 858),
+    ("xx", "prime", True): (FALSIFIED,
+        "ddc55f0daccf46ef8563305e7b73f214228b0d86220f7b007782113289d25eb5", 1288),
+    ("xx", "rational", False): (VERIFIED,
+        "389875a1398aaade10500be25eff4f74ef5fcbf0e5c47b001bd0eca9b643a05f", 735),
+    ("xx", "rational", True): (FALSIFIED,
+        "d9bde7751e0d00f21c7fbad4254599238c3af3cc6d2fb3e07d665b699b95366e", 3904),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_THETA_POINTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_theta_point_table_report_matches_pinned_digest(key):
+    check, field, mutate = key
+    verdict, *pinned = PINNED_THETA_POINTS[key]
+    report = run_one(RunConfig(check=check, field=field, seed=3, trials=1, mutate=mutate,
+                               **THETA_POINT_SIZES[check]))
     assert report.verdict == verdict
     assert digest(report) == tuple(pinned)

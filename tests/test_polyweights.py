@@ -13,7 +13,7 @@ from qident.polyweights import (
 from qident.reporting import RunConfig
 
 from test_partitions import BOTH, GE, LE, leq
-from test_symmetrize_oracles import prefactor_oracle
+from test_symmetrize_oracles import column_oracle, prefactor_oracle
 
 
 def params_for(ell, n, seed=2, constrain=None):
@@ -31,8 +31,10 @@ def swapped(p):
 def test_x_factor_base_cases():
     p = params_for(1, 1)
     u = Fraction(13, 5)
-    assert p.column(u, 1, None) == u
-    assert p.column(u, 1, None, primed=True) == 1
+    # at ell = 1 the weight of (m,) is the column X_m itself
+    lam = Partition((1,), 1)
+    assert weight(lam, (u,), p) == u
+    assert weight(lam, (u,), p, primed=True) == 1
 
 
 def test_x_factor_duality():
@@ -41,14 +43,16 @@ def test_x_factor_duality():
         p = params_for(1, n, seed=n)
         u = Fraction(7, 11)
         for m in range(1, n + 1):
-            assert p.column(u, m, None) == u * swapped(p).column(u, m, None, primed=True)
+            lam = Partition((m,), n)
+            assert weight(lam, (u,), p) == u * weight(lam, (u,), swapped(p), primed=True)
+            assert weight(lam, (u,), p) == column_oracle(p, u, m, None)
 
 
 def test_weight_small_cases():
     p = params_for(1, 2)
     t = sample_t(Sampler(SamplerConfig(8)), 1)
     lam = Partition((2,), 2)
-    assert weight(lam, t, p) == p.column(t[0], 2, None)
+    assert weight(lam, t, p) == column_oracle(p, t[0], 2, None)
 
     p1 = params_for(2, 1)
     t2 = sample_t(Sampler(SamplerConfig(8)), 2)
@@ -179,7 +183,7 @@ def weight_at_special(lam, params, kind, primed=False):
     one, eta = params.field.one, params.eta
     term = one
     for a, part in enumerate(lam.entries):
-        term = term * params.column(t[a], part, None, primed)
+        term = term * column_oracle(params, t[a], part, None, primed)
     for a in range(lam.ell):
         for b in range(a + 1, lam.ell):
             num = (eta * t[a] - t[b]) if primed else (t[a] - eta * t[b])

@@ -5,10 +5,14 @@ monomial symmetric polynomials, the theta weights, the explicit two-column
 elliptic identity and the symmetrized basis products, for ell <= 4 over
 both QQ and GF(2^61 - 1), one partition at a time and as the per-point
 tables the checks use; and the kernel itself on arbitrary scalar and
-series tables.  At ell 5 to 7, where the literal sums are too slow, the
-weights and the base identity are checked against the tables they had
-before their columns and pair factors were built from cleared integer
-coordinates: field-scalar tables cleared per call."""
+series tables, cleared to integers or integer coefficient lists.  At ell
+5 to 7, where the literal sums are too slow, the weights and the base
+identity are checked against the tables they had before their columns
+and pair factors were built from cleared integer coordinates:
+field-scalar tables cleared per call.  The columns and pair factors by
+field or series operations (`column_oracle`, `weight_pair_table`) that
+the cleared tables of both layers replaced are kept here as oracles, and
+the theta pair numerators are checked against the theta quotients."""
 
 import math
 from collections import Counter
@@ -20,14 +24,16 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qident.elliptic import (
-    idp2_value, sample_ell_params, theta_lambda, theta_lambdas, vartheta, xi_weight)
+    EllParams, idp2_value, sample_ell_params, theta_lambda, theta_lambdas, theta_pairs,
+    vartheta, xi_weight)
 from qident.errors import DegenerateInputError, UsageError
 from qident.exactnum import (
-    QQ, PrimeField, PSeries, Sampler, SamplerConfig, field_of, ints_over_den)
+    QQ, IntSeries, PrimeField, PSeries, Sampler, SamplerConfig, field_of, ints_over_den,
+    modulus, num_den)
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    jing_value, monomial_symmetric, monomials, multiplicity_prefactor, pair_table,
-    sample_eta, sample_poly_params, sample_t, symmetrize, weight, weight_pair_table, weights)
+    jing_value, monomial_symmetric, monomials, multiplicity_prefactor, sample_eta,
+    sample_poly_params, sample_t, symmetrize, weight, weights)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -41,6 +47,51 @@ def sampler(seed, fld):
 # ---------------------------------------------------------------------------
 # oracles: the defining sums, term by term over all ell! permutations
 # ---------------------------------------------------------------------------
+
+def column_oracle(params, u, m, shift, primed=False):
+    """The weight column at u by field operations, as the parameter object
+    computed it before its tables were built from cleared integers: the
+    lead times prod_{j<m} f(u, y_j) prod_{k>m} f(u, x_k) of the linear
+    factor f, x and y swapped when primed.  The lead is u (1 primed) for
+    X_m on `PolyParams`, and for Z_m on `EllParams` theta(u/(alpha_m x_m)),
+    or theta(alpha_m u/y_m) primed, with the dynamical shift
+    alpha_m eta^shift."""
+    x, y = (params.y, params.x) if primed else (params.x, params.y)
+    if isinstance(params, EllParams):
+        am = params.alphas[m - 1] * params.eta ** shift
+        out = params.th(am * u / params.y[m - 1] if primed else u / (am * params.x[m - 1]))
+    else:
+        out = params.one if primed else u
+    for c in y[:m - 1] + x[m:]:
+        out = out * params.factor(u, c)
+    return out
+
+
+def pair_table(t, ratio):
+    """ratio(t_w, t_v) for every ordered pair w != v of coordinates (the
+    diagonal is unused); coincident coordinates are rejected."""
+    ell = len(t)
+    table = [[None] * ell for _ in range(ell)]
+    for w in range(ell):
+        for v in range(ell):
+            if w != v:
+                if t[w] == t[v]:
+                    raise DegenerateInputError(
+                        "coincident t coordinates in symmetrized sum")
+                table[w][v] = ratio(t[w], t[v])
+    return table
+
+
+def weight_pair_table(t, params, primed=False):
+    """Oracle for the weights' pair factors by field or series operations:
+    phi(eta t_a/t_b)/phi(t_a/t_b) (primed) or phi(eta t_b/t_a)/phi(t_b/t_a)
+    for t_a placed before t_b, (t_a - eta t_b)/(t_a - t_b) for
+    phi(z) = 1 - z, theta quotients on `EllParams`."""
+    eta, phi = params.eta, params.phi
+    if primed:
+        return pair_table(t, lambda ta, tb: phi(eta * ta / tb) / phi(ta / tb))
+    return pair_table(t, lambda ta, tb: phi(eta * tb / ta) / phi(tb / ta))
+
 
 def symmetrize_oracle(ell, single, pair, one, zero):
     total = zero
@@ -72,7 +123,7 @@ def weight_oracle(lam, t, params, primed=False):
     for sigma in permutations(range(lam.ell)):
         term = one
         for a, part in enumerate(lam.entries):
-            term = term * params.column(t[sigma[a]], part, None, primed)
+            term = term * column_oracle(params, t[sigma[a]], part, None, primed)
         for a in range(lam.ell):
             for b in range(a + 1, lam.ell):
                 ta, tb = t[sigma[a]], t[sigma[b]]
@@ -127,7 +178,8 @@ def xi_oracle(lam, t, params, primed=False):
         term = params.one
         for a in range(1, ell + 1):
             shift = 2 * a - 2 * ell
-            term = term * params.column(t[sigma[a - 1]], lam.entries[a - 1], shift, primed)
+            term = term * column_oracle(params, t[sigma[a - 1]], lam.entries[a - 1], shift,
+                                        primed)
         for a in range(ell):
             for b in range(a + 1, ell):
                 ta, tb = t[sigma[a]], t[sigma[b]]
@@ -187,14 +239,20 @@ def theta_lambda_oracle(lam, t, params):
 # ---------------------------------------------------------------------------
 
 def cleared_tables(fld, cols, pair):
-    """(cols, pair, den): scalar tables as the integers over one
-    denominator that `symmetrize` takes, cleared as `symmetrize` once
-    cleared them itself: every column at v over the lcm D_v of its
-    denominators, pair[w][v] and pair[v][w] over their lcm L_wv, and den =
-    prod D_v prod L_wv."""
+    """(cols, pair, den): scalar or series tables as the integers (series:
+    `IntSeries`) over one denominator that `symmetrize` takes, cleared as
+    `symmetrize` once cleared scalar tables itself: every column at v over
+    the lcm D_v of its denominators, pair[w][v] and pair[v][w] over their
+    lcm L_wv, and den = prod D_v prod L_wv."""
+    def clear(entries):
+        if isinstance(entries[0], PSeries):
+            d = math.lcm(*[x.den for x in entries])
+            return [IntSeries([c * (d // x.den) for c in x.num]) for x in entries], d
+        return ints_over_den(fld, entries)
+
     keys, by_var, den = list(cols), [], 1
     for entries in zip(*[cols[key] for key in keys]):
-        nums, d = ints_over_den(fld, entries)
+        nums, d = clear(entries)
         by_var.append(nums)
         den *= d
     cleared = dict(zip(keys, zip(*by_var)))
@@ -204,18 +262,18 @@ def cleared_tables(fld, cols, pair):
     out = [[None] * ell for _ in range(ell)]
     for w in range(ell):
         for v in range(w + 1, ell):
-            (out[w][v], out[v][w]), d = ints_over_den(fld, [pair[w][v], pair[v][w]])
+            (out[w][v], out[v][w]), d = clear([pair[w][v], pair[v][w]])
             den *= d
     return cleared, out, den
 
 
 def field_weights(parts, t, params, primed=False):
     """`weights` on `PolyParams` from field-scalar tables: each column
-    `params.column` and each pair factor (`weight_pair_table`) by field
+    (`column_oracle`) and each pair factor (`weight_pair_table`) by field
     operations, cleared per call, and the prefactor multiplied in."""
     fld = params.field
     seqs = [[(None, part) for part in lam.entries] for lam in parts]
-    cols = {key: [params.column(u, key[1], None, primed) for u in t]
+    cols = {key: [column_oracle(params, u, key[1], None, primed) for u in t]
             for key in dict.fromkeys(key for seq in seqs for key in seq)}
     int_cols, int_pair, den = cleared_tables(fld, cols, weight_pair_table(t, params, primed))
     return [multiplicity_prefactor(lam.multiplicities(), params) * total
@@ -315,9 +373,12 @@ def test_symmetrize_matches_permutation_sum_on_series_tables(data, fld, ell, wit
                                                             order):
     entry = st.lists(table_scalars(fld), min_size=1, max_size=order + 1).map(
         lambda cs: PSeries(fld, cs, order))
+    # series tables run on integer coefficient lists over one denominator
     seqs, cols, pair = tables(data, ell, entry, with_pair)
     one, zero = PSeries.constant(fld, fld.one, order), PSeries.constant(fld, fld.zero, order)
-    assert symmetrize(seqs, cols, pair, one) == oracle_sums(seqs, cols, pair, one, zero)
+    int_cols, int_pair, den = cleared_tables(fld, cols, pair)
+    assert symmetrize(seqs, int_cols, int_pair, one, den) == \
+        oracle_sums(seqs, cols, pair, one, zero)
 
 
 def test_symmetrize_rejects_sequences_and_columns_of_another_length():
@@ -412,6 +473,41 @@ def test_cleared_jing_tables_match_field_tables(fld, ell):
             field_jing(eta, t, fld.one, fld.zero, mutate)
 
 
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("ell, k", [(2, 0), (2, 12), (3, 6), (4, 10)])
+def test_theta_pair_numerators_over_theta_match_pair_quotients(fld, ell, k):
+    # each pair's two numerators, times their content, sit over one series,
+    # a scalar multiple of theta(t_v/t_w); numerator over it is the theta
+    # quotient of the oracle, primed and unprimed, and the table's den and
+    # content are the products of the pairs'
+    s = sampler(130 + ell + k, fld)
+    params = sample_ell_params(s, ell, 2, k)
+    t = sample_t(s, ell)
+    mod = modulus(fld)
+    ts = [num_den(mod, u) for u in t]
+
+    def series(x):
+        return PSeries(fld, x.num, k)
+
+    for primed in (False, True):
+        oracle = weight_pair_table(t, params, primed)
+        pair, den, content = theta_pairs(ts, params.cleared[3], mod, k, primed)
+        dens, contents = PSeries.constant(fld, fld.one, k), 1
+        for w in range(ell):
+            for v in range(w + 1, ell):
+                sub, sub_den, sub_content = theta_pairs([ts[w], ts[v]], params.cleared[3], mod,
+                                                        k, primed)
+                d = series(sub_den) / sub_content
+                over_theta = d / params.th(t[v] / t[w])
+                assert over_theta.num[1:] == [0] * k       # a nonzero scalar
+                assert series(pair[w][v]) == series(sub[0][1])
+                assert series(pair[v][w]) == series(sub[1][0])
+                assert series(pair[w][v]) / d == oracle[w][v]
+                assert series(pair[v][w]) / d == oracle[v][w]
+                dens, contents = dens * series(sub_den), contents * sub_content
+        assert series(den) == dens and content == contents
+
+
 def some_parts(data, ell, n):
     """A drawn list of partitions of ell with parts <= n, in drawn order,
     repeats allowed: shared and unshared leading parts alike."""
@@ -470,13 +566,15 @@ def test_xi_table_multiplies_less_than_one_call_per_partition(monkeypatch):
     # (ell, n, K) = (3, 3, 6) from one table against one call per partition,
     # each call on fresh parameters.  A table that ran one DP per partition
     # would land near or above the sum; the shared trie and G table stay
-    # far below it.
+    # far below it.  Series products are counted in both forms: normalized
+    # `PSeries` and the `IntSeries` coefficient lists the DP multiplies.
     count = [0]
-    mul = PSeries.__mul__
 
-    def counted(self, other):
-        count[0] += 1
-        return mul(self, other)
+    def counting(mul):
+        def counted(self, other):
+            count[0] += 1
+            return mul(self, other)
+        return counted
 
     def work(parts):
         s = sampler(97, QQ)
@@ -485,7 +583,8 @@ def test_xi_table_multiplies_less_than_one_call_per_partition(monkeypatch):
         weights(parts, t, params)
         return count[0]
 
-    monkeypatch.setattr(PSeries, "__mul__", counted)
+    for cls in (PSeries, IntSeries):
+        monkeypatch.setattr(cls, "__mul__", counting(cls.__mul__))
     parts = enumerate_partitions(3, 3)
     assert len(parts) == 10
     table, single = work(parts), sum(work([lam]) for lam in parts)
