@@ -17,7 +17,10 @@ recorded from the rational elimination before it loaded each row
 primitive.  Tensor checks at sizes no workload reaches, and mutated ones,
 are pinned in `PINNED_TENSOR`, recorded from the operator sweep that
 applied each entry to whole vectors, before the per-trial basis-image
-table.
+table; the mutated `kbi` and `bc1` runs there, and the `singular` run with
+the resonance lifted in `PINNED_TENSOR_LIFTED`, were recorded from the
+sweep that rebuilt each slot's diagonal values per target state, before
+one pass per (slot, state) replaced it.
 Residue sums at sizes no workload reaches are pinned in `PINNED_RESIDUE`,
 recorded from the step-by-step pole cancellation and the separate theta
 residue that one kernel residue for both layers replaced.  Mutated `xx`
@@ -166,6 +169,8 @@ TENSOR_SIZES = {
     ("bc2", False): dict(ell=6, n=5, i=1, j=5),
     ("singular", True): dict(ell=4, n=3, i=1, j=3),
     ("rll", True): dict(n=4),
+    ("kbi", True): dict(ell=6, n=4),
+    ("bc1", True): dict(ell=5, n=4, i=1, j=4),
 }
 PINNED_TENSOR = {
     ("rll", "rational", False):
@@ -192,6 +197,23 @@ PINNED_TENSOR = {
         ("23a2dd726d5c79f6fe2849c7bd9a5128f56257faebcf39cebcb6cf29ccfb078f", 69358),
     ("rll", "prime", True):
         ("7c3d3dcc0df12470f882b23bb543cf7fa9dc9a3beda1db8eea3edb3e06b1fc0c", 28616),
+    ("kbi", "rational", True):
+        ("f05c66fa4536e18838d7d855743e4e362b267156f380f2369f89604779834598", 98042),
+    ("kbi", "prime", True):
+        ("b3c2c57e7a6d0ec32821e81c7caec02c61fa00f0e202ed18a6bf0d6aa86ba463", 14291),
+    ("bc1", "rational", True):
+        ("83c9fdeefaa45c73e4970f1290978eb4d78b0747f3ec721dbf03d4eb5931bdb1", 3356055),
+    ("bc1", "prime", True):
+        ("391e3189d8e51da7c43f02d8e38ba3af8f5f93a2dc3f2324815f4975d88c03ef", 135167),
+}
+# (check, field) -> (digest, length) of one trial with the resonance lifted
+# (--no-constraint) at seed 1 at LIFTED_TENSOR_SIZES
+LIFTED_TENSOR_SIZES = {"singular": dict(ell=4, n=4, i=1, j=4)}
+PINNED_TENSOR_LIFTED = {
+    ("singular", "rational"):
+        ("5eb6baea24e3be5fecebda6820b2505d4b06b763a492207e9213a7071283ddb1", 186045),
+    ("singular", "prime"):
+        ("540ab3a772099acd6e417405d1549c5d1ec8453df77fe1589d5caf1443973f69", 28350),
 }
 
 
@@ -287,6 +309,9 @@ test_frontier_report_matches_pinned_digest = pinned_test(
 test_tensor_report_matches_pinned_digest = pinned_test(
     PINNED_TENSOR, lambda check, field, mutate: dict(
         check=check, field=field, seed=1, mutate=mutate, **TENSOR_SIZES[check, mutate]))
+test_lifted_tensor_report_matches_pinned_digest = pinned_test(
+    PINNED_TENSOR_LIFTED, lambda check, field: dict(
+        check=check, field=field, seed=1, no_constraint=True, **LIFTED_TENSOR_SIZES[check]))
 test_residue_report_matches_pinned_digest = pinned_test(
     PINNED_RESIDUE, lambda check, field: dict(
         check=check, field=field, seed=1, **RESIDUE_SIZES[check]))

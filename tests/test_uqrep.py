@@ -164,6 +164,25 @@ def test_depth_overflow_inside_an_image_build_is_loud(fld):
         assert list(images) == [(*caps, (0, 0, 0))]
 
 
+@pytest.mark.parametrize("fld", [QQ, PrimeField(DEFAULT_PRIME)], ids=["QQ", "GF(p)"])
+@pytest.mark.parametrize("caps, terms, ij, named", [
+    ((2, 4), [(0, 0, 2), (2, 0, 0), (0, 2, 0)], (1, 2), (3, 0, 0)),
+    ((2, 4), [(0, 0, 2), (2, 0, 0), (0, 2, 0)], (2, 1), (0, 3, 0)),
+    ((2, 3), [(0, 0, 0), (2, 1, 0), (0, 1, 2)], (1, 2), (3, 1, 0)),
+    ((2, 3), [(0, 0, 0), (2, 1, 0), (0, 1, 2)], (2, 2), (2, 2, 0)),
+])
+def test_overflow_names_the_first_key_the_sweep_reaches(fld, caps, terms, ij, named):
+    # several keys overflow in each sweep; the message names the first one
+    # in the sweep's key order, pinned from the sweep that rebuilt each
+    # slot's diagonal values per target state
+    wq = wp_for(3, seed=8)
+    wp = WeightParams(fld.of(wq.q), tuple(map(fld.of, wq.s)), tuple(map(fld.of, wq.z)), fld)
+    vec = TensorVector(fld, 3, *caps, {k: fld.one for k in terms})
+    with pytest.raises(DepthOverflowError) as err:
+        tensor_entry(vec, *ij, fld.of(Fraction(1, 2)), modules_of(wp), wp.q, mutate=True)
+    assert str(err.value) == "depth cap exceeded at key %r" % (named,)
+
+
 @pytest.mark.parametrize("field", ["rational", "prime"])
 def test_rll_sweeps_each_basis_image_once(monkeypatch, field):
     # one sweep per distinct (cap pair, basis key, entry, argument): 160 at
