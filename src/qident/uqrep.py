@@ -9,13 +9,12 @@ ground field stays rational.
 
 An operator entry acts on a tensor vector by one transfer-matrix sweep over
 the slots (`tensor_entry`), not by a walk over each of the 2^(n-1) index
-chains; the diagonal slot actions keep each key, so only a raise or a lower
-rebuilds one.  The tensor vectors and the depth tables of the `Module`
-objects that `modules_of` builds once per trial are fraction-free
-(`tensors`), so a sweep multiplies integers only and field scalars appear
-only at the report boundary.  The L entries of `rll` and the lowering
-string of `singular` go through `apply_by_basis`: a per-trial table holds
-the image of each basis key, and a vector's image is their combination.
+chains: at each slot one pass over each chain state keeps a key or moves
+it one depth up or down.  The tensor vectors and the `Module` depth tables
+are fraction-free (`tensors`), so a sweep multiplies integers only.  The L
+entries of `rll` and the lowering string of `singular` go through
+`apply_by_basis`, which combines per-trial images of the basis keys, and
+`rll` builds its R-matrix entries once per trial.
 
 Depth caps are hard errors: in-contract computations provably stay below
 them, so an overflow is a bug.  The mutated lowering operator of the
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import UsageError
-from .exactnum import ints_over_den
+from .exactnum import num_den
 from .partitions import enumerate_partitions
 from .polyweights import PolyParams, sample_t, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
@@ -97,26 +96,26 @@ def tensor_entry(vec, i, j, u, modules, q, mutate=False):
     The chain sum is a transfer-matrix contraction: one sweep over the
     slots carries, per chain index c in {1, 2}, a sparse map from keys to
     integer numerators; the keys hold the new depths in the slots already
-    swept and the old ones after.  Slot m moves c to d by the slot action
-    (c, d) of the `Module` table, and the last slot is forced to d = j.  A
-    diagonal action keeps the key, so each target state starts as one
-    comprehension; the raise and the lower rebuild keys and add into it.
+    swept and the old ones after.  At each slot one loop per state applies
+    the `Module` table: state 1 keeps a key by (1,1) and raises it into
+    state 2 by (1,2), state 2 keeps it by (2,2) and lowers it into state 1
+    by (2,1).  A diagonal value is computed once per depth met, each new
+    map holds its kept keys first, and the last slot feeds state j only.
     With w = u/z = wn/wd (no gcd), every chain takes one value over M wd
     from each slot, so all share the denominator den(vec) * prod_m M_m wd_m.
-    Over GF(p) wd = M = 1, the slot values are residues and the sums are
-    reduced once, at the end: n slots grow them to about n+1 times the bits
-    of p, which costs less than a pass per slot.  Zero sums are kept to the
-    end: every key a chain reaches goes through the cap check, as in the
-    literal chain sum, before one gcd normalizes."""
+    Over GF(p) wd = M = 1, and the sums, about n+1 times the bits of p, are
+    reduced once at the end, which costs less than a pass per slot.  Zero
+    sums are kept to the end: every key a chain reaches goes through the
+    cap check, as in the literal chain sum, before one gcd normalizes."""
     n = vec.nslots
     if len(modules) != n:
         raise UsageError("module list does not match slot count")
     if i not in (1, 2) or j not in (1, 2):
         raise UsageError("operator entry (%r, %r) out of range" % (i, j))
-    (un,), ud = ints_over_den(vec.field, [u])
     p = vec.mod
+    un, ud = num_den(p, u)
     den = vec.den
-    states = {i: vec.num}
+    one, two = (vec.num, {}) if i == 1 else ({}, vec.num)
     for slot, mod in enumerate(modules):
         if mod.q is not q and mod.q != q:
             raise UsageError("module tables were built for another q")
@@ -128,41 +127,44 @@ def tensor_entry(vec, i, j, u, modules, q, mutate=False):
             wn %= p
         rows, qq, m = mod.table(vec.cap)
         den *= m * wd
-        new = {}
-        for d in (j,) if slot == n - 1 else (1, 2):
-            # (1,1): B_k wd - A_k wn, (2,2): A_k wd - B_k wn, at the depths
-            # k met in this slot
-            part = states.get(d, {})
-            on, off = (1, 0) if d == 1 else (0, 1)
-            diag = {k: rows[k][on] * wd - rows[k][off] * wn
-                    for k in {key[slot] for key in part}}
-            if p:
-                diag = {k: x % p for k, x in diag.items()}
-            dest = {key: x * diag[key[slot]] for key, x in part.items()}
-            part = states.get(3 - d, {})
-            if d == 2:
-                # raise (1,2): -qq wn, one depth up
-                up = -qq * wn % p if p else -qq * wn
-                for key, x in part.items():
-                    nk = key[:slot] + (key[slot] + 1,) + key[slot + 1:]
-                    dest[nk] = dest.get(nk, 0) + x * up
-            else:
-                # lower (2,1): L_k wd, one depth down; the mutated operator
-                # of the negative controls adds M wd at the same depth
-                keep = m * wd
-                for key, x in part.items():
-                    k = key[slot]
-                    if k:
-                        low = rows[k][2] * wd
-                        nk = key[:slot] + (k - 1,) + key[slot + 1:]
-                        dest[nk] = dest.get(nk, 0) + x * low
-                    if mutate:
-                        dest[key] = dest.get(key, 0) + x * keep
-            new[d] = dest
-        states = new
-    for key in states[j]:
+        to1, to2 = (j == 1, j == 2) if slot == n - 1 else (True, True)
+        new1, new2, raised = {}, {}, []
+        diag1, diag2 = [None] * len(rows), [None] * len(rows)
+        # (1,1): B_k wd - A_k wn; raise (1,2): -qq wn, one depth up
+        up = -qq * wn % p if p else -qq * wn
+        for key, x in one.items():
+            k = key[slot]
+            if to1:
+                v = diag1[k]
+                if v is None:
+                    a, b, _ = rows[k]
+                    v = diag1[k] = (b * wd - a * wn) % p if p else b * wd - a * wn
+                new1[key] = x * v
+            if to2:
+                raised.append((key[:slot] + (k + 1,) + key[slot + 1:], x * up))
+        # (2,2): A_k wd - B_k wn; lower (2,1): L_k wd, one depth down; the
+        # mutated operator of the negative controls adds M wd at the same depth
+        for key, x in two.items():
+            k = key[slot]
+            if to2:
+                v = diag2[k]
+                if v is None:
+                    a, b, _ = rows[k]
+                    v = diag2[k] = (a * wd - b * wn) % p if p else a * wd - b * wn
+                new2[key] = x * v
+            if to1:
+                if k:
+                    nk = key[:slot] + (k - 1,) + key[slot + 1:]
+                    new1[nk] = new1.get(nk, 0) + x * rows[k][2] * wd
+                if mutate:
+                    new1[key] = new1.get(key, 0) + x * m * wd
+        for nk, x in raised:
+            new2[nk] = new2.get(nk, 0) + x
+        one, two = new1, new2
+    out = one if j == 1 else two
+    for key in out:
         vec.check_key(key)
-    return vec.with_ints(states[j], den)
+    return vec.with_ints(out, den)
 
 
 def apply_string(vec, entries, modules, q, mutate=False):
@@ -176,7 +178,8 @@ def apply_by_basis(vec, entries, modules, q, images, mutate=False):
     """`apply_string` of `vec` by linearity, over the lcm of the images'
     denominators.  `images`, the caller's dict for one trial and string,
     maps (cap, total_cap, basis key) to the image of that key, so each key
-    is swept once however many vectors hold it.  A zero vector sweeps none."""
+    is swept once however many vectors hold it.  A one-key vector scales
+    its image; a zero vector sweeps none."""
     parts = []
     for key, x in vec.num.items():
         ident = (vec.cap, vec.total_cap, key)
@@ -187,6 +190,9 @@ def apply_by_basis(vec, entries, modules, q, images, mutate=False):
             image = images[ident] = apply_string(basis, entries, modules, q,
                                                  mutate=mutate)
         parts.append((x, image))
+    if len(parts) == 1:
+        (x, image), = parts
+        return vec.with_ints({k: x * c for k, c in image.num.items()}, vec.den * image.den)
     den = math.lcm(*(image.den for _, image in parts))
     acc = {}
     for x, image in parts:
@@ -253,8 +259,8 @@ class AuxVector:
                 out.add(key, apply_by_basis(w, [(i, j, u)], modules, q, images))
         return out
 
-    def apply_r(self, v, q, mutate=False):
-        ent = rmatrix_entries(v, q, mutate=mutate)
+    def apply_r(self, ent):
+        """R(v) by its entries `rmatrix_entries(v, q)`, built once per trial."""
         out = AuxVector(self.field)
         for (a, b), w in self.data.items():
             for (i, k), c in ent[(a, b)]:
@@ -262,18 +268,11 @@ class AuxVector:
         return out
 
     def residual(self, other):
-        keys = set(self.data) | set(other.data)
         out = []
-        for ab in sorted(keys):
-            sv = self.data.get(ab)
-            ov = other.data.get(ab)
-            if sv is None:
-                sv = ov.copy_empty()
-            if ov is None:
-                ov = sv.copy_empty()
-            diff = sv - ov
-            if not diff.is_zero():
-                out.extend("%r %s" % (ab, line) for line in diff.fmt())
+        for ab in sorted(set(self.data) | set(other.data)):
+            sv, ov = self.data.get(ab), other.data.get(ab)
+            diff = (sv or ov.copy_empty()) - (ov or sv.copy_empty())
+            out.extend("%r %s" % (ab, line) for line in diff.fmt())
         return out
 
 
@@ -350,14 +349,15 @@ def verify_rll(cfg):
         residuals = []
         keys = [k for k in iproduct(range(depth + 1), repeat=nfac) if sum(k) <= depth]
         tables = {}
+        rmat = rmatrix_entries(u / zarg, wp.q)
+        rmat_lhs = rmatrix_entries(u / zarg, wp.q, mutate=cfg.mutate)
         for ab in iproduct((1, 2), repeat=2):
             for key in keys:
                 w = TensorVector(fld, nfac, cap, cap * nfac, {key: fld.one})
                 start = AuxVector(fld, {tuple(ab): w})
                 lhs = start.apply_l(2, zarg, mods, wp.q, tables) \
-                    .apply_l(1, u, mods, wp.q, tables) \
-                    .apply_r(u / zarg, wp.q, mutate=cfg.mutate)
-                rhs = start.apply_r(u / zarg, wp.q).apply_l(1, u, mods, wp.q, tables) \
+                    .apply_l(1, u, mods, wp.q, tables).apply_r(rmat_lhs)
+                rhs = start.apply_r(rmat).apply_l(1, u, mods, wp.q, tables) \
                     .apply_l(2, zarg, mods, wp.q, tables)
                 residuals.extend("%r %s" % (key, line) for line in lhs.residual(rhs))
         return residuals, not residuals, []

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from qident import uqrep
+from qident import exactnum, tensors, uqrep
 from qident.cli import validate
 from qident.errors import DepthOverflowError, UsageError
-from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig
+from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig, ints_over_den
 from qident.partitions import enumerate_partitions
 from qident.polyweights import weight
 from qident.reporting import DEFAULT_PRIME, RunConfig
@@ -61,6 +62,53 @@ def chain_sum_tensor_entry(vec, i, j, u, modules, q, mutate=False):
     return out
 
 
+def per_state_sweep_tensor_entry(vec, i, j, u, modules, q, mutate=False):
+    """Key-order oracle for `tensor_entry`: the transfer-matrix sweep as it
+    was before one pass per (slot, state).  Each slot builds each target
+    state on its own: a set of the depths met, their diagonal values, the
+    kept keys, then the raises or lowers from the other state."""
+    n = vec.nslots
+    (un,), ud = ints_over_den(vec.field, [u])
+    p = vec.mod
+    den = vec.den
+    states = {i: vec.num}
+    for slot, mod in enumerate(modules):
+        zn, zd = mod.zinv
+        wn, wd = un * zn, ud * zd
+        if p:
+            wn %= p
+        rows, qq, m = mod.table(vec.cap)
+        den *= m * wd
+        new = {}
+        for d in (j,) if slot == n - 1 else (1, 2):
+            part = states.get(d, {})
+            on, off = (1, 0) if d == 1 else (0, 1)
+            diag = {k: rows[k][on] * wd - rows[k][off] * wn
+                    for k in {key[slot] for key in part}}
+            if p:
+                diag = {k: x % p for k, x in diag.items()}
+            dest = {key: x * diag[key[slot]] for key, x in part.items()}
+            part = states.get(3 - d, {})
+            if d == 2:
+                up = -qq * wn % p if p else -qq * wn
+                for key, x in part.items():
+                    nk = key[:slot] + (key[slot] + 1,) + key[slot + 1:]
+                    dest[nk] = dest.get(nk, 0) + x * up
+            else:
+                for key, x in part.items():
+                    k = key[slot]
+                    if k:
+                        nk = key[:slot] + (k - 1,) + key[slot + 1:]
+                        dest[nk] = dest.get(nk, 0) + x * rows[k][2] * wd
+                    if mutate:
+                        dest[key] = dest.get(key, 0) + x * m * wd
+            new[d] = dest
+        states = new
+    for key in states[j]:
+        vec.check_key(key)
+    return vec.with_ints(states[j], den)
+
+
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 nonzero_small = small_fractions.filter(lambda v: v != 0)
 
@@ -97,6 +145,38 @@ def test_transfer_matrix_matches_chain_sum_oracle(n, i, j, data):
         for key, _ in nonzero_items(got):
             assert sum(key) <= max(map(sum, terms)) + (j - i) + extra
             assert all(k <= max(t[m] for t in terms) + 1 for m, k in enumerate(key))
+
+
+# in-cap keys at every n <= 4 and every entry (i, j): the sweep must
+# give the chain sum in the per-state sweep's key order, and where a key
+# leaves the caps, name the same first key
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_one_pass_sweep_matches_chain_sum_and_key_order(n, data):
+    q = data.draw(nonzero_small.filter(lambda v: v * v != 1))
+    s = data.draw(st.lists(nonzero_small, min_size=n, max_size=n))
+    z = data.draw(st.lists(nonzero_small, min_size=n, max_size=n))
+    u = data.draw(st.one_of(st.just(Fraction(0)), small_fractions))
+    cap = data.draw(st.integers(1, 5))
+    total_cap = data.draw(st.integers(cap, cap * n))
+    keys = st.tuples(*[st.integers(0, cap)] * n).filter(lambda k: sum(k) <= total_cap)
+    terms = data.draw(st.dictionaries(keys, nonzero_small, min_size=1, max_size=8))
+    for fld, mutate, (i, j) in product((QQ, PrimeField(DEFAULT_PRIME)), (False, True),
+                                       product((1, 2), repeat=2)):
+        wp = WeightParams(fld.of(q), tuple(map(fld.of, s)), tuple(map(fld.of, z)), fld)
+        mods = modules_of(wp)
+        vec = TensorVector(fld, n, cap, total_cap, {k: fld.of(c) for k, c in terms.items()})
+        args = (vec, i, j, fld.of(u), mods, wp.q)
+        try:
+            ref = per_state_sweep_tensor_entry(*args, mutate=mutate)
+        except DepthOverflowError as err:
+            with pytest.raises(DepthOverflowError, match=re.escape(str(err))):
+                tensor_entry(*args, mutate=mutate)
+            continue
+        got = tensor_entry(*args, mutate=mutate)
+        assert list(got.num) == list(ref.num)
+        assert nonzero_items(got) == nonzero_items(chain_sum_tensor_entry(*args, mutate=mutate))
 
 
 # the same draws as the oracle test above; the table is shared by several
@@ -199,6 +279,38 @@ def test_rll_sweeps_each_basis_image_once(monkeypatch, field):
     assert report.verdict == "verified"
     assert len(calls) == len(set(calls)) == 160
     assert all(len(key) == 1 for _, _, key, *_ in calls)
+
+
+@pytest.mark.parametrize("field", ["rational", "prime"])
+@pytest.mark.parametrize("mutate", [False, True])
+def test_rll_builds_its_r_matrix_once_per_trial(monkeypatch, field, mutate):
+    # the plain and the mutated entries once each per trial, not once per
+    # start vector and side
+    built = mock.Mock(wraps=uqrep.rmatrix_entries)
+    monkeypatch.setattr(uqrep, "rmatrix_entries", built)
+    report = verify_rll(RunConfig(check="rll", n=2, trials=3, seed=1, field=field,
+                                  mutate=mutate))
+    assert report.verdict == ("falsified" if mutate else "verified")
+    assert 0 < built.call_count <= 2 * 3
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(DEFAULT_PRIME)], ids=["QQ", "GF(p)"])
+def test_sweep_clears_its_argument_without_ints_over_den(monkeypatch, fld):
+    wq = wp_for(3, seed=8)
+    wp = WeightParams(fld.of(wq.q), tuple(map(fld.of, wq.s)), tuple(map(fld.of, wq.z)), fld)
+    mods = modules_of(wp)
+    vec = TensorVector(fld, 3, 3, 6, {(0, 0, 0): fld.one, (1, 0, 1): fld.of(3)})
+    want = chain_sum_tensor_entry(vec, 1, 2, fld.of(Fraction(2, 7)), mods, wp.q)
+    # the depth tables are cleared once per module and cap, not per sweep
+    for mod in mods:
+        mod.table(vec.cap)
+    cleared = mock.Mock(wraps=exactnum.ints_over_den)
+    for module in (exactnum, tensors, uqrep):
+        if hasattr(module, "ints_over_den"):
+            monkeypatch.setattr(module, "ints_over_den", cleared)
+    got = tensor_entry(vec, 1, 2, fld.of(Fraction(2, 7)), mods, wp.q)
+    assert cleared.call_count == 0
+    assert nonzero_items(got) == nonzero_items(want)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
