@@ -7,14 +7,13 @@ nome modulo p^(K+1); "an identity holds" means all K+1 coefficients vanish
 at every sampled parameter point.  The weights, window sums, kernel
 residues, Gram matrix and its residual, and the transition solve are those of
 the polynomial layer: `EllParams` supplies phi = theta, the linear factor
-theta(u/c), the weight tables, the residue constant ((p; p)^3)^ell, the
-norm D and the window coefficient, and `polyweights` and `residues` do the
-rest; the norm, window coefficient and det A add here only the thetas of
-the dynamical parameter.  The weight tables of a point (`theta_tables`,
-for the weights and idp2) are built fraction-free, as the polynomial
-layer's are: each column one truncated product of the integer theta
-numerators of `exactnum.theta_ints`, each pair factor a theta numerator
-over theta(t_v/t_w), all over one series denominator per point, so no
+theta(u/c), the constants of the weight columns, the residue constant
+((p; p)^3)^ell, the norm D and the window coefficient, and `polyweights`
+and `residues` do the rest; the norm, window coefficient and det A add
+here only the thetas of the dynamical parameter.  The weight tables of a
+point and the kernel products are those of `polyweights.point_tables` and
+`PolyParams.phi_product`, built fraction-free from the integer theta
+numerators of `exactnum.theta_ints` that `EllParams` supplies, so no
 series is normalized or inverted per factor.  Every infinite product
 here, (p; p)_inf and (p^n; p^n)_inf, is a theta value:
 (p^e; p^e)_inf = theta(p^e; p^(3e)).  `reporting` writes the series
@@ -27,14 +26,13 @@ import math
 from functools import cached_property
 from itertools import chain
 
-from .errors import DegenerateInputError, UsageError
-from .exactnum import (
-    IntSeries, PSeries, num_den, product, scalar_of, theta, theta_ints, triple_pochhammer_p)
+from .errors import UsageError
+from .exactnum import IntSeries, PSeries, num_den, product, theta, theta_ints, triple_pochhammer_p
 from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
-    PolyParams, sample_poly_params, sample_t, symmetric_products, symmetrize, weights,
-    window_products)
+    PolyParams, point_tables, sample_poly_params, sample_t, symmetric_products, symmetrize,
+    weights, window_products)
 from .residues import (
     d_exponent, deta_rhs, kernel_residue, scalar_product, special_values,
     transition_matrix)
@@ -46,11 +44,15 @@ class EllParams(PolyParams):
     `one`/`zero` are truncated series, phi is theta, the linear factor
     theta(u/c), the weight columns those of Z_m with a dynamical shift and
     the kernel constant ((p; p)^3)^ell; the norm and the window coefficient add
-    the thetas of the dynamical parameter.  `alphas[m - 1]` is
-    alpha_m = alpha prod_{j<m} x_j/y_j.  The memo also keeps
-    theta values at scalar arguments and the basis functions.  Every theta
-    that ends up in a denominator must have nonzero constant term, i.e.
-    argument different from 1, which the arithmetic enforces by raising.
+    the thetas of the dynamical parameter.  Of the integer forms that the
+    fraction-free tables and kernel products take (`PolyParams.degree`),
+    phi's numerator and the column factor's are theta numerators of
+    degree 2L - 1.  `alphas[m - 1]` is alpha_m = alpha prod_{j<m} x_j/y_j.
+    The memo also keeps theta values at scalar arguments, the theta
+    numerators of the table and kernel arguments and the basis functions.
+    Every theta that ends up in a denominator must have nonzero constant
+    term, i.e. argument different from 1, which the arithmetic enforces by
+    raising.
     """
 
     def __init__(self, x, y, eta, alpha, ell, n, k, fld):
@@ -60,7 +62,7 @@ class EllParams(PolyParams):
         for xj, yj in zip(self.x[:n - 1], self.y):
             alphas.append(alphas[-1] * xj / yj)
         self.alphas = tuple(alphas)
-        self.k = k
+        self.k, self.degree = k, theta_ints(1, 1, 1, k)[1]
         self.one = PSeries.constant(fld, fld.one, k)
         self.zero = PSeries.constant(fld, fld.zero, k)
         self.triple_poch = triple_pochhammer_p(fld, k)
@@ -76,23 +78,24 @@ class EllParams(PolyParams):
 
     phi = th
 
-    def phi_product(self, args):
-        """prod theta(P/Q) over the integer pairs (P, Q) of
-        `residues.cancel_poles`."""
-        mod = self.cleared[0]
-        return product((self.th(scalar_of(mod, p, q)) for p, q in args), self.one)
+    def phi_ints(self, pairs):
+        """[theta(P/Q)'s numerator over P^(L-1) Q^L (`exactnum.theta_ints`),
+        reduced modulo p, for (P, Q) in pairs], memoized: the special
+        points share their arguments."""
+        mod, k = self.cleared[0], self.k
+
+        def make(p, q):
+            num = theta_ints(p, q, 1, k)[0]
+            return IntSeries([x % mod for x in num] if mod else num)
+        return [self.memo(("phi", p, q), lambda: make(p, q)) for p, q in pairs]
+
+    def factor_ints(self, ts, consts):
+        """[[the numerator of theta(u c) = theta((a cn)/(b cd)) at each
+        point u = a/b of ts] for each constant c = cn/cd of consts]."""
+        return [self.phi_ints([(a * cn, b * cd) for a, b in ts]) for cn, cd in consts]
 
     def factor(self, u, c):
         return self.th(u / c)
-
-    def weight_tables(self, keys, t, primed):
-        """(cols, pair, den, key_dens) for `symmetrize` at the point t: the
-        columns Z_m (or Z'_m) of the keys (shift, m), each the product of
-        the thetas of its `column_constants`, and the theta pair factors,
-        as integer coefficient lists over one series den and an integer
-        per key (`theta_tables`)."""
-        return theta_tables(self, t, {key: self.column_constants(key, primed) for key in keys},
-                            primed)
 
     def column_shift(self, a, ell):
         """The exponent s of the dynamical shift alpha eta^s of the theta
@@ -195,113 +198,11 @@ def xi_weight(lam, t, params, primed=False):
     return weights([lam], t, params, primed)[0]
 
 
-def theta_tables(params, t, columns, primed=False):
-    """(cols, pair, den, key_dens) for `symmetrize` at the point t on
-    `EllParams`: the `theta_columns` of `columns` with their key
-    denominators and the unprimed (or primed) `theta_pairs`, over the one
-    series den, the product of their denominators over the contents
-    divided out of them."""
-    mod, order = params.cleared[0], params.k
-    ts = [num_den(mod, u) for u in t]
-    cols, den, col_content, key_dens = theta_columns(ts, columns, mod, order)
-    pair, pair_den, pair_content = theta_pairs(ts, params.cleared[3], mod, order, primed)
-    return cols, pair, PSeries._from_ints(params.field, pair_den.scaled(den).num,
-                                          col_content * pair_content, order), key_dens
-
-
-def primitive(entries, mod):
-    """(entries, g): integer coefficient lists divided by their content g,
-    the gcd of all their coefficients (1 modulo p, or if all vanish)."""
-    g = 0 if mod else math.gcd(*[x for e in entries for x in e.num])
-    if g <= 1:
-        return entries, 1
-    return [IntSeries([x // g for x in e.num]) for e in entries], g
-
-
-def theta_columns(ts, columns, mod, order):
-    """(cols, den, content, key_dens): the columns prod_f theta(u c_f) of
-    `columns` (key -> the constants c_f as cleared (numerator,
-    denominator) pairs, d of them per key) at the cleared coordinates
-    ts = [(a_v, b_v)], as `IntSeries`, times content, over den and the
-    key's key_dens[key].  At u = a/b and c = c_n/c_d, theta(u c) is
-    N(a c_n, b c_d) over (a c_n)^(L-1) (b c_d)^L (`theta_ints`), so each
-    column at v is one truncated product of numerators over
-    (a_v^(L-1) b_v^L)^d times key_dens[key] = prod_f c_n^(L-1) c_d^L, the
-    same at every v; den = prod_v (a_v^(L-1) b_v^L)^d.  Over QQ the
-    columns at v are divided by their common content (`primitive`),
-    mostly the factors 1 - u c of their thetas, and content is the product
-    of those.  The keys share their constants after the first, and each
-    distinct product of those is built once per variable."""
-    last = theta_ints(1, 1, 1, order)[1]         # L depends only on the order
-    key_dens = {key: math.prod([cn ** (last - 1) * cd ** last for cn, cd in consts])
-                for key, consts in columns.items()}
-    degree = len(next(iter(columns.values()), ()))
-    cols, den, content = {key: [] for key in columns}, 1, 1
-    for a, b in ts:
-        thetas, rests, at_v = {}, {}, []
-
-        def th(c):
-            if c not in thetas:
-                num = theta_ints(a * c[0], b * c[1], 1, order)[0]
-                thetas[c] = IntSeries([x % mod for x in num] if mod else num)
-            return thetas[c]
-        for key, (lead, *rest) in columns.items():
-            rest = tuple(rest)
-            if rest not in rests:
-                rests[rest] = product(map(th, rest), None)
-            col = th(lead) if rests[rest] is None else th(lead) * rests[rest]
-            at_v.append(col % mod if mod else col)
-        at_v, g = primitive(at_v, mod)
-        for key, col in zip(columns, at_v):
-            cols[key].append(col)
-        den *= (a ** (last - 1) * b ** last) ** degree
-        content *= g
-    if mod:
-        return cols, den % mod, content, {key: d % mod for key, d in key_dens.items()}
-    return cols, den, content, key_dens
-
-
-def theta_pairs(ts, eta, mod, order, primed=False):
-    """(pair, den, content): the theta pair factors theta(eta r)/theta(r)
-    of t_w placed before t_v and theta(eta/r)/theta(1/r) of t_v placed
-    before t_w, r = t_v/t_w and w < v (swapped when primed), at the cleared
-    coordinates ts, eta = e_1/e_2 cleared, as `IntSeries` times content
-    over one series den.  With r = A/B (A = a_v b_w, B = a_w b_v) they are
-    N(e_1 A, e_2 B) and -N(e_1 B, e_2 A) over the one E N(A, B),
-    E = e_1^(L-1) e_2^L, in the integer forms of `theta_ints`: by the
-    reflection theta(1/z) = -z^(-1) theta(z) of the triple-product sum
-    (Gasper-Rahman, eq. 1.6.1), theta(1/r) is -N(A, B) over B^(L-1) A^L.
-    Over QQ each pair's two numerators are divided by their common content
-    (`primitive`); den is the product of the E N(A, B) and content that of
-    the contents.  Coincident coordinates (A = B) are rejected."""
-    (e1, e2), ell = eta, len(ts)
-    pair, den, content = [[None] * ell for _ in ts], IntSeries([1] + [0] * order), 1
-    for w, (aw, bw) in enumerate(ts):
-        for v in range(w + 1, ell):
-            av, bv = ts[v]
-            big_a, big_b = av * bw, aw * bv
-            diff = big_a - big_b
-            if not (diff % mod if mod else diff):
-                raise DegenerateInputError("coincident t coordinates in symmetrized sum")
-            before = IntSeries(theta_ints(e1 * big_a, e2 * big_b, 1, order)[0])
-            after = IntSeries([-x for x in theta_ints(e1 * big_b, e2 * big_a, 1, order)[0]])
-            if primed:
-                before, after = after, before
-            den = den * IntSeries(theta_ints(big_a, big_b, 1, order)[0])
-            if mod:
-                before, after, den = before % mod, after % mod, den % mod
-            (pair[w][v], pair[v][w]), g = primitive([before, after], mod)
-            content *= g
-    last = theta_ints(1, 1, 1, order)[1]
-    big_e = pow(e1 ** (last - 1) * e2 ** last, ell * (ell - 1) // 2, mod or None)
-    return pair, den.scaled(big_e), content
-
-
 def idp2_value(params, t, mutate=False):
     """The two-column window identity in its explicit form; depends on the
     parameters only through beta = eta^(1-2ell) alpha x_1/y_1.  The ell + 1
     inner sums share their leading low columns, so they come from one
-    `symmetrize` call on the tables of `theta_tables`."""
+    `symmetrize` call on the tables of `point_tables`."""
     eta = params.eta
     ell = len(t)
     beta = eta ** (1 - 2 * ell) * params.alpha * params.x[0] / params.y[0]
@@ -317,7 +218,7 @@ def idp2_value(params, t, mutate=False):
         columns["high", b] = [num_den(mod, eta ** (1 - 2 * b) / beta), high]
     seqs = [[("low" if a <= k else "high", a) for a in range(1, ell + 1)]
             for k in range(ell + 1)]
-    cols, pair, den, key_dens = theta_tables(params, t, columns)
+    cols, pair, den, key_dens = point_tables(params, t, columns)
     total = params.zero
     for k, inner in enumerate(symmetrize(seqs, cols, pair, params.one, den,
                                          key_dens=key_dens)):

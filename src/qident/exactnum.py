@@ -504,7 +504,8 @@ def convolve(a, b):
 
 class IntSeries:
     """The K+1 integer coefficients of a truncated series with no
-    denominator and no normalization: `*` is `convolve`, `+` adds
+    denominator and no normalization: `*` is `convolve` (an int times a
+    series scales each coefficient), `+` adds and unary `-` negates
     coefficient-wise and `% p` reduces each coefficient.  The theta layer's
     per-point tables hold their columns and pair factors in this form over
     one denominator per point, so `polyweights.symmetrize` runs its one
@@ -518,15 +519,35 @@ class IntSeries:
     def __mul__(self, other):
         return IntSeries(convolve(self.num, other.num))
 
+    def __rmul__(self, c):
+        return IntSeries([x * c for x in self.num])
+
     def __add__(self, other):
         return IntSeries(list(map(operator.add, self.num, other.num)))
+
+    def __neg__(self):
+        return IntSeries([-x for x in self.num])
 
     def __mod__(self, mod):
         return IntSeries([x % mod for x in self.num])
 
-    def scaled(self, c):
-        """Each coefficient times the integer c."""
-        return IntSeries([x * c for x in self.num])
+
+def primitive(columns, mod):
+    """(columns, g): lists of `IntSeries` of one length with the entries at
+    each index divided by their content, the gcd of their coefficients,
+    and g the product of the contents.  Lists of ints, whose contents are
+    small and did not pay to divide out, and all lists modulo p are left
+    whole (g = 1)."""
+    if mod or not columns or not columns[0] or not isinstance(columns[0][0], IntSeries):
+        return columns, 1
+    rows, total = [], 1
+    for row in zip(*columns):
+        g = math.gcd(*[x for e in row for x in e.num])
+        if g > 1:
+            row = [IntSeries([x // g for x in e.num]) for e in row]
+            total *= g
+        rows.append(row)
+    return [list(col) for col in zip(*rows)], total
 
 
 def theta(c, e, order, v=0):

@@ -11,20 +11,18 @@ accumulated over subsets of variables, with the pair products built once
 per point and shared leading parts sharing their layers.  No closed-form
 simplification is attempted; the tests keep the literal permutation sums
 as oracles.  The weights, norms and window sums serve both layers: the
-parameter object supplies phi, the linear factor f and the weight
-tables, 1 - z, u - c and the columns X_m here, theta, theta(u/c) and the
-columns Z_m with their dynamical shift on `elliptic.EllParams`, and with
-them the norm and the window coefficient of each partition.  As
-theta(z; 0) = 1 - z, each product here has the shape of its elliptic
-twin.  The tables of a point are built fraction-free in both layers,
-with one common denominator per table (von zur Gathen & Gerhard, Modern
-Computer Algebra, 6): from the cleared coordinates t_v = a_v/b_v and
-parameters, each column is one homogeneous integer product and each pair
-factor a cross product here, and on `elliptic.EllParams` each column one
-truncated product of theta numerators and each pair factor a theta
-numerator over theta(t_v/t_w), so no field or series operation is made
-per factor and `symmetrize` runs one DP loop on ints or on integer
-coefficient lists alike.  A check value
+parameter object supplies phi, the linear factor f and the constants of
+the weight columns, 1 - z, u - c and the columns X_m here, theta,
+theta(u/c) and the columns Z_m with their dynamical shift on
+`elliptic.EllParams`, and with them the norm and the window coefficient
+of each partition.  As theta(z; 0) = 1 - z, each product here has the
+shape of its elliptic twin.  One routine, `point_tables`, builds the
+tables of a point in both layers fraction-free (von zur Gathen & Gerhard,
+Modern Computer Algebra, 6) from the integer numerators of phi and of
+the column factors that the parameters supply, and `PolyParams.phi_product`
+the kernel products of `residues` from the same numerators, so no field
+or series operation is made per factor and `symmetrize` runs one DP loop
+on ints or on integer coefficient lists alike.  A check value
 value(cfg, params, sampler) draws its point after the parameters and
 leaves its report form to `reporting`.
 """
@@ -33,12 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from itertools import chain
 
 from .errors import DegenerateInputError, UsageError
 from .exactnum import (
-    IntSeries, PrimeScalar, PSeries, field_of, modulus, num_den, product, scalar_of)
+    IntSeries, PrimeScalar, PSeries, field_of, modulus, num_den, primitive, product, scalar_of)
 from .partitions import enumerate_partitions, enumerate_window, kappa, x_point
 
 
@@ -49,12 +48,12 @@ class PolyParams:
     have nonzero denominators.  The layer's scalars `one`/`zero` are the
     field's, phi(z) = 1 - z, its linear factor u - c and its kernel
     constant prod_m (x_m y_m)^ell; the norm and the window coefficient are
-    built from them.  `cleared` is (mod, x, y, eta)
-    with the field's modulus and each parameter as its (numerator,
-    denominator) pair (`num_den`), for the tables built without field
-    operations.
-    `memo` keeps values that every point shares, such as the multiplicity
-    prefactors.
+    built from them.  `cleared` is (mod, x, y, eta) with the field's
+    modulus and each parameter as its (numerator, denominator) pair
+    (`num_den`), for the tables and kernel products built without field
+    operations from the integer forms `phi_ints`, `factor_ints` and
+    `degree`.  `memo` keeps values that every point shares, such as the
+    multiplicity prefactors.
     """
 
     def __init__(self, x, y, eta, ell, n, field):
@@ -76,13 +75,41 @@ class PolyParams:
     def phi(self, z):
         return self.one - z
 
+    # the integer forms of the tables and kernel products, which
+    # `elliptic.EllParams` overrides: phi(P/Q) is N(P, Q) over
+    # P^(L-1) Q^L, N the `phi_ints`, and the column factor at u = a/b and
+    # c = cn/cd the `factor_ints` numerator over (a cn)^(L-1) (b cd)^L
+    degree = 1
+
+    def phi_ints(self, pairs):
+        """[N(P, Q) for (P, Q) in pairs]: 1 - P/Q = (Q - P)/Q."""
+        return [q - p for p, q in pairs]
+
+    def factor_ints(self, ts, consts):
+        """[[the numerator of u - c at each point u = a/b of ts] for each
+        constant c = cn/cd of consts]: u - c = (a cd - cn b)/(b cd)."""
+        return [[a * cd - cn * b for a, b in ts] for cn, cd in consts]
+
     def phi_product(self, args):
         """prod phi(P/Q) over the integer pairs (P, Q) of
-        `residues.cancel_poles`: here prod (Q - P) over prod Q, one integer
-        product over one denominator; theta of each argument on
-        `elliptic.EllParams`."""
-        return scalar_of(self.cleared[0], math.prod([q - p for p, q in args]),
-                         math.prod([q for _, q in args]))
+        `residues.cancel_poles`: prod N(P, Q) over prod P^(L-1) Q^L, made a
+        field scalar or series once.  For L > 1 (theta) each pair is first
+        brought to lowest terms (residues modulo p), as a common factor g
+        would enter both products as g^(2L-1)."""
+        if not args:
+            return self.one
+        mod, last, den = self.cleared[0], self.degree, 1
+        if last > 1:
+            ps, qs = zip(*args)
+            if mod:
+                ps, qs = [p % mod for p in ps], [q % mod for q in qs]
+            else:
+                gs = list(map(math.gcd, ps, qs))
+                ps = list(map(operator.floordiv, ps, gs))
+                qs = list(map(operator.floordiv, qs, gs))
+            args, den = list(zip(ps, qs)), math.prod(ps) ** (last - 1)
+        den *= math.prod([q for _, q in args]) ** last
+        return from_ints(self.one, mod, math.prod(self.phi_ints(args)), den)
 
     def factor(self, u, c):
         return u - c
@@ -97,29 +124,26 @@ class PolyParams:
         """The polynomial weights' single factors depend only on the part."""
         return None
 
+    def column_constants(self, key, primed):
+        """The constants c of X_m's factors u - c at the key (None, m),
+        cleared: the lead u = u - 0 (none when primed), then y_j for j < m
+        and x_k for k > m (x and y swapped when primed), memoized."""
+        def make():
+            m = key[1]
+            _, xs, ys, _ = self.cleared
+            if primed:
+                return xs[:m - 1] + ys[m:]
+            return [(0, 1)] + ys[:m - 1] + xs[m:]
+        return self.memo(("column", key, primed), make)
+
     def weight_tables(self, keys, t, primed):
         """(cols, pair, den, key_dens) for `symmetrize` at the point t: the
-        columns X_m (or X'_m) of the keys (shift, m), the lead u (1
-        primed) times prod_{j<m} (u - y_j) prod_{k>m} (u - x_k) (x and y
-        swapped when primed), and the pair factors
-        (t_w - eta t_v)/(t_w - t_v) of t_w placed before t_v (that of t_v
-        before t_w when primed), as integers over one denominator den built
-        from the cleared coordinates with no field operation: X_m is one
-        homogeneous product (`linear_columns`), each pair factor a cross
-        product over one L (`pair_numerators`); key_dens is None, as each
-        column takes a cofactor instead.  `elliptic.EllParams` builds the
-        theta columns Z_m and pair factors the same way, as integer
-        coefficient lists."""
-        mod, xs, ys, eta = self.cleared
-        n, ts = self.n, [num_den(mod, u) for u in t]
-        # column m: the lead u (1 primed), then y_1..y_(m-1), x_(m+1)..x_n
-        # of the constants x_1..x_n, y_1..y_n (x and y swapped when primed)
-        cols, den = linear_columns(
-            ts, ys + xs if primed else xs + ys,
-            {key: (0 if primed else 1, [*range(n, n + key[1] - 1), *range(key[1], n)])
-             for key in keys}, mod)
-        pair, pair_den = pair_numerators(ts, eta, mod, primed)
-        return cols, pair, den * pair_den, None
+        `point_tables` of the columns of the keys, each the product of the
+        factors of its `column_constants` (X_m or X'_m here, Z_m or Z'_m
+        with their dynamical shift on `elliptic.EllParams`), and the
+        unprimed (or primed) pair factors."""
+        return point_tables(self, t, {key: self.column_constants(key, primed) for key in keys},
+                            primed)
 
     def norm(self, lam):
         """N = prod_m prod_{s=1}^{w_m} phi(eta^s) f(x_m, eta^(s-1) y_m)/phi(eta),
@@ -182,12 +206,12 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     The tables hold integers over one denominator `den` of every term:
     each term holds each column at v once and one of pair[w][v],
     pair[v][w], so the callers clear the columns at v over one D_v and each
-    pair over one L_wv (`linear_columns`, `pair_numerators`, `monomials`,
-    `elliptic.theta_columns`, `elliptic.theta_pairs`) and pass
+    pair over one L_wv (`point_tables`, `monomials`) and pass
     den = prod_v D_v prod_{w<v} L_wv.  With a field scalar `one` they are
     ints; with a series `one` they are `IntSeries` coefficient lists, and
-    den is an int or a series (inverted once per call).  A column whose
-    entries share a denominator at every v may keep it apart in
+    den is an int or a value of the kind of `one` (a series is inverted
+    once per call).  A column whose entries share a denominator at every v
+    may keep it apart in
     key_dens[key]: each sum is then also divided by the key_dens along its
     sequence, as every term holds one column of each of its keys.  The one
     DP loop runs on both alike, GF(p) terms reduced once, and each sum
@@ -199,9 +223,10 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
         raise UsageError("the key sequences and columns at a point differ in length")
     series = isinstance(one, PSeries)
     if series:
-        mod, unit = one.mod, IntSeries([1] + [0] * one.order)
+        fld, unit = one.field, IntSeries([1] + [0] * one.order)
     else:
-        mod, unit = modulus(field_of(one)), 1
+        fld, unit = field_of(one), 1
+    mod = modulus(fld)
     full = (1 << ell) - 1
     gtab = [None] * full          # G(S, v) for S != 0 and v outside S
     for s in range(1, full if pair is not None else 0):
@@ -241,15 +266,16 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
                     sv = s | 1 << v
                     nxt[sv] = nxt[sv] + term if sv in nxt else term
             todo.append((nxt, depth + 1, sub))
-    extra = [math.prod([key_dens[key] for key in seq]) for seq in seqs] if key_dens else \
+    extra = [math.prod(map(key_dens.__getitem__, seq)) for seq in seqs] if key_dens else \
         [1] * len(out)
     if series:
         return series_sums(out, one, den, scales, extra)
     scales = [num_den(mod, c) for c in scales] if scales else [(1, 1)] * len(out)
+    den, den_d = num_den(mod, fld.of(den))
     if mod:
         inv = PrimeScalar(den, mod).inverse().value
         return [scalar_of(mod, x * c * inv, e) for x, (c, _), e in zip(out, scales, extra)]
-    return [scalar_of(0, x * c, den * d * e) for x, (c, d), e in zip(out, scales, extra)]
+    return [scalar_of(0, x * c * den_d, den * d * e) for x, (c, d), e in zip(out, scales, extra)]
 
 
 def series_sums(sums, one, den, scales, extra):
@@ -273,56 +299,81 @@ def series_sums(sums, one, den, scales, extra):
                 x, d = x * IntSeries(c.num), d * c.den
         elif c is not None:
             cn, cd = num_den(mod, c)
-            x, d = x.scaled(cn), d * cd
+            x, d = cn * x, d * cd
         out.append(PSeries._from_ints(one.field, x.num, d, order))
     return out
 
 
-def linear_columns(ts, consts, columns, mod):
-    """(cols, den): the columns u^e prod_{i in idx} (u - consts[i]) of
-    `columns` (key -> (e, idx), all of one degree d = e + len(idx)) at the
-    cleared coordinates ts = [(a_v, b_v)], as integers over one
-    denominator.  As u - c_n/c_d = (a c_d - c_n b)/(b c_d) at u = a/b, each
-    column at v is one homogeneous integer product over b_v^d C, C the
-    product of the c_d of all the constants, times the c_d of the
-    constants it leaves out; den = prod_v b_v^d C."""
-    big_c = math.prod([cd for _, cd in consts])
-    spec = [(key, e, idx, big_c // math.prod([consts[i][1] for i in idx]))
-            for key, (e, idx) in columns.items()]
-    degree = spec[0][1] + len(spec[0][2]) if spec else 0
-    cols, den = {key: [] for key in columns}, 1
-    for a, b in ts:
-        diffs = [a * cd - cn * b for cn, cd in consts]
-        for key, e, idx, cofactor in spec:
-            x = math.prod([diffs[i] for i in idx], start=cofactor * a ** e)
-            cols[key].append(x % mod if mod else x)
-        den *= b ** degree * big_c
-    return cols, den % mod if mod else den
+def point_tables(params, t, columns, primed=False):
+    """(cols, pair, den, key_dens) for `symmetrize` at the point t, from
+    the cleared coordinates t_v = a_v/b_v and the integer forms of the
+    parameters (`PolyParams.degree`): the columns of `columns` (key -> the
+    cleared constants c of its d factors) and the pair factors
+    phi(eta r)/phi(r) of t_w placed before t_v and phi(eta/r)/phi(1/r) of
+    t_v placed before t_w, r = t_v/t_w, w < v (swapped when primed).
 
-
-def pair_numerators(ts, eta, mod, primed=False):
-    """(pair, den): the pair factors (t_w - eta t_v)/(t_w - t_v) of t_w
-    placed before t_v (when primed, that of t_v placed before t_w) at the
-    cleared coordinates ts, eta = e_1/e_2 cleared, as integers over one
-    denominator.  With A = a_w b_v and B = a_v b_w the factors of w before
-    v and of v before w are e_2 A - e_1 B and e_1 A - e_2 B over the one
-    L = e_2 (A - B), and den is the product of the L; coincident
-    coordinates (A = B) are rejected."""
-    (e1, e2), ell = eta, len(ts)
-    pair, den = [[None] * ell for _ in ts], 1
-    for w, (aw, bw) in enumerate(ts):
+    Each column at v is a product of `factor_ints` numerators over
+    (a_v^(L-1) b_v^L)^d and key_dens[key] = prod_c c_n^(L-1) c_d^L.  With
+    r = A/B and eta = e_1/e_2 the pair factors are N(e_1 A, e_2 B) and
+    -N(e_1 B, e_2 A) over one E N(A, B), E = e_1^(L-1) e_2^L, N the
+    `phi_ints`, by the reflection phi(1/z) = -z^(-1) phi(z) of 1 - z and
+    theta (Gasper-Rahman, Basic Hypergeometric Series, eq. 1.6.1).  The
+    columns at v and each pair's two factors are divided by their content
+    (`exactnum.primitive`), and den, of the kind of `params.one`, is the
+    product of all the denominators over that of the contents.
+    Coincident coordinates (A = B) are rejected."""
+    mod, _, _, (e1, e2) = params.cleared
+    last = params.degree
+    ts = [num_den(mod, u) for u in t]
+    ell, degree = len(ts), len(next(iter(columns.values()), ()))
+    consts = list(dict.fromkeys(chain.from_iterable(columns.values())))
+    at_v = dict(zip(consts, params.factor_ints(ts, consts)))
+    # a key's column is the product of its other factors, which the keys of
+    # one family share (each distinct such product is built once), times
+    # its first; a column of no factor is 1
+    key_dens, rests, cols = {}, {(): [1] * ell}, []
+    for key, cs in columns.items():
+        key_dens[key] = math.prod([cn ** (last - 1) * cd ** last for cn, cd in cs])
+        rest = tuple(cs[1:])
+        if rest not in rests:
+            rests[rest] = list(map(math.prod, zip(*map(at_v.get, rest))))
+        col = list(map(operator.mul, rests[rest], at_v[cs[0]])) if cs else [1] * ell
+        cols.append([x % mod for x in col] if mod else col)
+    cols, content = primitive(cols, mod)
+    cols = dict(zip(columns, cols))
+    den = math.prod([a ** (last - 1) * b ** last for a, b in ts]) ** degree
+    # per pair w < v with r = A/B: the arguments of N(e_1 A, e_2 B),
+    # N(e_1 B, e_2 A) and N(A, B)
+    pairs, args = [], []
+    for w in range(ell):
         for v in range(w + 1, ell):
-            av, bv = ts[v]
-            big_a, big_b = aw * bv, av * bw
-            diff = big_a - big_b
-            if not (diff % mod if mod else diff):
+            big_a, big_b = ts[v][0] * ts[w][1], ts[w][0] * ts[v][1]
+            if not ((big_a - big_b) % mod if mod else big_a - big_b):
                 raise DegenerateInputError("coincident t coordinates in symmetrized sum")
-            before, after = e2 * big_a - e1 * big_b, e1 * big_a - e2 * big_b
-            if primed:
-                before, after = after, before
-            pair[w][v], pair[v][w] = (before % mod, after % mod) if mod else (before, after)
-            den *= e2 * diff
-    return pair, den % mod if mod else den
+            pairs.append((w, v))
+            args += [(e1 * big_a, e2 * big_b), (e1 * big_b, e2 * big_a), (big_a, big_b)]
+    nums = params.phi_ints(args)
+    befores, afters = nums[::3], [-x for x in nums[1::3]]
+    if primed:
+        befores, afters = afters, befores
+    if mod:
+        befores, afters = [x % mod for x in befores], [x % mod for x in afters]
+    (befores, afters), g = primitive([befores, afters], mod)
+    pair = [[None] * ell for _ in ts]
+    for (w, v), before, after in zip(pairs, befores, afters):
+        pair[w][v], pair[v][w] = before, after
+    den *= (e1 ** (last - 1) * e2 ** last) ** len(pairs) * math.prod(nums[2::3])
+    return cols, pair, from_ints(params.one, mod, den, content * g), key_dens
+
+
+def from_ints(one, mod, num, den):
+    """num/den as a value of the kind of `one`, modulo `mod` (QQ for 0): a
+    series of `one`'s order from an `IntSeries`, else a field scalar (as a
+    constant series if `one` is one)."""
+    if isinstance(num, IntSeries):
+        return PSeries._from_ints(one.field, num.num, den, one.order)
+    value = scalar_of(mod, num, den)
+    return one * value if isinstance(one, PSeries) else value
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +393,7 @@ def weights(parts, t, params, primed=False):
     of (shift, part) at each position a and the pair factors, for lam in
     parts] at the point t, with shift = params.column_shift(a, ell): P (or
     P') on `PolyParams`, the theta weights Xi (or Xi') on
-    `elliptic.EllParams`, whose `weight_tables` supply the columns and pair
-    factors."""
+    `elliptic.EllParams`, from the `weight_tables` of the parameters."""
     # lists, not tuple(generator): CPython builds such a tuple by resizing
     # it, and the resized tuples pile up in its tuple free lists (peak RSS
     # of the poly benchmark crept up about 0.4 MB over 12 passes)
@@ -431,15 +481,14 @@ def window_products(lam, i, j, params):
 def jing_value(eta, t, one, zero, mutate=False):
     """The double sum over k and S_ell whose vanishing is the base
     combinatorial identity; a mutated run perturbs the k = 1 prefactor."""
-    ell, mod = len(t), modulus(field_of(one))
-    ts = [num_den(mod, u) for u in t]
+    ell, fld = len(t), field_of(one)
     # the weights' unprimed pair table, and columns u - 1 and u - eta^(ell-1)
-    pair, pair_den = pair_numerators(ts, num_den(mod, eta), mod)
-    cols, den = linear_columns(ts, [(1, 1), num_den(mod, eta ** (ell - 1))],
-                               {"low": (0, [0]), "high": (0, [1])}, mod)
+    cols, pair, den, key_dens = point_tables(
+        PolyParams((), (), eta, ell, 0, fld), t,
+        {"low": [(1, 1)], "high": [num_den(modulus(fld), eta ** (ell - 1))]})
     seqs = [("low",) * k + ("high",) * (ell - k) for k in range(ell + 1)]
     total = zero
-    for k, inner in enumerate(symmetrize(seqs, cols, pair, one, den * pair_den)):
+    for k, inner in enumerate(symmetrize(seqs, cols, pair, one, den, key_dens=key_dens)):
         pref = one
         for s in range(k):
             pref = pref * (eta ** ell - eta ** s) / (one - eta ** (s + 1))

@@ -32,8 +32,10 @@ derivative constant at 1 once per step.  The scalar product is defined
 operationally by the residue sums; the torus contour is never integrated.
 
 Over a field the arguments of the kernel factors are integer pairs built
-from the cleared coordinates, so the residue at a point is one integer
-product over one denominator.  Every residue sum is one dense product:
+from the cleared coordinates, so in both layers the residue at a point is
+one product of phi's integer numerators over one denominator
+(`PolyParams.phi_product`; theta numerators on `elliptic.EllParams`).
+Every residue sum is one dense product:
 `residue_pairing` evaluates both families and the residue once per point
 and ends in `linalg.diag_mat_mul`, which folds the residue into each
 point's cleared row, and the `mn` residual is the product of its Gram
@@ -124,9 +126,9 @@ def kernel_residue_parts(params, point):
         Res(1/kernel (dt/t)^ell) = denom_value / (numer_value * scale),
 
     with scale = sign * `params.kernel_constant(ell)` and the values
-    `params.phi_product` of the remaining arguments: over a field one
-    integer product over one denominator each, theta products on
-    `elliptic.EllParams`.  Every remaining argument differs from 1
+    `params.phi_product` of the remaining arguments, one product of phi's
+    integer numerators over one denominator each, in either layer.  Every
+    remaining argument differs from 1
     (`cancel_poles` tested it at its step), and phi(c) has constant term
     1 - c, so numer_value is invertible.
     """

@@ -399,6 +399,18 @@ def verify_kbi(cfg):
                "the raising expansion fixes"])
 
 
+def resonance(cfg):
+    """(draw, line): draw(sampler) samples the weight parameters with the
+    resonance imposed (lifted under --no-constraint, the negative control),
+    and line is the constraint line that says which."""
+    if cfg.no_constraint:
+        return (lambda sampler: sample_weight_params(sampler, cfg.n),
+                "resonance lifted (negative control)")
+    return (lambda sampler: impose_resonance(sample_weight_params(sampler, cfg.n),
+                                             cfg.i, cfg.j, cfg.ell),
+            "imposed z_i = s_i^2 s_j^2 q^(-2 ell) z_j")
+
+
 def bc_strings(cfg, wp):
     szj = wp.s[cfg.j - 1] ** 2 * wp.z[cfg.j - 1]
     return [(szj * wp.q ** (-2 * s)) for s in range(cfg.ell + 1)]
@@ -410,11 +422,10 @@ def verify_bc(cfg):
     forward product.  bc2: ell sampled lowering arguments annihilate the
     raising string of ell+1 special arguments on the reversed product."""
     fld = cfg.scalar_field()
+    draw, constraint = resonance(cfg)
 
     def trial(sampler):
-        wp = sample_weight_params(sampler, cfg.n)
-        if not cfg.no_constraint:
-            wp = impose_resonance(wp, cfg.i, cfg.j, cfg.ell)
+        wp = draw(sampler)
         t = sample_t(sampler, cfg.ell)
         args = bc_strings(cfg, wp)
         if cfg.check == "bc1":
@@ -436,10 +447,8 @@ def verify_bc(cfg):
             "steps against ell raising steps): the resonance is not needed "
             "for this composite; the resonance-sensitive content lives in "
             "the singular-vector and submodule-annihilation checks")
-    desc = ["q^2 != 1", "s, z nonzero", "t pairwise distinct",
-            "resonance lifted (negative control)" if cfg.no_constraint
-            else "imposed z_i = s_i^2 s_j^2 q^(-2 ell) z_j"]
-    return run_trials(cfg, desc, trial, notes=notes)
+    return run_trials(cfg, ["q^2 != 1", "s, z nonzero", "t pairwise distinct", constraint],
+                      trial, notes=notes)
 
 
 # Under a mutation the submodule sweep of `singular` leaves thousands of
@@ -455,11 +464,10 @@ def verify_singular(cfg):
     word-generated spanning set of the forward submodule."""
     fld = cfg.scalar_field()
     word_len = cfg.word_len if cfg.word_len else cfg.ell + 1
+    draw, constraint = resonance(cfg)
 
     def trial(sampler):
-        wp = sample_weight_params(sampler, cfg.n)
-        if not cfg.no_constraint:
-            wp = impose_resonance(wp, cfg.i, cfg.j, cfg.ell)
+        wp = draw(sampler)
         args = bc_strings(cfg, wp)
         residuals = []
         unlisted = 0
@@ -506,10 +514,7 @@ def verify_singular(cfg):
             residuals.append("%d further nonzero residuals not listed" % unlisted)
         return residuals, not residuals, ["spanning set size %d" % len(spanning)]
 
-    desc = ["q^2 != 1", "s, z nonzero",
-            "resonance lifted (negative control)" if cfg.no_constraint
-            else "imposed z_i = s_i^2 s_j^2 q^(-2 ell) z_j"]
-    return run_trials(cfg, desc, trial,
+    return run_trials(cfg, ["q^2 != 1", "s, z nonzero", constraint], trial,
                       notes=["word-bounded spanning set stands in for the full "
                              "submodule; words of length ell+1 carry the "
                              "resonance-sensitive content"])

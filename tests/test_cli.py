@@ -15,7 +15,8 @@ import qident
 from qident import polyweights
 from qident.cli import CHECK_OPTIONS, CHECKS, run, run_one
 from qident.errors import UsageError
-from qident.reporting import DEFAULT_PRIME, RunConfig
+from qident.exactnum import QQ, PrimeField, PSeries, Sampler, SamplerConfig, resample
+from qident.reporting import DEFAULT_PRIME, RunConfig, exact_form
 
 
 def test_every_check_routes_and_verifies(tmp_path):
@@ -339,6 +340,46 @@ def test_resi_spurious_agreement_mod_p_is_resampled():
             "--trials", "5"]
     assert run(argv) == 0
     assert run(argv + ["--mutate"]) == 1
+
+
+# small sizes for the value rows of `CHECKS`
+VALUE_ROW_SIZES = {
+    "jing": dict(ell=3), "id1": dict(ell=2, n=3, i=1, j=3), "id2": dict(ell=2, n=3, i=1, j=3),
+    "pp": dict(ell=2, n=2), "mn": dict(ell=2, n=2), "detq": dict(ell=2, n=2),
+    "deta": dict(ell=2, n=2), "idp1": dict(ell=2, n=2, i=1, j=2, k=3),
+    "idp2": dict(ell=2, n=2, k=3), "xx": dict(ell=2, n=2, k=2), "xt": dict(ell=1, n=2, k=3),
+    "detprod": dict(ell=2, n=2, k=2),
+}
+
+
+def reduces(rational, reduced, gf):
+    """Whether the GF(p) value is the rational one reduced mod p: scalars,
+    series coefficient by coefficient, residual lists entry by entry."""
+    if isinstance(rational, list):
+        return [label for label, _ in rational] == [label for label, _ in reduced] and all(
+            reduces(r, g, gf) for (_, r), (_, g) in zip(rational, reduced))
+    if isinstance(rational, PSeries):
+        return [gf.of(c) for c in rational.coeffs] == reduced.coeffs
+    return gf.of(rational) == reduced
+
+
+@pytest.mark.parametrize("check", sorted(VALUE_ROW_SIZES))
+def test_prime_mode_residuals_reduce_the_rational_ones(check):
+    # one seed, mutated: from the same draws over QQ and over GF(p), the
+    # GF(p) residual is the reduction of the rational one, and both are
+    # nonzero
+    assert set(VALUE_ROW_SIZES) == {name for name, row in CHECKS.items() if row.value}
+    row, gf = CHECKS[check], PrimeField(DEFAULT_PRIME)
+    values, logs = {}, {}
+    for fld in (QQ, gf):
+        cfg = RunConfig(check=check, seed=1, mutate=True,
+                        field="rational" if fld is QQ else "prime", **VALUE_ROW_SIZES[check])
+        sampler = Sampler(SamplerConfig(cfg.seed, cfg.bound), fld)
+        values[fld] = resample(lambda: row.value(cfg, row.sample(sampler, cfg), sampler))
+        logs[fld] = sampler.log
+    assert logs[QQ] == logs[gf]
+    assert not exact_form(values[QQ])[1] and not exact_form(values[gf])[1]
+    assert reduces(values[QQ], values[gf], gf)
 
 
 def test_composite_prime_modulus_is_a_usage_error():

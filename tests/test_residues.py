@@ -240,6 +240,25 @@ def test_kernel_residue_parts_matches_linear_oracle(fld, ell, n, seed, make_poin
             assert dv / (nv * s) == o_d / (o_n * o_s)
 
 
+@pytest.mark.parametrize("fld", FIELDS, ids=["QQ", "GFp"])
+@pytest.mark.parametrize("elliptic", [False, True], ids=["poly", "theta"])
+@pytest.mark.parametrize("ell, n", [(1, 2), (3, 2)])
+def test_phi_product_is_the_product_of_phi_over_the_remaining_arguments(fld, elliptic, ell,
+                                                                         n):
+    # the one fraction-free product against prod phi(P/Q) by field or
+    # series operations, over the arguments that `cancel_poles` leaves at
+    # the x- and y-points (at ell = 1 the denominator list is empty)
+    s = Sampler(SamplerConfig(7), fld)
+    p = sample_ell_params(s, ell, n, 4) if elliptic else sample_poly_params(s, ell, n)
+    mod = modulus(fld)
+    for make_point in (x_point, y_point):
+        for pt in point_family(make_point, p):
+            _, numer, denom = cancel_poles(p, pt)
+            for args in (numer, denom):
+                assert p.phi_product(args) == exactnum.product(
+                    (p.phi(scalar_of(mod, *arg)) for arg in args), p.one)
+
+
 def cancellation_outcome(cancel, params, point):
     """(sign, numerator multiset, denominator multiset), or the
     PoleOrderError message; the integer pairs (P, Q) of `cancel_poles`

@@ -12,7 +12,7 @@ and pair factors were built from cleared integer coordinates:
 field-scalar tables cleared per call.  The columns and pair factors by
 field or series operations (`column_oracle`, `weight_pair_table`) that
 the cleared tables of both layers replaced are kept here as oracles, and
-the theta pair numerators are checked against the theta quotients."""
+the pair numerators of both layers are checked against the phi quotients."""
 
 import math
 from collections import Counter
@@ -24,16 +24,15 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qident.elliptic import (
-    EllParams, idp2_value, sample_ell_params, theta_lambda, theta_lambdas, theta_pairs,
-    vartheta, xi_weight)
+    EllParams, idp2_value, sample_ell_params, theta_lambda, theta_lambdas, vartheta,
+    xi_weight)
 from qident.errors import DegenerateInputError, UsageError
 from qident.exactnum import (
-    QQ, IntSeries, PrimeField, PSeries, Sampler, SamplerConfig, field_of, ints_over_den,
-    modulus, num_den)
+    QQ, IntSeries, PrimeField, PSeries, Sampler, SamplerConfig, field_of, ints_over_den)
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    jing_value, monomial_symmetric, monomials, multiplicity_prefactor, sample_eta,
-    sample_poly_params, sample_t, symmetrize, weight, weights)
+    from_ints, jing_value, monomial_symmetric, monomials, multiplicity_prefactor,
+    point_tables, sample_eta, sample_poly_params, sample_t, symmetrize, weight, weights)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -448,10 +447,10 @@ def test_idp2_matches_permutation_sum(fld, ell):
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("ell, n", [(5, 2), (5, 3), (6, 2)])
+@pytest.mark.parametrize("ell, n", [(5, 1), (5, 2), (5, 3), (6, 2)])
 def test_cleared_weight_tables_match_field_tables(fld, ell, n):
     # at a drawn point and at the special points, where coordinates share
-    # factors with the parameters
+    # factors with the parameters; at n = 1 a primed column has no factor
     s = sampler(110 + ell + n, fld)
     params = sample_poly_params(s, ell, n)
     parts = enumerate_partitions(ell, n)
@@ -474,38 +473,38 @@ def test_cleared_jing_tables_match_field_tables(fld, ell):
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("ell, k", [(2, 0), (2, 12), (3, 6), (4, 10)])
+@pytest.mark.parametrize("ell, k", [(2, 0), (2, 12), (3, 6), (4, 10),
+                                    pytest.param(2, None, id="2-poly"),
+                                    pytest.param(4, None, id="4-poly")])
 def test_theta_pair_numerators_over_theta_match_pair_quotients(fld, ell, k):
-    # each pair's two numerators, times their content, sit over one series,
-    # a scalar multiple of theta(t_v/t_w); numerator over it is the theta
-    # quotient of the oracle, primed and unprimed, and the table's den and
-    # content are the products of the pairs'
-    s = sampler(130 + ell + k, fld)
-    params = sample_ell_params(s, ell, 2, k)
+    # in both layers (no order k: phi(z) = 1 - z), each pair's two
+    # numerators, divided by their content, sit over one value, a scalar
+    # multiple of phi(t_v/t_w); numerator over it is the phi quotient of
+    # the oracle, primed and unprimed, and the table's den is the product
+    # of the pairs'
+    s = sampler(130 + ell + (k or 0), fld)
+    params = sample_poly_params(s, ell, 2) if k is None else sample_ell_params(s, ell, 2, k)
     t = sample_t(s, ell)
-    mod = modulus(fld)
-    ts = [num_den(mod, u) for u in t]
 
-    def series(x):
-        return PSeries(fld, x.num, k)
+    def value(x):
+        return from_ints(params.one, params.cleared[0], x, 1)
 
     for primed in (False, True):
         oracle = weight_pair_table(t, params, primed)
-        pair, den, content = theta_pairs(ts, params.cleared[3], mod, k, primed)
-        dens, contents = PSeries.constant(fld, fld.one, k), 1
+        _, pair, den, _ = point_tables(params, t, {}, primed)
+        dens = params.one
         for w in range(ell):
             for v in range(w + 1, ell):
-                sub, sub_den, sub_content = theta_pairs([ts[w], ts[v]], params.cleared[3], mod,
-                                                        k, primed)
-                d = series(sub_den) / sub_content
-                over_theta = d / params.th(t[v] / t[w])
-                assert over_theta.num[1:] == [0] * k       # a nonzero scalar
-                assert series(pair[w][v]) == series(sub[0][1])
-                assert series(pair[v][w]) == series(sub[1][0])
-                assert series(pair[w][v]) / d == oracle[w][v]
-                assert series(pair[v][w]) / d == oracle[v][w]
-                dens, contents = dens * series(sub_den), contents * sub_content
-        assert series(den) == dens and content == contents
+                _, sub, d, _ = point_tables(params, (t[w], t[v]), {}, primed)
+                over_phi = d / params.phi(t[v] / t[w])
+                if k is not None:
+                    assert over_phi.num[1:] == [0] * k     # a nonzero scalar
+                assert value(pair[w][v]) == value(sub[0][1])
+                assert value(pair[v][w]) == value(sub[1][0])
+                assert value(pair[w][v]) / d == oracle[w][v]
+                assert value(pair[v][w]) / d == oracle[v][w]
+                dens = dens * d
+        assert den == dens
 
 
 def some_parts(data, ell, n):
