@@ -540,3 +540,47 @@ def test_theta_point_table_report_matches_pinned_digest(key):
                                **THETA_POINT_SIZES[check]))
     assert report.verdict == verdict
     assert digest(report) == tuple(pinned)
+
+
+# (check, field, variant) -> (verdict, digest, length) of one trial at seed
+# 1 at LAST_DRIVER_SIZES: the prime-field, mutated and lifted-resonance runs
+# of `bc1`, `bc2` and `resI` that no golden or other pinned table prints,
+# recorded from the per-check drivers that drew their parameters, held
+# their constraint lines and notes and formatted their own lines, before
+# every check became a row of the check table.  bc1 vanishes by depth
+# grading alone, so it reads verified with the resonance lifted as well.
+LAST_DRIVER_SIZES = {
+    "bc1": dict(ell=5, n=4, i=1, j=4),
+    "bc2": dict(ell=3, n=3, i=1, j=3),
+    "resI": dict(ell=3, n=3),
+}
+PINNED_LAST_DRIVERS = {
+    ("bc1", "prime", "plain"): (VERIFIED,
+        "fc535ce183d2d2a93af319281cb22af3150b46f747a840ff015532bb3de20da0", 1200),
+    ("bc1", "prime", "lifted"): (VERIFIED,
+        "c3501f85c74c5b99f9274321eab8ceaf4ecb3e7aeb6866aa587322870b131309", 1194),
+    ("bc1", "rational", "lifted"): (VERIFIED,
+        "989a23826ecc4f290e32b95ba2a245a0b6b528bb889d90d6844a3c95ab0e83ae", 1069),
+    ("bc2", "prime", "lifted"): (CONDITION_NOT_SATISFIED,
+        "cb000a8b533c9031ae4b14e985d009793d8b09ae86a2f39342a3abd214a25a5f", 1071),
+    ("bc2", "prime", "mutated"): (FALSIFIED,
+        "d3e9726de1cdf2a48356f0a9f5267530aebbf407e7f64259c2190103c8297075", 8132),
+    ("bc2", "rational", "mutated"): (FALSIFIED,
+        "5d56ef0074cf24cf714e45c5b58e3b50731fe835360bdf6c09e8de9d59ad3ec2", 64928),
+    ("resI", "prime", "mutated"): (FALSIFIED,
+        "6a63e5013d4a1c94bfbb41fbdfde149eee3e05462f1c7273f6a30a0506374838", 2144),
+    ("resI", "rational", "mutated"): (FALSIFIED,
+        "3c521fad0709f72c9658db0687ebe975dfbe9a83de85c494c86785598333ed73", 2019),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_LAST_DRIVERS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_last_driver_report_matches_pinned_digest(key):
+    check, field, variant = key
+    verdict, *pinned = PINNED_LAST_DRIVERS[key]
+    report = run_one(RunConfig(check=check, field=field, seed=1, trials=1,
+                               mutate=variant == "mutated",
+                               no_constraint=variant == "lifted", **LAST_DRIVER_SIZES[check]))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)
