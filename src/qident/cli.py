@@ -1,6 +1,6 @@
 """Command-line driver: subcommand routing, configuration, and the check
-table `CHECKS`, whose rows name each value check's sampler, value and
-constraint lines (run by `reporting.run_check`) or the check's own driver.
+table `CHECKS`, whose rows name each check's sampler, value, constraint
+lines and notes, all run by `reporting.run_trials`.
 
 Exit codes: 0 verified, 1 falsified (or condition not satisfied), 2 usage
 error, 3 internal or degenerate-input error.  A check can only exit 0 when
@@ -22,7 +22,7 @@ from . import elliptic, polyweights, residues, uqrep
 from .errors import UsageError
 from .reporting import (
     ERROR, EXIT_ERROR, EXIT_FALSIFIED, EXIT_USAGE, EXIT_VERIFIED,
-    Report, RunConfig, TrialRecord, VERIFIED, run_check)
+    Report, RunConfig, TrialRecord, VERIFIED, run_trials)
 
 SEED_ENV_VAR = "QIDENT_SEED"
 
@@ -35,15 +35,15 @@ class Check(NamedTuple):
     reads (every check reads trials, seed, field, prime, bound and mutate);
     giving any other is a usage error, since the check would ignore it and
     still report a verdict.  A check that reads `i` needs the window
-    1 <= i < j <= n.  A value check, run by `reporting.run_check`, names
-    its `sample(sampler, cfg)`, `value(cfg, params, sampler)`, constraint
-    lines, the (imposed, lifted) line pair of a window identity and its
-    notes; any other check is its own `driver(cfg)`."""
+    1 <= i < j <= n.  `reporting.run_trials` runs every row: per trial
+    `sample(sampler, cfg)` draws the parameters and `value(cfg, params,
+    sampler)` returns an exact value or a finished trial.  The report
+    carries the constraint lines, the (imposed, lifted) line of a window
+    identity or a resonance and the notes."""
     reads: tuple
     min_ell: int
-    driver: Callable = None
-    sample: Callable = None
-    value: Callable = None
+    sample: Callable
+    value: Callable
     constraints: tuple = ()
     window: tuple = ()
     notes: tuple = ()
@@ -62,6 +62,10 @@ def draw_poly_window(sampler, cfg):
                                           None if cfg.no_constraint else (cfg.i, cfg.j))
 
 
+def draw_weights(sampler, cfg):
+    return uqrep.sample_weight_params(sampler, cfg.n)
+
+
 def draw_elliptic(sampler, cfg):
     return elliptic.sample_ell_params(sampler, cfg.ell, cfg.n, cfg.k)
 
@@ -75,6 +79,8 @@ _POLY = ("eta^s != 1", "x,y nonzero pairwise distinct")
 _ELLIPTIC = _POLY + ("alpha != 1",)
 _ID = ("eta^s != 1 for s = 1..ell", "x,y nonzero pairwise distinct", "t pairwise distinct")
 _IMPOSED = ("imposed x_j = eta^(ell-1) y_i", "constraint lifted (negative control)")
+_UQ = ("q^2 != 1", "s, z nonzero")
+_RESONANCE = ("imposed z_i = s_i^2 s_j^2 q^(-2 ell) z_j", "resonance lifted (negative control)")
 
 CHECKS = {
     "jing": Check(("ell",), 1, sample=draw_eta, value=polyweights.jing_residual,
@@ -91,7 +97,10 @@ CHECKS = {
                   constraints=_POLY),
     "deta": Check(("ell", "n"), 1, sample=draw_poly, value=residues.deta_residual,
                   constraints=_POLY),
-    "resI": Check(("ell", "n"), 1, residues.verify_resi),
+    "resI": Check(("ell", "n"), 1, sample=draw_poly, value=residues.resi_trial,
+                  constraints=_POLY,
+                  notes=("divisibility finding: agreement iff every exponent >= 1 "
+                         "(f*g divisible by t_1...t_ell) and <= 2n-1",)),
     "idp1": Check(_WINDOW + ("k",), 1, sample=draw_elliptic_window,
                   value=polyweights.window_residual,
                   constraints=_ELLIPTIC + ("t pairwise distinct",), window=_IMPOSED),
@@ -109,13 +118,28 @@ CHECKS = {
                      notes=("the root-of-unity constant of the basis determinant and "
                             "its inverse in the transition determinant cancel in the "
                             "asserted product; cyclotomic values are never computed",)),
-    "rll": Check(("n",), 0, uqrep.verify_rll),
-    "kbi": Check(("ell", "n"), 0, uqrep.verify_kbi),
-    "bc1": Check(_WINDOW, 0, uqrep.verify_bc),
+    "rll": Check(("n",), 0, sample=draw_weights, value=uqrep.rll_residual,
+                 constraints=_UQ + ("u != z",)),
+    "kbi": Check(("ell", "n"), 0, sample=draw_weights, value=uqrep.kbi_residual,
+                 constraints=_UQ + ("t pairwise distinct",),
+                 notes=("lowering-string prefactor carries (-1)^ell relative to the bare "
+                        "product form, as required by the operator sign convention that "
+                        "the raising expansion fixes",)),
+    "bc1": Check(_WINDOW, 0, sample=uqrep.resonance, value=uqrep.bc1_residual,
+                 constraints=_UQ + ("t pairwise distinct",), window=_RESONANCE,
+                 notes=("bc1 as stated vanishes by depth grading alone (ell+1 lowering "
+                        "steps against ell raising steps): the resonance is not needed "
+                        "for this composite; the resonance-sensitive content lives in "
+                        "the singular-vector and submodule-annihilation checks",)),
     # with no lowering arguments the string value is the singular vector
     # itself, not zero
-    "bc2": Check(_WINDOW, 1, uqrep.verify_bc),
-    "singular": Check(_WINDOW + ("word_len",), 0, uqrep.verify_singular),
+    "bc2": Check(_WINDOW, 1, sample=uqrep.resonance, value=uqrep.bc2_residual,
+                 constraints=_UQ + ("t pairwise distinct",), window=_RESONANCE),
+    "singular": Check(_WINDOW + ("word_len",), 0, sample=uqrep.resonance,
+                      value=uqrep.singular_trial, constraints=_UQ, window=_RESONANCE,
+                      notes=("word-bounded spanning set stands in for the full "
+                             "submodule; words of length ell+1 carry the "
+                             "resonance-sensitive content",)),
 }
 
 
@@ -219,8 +243,7 @@ def run_one(cfg):
     alike, becomes an `error` report (exit 3), never a traceback."""
     validate(cfg)
     try:
-        check = CHECKS[cfg.check]
-        return check.driver(cfg) if check.driver else run_check(cfg, check)
+        return run_trials(cfg, CHECKS[cfg.check])
     except Exception as exc:
         return error_report(cfg, exc)
 

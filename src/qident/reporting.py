@@ -5,8 +5,8 @@ configuration reproduces the per-trial values bit for bit (timing is the
 one field excluded from the replay comparison).  All numbers are emitted as
 exact numerator/denominator strings, never decimals, and `exact_form` is
 the one place that decides how an exact value (a scalar, a truncated
-series or a list of residual entries) enters a report.  `run_trials` is
-the seeded trial loop and `run_check` runs any value check on it.
+series, a tensor vector or a list of residual entries) enters a report.
+`run_trials` is the seeded trial loop that runs every check.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import SamplingError, UsageError, VerifierError
 from .exactnum import (
     MR_BASES, MR_EXACT_BELOW, PRNG_DESCRIPTION, PrimeField, PSeries, QQ, Sampler,
     SamplerConfig, resample)
+from .tensors import TensorVector
 
 SCHEMA_VERSION = 1
 
@@ -135,18 +136,26 @@ class Report:
 
 def exact_form(value):
     """(report form, is zero) of an exact value: the coefficient strings of
-    a truncated series, the string of a scalar, and for a list of (label,
-    value) residual entries one line per nonzero entry, "label=value" for
-    a scalar and "label: [coefficients]" for a series."""
+    a truncated series, the string of a scalar, the `TensorVector.fmt`
+    lines of a tensor vector, and for a list of (label, value) residual
+    entries the lines of each nonzero entry: "label=value" for a scalar,
+    "label: [coefficients]" for a series and "label key: value" per
+    coefficient of a tensor vector."""
     if isinstance(value, list):
         lines = []
         for label, entry in value:
             form, zero = exact_form(entry)
-            if not zero:
+            if zero:
+                continue
+            if isinstance(entry, TensorVector):
+                lines.extend("%s %s" % (label, line) for line in form)
+            else:
                 lines.append(("%s: %s" if isinstance(form, list) else "%s=%s") % (label, form))
         return lines, not lines
     if isinstance(value, PSeries):
         return value.coeff_strings(), value.is_zero()
+    if isinstance(value, TensorVector):
+        return value.fmt(), value.is_zero()
     return str(value), value == 0
 
 
@@ -156,18 +165,24 @@ def verdict_for(all_zero, no_constraint=False):
     return CONDITION_NOT_SATISFIED if no_constraint else FALSIFIED
 
 
-def run_trials(cfg, constraints_desc, trial_fn, notes=None):
-    """Shared driver loop: seeded sampler, per-trial resampling on
-    degenerate inputs, verdict aggregation.
+def run_trials(cfg, check):
+    """The report of one run of a check, a row of the check table
+    (`cli.Check`): a seeded sampler, per trial `check.sample` draws the
+    parameters and `check.value` the value, resampled on degenerate
+    inputs, and the verdict over all trials.
 
-    `trial_fn(sampler)` draws its parameters and returns a triple
-    (formatted value, is_zero, trial notes).  Sampling draws made during
-    resampled attempts stay in the log, so replays are bit-identical.
+    A value that is a tuple is a finished trial, the (lines, is zero,
+    trial notes) of a check that writes its own lines; `exact_form` writes
+    any other value.  Sampling draws made during resampled attempts stay
+    in the log, so replays are bit-identical.
     """
     start = time.perf_counter()
     fld = cfg.scalar_field()
     sampler = Sampler(SamplerConfig(cfg.seed, cfg.bound), fld)
-    notes = list(notes or [])
+    constraints = list(check.constraints)
+    if check.window:
+        constraints.append(check.window[cfg.no_constraint])
+    notes = list(check.notes)
     if cfg.field == "prime":
         notes.append("prime-field fast mode (p = %d): an unlucky prime can "
                      "produce spurious zeros; rational mode is authoritative"
@@ -176,16 +191,21 @@ def run_trials(cfg, constraints_desc, trial_fn, notes=None):
             notes.append("p is only a strong probable prime to the bases %s; "
                          "primality is proven below %d"
                          % (", ".join(map(str, MR_BASES)), MR_EXACT_BELOW))
+
+    def trial():
+        value = check.value(cfg, check.sample(sampler, cfg), sampler)
+        return value if isinstance(value, tuple) else (*exact_form(value), [])
+
     trials = []
     all_zero = True
     try:
         for idx in range(cfg.trials):
             log_start = len(sampler.log)
-            value, zero, tnotes = resample(lambda: trial_fn(sampler))
+            value, zero, tnotes = resample(trial)
             trials.append(TrialRecord(
                 index=idx,
                 draws=[list(d) for d in sampler.log[log_start:]],
-                constraints=list(constraints_desc),
+                constraints=list(constraints),
                 value=value,
                 zero=zero,
                 notes=list(tnotes)))
@@ -193,7 +213,7 @@ def run_trials(cfg, constraints_desc, trial_fn, notes=None):
         verdict = verdict_for(all_zero, cfg.no_constraint)
     except (SamplingError, VerifierError) as exc:
         trials.append(TrialRecord(
-            index=len(trials), draws=[], constraints=list(constraints_desc),
+            index=len(trials), draws=[], constraints=list(constraints),
             value=None, zero=False, notes=["error: %s" % exc]))
         verdict = ERROR
     return Report(
@@ -202,17 +222,3 @@ def run_trials(cfg, constraints_desc, trial_fn, notes=None):
         trials=trials,
         notes=notes,
         timing_s=time.perf_counter() - start)
-
-
-def run_check(cfg, check):
-    """The report of a value check, a row of the check table (`cli.Check`):
-    per trial, `check.sample` draws the parameters and `check.value` the
-    value that `exact_form` writes."""
-    constraints = list(check.constraints)
-    if check.window:
-        constraints.append(check.window[cfg.no_constraint])
-
-    def trial(sampler):
-        return *exact_form(check.value(cfg, check.sample(sampler, cfg), sampler)), []
-
-    return run_trials(cfg, constraints, trial, notes=check.notes)

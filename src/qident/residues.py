@@ -43,7 +43,8 @@ matrix with the transition matrix.  The kernel, the weight family, the
 norms and ell all come from the parameter object, so the residue, the
 Gram matrix and its residual `gram_residual`, the special values and the
 transition solve serve P and Xi alike; the check values return residual
-entries, which `reporting` writes for either layer.
+entries, which `reporting` writes for either layer, and resI returns a
+finished trial that lists its findings whatever the verdict.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ from .errors import (
 from .exactnum import num_den, product
 from .linalg import diag_mat_mul, mat_det, mat_mul, mat_solve, transpose
 from .partitions import binom, enumerate_partitions, x_point, y_point
-from .polyweights import monomials, q_monomials, sample_poly_params, weights
+from .polyweights import monomials, q_monomials, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
 # the one-partition `weight` in this module
 from .polyweights import weight  # noqa: F401
-from .reporting import run_trials
 
 
 def cancel_poles(params, point):
@@ -258,7 +258,7 @@ def deta_rhs(params):
 
 
 # ---------------------------------------------------------------------------
-# check values: value(cfg, params, sampler), and the resI driver
+# check values: value(cfg, params, sampler)
 # ---------------------------------------------------------------------------
 
 def matrix_entries(mat):
@@ -329,42 +329,34 @@ def admissible_exponent_tuples(ell, n):
     return list(combinations_with_replacement(range(2 * n - 1, -1, -1), ell))
 
 
-def verify_resi(cfg):
-    """Empirical check of the x/y residue-sum identity on symmetric
-    monomials: agreement holds exactly when every exponent lies in
-    [1, 2n-1], i.e. for products divisible by t_1...t_ell of degree < 2n
-    in each variable.  Agreement where the sums differ is a zero of a
-    nonzero difference at the draw (mod p, say), so that draw is
-    resampled; only a difference where agreement is due falsifies."""
-    fld = cfg.scalar_field()
-
-    def trial(sampler):
-        params = sample_poly_params(sampler, cfg.ell, cfg.n)
-        sweep = admissible_exponent_tuples(cfg.ell, cfg.n)
-
-        xs, ys = side_pairings(lambda t: monomials(sweep, t, fld.one),
-                               lambda t: [fld.one], params)
-        findings, spurious = [], []
-        ok = True
-        for exps, (x,), (y,) in zip(sweep, xs, ys):
-            if cfg.mutate:
-                y = y * 2
-            agree = x == (-fld.one) ** cfg.ell * y
-            expected = min(exps) >= 1
-            findings.append("%r: %s" % (exps, "agree" if agree else "differ"))
-            if agree and not expected:
-                spurious.append(exps)
-            elif expected and not agree:
-                ok = False
-        if ok and spurious:
-            # a zero of a nonzero difference at this draw proves nothing
-            raise DegenerateInputError(
-                "x- and y-sums agree at exponents %s, where they differ"
-                % ", ".join(map(repr, spurious)))
-        notes = ["x-sum = (-1)^ell y-sum observed exactly for exponents within [1, 2n-1]"]
-        return findings, ok, notes
-
-    return run_trials(
-        cfg, ["eta^s != 1", "x,y nonzero pairwise distinct"], trial,
-        notes=["divisibility finding: agreement iff every exponent >= 1 "
-               "(f*g divisible by t_1...t_ell) and <= 2n-1"])
+def resi_trial(cfg, params, sampler):
+    """The finished trial (lines, is zero, notes) of the empirical x/y
+    residue-sum identity on symmetric monomials: one "agree" or "differ"
+    line per exponent tuple, whatever the verdict.  Agreement holds
+    exactly when every exponent lies in [1, 2n-1], i.e. for products
+    divisible by t_1...t_ell of degree < 2n in each variable.  Agreement
+    where the sums differ is a zero of a nonzero difference at the draw
+    (mod p, say), so that draw is resampled; only a difference where
+    agreement is due falsifies."""
+    one = params.one
+    sweep = admissible_exponent_tuples(cfg.ell, cfg.n)
+    xs, ys = side_pairings(lambda t: monomials(sweep, t, one), lambda t: [one], params)
+    findings, spurious = [], []
+    ok = True
+    for exps, (x,), (y,) in zip(sweep, xs, ys):
+        if cfg.mutate:
+            y = y * 2
+        agree = x == (-one) ** cfg.ell * y
+        expected = min(exps) >= 1
+        findings.append("%r: %s" % (exps, "agree" if agree else "differ"))
+        if agree and not expected:
+            spurious.append(exps)
+        elif expected and not agree:
+            ok = False
+    if ok and spurious:
+        # a zero of a nonzero difference at this draw proves nothing
+        raise DegenerateInputError(
+            "x- and y-sums agree at exponents %s, where they differ"
+            % ", ".join(map(repr, spurious)))
+    return findings, ok, ["x-sum = (-1)^ell y-sum observed exactly for exponents "
+                          "within [1, 2n-1]"]

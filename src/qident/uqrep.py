@@ -16,6 +16,11 @@ entries of `rll` and the lowering string of `singular` go through
 `apply_by_basis`, which combines per-trial images of the basis keys, and
 `rll` builds its R-matrix entries once per trial.
 
+The check values return residual tensor vectors, bare or labelled, for
+`reporting` to write, and `singular` a finished trial with a capped
+listing.  Each value draws its arguments after the row's sampler has drawn
+the weight parameters (`resonance` imposes or lifts the resonance).
+
 Depth caps are hard errors: in-contract computations provably stay below
 them, so an overflow is a bug.  The mutated lowering operator of the
 negative controls keeps a depth where the true one lowers it, so a mutated
@@ -37,7 +42,6 @@ from .polyweights import PolyParams, sample_t, weights
 # uncalled here: benchmarks/test_benchmark.py checks that the tracer rebinds
 # the one-partition `weight` in this module
 from .polyweights import weight  # noqa: F401
-from .reporting import run_trials
 from .tensors import Module, TensorVector
 
 
@@ -268,11 +272,12 @@ class AuxVector:
         return out
 
     def residual(self, other):
+        """(repr(ab), self - other at ab) for each auxiliary key ab that
+        either vector holds."""
         out = []
         for ab in sorted(set(self.data) | set(other.data)):
             sv, ov = self.data.get(ab), other.data.get(ab)
-            diff = (sv or ov.copy_empty()) - (ov or sv.copy_empty())
-            out.extend("%r %s" % (ab, line) for line in diff.fmt())
+            out.append((repr(ab), (sv or ov.copy_empty()) - (ov or sv.copy_empty())))
         return out
 
 
@@ -330,85 +335,62 @@ def kbi_lowering_rhs(wp, lam, primed_weight, mutate=False):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# check values: value(cfg, wp, sampler), and the resonance sampler
 # ---------------------------------------------------------------------------
 
-def verify_rll(cfg):
-    """R(u/z) L1(u) L2(z) == L2(z) L1(u) R(u/z) on a tensor product of
-    evaluation modules, checked on every basis vector up to depth 2."""
-    fld = cfg.scalar_field()
-    depth = 2
-    nfac = cfg.n
-
-    def trial(sampler):
-        wp = sample_weight_params(sampler, nfac)
-        u = sampler.draw((), "u")
-        zarg = sampler.draw((lambda v: v != u,), "z")
-        mods = modules_of(wp)
-        cap = depth + 3
-        residuals = []
-        keys = [k for k in iproduct(range(depth + 1), repeat=nfac) if sum(k) <= depth]
-        tables = {}
-        rmat = rmatrix_entries(u / zarg, wp.q)
-        rmat_lhs = rmatrix_entries(u / zarg, wp.q, mutate=cfg.mutate)
-        for ab in iproduct((1, 2), repeat=2):
-            for key in keys:
-                w = TensorVector(fld, nfac, cap, cap * nfac, {key: fld.one})
-                start = AuxVector(fld, {tuple(ab): w})
-                lhs = start.apply_l(2, zarg, mods, wp.q, tables) \
-                    .apply_l(1, u, mods, wp.q, tables).apply_r(rmat_lhs)
-                rhs = start.apply_r(rmat).apply_l(1, u, mods, wp.q, tables) \
-                    .apply_l(2, zarg, mods, wp.q, tables)
-                residuals.extend("%r %s" % (key, line) for line in lhs.residual(rhs))
-        return residuals, not residuals, []
-
-    return run_trials(cfg, ["q^2 != 1", "s, z nonzero", "u != z"], trial)
+def rll_residual(cfg, wp, sampler):
+    """R(u/z) L1(u) L2(z) - L2(z) L1(u) R(u/z) at fresh u != z on a tensor
+    product of evaluation modules, on every basis vector up to depth 2:
+    one ("key ab", vector) entry per basis key and auxiliary key."""
+    fld, depth = wp.field, 2
+    u = sampler.draw((), "u")
+    zarg = sampler.draw((lambda v: v != u,), "z")
+    mods = modules_of(wp)
+    cap = depth + 3
+    keys = [k for k in iproduct(range(depth + 1), repeat=wp.n) if sum(k) <= depth]
+    tables = {}
+    rmat = rmatrix_entries(u / zarg, wp.q)
+    rmat_lhs = rmatrix_entries(u / zarg, wp.q, mutate=cfg.mutate)
+    entries = []
+    for ab in iproduct((1, 2), repeat=2):
+        for key in keys:
+            w = TensorVector(fld, wp.n, cap, cap * wp.n, {key: fld.one})
+            start = AuxVector(fld, {tuple(ab): w})
+            lhs = start.apply_l(2, zarg, mods, wp.q, tables) \
+                .apply_l(1, u, mods, wp.q, tables).apply_r(rmat_lhs)
+            rhs = start.apply_r(rmat).apply_l(1, u, mods, wp.q, tables) \
+                .apply_l(2, zarg, mods, wp.q, tables)
+            entries.extend(("%r %s" % (key, label), vec) for label, vec in lhs.residual(rhs))
+    return entries
 
 
-def verify_kbi(cfg):
-    """Both string expansions against the operator computation: the raising
-    string on the generating vector and the lowering string on every depth
+def kbi_residual(cfg, wp, sampler):
+    """Both string expansions against the operator computation at fresh t:
+    the "raising" entry for the raising string on the generating vector,
+    and a "lowering lam" entry for the lowering string on each depth
     vector F^w."""
-    fld = cfg.scalar_field()
-
-    def trial(sampler):
-        wp = sample_weight_params(sampler, cfg.n)
-        t = sample_t(sampler, cfg.ell)
-        mods = modules_of(wp)
-        cap = cfg.ell + 2
-        residuals = []
-        v0 = TensorVector.generating(fld, wp.n, cap, cap)
-        lhs = apply_string(v0, [(1, 2, ta) for ta in t], mods, wp.q)
-        pp = param_map(wp, cfg.ell)
-        rhs = kbi_raising_rhs(wp, pp, t, mutate=cfg.mutate)
-        residuals.extend("raising " + line for line in (lhs - rhs).fmt())
-        parts = enumerate_partitions(cfg.ell, wp.n)
-        for lam, primed in zip(parts, weights(parts, t, pp, primed=True)):
-            start = TensorVector(fld, wp.n, cap, cap,
-                                 {tuple(lam.multiplicities()): fld.one})
-            low = apply_string(start, [(2, 1, ta) for ta in t], mods, wp.q)
-            expect = v0.scaled(kbi_lowering_rhs(wp, lam, primed, mutate=cfg.mutate))
-            residuals.extend("lowering %r %s" % (lam.entries, line)
-                             for line in (low - expect).fmt())
-        return residuals, not residuals, []
-
-    return run_trials(
-        cfg, ["q^2 != 1", "s, z nonzero", "t pairwise distinct"], trial,
-        notes=["lowering-string prefactor carries (-1)^ell relative to the bare "
-               "product form, as required by the operator sign convention that "
-               "the raising expansion fixes"])
+    fld = wp.field
+    t = sample_t(sampler, cfg.ell)
+    mods = modules_of(wp)
+    cap = cfg.ell + 2
+    v0 = TensorVector.generating(fld, wp.n, cap, cap)
+    lhs = apply_string(v0, [(1, 2, ta) for ta in t], mods, wp.q)
+    pp = param_map(wp, cfg.ell)
+    entries = [("raising", lhs - kbi_raising_rhs(wp, pp, t, mutate=cfg.mutate))]
+    parts = enumerate_partitions(cfg.ell, wp.n)
+    for lam, primed in zip(parts, weights(parts, t, pp, primed=True)):
+        start = TensorVector(fld, wp.n, cap, cap, {tuple(lam.multiplicities()): fld.one})
+        low = apply_string(start, [(2, 1, ta) for ta in t], mods, wp.q)
+        expect = v0.scaled(kbi_lowering_rhs(wp, lam, primed, mutate=cfg.mutate))
+        entries.append(("lowering %r" % (lam.entries,), low - expect))
+    return entries
 
 
-def resonance(cfg):
-    """(draw, line): draw(sampler) samples the weight parameters with the
-    resonance imposed (lifted under --no-constraint, the negative control),
-    and line is the constraint line that says which."""
-    if cfg.no_constraint:
-        return (lambda sampler: sample_weight_params(sampler, cfg.n),
-                "resonance lifted (negative control)")
-    return (lambda sampler: impose_resonance(sample_weight_params(sampler, cfg.n),
-                                             cfg.i, cfg.j, cfg.ell),
-            "imposed z_i = s_i^2 s_j^2 q^(-2 ell) z_j")
+def resonance(sampler, cfg):
+    """The weight parameters with the resonance imposed, or lifted under
+    --no-constraint (the negative control)."""
+    wp = sample_weight_params(sampler, cfg.n)
+    return wp if cfg.no_constraint else impose_resonance(wp, cfg.i, cfg.j, cfg.ell)
 
 
 def bc_strings(cfg, wp):
@@ -416,39 +398,31 @@ def bc_strings(cfg, wp):
     return [(szj * wp.q ** (-2 * s)) for s in range(cfg.ell + 1)]
 
 
-def verify_bc(cfg):
-    """bc1: the lowering string of ell+1 special arguments annihilates the
-    raising string of ell sampled arguments on the generating vector of the
-    forward product.  bc2: ell sampled lowering arguments annihilate the
-    raising string of ell+1 special arguments on the reversed product."""
-    fld = cfg.scalar_field()
-    draw, constraint = resonance(cfg)
+def bc_string_value(cfg, wp, entries, mods):
+    """The string `entries` applied to the generating vector, by the
+    mutated operator in a mutated run."""
+    cap, total_cap = mutated_caps(cfg.ell + 2, cfg.ell + 2, wp.n,
+                                  len(entries) if cfg.mutate else 0)
+    vec = TensorVector.generating(wp.field, wp.n, cap, total_cap)
+    return apply_string(vec, entries, mods, wp.q, mutate=cfg.mutate)
 
-    def trial(sampler):
-        wp = draw(sampler)
-        t = sample_t(sampler, cfg.ell)
-        args = bc_strings(cfg, wp)
-        if cfg.check == "bc1":
-            mods = modules_of(wp)
-            entries = [(2, 1, u) for u in args] + [(1, 2, ta) for ta in t]
-        else:
-            mods = modules_of(wp, reverse=True)
-            entries = [(2, 1, ta) for ta in t] + [(1, 2, u) for u in args]
-        cap, total_cap = mutated_caps(cfg.ell + 2, cfg.ell + 2, wp.n,
-                                      len(entries) if cfg.mutate else 0)
-        vec = TensorVector.generating(fld, wp.n, cap, total_cap)
-        out = apply_string(vec, entries, mods, wp.q, mutate=cfg.mutate)
-        return out.fmt(), out.is_zero(), []
 
-    notes = []
-    if cfg.check == "bc1":
-        notes.append(
-            "bc1 as stated vanishes by depth grading alone (ell+1 lowering "
-            "steps against ell raising steps): the resonance is not needed "
-            "for this composite; the resonance-sensitive content lives in "
-            "the singular-vector and submodule-annihilation checks")
-    return run_trials(cfg, ["q^2 != 1", "s, z nonzero", "t pairwise distinct", constraint],
-                      trial, notes=notes)
+def bc1_residual(cfg, wp, sampler):
+    """The lowering string of ell+1 special arguments after the raising
+    string of ell fresh arguments t, on the generating vector of the
+    forward product."""
+    t = sample_t(sampler, cfg.ell)
+    entries = [(2, 1, u) for u in bc_strings(cfg, wp)] + [(1, 2, ta) for ta in t]
+    return bc_string_value(cfg, wp, entries, modules_of(wp))
+
+
+def bc2_residual(cfg, wp, sampler):
+    """The lowering string of ell fresh arguments t after the raising
+    string of ell+1 special arguments, on the generating vector of the
+    reversed product."""
+    t = sample_t(sampler, cfg.ell)
+    entries = [(2, 1, ta) for ta in t] + [(1, 2, u) for u in bc_strings(cfg, wp)]
+    return bc_string_value(cfg, wp, entries, modules_of(wp, reverse=True))
 
 
 # Under a mutation the submodule sweep of `singular` leaves thousands of
@@ -457,64 +431,56 @@ def verify_bc(cfg):
 MAX_LISTED_RESIDUALS = 200
 
 
-def verify_singular(cfg):
-    """The raising string of ell+1 special arguments on the reversed product
-    is singular: every lowering entry kills it, checked at n+ell+2 sampled
-    arguments; additionally the ell+1-fold lowering string annihilates a
-    word-generated spanning set of the forward submodule."""
-    fld = cfg.scalar_field()
-    word_len = cfg.word_len if cfg.word_len else cfg.ell + 1
-    draw, constraint = resonance(cfg)
+def singular_trial(cfg, wp, sampler):
+    """The finished trial (lines, is zero, notes) of the two singular-vector
+    statements.  The raising string of ell+1 special arguments on the
+    reversed product is singular: every lowering entry kills it, checked
+    at n+ell+2 fresh arguments.  The ell+1-fold lowering string annihilates
+    a word-generated spanning set of the forward submodule.  At most
+    MAX_LISTED_RESIDUALS nonzero lines are listed, and the trial notes the
+    spanning set's size."""
+    fld = wp.field
+    word_len = cfg.word_len or cfg.ell + 1
+    args = bc_strings(cfg, wp)
+    residuals = []
+    unlisted = 0
 
-    def trial(sampler):
-        wp = draw(sampler)
-        args = bc_strings(cfg, wp)
-        residuals = []
-        unlisted = 0
+    def record(prefix, out):
+        nonlocal unlisted
+        lines = out.fmt(limit=max(0, MAX_LISTED_RESIDUALS - len(residuals)))
+        residuals.extend(prefix + line for line in lines)
+        unlisted += len(out.num) - len(lines)
 
-        def record(prefix, out):
-            nonlocal unlisted
-            lines = out.fmt(limit=max(0, MAX_LISTED_RESIDUALS - len(residuals)))
-            residuals.extend(prefix + line for line in lines)
-            unlisted += len(out.num) - len(lines)
-
-        # (b) the singular vector
-        cap, total_cap = mutated_caps(cfg.ell + 3, cfg.ell + 3, wp.n,
-                                      1 if cfg.mutate else 0)
-        mods_rev = modules_of(wp, reverse=True)
-        vtil = apply_string(TensorVector.generating(fld, wp.n, cap, total_cap),
-                            [(1, 2, u) for u in args], mods_rev, wp.q)
-        for r in range(cfg.n + cfg.ell + 2):
-            u = sampler.draw((), "u")
-            out = tensor_entry(vtil, 2, 1, u, mods_rev, wp.q, mutate=cfg.mutate)
-            record("singular u#%d " % r, out)
-        # (a) word-bounded spanning set of the forward submodule
-        mods = modules_of(wp)
-        lower = [(2, 1, u) for u in args]
-        wcap = max(cfg.ell + 2, word_len + 1)
-        wcap, total_cap = mutated_caps(wcap, wcap * wp.n, wp.n,
-                                       len(lower) if cfg.mutate else 0)
-        spanning = [TensorVector.generating(fld, wp.n, wcap, total_cap)]
-        frontier = list(spanning)
-        for _ in range(word_len):
-            new = []
-            for vec in frontier:
-                for (i, j) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                    u = sampler.draw((), "word-u")
-                    w = tensor_entry(vec, i, j, u, mods, wp.q)
-                    if not w.is_zero():
-                        new.append(w)
-            spanning.extend(new)
-            frontier = new
-        images = {}
-        for idx, vec in enumerate(spanning):
-            record("word#%d " % idx, apply_by_basis(vec, lower, mods, wp.q, images,
-                                                    mutate=cfg.mutate))
-        if unlisted:
-            residuals.append("%d further nonzero residuals not listed" % unlisted)
-        return residuals, not residuals, ["spanning set size %d" % len(spanning)]
-
-    return run_trials(cfg, ["q^2 != 1", "s, z nonzero", constraint], trial,
-                      notes=["word-bounded spanning set stands in for the full "
-                             "submodule; words of length ell+1 carry the "
-                             "resonance-sensitive content"])
+    # (b) the singular vector
+    cap, total_cap = mutated_caps(cfg.ell + 3, cfg.ell + 3, wp.n, 1 if cfg.mutate else 0)
+    mods_rev = modules_of(wp, reverse=True)
+    vtil = apply_string(TensorVector.generating(fld, wp.n, cap, total_cap),
+                        [(1, 2, u) for u in args], mods_rev, wp.q)
+    for r in range(cfg.n + cfg.ell + 2):
+        u = sampler.draw((), "u")
+        out = tensor_entry(vtil, 2, 1, u, mods_rev, wp.q, mutate=cfg.mutate)
+        record("singular u#%d " % r, out)
+    # (a) word-bounded spanning set of the forward submodule
+    mods = modules_of(wp)
+    lower = [(2, 1, u) for u in args]
+    wcap = max(cfg.ell + 2, word_len + 1)
+    wcap, total_cap = mutated_caps(wcap, wcap * wp.n, wp.n, len(lower) if cfg.mutate else 0)
+    spanning = [TensorVector.generating(fld, wp.n, wcap, total_cap)]
+    frontier = list(spanning)
+    for _ in range(word_len):
+        new = []
+        for vec in frontier:
+            for (i, j) in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                u = sampler.draw((), "word-u")
+                w = tensor_entry(vec, i, j, u, mods, wp.q)
+                if not w.is_zero():
+                    new.append(w)
+        spanning.extend(new)
+        frontier = new
+    images = {}
+    for idx, vec in enumerate(spanning):
+        record("word#%d " % idx, apply_by_basis(vec, lower, mods, wp.q, images,
+                                                mutate=cfg.mutate))
+    if unlisted:
+        residuals.append("%d further nonzero residuals not listed" % unlisted)
+    return residuals, not residuals, ["spanning set size %d" % len(spanning)]

@@ -17,6 +17,7 @@ from qident.cli import CHECK_OPTIONS, CHECKS, run, run_one
 from qident.errors import UsageError
 from qident.exactnum import QQ, PrimeField, PSeries, Sampler, SamplerConfig, resample
 from qident.reporting import DEFAULT_PRIME, RunConfig, exact_form
+from qident.tensors import TensorVector
 
 
 def test_every_check_routes_and_verifies(tmp_path):
@@ -277,10 +278,10 @@ def test_an_option_the_check_never_reads_is_a_usage_error(tmp_path):
 
 
 def test_unexpected_exception_is_an_error_report(monkeypatch):
-    def broken(cfg):
+    def broken(cfg, params, sampler):
         raise RuntimeError("a bug")
 
-    monkeypatch.setitem(CHECKS, "jing", CHECKS["jing"]._replace(driver=broken))
+    monkeypatch.setitem(CHECKS, "jing", CHECKS["jing"]._replace(value=broken))
     report = run_one(RunConfig(check="jing"))
     assert report.verdict == "error"
     assert report.trials[0].notes == ["RuntimeError: a bug"]
@@ -296,7 +297,7 @@ def test_suite_usage_error_ends_it_before_any_entry_runs(tmp_path, monkeypatch, 
     calls = []
     jing = CHECKS["jing"]
     monkeypatch.setitem(CHECKS, "jing", jing._replace(
-        driver=lambda cfg: calls.append(cfg) or jing.driver(cfg)))
+        value=lambda cfg, *args: calls.append(cfg) or jing.value(cfg, *args)))
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps([{"check": "jing", "ell": 2, "trials": 1}, entry]))
     assert run(["suite", str(manifest)]) == 2
@@ -342,24 +343,31 @@ def test_resi_spurious_agreement_mod_p_is_resampled():
     assert run(argv + ["--mutate"]) == 1
 
 
-# small sizes for the value rows of `CHECKS`
+# small sizes for the rows of `CHECKS` whose value `exact_form` writes;
+# the other rows return finished trials
 VALUE_ROW_SIZES = {
     "jing": dict(ell=3), "id1": dict(ell=2, n=3, i=1, j=3), "id2": dict(ell=2, n=3, i=1, j=3),
     "pp": dict(ell=2, n=2), "mn": dict(ell=2, n=2), "detq": dict(ell=2, n=2),
     "deta": dict(ell=2, n=2), "idp1": dict(ell=2, n=2, i=1, j=2, k=3),
     "idp2": dict(ell=2, n=2, k=3), "xx": dict(ell=2, n=2, k=2), "xt": dict(ell=1, n=2, k=3),
-    "detprod": dict(ell=2, n=2, k=2),
+    "detprod": dict(ell=2, n=2, k=2), "rll": dict(n=2), "kbi": dict(ell=2, n=2),
+    "bc1": dict(ell=2, n=2), "bc2": dict(ell=2, n=2),
 }
+FINISHED_TRIAL_ROWS = {"resI", "singular"}
 
 
 def reduces(rational, reduced, gf):
     """Whether the GF(p) value is the rational one reduced mod p: scalars,
-    series coefficient by coefficient, residual lists entry by entry."""
+    series coefficient by coefficient, tensor vectors key by key, residual
+    lists entry by entry."""
     if isinstance(rational, list):
         return [label for label, _ in rational] == [label for label, _ in reduced] and all(
             reduces(r, g, gf) for (_, r), (_, g) in zip(rational, reduced))
     if isinstance(rational, PSeries):
         return [gf.of(c) for c in rational.coeffs] == reduced.coeffs
+    if isinstance(rational, TensorVector):
+        return sorted(rational.num) == sorted(reduced.num) and all(
+            gf.of(rational.coeff(key)) == reduced.coeff(key) for key in rational.num)
     return gf.of(rational) == reduced
 
 
@@ -368,7 +376,7 @@ def test_prime_mode_residuals_reduce_the_rational_ones(check):
     # one seed, mutated: from the same draws over QQ and over GF(p), the
     # GF(p) residual is the reduction of the rational one, and both are
     # nonzero
-    assert set(VALUE_ROW_SIZES) == {name for name, row in CHECKS.items() if row.value}
+    assert set(VALUE_ROW_SIZES) == set(CHECKS) - FINISHED_TRIAL_ROWS
     row, gf = CHECKS[check], PrimeField(DEFAULT_PRIME)
     values, logs = {}, {}
     for fld in (QQ, gf):

@@ -2,8 +2,7 @@
 decides every usage error of a run from the check table before any check
 runs; a UsageError raised inside a running check is a broken library
 invariant and is reported as an internal fault.  The functions walked are
-those every row of `cli.CHECKS` names: the driver of a check that writes
-its own report, the sampler and the value of a value check.
+the sampler and the value that every row of `cli.CHECKS` names.
 """
 
 import ast
@@ -24,7 +23,7 @@ def raises_usage_error(func):
 def test_no_driver_raises_a_usage_error():
     walked, offenders = set(), []
     for name, check in CHECKS.items():
-        funcs = [check.driver] if check.driver else [check.sample, check.value]
+        funcs = [check.sample, check.value]
         assert all(callable(func) for func in funcs), name
         for func in funcs:
             if raises_usage_error(func):

@@ -337,7 +337,7 @@ def test_d_lattice_count():
                     assert d_lattice(n, m, ell, s) == d_lattice_bruteforce(n, m, ell, s)
 
 
-def test_drivers():
+def test_checks_report_their_verdicts():
     assert run_one(RunConfig(check="idp1", ell=1, n=2, k=4, trials=1,
                              seed=1)).verdict == "verified"
     assert run_one(RunConfig(check="idp2", ell=1, n=2, k=4, trials=1, seed=1,

@@ -40,7 +40,7 @@ of `id1`, `id2`, `idp1`, `idp2`, `xt` and `detprod` and the lifted-constraint
 runs of `id2` and `idp2`, which nothing above prints, are pinned in
 `PINNED_ROWS`, recorded from the per-module drivers before each of these
 checks became a row of the check table (sampler, value, constraint lines)
-run by `reporting.run_check`.  Each entry states its verdict: a lifted
+run by one trial loop, now `reporting.run_trials`.  Each entry states its verdict: a lifted
 constraint leaves `id2` not satisfied but `idp2` verified, since `idp2`
 depends on the parameters only through beta.  Plain and mutated `kbi`,
 `jing`, `id2`, `deta` and `pp` runs at seed 3 over both fields are pinned
@@ -50,7 +50,10 @@ cleared integer coordinates.  Plain and mutated `xx`, `idp1`, `idp2`, `xt`
 and `detprod` runs at seed 3 over both fields are pinned in
 `PINNED_THETA_POINTS`, recorded from the theta columns, pair factors and
 basis products built by series ring operations, before they were built as
-integer coefficient lists over one denominator per point."""
+integer coefficient lists over one denominator per point.  The
+prime-field, mutated and lifted-resonance runs of `bc1`, `bc2` and `resI`
+that nothing above prints are pinned in `PINNED_LAST_DRIVERS`, recorded
+from the last per-check drivers before every check became a row."""
 
 import os
 import sys

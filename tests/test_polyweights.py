@@ -257,7 +257,7 @@ def test_id_values():
     assert id2_value(free, t2, 2) != 0
 
 
-def test_drivers():
+def test_checks_report_their_verdicts():
     r = run_one(RunConfig(check="jing", ell=3, trials=2, seed=1))
     assert r.verdict == "verified"
     r = run_one(RunConfig(check="id1", ell=2, n=2, trials=2, seed=1))

@@ -22,7 +22,7 @@ from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.residues import (
     admissible_exponent_tuples, cancel_poles, d_exponent, deta_rhs, detq_rhs,
     kernel_residue, kernel_residue_parts, point_family, scalar_product, side_pairings,
-    special_values, transition_matrix, verify_resi, weight_gram)
+    special_values, transition_matrix, weight_gram)
 
 
 def params_for(ell, n, seed=2, constrain=None):
@@ -548,11 +548,11 @@ def test_drivers():
     assert run_one(RunConfig(check="detq", ell=2, n=2, trials=1, seed=1)).verdict == "verified"
     assert run_one(RunConfig(check="deta", ell=2, n=2, trials=1, seed=1,
                              mutate=True)).verdict == "falsified"
-    r = verify_resi(RunConfig(check="resI", ell=2, n=2, trials=1, seed=1))
+    r = run_one(RunConfig(check="resI", ell=2, n=2, trials=1, seed=1))
     assert r.verdict == "verified"
     assert any("divisib" in note for note in r.notes)
-    assert verify_resi(RunConfig(check="resI", ell=1, n=1, trials=1, seed=1,
-                                 mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="resI", ell=1, n=1, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qident import exactnum, tensors, uqrep
-from qident.cli import validate
+from qident.cli import run_one, validate
 from qident.errors import DepthOverflowError, UsageError
 from qident.exactnum import PrimeField, QQ, Sampler, SamplerConfig, ints_over_den
 from qident.partitions import enumerate_partitions
@@ -16,9 +16,8 @@ from qident.polyweights import weight
 from qident.reporting import DEFAULT_PRIME, RunConfig
 from qident.uqrep import (
     MAX_LISTED_RESIDUALS, TensorVector, WeightParams, apply_by_basis, apply_string,
-    bc_strings, gamma, impose_resonance, kbi_lowering_rhs,
-    kbi_raising_rhs, modules_of, mutated_caps, param_map, sample_weight_params,
-    tensor_entry, verify_bc, verify_kbi, verify_rll, verify_singular)
+    bc_strings, gamma, impose_resonance, kbi_lowering_rhs, kbi_raising_rhs, modules_of,
+    mutated_caps, param_map, sample_weight_params, tensor_entry)
 
 
 def nonzero_items(vec):
@@ -275,7 +274,7 @@ def test_rll_sweeps_each_basis_image_once(monkeypatch, field):
         return sweep(vec, i, j, u, *args, **kwargs)
 
     monkeypatch.setattr(uqrep, "tensor_entry", counted)
-    report = verify_rll(RunConfig(check="rll", n=3, trials=1, seed=1, field=field))
+    report = run_one(RunConfig(check="rll", n=3, trials=1, seed=1, field=field))
     assert report.verdict == "verified"
     assert len(calls) == len(set(calls)) == 160
     assert all(len(key) == 1 for _, _, key, *_ in calls)
@@ -288,8 +287,8 @@ def test_rll_builds_its_r_matrix_once_per_trial(monkeypatch, field, mutate):
     # start vector and side
     built = mock.Mock(wraps=uqrep.rmatrix_entries)
     monkeypatch.setattr(uqrep, "rmatrix_entries", built)
-    report = verify_rll(RunConfig(check="rll", n=2, trials=3, seed=1, field=field,
-                                  mutate=mutate))
+    report = run_one(RunConfig(check="rll", n=2, trials=3, seed=1, field=field,
+                               mutate=mutate))
     assert report.verdict == ("falsified" if mutate else "verified")
     assert 0 < built.call_count <= 2 * 3
 
@@ -545,30 +544,30 @@ def test_kbi_both_directions():
 
 
 def test_bc_and_singular_drivers():
-    assert verify_bc(RunConfig(check="bc1", ell=1, n=2, trials=1, seed=1)).verdict == "verified"
-    assert verify_bc(RunConfig(check="bc2", ell=1, n=2, trials=1, seed=1)).verdict == "verified"
-    assert verify_bc(RunConfig(check="bc2", ell=2, n=3, i=1, j=3, trials=1,
-                               seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="bc1", ell=1, n=2, trials=1, seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="bc2", ell=1, n=2, trials=1, seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="bc2", ell=2, n=3, i=1, j=3, trials=1,
+                             seed=1)).verdict == "verified"
     # bc2 detects the lifted resonance; bc1 vanishes by depth grading alone
-    r = verify_bc(RunConfig(check="bc2", ell=1, n=2, trials=1, seed=1, no_constraint=True))
+    r = run_one(RunConfig(check="bc2", ell=1, n=2, trials=1, seed=1, no_constraint=True))
     assert r.verdict == "condition-not-satisfied"
-    r = verify_bc(RunConfig(check="bc1", ell=1, n=2, trials=1, seed=1, no_constraint=True))
+    r = run_one(RunConfig(check="bc1", ell=1, n=2, trials=1, seed=1, no_constraint=True))
     assert r.verdict == "verified"
     assert any("depth grading" in note for note in r.notes)
     # both fall to the mutated lowering operator
-    assert verify_bc(RunConfig(check="bc1", ell=1, n=2, trials=1, seed=1,
-                               mutate=True)).verdict == "falsified"
-    assert verify_bc(RunConfig(check="bc2", ell=1, n=2, trials=1, seed=1,
-                               mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="bc1", ell=1, n=2, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="bc2", ell=1, n=2, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
     with pytest.raises(UsageError):
         validate(RunConfig(check="bc2", ell=0, n=2))
 
-    assert verify_singular(RunConfig(check="singular", ell=1, n=2, trials=1,
-                                     seed=1)).verdict == "verified"
-    assert verify_singular(RunConfig(check="singular", ell=1, n=2, trials=1, seed=1,
-                                     no_constraint=True)).verdict == "condition-not-satisfied"
-    assert verify_singular(RunConfig(check="singular", ell=1, n=2, trials=1, seed=1,
-                                     mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="singular", ell=1, n=2, trials=1,
+                             seed=1)).verdict == "verified"
+    assert run_one(RunConfig(check="singular", ell=1, n=2, trials=1, seed=1,
+                             no_constraint=True)).verdict == "condition-not-satisfied"
+    assert run_one(RunConfig(check="singular", ell=1, n=2, trials=1, seed=1,
+                             mutate=True)).verdict == "falsified"
 
 
 @pytest.mark.parametrize("check, ell, seed", [
@@ -576,15 +575,14 @@ def test_bc_and_singular_drivers():
 def test_mutated_runs_fit_their_widened_caps(check, ell, seed):
     # with three factors a mutated chain 2 -> 1 -> 2 -> 1 raises the depth
     # past the in-contract caps
-    verify = verify_singular if check == "singular" else verify_bc
-    report = verify(RunConfig(check=check, ell=ell, n=3, i=1, j=3, trials=1,
-                              seed=seed, mutate=True))
+    report = run_one(RunConfig(check=check, ell=ell, n=3, i=1, j=3, trials=1,
+                               seed=seed, mutate=True))
     assert report.verdict == "falsified"
 
 
 def test_singular_lists_a_bounded_number_of_residuals():
-    report = verify_singular(RunConfig(check="singular", ell=3, n=3, i=1, j=3,
-                                       trials=1, seed=10, mutate=True))
+    report = run_one(RunConfig(check="singular", ell=3, n=3, i=1, j=3,
+                               trials=1, seed=10, mutate=True))
     assert report.verdict == "falsified"
     value = report.trials[0].value
     assert len(value) == MAX_LISTED_RESIDUALS + 1
@@ -593,19 +591,19 @@ def test_singular_lists_a_bounded_number_of_residuals():
 
 
 def test_rll_driver_and_field_agreement():
-    r_rat = verify_rll(RunConfig(check="rll", n=2, trials=2, seed=3))
-    r_gf = verify_rll(RunConfig(check="rll", n=2, trials=2, seed=3, field="prime"))
+    r_rat = run_one(RunConfig(check="rll", n=2, trials=2, seed=3))
+    r_gf = run_one(RunConfig(check="rll", n=2, trials=2, seed=3, field="prime"))
     assert r_rat.verdict == "verified"
     assert r_gf.verdict == "verified"
-    assert verify_rll(RunConfig(check="rll", n=1, trials=1, seed=3)).verdict == "verified"
-    assert verify_rll(RunConfig(check="rll", n=2, trials=1, seed=3,
-                                mutate=True)).verdict == "falsified"
+    assert run_one(RunConfig(check="rll", n=1, trials=1, seed=3)).verdict == "verified"
+    assert run_one(RunConfig(check="rll", n=2, trials=1, seed=3,
+                             mutate=True)).verdict == "falsified"
 
 
 def test_kbi_driver_and_prime_mode():
-    assert verify_kbi(RunConfig(check="kbi", ell=2, n=2, trials=1, seed=2)).verdict == "verified"
-    assert verify_kbi(RunConfig(check="kbi", ell=2, n=2, trials=1, seed=2,
-                                field="prime")).verdict == "verified"
-    r = verify_kbi(RunConfig(check="kbi", ell=1, n=1, trials=1, seed=2, mutate=True))
+    assert run_one(RunConfig(check="kbi", ell=2, n=2, trials=1, seed=2)).verdict == "verified"
+    assert run_one(RunConfig(check="kbi", ell=2, n=2, trials=1, seed=2,
+                             field="prime")).verdict == "verified"
+    r = run_one(RunConfig(check="kbi", ell=1, n=1, trials=1, seed=2, mutate=True))
     assert r.verdict == "falsified"
     assert any("(-1)^ell" in note for note in r.notes)
