@@ -53,7 +53,13 @@ basis products built by series ring operations, before they were built as
 integer coefficient lists over one denominator per point.  The
 prime-field, mutated and lifted-resonance runs of `bc1`, `bc2` and `resI`
 that nothing above prints are pinned in `PINNED_LAST_DRIVERS`, recorded
-from the last per-check drivers before every check became a row."""
+from the last per-check drivers before every check became a row.  Plain
+and mutated `jing` at ell 1 and 2 and `idp2` at (1, 2, K=0) and
+(2, 2, K=3), two trials at seed 1 over both fields, the smallest sizes of
+the two alternating sums, are pinned in `PINNED_PREFACTORS`, recorded from
+the sums that rebuilt every prefactor for each k and multiplied it into
+the symmetrized sum themselves, before the prefactors went through
+`symmetrize`'s scales."""
 
 import os
 import sys
@@ -585,5 +591,63 @@ def test_last_driver_report_matches_pinned_digest(key):
     report = run_one(RunConfig(check=check, field=field, seed=1, trials=1,
                                mutate=variant == "mutated",
                                no_constraint=variant == "lifted", **LAST_DRIVER_SIZES[check]))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)
+
+
+# (check, ell, field, mutate) -> (verdict, digest, length) of two trials at
+# seed 1 at PREFACTOR_SIZES: the smallest sizes of the two alternating sums,
+# which no golden or other pinned table prints below ell = 3; at ell = 1
+# the k = 0 and k = 1 prefactors make the whole sum, and K = 0 makes every
+# theta a constant
+PREFACTOR_SIZES = {
+    ("jing", 1): dict(ell=1),
+    ("jing", 2): dict(ell=2),
+    ("idp2", 1): dict(ell=1, n=2, k=0),
+    ("idp2", 2): dict(ell=2, n=2, k=3),
+}
+PINNED_PREFACTORS = {
+    ("idp2", 1, "prime", False): (VERIFIED,
+        "a0014a182b4dad7b0b9329fb1ecbbc2ac3cfd057b6d502e9544f9ba46a6203f8", 1316),
+    ("idp2", 1, "prime", True): (FALSIFIED,
+        "f8cb8dc45d7ec3df2a3bc32f7d4974dfae9778093d2e8ed9673dba4dae540d50", 1353),
+    ("idp2", 1, "rational", False): (VERIFIED,
+        "2b393a9e5d74f2a06a5f5d90fbd5721436e737142453931f68b30c4207436a99", 1143),
+    ("idp2", 1, "rational", True): (FALSIFIED,
+        "8fc5d426d1c56da5dde2c2f969e291f0e4825ddcd9738b1f2436af0b327eac3b", 1213),
+    ("idp2", 2, "prime", False): (VERIFIED,
+        "9753a686f24a2cb6051106c976929f0bfdca31d9852bca9f1084a35eab90db13", 1524),
+    ("idp2", 2, "prime", True): (FALSIFIED,
+        "06e29a8722fed6256e6097230c3d15fc50c6bcaa9e09b426316e440d6821691a", 1669),
+    ("idp2", 2, "rational", False): (VERIFIED,
+        "34cad2eacc7a06d4dd9929632dd56c66d9b43ae6f337bad0f62ef0527e1c5373", 1207),
+    ("idp2", 2, "rational", True): (FALSIFIED,
+        "e785f361ff467e7cd328b511698931ff8f5c1cdbb35a4d2ae7f9acdbd43babd1", 2767),
+    ("jing", 1, "prime", False): (VERIFIED,
+        "3c8bd25953dd2fb417f824aba7e373f4a32dd045aae2075b9ea5a6db343ad10d", 936),
+    ("jing", 1, "prime", True): (FALSIFIED,
+        "175344753ce999987c7c459ca51b39012168fbc7494b1eb76ce1c6cd32da6c64", 972),
+    ("jing", 1, "rational", False): (VERIFIED,
+        "04e15d1b558ea60dd5ff09aecf3b7c97741574e3d9067eda13af8b802ce34d70", 765),
+    ("jing", 1, "rational", True): (FALSIFIED,
+        "59f1ec2b711c807b43da28c6bd25219f1cb7b33d4d12983f8a4b8eac23f8bcc4", 780),
+    ("jing", 2, "prime", False): (VERIFIED,
+        "6233b4265718bb20e439aeca23621e71481daa38fc34c72414936385bc330cd1", 968),
+    ("jing", 2, "prime", True): (FALSIFIED,
+        "0b06c4df7bcea9aca49d18020a5839564e822634bcf74adda88c3a59cfa30aac", 1005),
+    ("jing", 2, "rational", False): (VERIFIED,
+        "02fe4d00b675b13eac033615b164af500549711c34cb268f23f212068e71be7e", 797),
+    ("jing", 2, "rational", True): (FALSIFIED,
+        "53605141f634c1e9bf16a31e4a9a1e5172a759fc792f2ec1cd1d7753f8cf10de", 842),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_PREFACTORS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_prefactor_report_matches_pinned_digest(key):
+    check, ell, field, mutate = key
+    verdict, *pinned = PINNED_PREFACTORS[key]
+    report = run_one(RunConfig(check=check, field=field, seed=1, trials=2, mutate=mutate,
+                               **PREFACTOR_SIZES[check, ell]))
     assert report.verdict == verdict
     assert digest(report) == tuple(pinned)
