@@ -202,8 +202,12 @@ def idp2_value(params, t, mutate=False):
     """The two-column window identity in its explicit form; depends on the
     parameters only through beta = eta^(1-2ell) alpha x_1/y_1.  The ell + 1
     inner sums share their leading low columns, so they come from one
-    `symmetrize` call on the tables of `point_tables`."""
-    eta = params.eta
+    `symmetrize` call on the tables of `point_tables`, with the prefactors
+    theta(eta^(2k) beta) (-1)^k prod_{s<k} eta^s theta(eta^(ell-s))
+    theta(eta^s beta)/(theta(eta^(s+1)) theta(eta^(s+ell+1) beta)), one
+    running product over s, as its scales; a mutated run doubles the k = 1
+    prefactor."""
+    eta, th = params.eta, params.th
     ell = len(t)
     beta = eta ** (1 - 2 * ell) * params.alpha * params.x[0] / params.y[0]
     one, mod = params.field.one, params.cleared[0]
@@ -219,17 +223,14 @@ def idp2_value(params, t, mutate=False):
     seqs = [[("low" if a <= k else "high", a) for a in range(1, ell + 1)]
             for k in range(ell + 1)]
     cols, pair, den, key_dens = point_tables(params, t, columns)
-    total = params.zero
-    for k, inner in enumerate(symmetrize(seqs, cols, pair, params.one, den,
-                                         key_dens=key_dens)):
-        pref = params.th(eta ** (2 * k) * beta) * (-one) ** k
-        for s in range(k):
-            pref = pref * eta ** s * params.th(eta ** (ell - s)) * params.th(eta ** s * beta)
-            pref = pref / (params.th(eta ** (s + 1)) * params.th(eta ** (s + ell + 1) * beta))
-        if mutate and k == 1:
-            pref = pref * 2
-        total = total + pref * inner
-    return total
+    runs = [one]
+    for s in range(ell):
+        runs.append(runs[-1] * -eta ** s * th(eta ** (ell - s)) * th(eta ** s * beta)
+                    / (th(eta ** (s + 1)) * th(eta ** (s + ell + 1) * beta)))
+    prefs = [th(eta ** (2 * k) * beta) * run for k, run in enumerate(runs)]
+    if mutate and ell:
+        prefs[1] = prefs[1] * 2
+    return sum(symmetrize(seqs, cols, pair, params.one, den, prefs, key_dens), params.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ so rational mode has the final word).  Series are exact modulo p^(K+1) and
 fraction-free: integer numerators over one common denominator over QQ, raw
 residues over GF(p), turned into field scalars only at the report boundary
 (`PSeries.coeffs`).  `ints_over_den`, `num_den` and `scalar_of` are the
-one conversion path between field scalars and that form, shared with the
-tensor vectors of `tensors` and the per-point tables of `polyweights`.
+one conversion path between field scalars (for `num_den`, series too) and
+that form, shared with the tensor vectors of `tensors` and the per-point
+tables and the one exit of `polyweights.symmetrize`.
 Theta is a finite truncated sum (the Jacobi triple product), and so is
 every q-Pochhammer constant: (p^e; p^e)_inf is theta at p^e with nome
 p^(3e) (Euler's pentagonal number theorem), so no convergence questions
@@ -304,7 +305,10 @@ def scalar_of(mod, num, den=1):
 def num_den(mod, c):
     """(numerator, denominator) of one field scalar, the inverse of
     `scalar_of`: the reduced pair over QQ (`mod` 0), the residue over 1
-    modulo `mod`."""
+    modulo `mod`; of a series, its `IntSeries` numerator over its
+    denominator."""
+    if isinstance(c, PSeries):
+        return IntSeries(c.num), c.den
     return (c.value, 1) if mod else (c.numerator, c.denominator)
 
 

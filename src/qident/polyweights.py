@@ -22,7 +22,8 @@ Modern Computer Algebra, 6) from the integer numerators of phi and of
 the column factors that the parameters supply, and `PolyParams.phi_product`
 the kernel products of `residues` from the same numerators, so no field
 or series operation is made per factor and `symmetrize` runs one DP loop
-on ints or on integer coefficient lists alike.  A check value
+on ints or on integer coefficient lists alike, and scales and converts
+every sum, scalar or series, by one exit.  A check value
 value(cfg, params, sampler) draws its point after the parameters and
 leaves its report form to `reporting`.
 """
@@ -209,23 +210,27 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     pair over one L_wv (`point_tables`, `monomials`) and pass
     den = prod_v D_v prod_{w<v} L_wv.  With a field scalar `one` they are
     ints; with a series `one` they are `IntSeries` coefficient lists, and
-    den is an int or a value of the kind of `one` (a series is inverted
-    once per call).  A column whose entries share a denominator at every v
-    may keep it apart in
-    key_dens[key]: each sum is then also divided by the key_dens along its
-    sequence, as every term holds one column of each of its keys.  The one
-    DP loop runs on both alike, GF(p) terms reduced once, and each sum
-    leaves as one field scalar or one series brought to canonical form
-    once, with den, its key_dens and its scale folded in.
+    den is an int or a value of the kind of `one`.  A column whose entries
+    share a denominator at every v may keep it apart in key_dens[key]: each
+    sum is then also divided by the key_dens along its sequence, as every
+    term holds one column of each of its keys.  The one DP loop runs on
+    both alike, GF(p) terms reduced once, and every sum leaves by one
+    conversion: 1/den (cleared once per call, a series by its inverse,
+    modulo p by `PrimeScalar.inverse`) and each scale enter as (numerator,
+    denominator) pairs (`num_den`; `one` itself as (1, 1)), and each sum
+    becomes one field scalar or one series in canonical form once.
     """
     ell = len(seqs[0]) if seqs else 0
     if any(len(seq) != ell for seq in seqs) or any(len(c) != ell for c in cols.values()):
         raise UsageError("the key sequences and columns at a point differ in length")
-    series = isinstance(one, PSeries)
-    if series:
+    if isinstance(one, PSeries):
         fld, unit = one.field, IntSeries([1] + [0] * one.order)
+
+        def make(x, d):
+            return PSeries._from_ints(fld, x.num, d, one.order)
     else:
         fld, unit = field_of(one), 1
+        make = functools.partial(scalar_of, modulus(fld))
     mod = modulus(fld)
     full = (1 << ell) - 1
     gtab = [None] * full          # G(S, v) for S != 0 and v outside S
@@ -266,42 +271,16 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
                     sv = s | 1 << v
                     nxt[sv] = nxt[sv] + term if sv in nxt else term
             todo.append((nxt, depth + 1, sub))
-    extra = [math.prod(map(key_dens.__getitem__, seq)) for seq in seqs] if key_dens else \
-        [1] * len(out)
-    if series:
-        return series_sums(out, one, den, scales, extra)
-    scales = [num_den(mod, c) for c in scales] if scales else [(1, 1)] * len(out)
-    den, den_d = num_den(mod, fld.of(den))
-    if mod:
-        inv = PrimeScalar(den, mod).inverse().value
-        return [scalar_of(mod, x * c * inv, e) for x, (c, _), e in zip(out, scales, extra)]
-    return [scalar_of(0, x * c * den_d, den * d * e) for x, (c, d), e in zip(out, scales, extra)]
-
-
-def series_sums(sums, one, den, scales, extra):
-    """[sums[i]/(den extra[i]) times scales[i]] as series of the order of
-    `one`: den an int or a series, inverted once, extra[i] an int; each
-    scale a series (`one` is skipped) or a field scalar.  Each value is one
-    integer list over one integer, brought to canonical form once."""
-    mod, order = one.mod, one.order
+    extra = [math.prod(map(key_dens.__getitem__, seq)) if key_dens else 1 for seq in seqs]
+    scales = [(1, 1) if c is one else num_den(mod, c) for c in scales or [one] * len(out)]
     if isinstance(den, PSeries):
-        inv = den.inverse()
-        inv_num, den = IntSeries(inv.num), inv.den
+        mul, div = num_den(mod, den.inverse())
     else:
-        inv_num = None
-    out = []
-    for x, c, e in zip(sums, scales or [None] * len(sums), extra):
-        d = den * e
-        if inv_num is not None:
-            x = x * inv_num
-        if isinstance(c, PSeries):
-            if c != one:
-                x, d = x * IntSeries(c.num), d * c.den
-        elif c is not None:
-            cn, cd = num_den(mod, c)
-            x, d = cn * x, d * cd
-        out.append(PSeries._from_ints(one.field, x.num, d, order))
-    return out
+        div, mul = num_den(mod, fld.of(den))
+        if mod:
+            mul, div = PrimeScalar(div, mod).inverse().value, 1
+    # int * IntSeries scales a list, so the multipliers go left of the sum
+    return [make(c * (mul * x), div * d * e) for x, (c, d), e in zip(out, scales, extra)]
 
 
 def point_tables(params, t, columns, primed=False):
@@ -433,16 +412,16 @@ def multiplicity_scale(seq, mod):
 def monomials(seqs, t, one):
     """[(1/prod_k mult_k!) sum_sigma t_{sigma_1}^{e_1} ... for e in seqs];
     exponents may repeat and be zero.  The columns are integers at once:
-    t_v = a_v/b_v gives t_v^e = a_v^e b_v^(E-e) / b_v^E over QQ, with E the
-    largest exponent, and pow(a_v, e, p) over GF(p)."""
+    the pair t_v = a_v/b_v (`num_den`) gives t_v^e = a_v^e b_v^(E-e) / b_v^E,
+    with E the largest exponent, in both fields: modulo p, a_v^e is
+    reduced and b_v is 1."""
     fld = field_of(one)
-    mod, ts = modulus(fld), [fld.of(u) for u in t]
-    if mod:
-        return symmetric_products(seqs, lambda e: [pow(u.value, e, mod) for u in ts], one)
+    mod = modulus(fld)
+    ts = [num_den(mod, fld.of(u)) for u in t]
     top = max((e for seq in seqs for e in seq), default=0)
     return symmetric_products(
-        seqs, lambda e: [u.numerator ** e * u.denominator ** (top - e) for u in ts],
-        one, math.prod(u.denominator ** top for u in ts))
+        seqs, lambda e: [pow(a, e, mod or None) * b ** (top - e) for a, b in ts],
+        one, math.prod([b ** top for _, b in ts]))
 
 
 def monomial_symmetric(exponents, t, one, zero):
@@ -480,22 +459,22 @@ def window_products(lam, i, j, params):
 
 def jing_value(eta, t, one, zero, mutate=False):
     """The double sum over k and S_ell whose vanishing is the base
-    combinatorial identity; a mutated run perturbs the k = 1 prefactor."""
+    combinatorial identity: the k-th sum over S_ell, of k columns u - 1 and
+    ell - k columns u - eta^(ell-1), times prod_{s<k} (eta^ell - eta^s)/
+    (1 - eta^(s+1)), the ell + 1 prefactors one running product passed as
+    `symmetrize`'s scales; a mutated run doubles the k = 1 prefactor."""
     ell, fld = len(t), field_of(one)
     # the weights' unprimed pair table, and columns u - 1 and u - eta^(ell-1)
     cols, pair, den, key_dens = point_tables(
         PolyParams((), (), eta, ell, 0, fld), t,
         {"low": [(1, 1)], "high": [num_den(modulus(fld), eta ** (ell - 1))]})
     seqs = [("low",) * k + ("high",) * (ell - k) for k in range(ell + 1)]
-    total = zero
-    for k, inner in enumerate(symmetrize(seqs, cols, pair, one, den, key_dens=key_dens)):
-        pref = one
-        for s in range(k):
-            pref = pref * (eta ** ell - eta ** s) / (one - eta ** (s + 1))
-        if mutate and k == 1:
-            pref = pref * 2
-        total = total + pref * inner
-    return total
+    prefs, top = [one], eta ** ell
+    for s in range(ell):
+        prefs.append(prefs[-1] * (top - eta ** s) / (one - eta ** (s + 1)))
+    if mutate and ell:
+        prefs[1] = prefs[1] * 2
+    return sum(symmetrize(seqs, cols, pair, one, den, prefs, key_dens), zero)
 
 
 def window_value(params, t, i, j, mutate=False):

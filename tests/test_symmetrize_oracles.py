@@ -5,7 +5,8 @@ monomial symmetric polynomials, the theta weights, the explicit two-column
 elliptic identity and the symmetrized basis products, for ell <= 4 over
 both QQ and GF(2^61 - 1), one partition at a time and as the per-point
 tables the checks use; and the kernel itself on arbitrary scalar and
-series tables, cleared to integers or integer coefficient lists.  At ell
+series tables, cleared to integers or integer coefficient lists, with
+every kind of den, scale and key_dens that its one exit takes.  At ell
 5 to 7, where the literal sums are too slow, the weights and the base
 identity are checked against the tables they had before their columns
 and pair factors were built from cleared integer coordinates:
@@ -18,6 +19,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from qident.elliptic import (
     EllParams, idp2_value, sample_ell_params, theta_lambda, theta_lambdas, vartheta,
     xi_weight)
-from qident.errors import DegenerateInputError, UsageError
+from qident.errors import DegenerateInputError, NonInvertibleError, UsageError
 from qident.exactnum import (
     QQ, IntSeries, PrimeField, PSeries, Sampler, SamplerConfig, field_of, ints_over_den)
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
@@ -348,6 +350,33 @@ def oracle_sums(seqs, cols, pair, one, zero):
             for seq in seqs]
 
 
+def exit_inputs(data, seqs, cols, den, one, value):
+    """(den, scales, key_dens, expected): the last three arguments of a
+    `symmetrize` call on the cleared tables of `cols` over the int den, and
+    the expected sums as a function of the oracle sums.  den is passed as
+    that int or as a value of the kind of `one` (as `point_tables` passes
+    it) times a drawn invertible `value`; scales are None or one drawn
+    `value` or `one` itself per sequence; key_dens are None or positive
+    ints per key (no multiple of 101, so each is invertible in every
+    field).  Expected: scale times oracle over the drawn divisor times the
+    key_dens along the sequence."""
+    divisor = one
+    if data.draw(st.booleans()):
+        divisor = data.draw(value.filter(
+            lambda v: v.invertible() if isinstance(v, PSeries) else bool(v)))
+        den = one * den * divisor
+    scales = data.draw(st.none() | st.lists(value | st.just(one), min_size=len(seqs),
+                                            max_size=len(seqs)))
+    key_dens = data.draw(st.none() | st.fixed_dictionaries(
+        {key: st.integers(1, HEIGHT).filter(lambda d: d % 101) for key in cols}))
+
+    def expected(sums):
+        return [(scales[i] if scales else one) * x
+                / (divisor * math.prod(key_dens[key] for key in seq) if key_dens else divisor)
+                for i, (x, seq) in enumerate(zip(sums, seqs))]
+    return den, scales, key_dens, expected
+
+
 # no shrink phase: shrinking a failure at height 10^6 took about a minute;
 # the unshrunk example is reported at once
 @pytest.mark.parametrize("fld", TABLE_FIELDS, ids=FIELD_IDS + ["GF101"])
@@ -357,27 +386,51 @@ def oracle_sums(seqs, cols, pair, one, zero):
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_symmetrize_matches_permutation_sum_on_arbitrary_tables(fld, with_pair, data, ell):
     # scalar tables run on integers over one denominator per call; tables
-    # shaped like nothing in the package pin that the denominator is right
+    # shaped like nothing in the package pin that the denominator is right,
+    # and every kind of den, scale and key_dens pins the one exit
     seqs, cols, pair = tables(data, ell, table_scalars(fld), with_pair)
     int_cols, int_pair, den = cleared_tables(fld, cols, pair)
-    got = symmetrize(seqs, int_cols, int_pair, fld.one, den)
-    assert got == oracle_sums(seqs, cols, pair, fld.one, fld.zero)
+    den, scales, key_dens, expected = exit_inputs(data, seqs, cols, den, fld.one,
+                                                  table_scalars(fld))
+    got = symmetrize(seqs, int_cols, int_pair, fld.one, den, scales, key_dens)
+    assert got == expected(oracle_sums(seqs, cols, pair, fld.one, fld.zero))
     assert all(type(x) is type(fld.one) for x in got)
 
 
+# no shrink phase, as above
 @given(st.data(), st.sampled_from(TABLE_FIELDS), st.integers(0, 3), st.booleans(),
        st.integers(0, 3))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_symmetrize_matches_permutation_sum_on_series_tables(data, fld, ell, with_pair,
                                                             order):
     entry = st.lists(table_scalars(fld), min_size=1, max_size=order + 1).map(
         lambda cs: PSeries(fld, cs, order))
-    # series tables run on integer coefficient lists over one denominator
+    # series tables run on integer coefficient lists over one denominator;
+    # the den, scales and key_dens of every kind leave by the one exit,
+    # scales as series, field scalars or `one` itself
     seqs, cols, pair = tables(data, ell, entry, with_pair)
     one, zero = PSeries.constant(fld, fld.one, order), PSeries.constant(fld, fld.zero, order)
     int_cols, int_pair, den = cleared_tables(fld, cols, pair)
-    assert symmetrize(seqs, int_cols, int_pair, one, den) == \
-        oracle_sums(seqs, cols, pair, one, zero)
+    den, scales, key_dens, expected = exit_inputs(data, seqs, cols, den, one,
+                                                  entry | table_scalars(fld))
+    got = symmetrize(seqs, int_cols, int_pair, one, den, scales, key_dens)
+    assert got == expected(oracle_sums(seqs, cols, pair, one, zero))
+    assert all(isinstance(x, PSeries) and x.order == order for x in got)
+
+
+def test_symmetrize_zero_den_modulo_p_has_no_inverse():
+    # the one exit clears 1/den through `PrimeScalar.inverse` (a scalar
+    # den, also under a series `one`) or the series inverse (a series den),
+    # so a den that vanishes modulo p raises the error every other inverse
+    # raises, not the `ValueError` of `pow`
+    fld = PrimeField(101)
+    with pytest.raises(NonInvertibleError):
+        symmetrize([(0,)], {0: [1]}, None, fld.one, 202)
+    one, col = PSeries.constant(fld, fld.one, 2), {0: [IntSeries([1, 0, 0])]}
+    for den in (202, PSeries(fld, [0, 1], 2)):
+        with pytest.raises(NonInvertibleError):
+            symmetrize([(0,)], col, None, one, den)
 
 
 def test_symmetrize_rejects_sequences_and_columns_of_another_length():
@@ -588,6 +641,29 @@ def test_xi_table_multiplies_less_than_one_call_per_partition(monkeypatch):
     assert len(parts) == 10
     table, single = work(parts), sum(work([lam]) for lam in parts)
     assert 5 * table < 3 * single
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+def test_alternating_sums_build_their_prefactors_in_one_pass(fld):
+    # a deterministic work count, not a timing: `jing_value` and
+    # `idp2_value` build their ell + 1 prefactors as one running product,
+    # so jing divides field scalars ell times (one quotient per step; a
+    # product rebuilt for each k makes ell (ell + 1)/2 = 36 divisions at
+    # ell = 8) and idp2 asks for at most 5 ell + 1 thetas (one per k and
+    # four per step; 45 rebuilt per k at ell = 4).  The counters wrap the
+    # real methods, so the values are checked as well.
+    s = sampler(140, fld)
+    eta, t = sample_eta(s, 8), sample_t(s, 8)
+    cls = type(fld.one)
+    with mock.patch.object(cls, "__truediv__", autospec=True,
+                           side_effect=cls.__truediv__) as divisions:
+        assert jing_value(eta, t, fld.one, fld.zero) == fld.zero
+    assert divisions.call_count <= 8
+    params = sample_ell_params(s, 4, 2, 2)
+    t = sample_t(s, 4)
+    with mock.patch.object(EllParams, "th", autospec=True, side_effect=EllParams.th) as thetas:
+        assert idp2_value(params, t).is_zero()
+    assert thetas.call_count <= 5 * 4 + 1
 
 
 def test_coincident_coordinates_are_rejected():
