@@ -59,7 +59,13 @@ and mutated `jing` at ell 1 and 2 and `idp2` at (1, 2, K=0) and
 the two alternating sums, are pinned in `PINNED_PREFACTORS`, recorded from
 the sums that rebuilt every prefactor for each k and multiplied it into
 the symmetrized sum themselves, before the prefactors went through
-`symmetrize`'s scales."""
+`symmetrize`'s scales.  Plain and mutated `xt` at (3, 3, K=6), plain
+`xt` at (4, 2, K=6) and `resI` at (5, 2) over both fields, and `detq` at
+(5, 5) over GF(p), one trial at seed 1, the pair-free sums of the theta
+basis products and the monomials at sizes nothing above prints, are pinned
+in `PINNED_PAIR_FREE`, recorded from the subset trie that `symmetrize` ran
+with or without a pair table, before the pair-free sums ran over
+sub-multiset layers."""
 
 import os
 import sys
@@ -649,5 +655,42 @@ def test_prefactor_report_matches_pinned_digest(key):
     verdict, *pinned = PINNED_PREFACTORS[key]
     report = run_one(RunConfig(check=check, field=field, seed=1, trials=2, mutate=mutate,
                                **PREFACTOR_SIZES[check, ell]))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)
+
+
+# (check, ell, n, k, field, mutate) -> (verdict, digest, length) of one
+# trial at seed 1: the pair-free symmetrized sums (the monomials and the
+# theta basis products) that no golden or other pinned table prints at
+# ell >= 3 over the series, or over GF(p) at the largest size
+PINNED_PAIR_FREE = {
+    ("detq", 5, 5, 0, "prime", False): (VERIFIED,
+        "820fbbfd5e33a7953ee4c0d451e9d056e99fc0b0e4f2ef54c96baf9e5bedc6bd", 886),
+    ("resI", 5, 2, 0, "prime", False): (VERIFIED,
+        "e1e4c3ed64d18a322b2240f23b213daa4651bebe8436413368d0b8dfc136ac10", 2426),
+    ("resI", 5, 2, 0, "rational", False): (VERIFIED,
+        "de034a8682f44b6ae3ac204b537861dcfd7a8683027029067b68c972ab87eb53", 2301),
+    ("xt", 3, 3, 6, "prime", False): (VERIFIED,
+        "7a44e5e814f9c1bac0b51cbe49822ca6dc82c73ed87105ca234390ff37b9101d", 1012),
+    ("xt", 3, 3, 6, "prime", True): (FALSIFIED,
+        "37e9087ecdb3f0d6a10ecbd28a1da640824682ea05672484d6e0a10085f988fc", 2035),
+    ("xt", 3, 3, 6, "rational", False): (VERIFIED,
+        "c7656c4399371d2697f633c993b28947447012671d42d93f152419f8f41c8c55", 889),
+    ("xt", 3, 3, 6, "rational", True): (FALSIFIED,
+        "0762ab6f29d81925358aa3800457bca2e737efa16431c152a027994f51b14995", 4681),
+    ("xt", 4, 2, 6, "prime", False): (VERIFIED,
+        "8b9a844e9a53a016305a65b00472b256fd557d7fc255b584d32db41b5a026bed", 1028),
+    ("xt", 4, 2, 6, "rational", False): (VERIFIED,
+        "215fbf9a5f885db34321b80349334d5b14ceb56c2a7589b88b861f9a14387b10", 905),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_PAIR_FREE),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_pair_free_report_matches_pinned_digest(key):
+    check, ell, n, k, field, mutate = key
+    verdict, *pinned = PINNED_PAIR_FREE[key]
+    size = dict(ell=ell, n=n, k=k) if check == "xt" else dict(ell=ell, n=n)
+    report = run_one(RunConfig(check=check, field=field, seed=1, trials=1, mutate=mutate, **size))
     assert report.verdict == verdict
     assert digest(report) == tuple(pinned)
