@@ -283,7 +283,10 @@ def vartheta(m, u, params):
 def theta_lambdas(parts, t, params):
     """[Theta_lam(t) for lam in parts]: the symmetrized basis products with
     the multiplicity normalization, on the basis columns cleared to integer
-    coefficient lists over one denominator (`cleared_columns`)."""
+    coefficient lists over one denominator (`cleared_columns`).  With no
+    pair factors they run on `symmetrize`'s sub-multiset layers: at one
+    point, sum_{v=1}^{ell-1} C(n+v-1, v) n series products for all the
+    partitions of (ell, n), 136 at (4, 4) where the subset trie made 500."""
     keys = dict.fromkeys(part for lam in parts for part in lam.entries)
     cols, den = cleared_columns({part: [vartheta(part, u, params) for u in t] for part in keys})
     return symmetric_products([lam.entries for lam in parts], cols.__getitem__, params.one, den)

@@ -512,8 +512,8 @@ class IntSeries:
     series scales each coefficient), `+` adds and unary `-` negates
     coefficient-wise and `% p` reduces each coefficient.  The theta layer's
     per-point tables hold their columns and pair factors in this form over
-    one denominator per point, so `polyweights.symmetrize` runs its one
-    subset DP on them as on scalar integers and normalizes only its sums."""
+    one denominator per point, so `polyweights.symmetrize` runs its layers
+    on them as on scalar integers and normalizes only its sums."""
 
     __slots__ = ("num",)
 

@@ -8,22 +8,26 @@ Every sum over S_ell here (and in the elliptic layer) goes through
 are products of position-dependent single factors and pair factors that
 depend only on which of two variables comes first, so the sums are
 accumulated over subsets of variables, with the pair products built once
-per point and shared leading parts sharing their layers.  No closed-form
-simplification is attempted; the tests keep the literal permutation sums
-as oracles.  The weights, norms and window sums serve both layers: the
-parameter object supplies phi, the linear factor f and the constants of
-the weight columns, 1 - z, u - c and the columns X_m here, theta,
-theta(u/c) and the columns Z_m with their dynamical shift on
-`elliptic.EllParams`, and with them the norm and the window coefficient
-of each partition.  As theta(z; 0) = 1 - z, each product here has the
+per point and shared leading parts sharing their layers.  Sums with no pair
+factors (the monomials and the theta basis products) are accumulated one
+variable at a time over the sub-multisets of their keys instead, the
+coefficient of prod_k y_k^(m_k) in prod_v (sum_k c_k(t_v) y_k) (Macdonald,
+Symmetric Functions and Hall Polynomials, I.2), on states and moves built
+once per pattern of keys.  No closed-form simplification is attempted;
+the tests keep the literal permutation sums as oracles.  The weights,
+norms and window sums serve both layers: the parameter object supplies
+phi, the linear factor f and the constants of the weight columns, 1 - z,
+u - c and the columns X_m here, theta, theta(u/c) and the columns Z_m
+with their dynamical shift on `elliptic.EllParams`, and with them the
+norm and the window coefficient of each partition.  As theta(z; 0) = 1 - z, each product here has the
 shape of its elliptic twin.  One routine, `point_tables`, builds the
 tables of a point in both layers fraction-free (von zur Gathen & Gerhard,
 Modern Computer Algebra, 6) from the integer numerators of phi and of
 the column factors that the parameters supply, and `PolyParams.phi_product`
 the kernel products of `residues` from the same numerators, so no field
-or series operation is made per factor and `symmetrize` runs one DP loop
-on ints or on integer coefficient lists alike, and scales and converts
-every sum, scalar or series, by one exit.  A check value
+or series operation is made per factor and `symmetrize` runs both kinds
+of layers on ints or on integer coefficient lists alike, and scales and
+converts every sum, scalar or series, by one exit.  A check value
 value(cfg, params, sampler) draws its point after the parameters and
 leaves its report form to `reporting`.
 """
@@ -34,7 +38,7 @@ import functools
 import math
 import operator
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import DegenerateInputError, UsageError
 from .exactnum import (
@@ -195,14 +199,28 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     length ell, at one point (no scales: each sum itself).
 
     cols[key][v] is the factor of variable v at a position keyed `key`,
-    pair[w][v] that of w placed anywhere before v (pair may be None).  The
-    sum F(S) over the orderings of S on the first |S| positions obeys
-    F(S + v) += F(S) cols[seq[|S|]][v] G(S, v), where G(S, v) =
-    prod_{w in S} pair[w][v] = G(S - w0, v) pair[w0][v] (w0 = min S) is
-    built once per call.  The layers follow a trie of sequence prefixes, so
-    sequences sharing their first k keys share layers 0..k.  A point costs
-    about ell 2^(ell-1) multiplies for G plus two per (k-subset, variable
-    outside it) per trie node at depth k, in place of 1 + k per sequence.
+    pair[w][v] that of w placed anywhere before v (pair may be None).  Two
+    kinds of layers compute the sums.
+
+    With a pair table, the sum F(S) over the orderings of S on the first
+    |S| positions obeys F(S + v) += F(S) cols[seq[|S|]][v] G(S, v), where
+    G(S, v) = prod_{w in S} pair[w][v] = G(S - w0, v) pair[w0][v]
+    (w0 = min S) is built once per call.  The layers follow a trie of
+    sequence prefixes, so sequences sharing their first k keys share layers
+    0..k.  A point costs about ell 2^(ell-1) multiplies for G plus two per
+    (k-subset, variable outside it) per trie node at depth k, in place of
+    1 + k per sequence.
+
+    With no pair table, a term depends only on which key each variable
+    takes, so the layers run over the variables in order (`multiset_sums`):
+    layer v holds, for each sub-multiset S of size v of the sequences' keys,
+    the sum F(S) over the distinct ways to give the first v variables the
+    keys of S, and F(S + k) += F(S) cols[k][v], one multiply per move.
+    Layer 1 is the columns themselves.  The states and moves depend only on
+    the sequences (`multiset_plan`), so at n distinct keys a point costs at
+    most sum_{v=1}^{ell-1} C(n+v-1, v) n multiplies.  Each distinct
+    arrangement is counted once, so each sum takes prod_k mult_k! of its
+    sequence as a factor of its scale at the exit.
 
     The tables hold integers over one denominator `den` of every term:
     each term holds each column at v once and one of pair[w][v],
@@ -213,7 +231,7 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     den is an int or a value of the kind of `one`.  A column whose entries
     share a denominator at every v may keep it apart in key_dens[key]: each
     sum is then also divided by the key_dens along its sequence, as every
-    term holds one column of each of its keys.  The one DP loop runs on
+    term holds one column of each of its keys.  Both kinds of layers run on
     both alike, GF(p) terms reduced once, and every sum leaves by one
     conversion: 1/den (cleared once per call, a series by its inverse,
     modulo p by `PrimeScalar.inverse`) and each scale enter as (numerator,
@@ -232,9 +250,29 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
         fld, unit = field_of(one), 1
         make = functools.partial(scalar_of, modulus(fld))
     mod = modulus(fld)
+    if pair is None:
+        out, facts = multiset_sums(seqs, cols, mod, unit)
+    else:
+        out, facts = subset_sums(seqs, cols, pair, mod, unit), repeat(1)
+    extra = [math.prod(map(key_dens.__getitem__, seq)) if key_dens else 1 for seq in seqs]
+    scales = [(1, 1) if c is one else num_den(mod, c) for c in scales or [one] * len(out)]
+    if isinstance(den, PSeries):
+        mul, div = num_den(mod, den.inverse())
+    else:
+        div, mul = num_den(mod, fld.of(den))
+        if mod:
+            mul, div = PrimeScalar(div, mod).inverse().value, 1
+    # int * IntSeries scales a list, so the multipliers go left of the sum
+    return [make(f * c * (mul * x), div * d * e)
+            for x, f, (c, d), e in zip(out, facts, scales, extra)]
+
+
+def subset_sums(seqs, cols, pair, mod, unit):
+    """The sums of `symmetrize` with a pair table, by the subset trie."""
+    ell = len(seqs[0]) if seqs else 0
     full = (1 << ell) - 1
     gtab = [None] * full          # G(S, v) for S != 0 and v outside S
-    for s in range(1, full if pair is not None else 0):
+    for s in range(1, full):
         rest, row = s & (s - 1), pair[(s & -s).bit_length() - 1]
         g = gtab[s] = [None] * ell
         for v in range(ell):
@@ -263,24 +301,65 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
                 for v in range(ell):
                     if s >> v & 1:
                         continue
-                    term = fs * col[v]
-                    if g is not None:
-                        term = term * g[v]
+                    term = fs * col[v] * g[v]
                     if mod:
                         term %= mod
                     sv = s | 1 << v
                     nxt[sv] = nxt[sv] + term if sv in nxt else term
             todo.append((nxt, depth + 1, sub))
-    extra = [math.prod(map(key_dens.__getitem__, seq)) if key_dens else 1 for seq in seqs]
-    scales = [(1, 1) if c is one else num_den(mod, c) for c in scales or [one] * len(out)]
-    if isinstance(den, PSeries):
-        mul, div = num_den(mod, den.inverse())
-    else:
-        div, mul = num_den(mod, fld.of(den))
-        if mod:
-            mul, div = PrimeScalar(div, mod).inverse().value, 1
-    # int * IntSeries scales a list, so the multipliers go left of the sum
-    return [make(c * (mul * x), div * d * e) for x, (c, d), e in zip(out, scales, extra)]
+    return out
+
+
+def multiset_sums(seqs, cols, mod, unit):
+    """(sums, facts) of `symmetrize` with no pair table: each sequence's
+    sum over its distinct arrangements, by the sub-multiset layers of
+    `multiset_plan`, and its prod_k mult_k!."""
+    if not seqs or not seqs[0]:
+        return [unit] * len(seqs), [1] * len(seqs)
+    index = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
+    first, moves, ends, facts = multiset_plan(
+        tuple(tuple(map(index.__getitem__, seq)) for seq in seqs))
+    cols = [cols[key] for key in index]
+    fs = [cols[k][0] for k in first]
+    for v, layer in enumerate(moves, start=1):
+        at_v = [col[v] for col in cols]
+        nxt = []
+        for srcs in layer:
+            # a plain loop: a comprehension per state costs a call in 3.11
+            x = None
+            for s, k in srcs:
+                term = fs[s] * at_v[k]
+                x = term if x is None else x + term
+            nxt.append(x % mod if mod else x)
+        fs = nxt
+    return [fs[e] for e in ends], facts
+
+
+@functools.lru_cache(maxsize=256)
+def multiset_plan(seqs):
+    """(first, moves, ends, facts) of the sub-multiset layers for key-index
+    sequences of one length ell >= 1, built once for all the points that
+    repeat the sequences' index pattern.  The states of layer v are the
+    sub-multisets of size v of the sequences (sorted index tuples): those
+    of layer 1 are the keys first[i], and moves[v-1][j] lists the (state of
+    layer v, key k) with state + k the j-th state of layer v + 1.  The
+    sequence i ends at state ends[i] of layer ell, with facts[i] =
+    prod_k mult_k!."""
+    def drops(state):
+        """(state - k, k) for each distinct key k of a sorted state."""
+        return [(state[:i] + state[i + 1:], k)
+                for i, k in enumerate(state) if not i or k != state[i - 1]]
+
+    ends = [tuple(sorted(seq)) for seq in seqs]
+    layers = [list(dict.fromkeys(ends))]
+    for _ in range(len(ends[0]) - 1):
+        layers.append(list(dict.fromkeys(s for top in layers[-1] for s, _ in drops(top))))
+    layers.reverse()
+    where = [{state: j for j, state in enumerate(layer)} for layer in layers]
+    moves = [[[(below[s], k) for s, k in drops(top)] for top in layer]
+             for below, layer in zip(where, layers[1:])]
+    return ([state[0] for state in layers[0]], moves, [where[-1][end] for end in ends],
+            [math.prod(map(math.factorial, Counter(seq).values())) for seq in seqs])
 
 
 def point_tables(params, t, columns, primed=False):
@@ -394,8 +473,10 @@ def symmetric_products(seqs, column, one, den=1):
     """[(1/prod_k mult_k!) sum_sigma prod_a column(seq[a])[sigma_a] for seq
     in seqs]: symmetrized products of one column per key, keys may repeat,
     each distinct key's column built once; the columns are integers (or,
-    for series, `IntSeries`) over den, and the divisors fold into the
-    final denominators."""
+    for series, `IntSeries`) over den.  `symmetrize` sums them with no pair
+    table, by the sub-multiset layers, once per distinct arrangement, and
+    its exit multiplies each sum by prod_k mult_k!: the scales 1/prod_k
+    mult_k! cancel that factor in the one reduction of each sum."""
     cols = {key: column(key) for key in dict.fromkeys(key for seq in seqs for key in seq)}
     mod = modulus(one.field if isinstance(one, PSeries) else field_of(one))
     return symmetrize(seqs, cols, None, one, den,

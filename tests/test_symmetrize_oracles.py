@@ -1,7 +1,8 @@
-"""The literal sums over S_ell, kept here as oracles for the subset-DP
-`symmetrize` kernel that every symmetrized value in the package goes
-through: weights P and P', the base identity (plain and mutated),
-monomial symmetric polynomials, the theta weights, the explicit two-column
+"""The literal sums over S_ell, kept here as oracles for the `symmetrize`
+kernel (its subset trie with a pair table, its sub-multiset layers
+without) that every symmetrized value in the package goes through:
+weights P and P', the base identity (plain and mutated), monomial
+symmetric polynomials, the theta weights, the explicit two-column
 elliptic identity and the symmetrized basis products, for ell <= 4 over
 both QQ and GF(2^61 - 1), one partition at a time and as the per-point
 tables the checks use; and the kernel itself on arbitrary scalar and
@@ -34,7 +35,8 @@ from qident.exactnum import (
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
     from_ints, jing_value, monomial_symmetric, monomials, multiplicity_prefactor,
-    point_tables, sample_eta, sample_poly_params, sample_t, symmetrize, weight, weights)
+    multiset_plan, point_tables, sample_eta, sample_poly_params, sample_t, symmetrize, weight,
+    weights)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -641,6 +643,51 @@ def test_xi_table_multiplies_less_than_one_call_per_partition(monkeypatch):
     assert len(parts) == 10
     table, single = work(parts), sum(work([lam]) for lam in parts)
     assert 5 * table < 3 * single
+
+
+@pytest.mark.parametrize("ell, n, bound", [(4, 4, 136), (5, 3, 102)])
+def test_theta_lambdas_multiply_once_per_sub_multiset_move(monkeypatch, ell, n, bound):
+    # a deterministic work count, not a timing: with no pair table the sums
+    # run over the sub-multisets of the partitions, one `IntSeries` product
+    # per move, sum_{v=1}^{ell-1} C(n+v-1, v) n of them over all partitions
+    # at one point (136 at (4, 4), 102 at (5, 3)); the subset trie made 500
+    # and 825.  The counter wraps the real product, so the values are
+    # checked as well.
+    count = [0]
+    mul = IntSeries.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    s = sampler(141, QQ)
+    params, t = sample_ell_params(s, ell, n, 6), sample_t(s, ell)
+    parts = enumerate_partitions(ell, n)
+    monkeypatch.setattr(IntSeries, "__mul__", counted)
+    got = theta_lambdas(parts, t, params)
+    assert count[0] <= bound
+    monkeypatch.undo()
+    assert got == [theta_lambda_oracle(lam, t, params) for lam in parts]
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+def test_pair_free_calls_of_one_index_pattern_share_a_plan(fld):
+    # two calls back to back with other keys and other columns but the same
+    # index pattern (keys numbered by first appearance) run on one cached
+    # plan of states and moves, and each matches its permutation sums
+    entries = [fld.of(Fraction(3 * k - 17, k * k + 2)) for k in range(12)]
+    first = {"a": entries[0:3], "b": entries[3:6]}
+    second = {7: entries[6:9], 2: entries[9:12]}
+    calls = [([("a", "b", "a"), ("b", "b", "a"), ("a", "a", "a")], first),
+             ([(7, 2, 7), (2, 2, 7), (7, 7, 7)], second)]
+    before = multiset_plan.cache_info()
+    for seqs, cols in calls:
+        int_cols, _, den = cleared_tables(fld, cols, None)
+        assert symmetrize(seqs, int_cols, None, fld.one, den) == \
+            oracle_sums(seqs, cols, None, fld.one, fld.zero)
+    after = multiset_plan.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= 1
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
