@@ -31,8 +31,8 @@ from .exactnum import IntSeries, PSeries, num_den, product, theta, theta_ints, t
 from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
-    PolyParams, point_tables, sample_poly_params, sample_t, symmetric_products, symmetrize,
-    weights, window_products)
+    PolyParams, column_plan, point_tables, sample_poly_params, sample_t, symmetric_products,
+    symmetrize, weights, window_products)
 from .residues import (
     d_exponent, deta_rhs, kernel_residue, scalar_product, special_values,
     transition_matrix)
@@ -222,7 +222,7 @@ def idp2_value(params, t, mutate=False):
         columns["high", b] = [num_den(mod, eta ** (1 - 2 * b) / beta), high]
     seqs = [[("low" if a <= k else "high", a) for a in range(1, ell + 1)]
             for k in range(ell + 1)]
-    cols, pair, den, key_dens = point_tables(params, t, columns)
+    cols, pair, den, key_dens = point_tables(params, t, column_plan(params, columns))
     runs = [one]
     for s in range(ell):
         runs.append(runs[-1] * -eta ** s * th(eta ** (ell - s)) * th(eta ** s * beta)

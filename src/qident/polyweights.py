@@ -146,9 +146,11 @@ class PolyParams:
         `point_tables` of the columns of the keys, each the product of the
         factors of its `column_constants` (X_m or X'_m here, Z_m or Z'_m
         with their dynamical shift on `elliptic.EllParams`), and the
-        unprimed (or primed) pair factors."""
-        return point_tables(self, t, {key: self.column_constants(key, primed) for key in keys},
-                            primed)
+        unprimed (or primed) pair factors; their `column_plan` is built
+        once per key set."""
+        plan = self.memo(("columns", tuple(keys), primed), lambda: column_plan(
+            self, {key: self.column_constants(key, primed) for key in keys}))
+        return point_tables(self, t, plan, primed)
 
     def norm(self, lam):
         """N = prod_m prod_{s=1}^{w_m} phi(eta^s) f(x_m, eta^(s-1) y_m)/phi(eta),
@@ -362,16 +364,37 @@ def multiset_plan(seqs):
             [math.prod(map(math.factorial, Counter(seq).values())) for seq in seqs])
 
 
-def point_tables(params, t, columns, primed=False):
+def column_plan(params, columns):
+    """(consts, rests, keys, key_dens, degree): what `point_tables` needs
+    of the columns of `columns` (key -> the cleared constants c of its d
+    factors) that does not depend on the point.  consts are the distinct
+    constants; a key's column is the product of its other factors, which
+    the keys of one family share, times its first, so rests lists each
+    distinct product of other factors (indices into consts) once, and keys
+    holds (key, index into rests, index of the first factor, None for a
+    column of no factor); key_dens[key] = prod_c c_n^(L-1) c_d^L."""
+    last = params.degree
+    consts = list(dict.fromkeys(chain.from_iterable(columns.values())))
+    where = {c: i for i, c in enumerate(consts)}
+    rests, keys = {}, []
+    for key, cs in columns.items():
+        rest = tuple(where[c] for c in cs[1:])
+        keys.append((key, rests.setdefault(rest, len(rests)), where[cs[0]] if cs else None))
+    key_dens = {key: math.prod([cn ** (last - 1) * cd ** last for cn, cd in cs])
+                for key, cs in columns.items()}
+    return consts, list(rests), keys, key_dens, len(next(iter(columns.values()), ()))
+
+
+def point_tables(params, t, plan, primed=False):
     """(cols, pair, den, key_dens) for `symmetrize` at the point t, from
     the cleared coordinates t_v = a_v/b_v and the integer forms of the
-    parameters (`PolyParams.degree`): the columns of `columns` (key -> the
-    cleared constants c of its d factors) and the pair factors
-    phi(eta r)/phi(r) of t_w placed before t_v and phi(eta/r)/phi(1/r) of
-    t_v placed before t_w, r = t_v/t_w, w < v (swapped when primed).
+    parameters (`PolyParams.degree`): the columns of a `column_plan` and
+    the pair factors phi(eta r)/phi(r) of t_w placed before t_v and
+    phi(eta/r)/phi(1/r) of t_v placed before t_w, r = t_v/t_w, w < v
+    (swapped when primed).
 
     Each column at v is a product of `factor_ints` numerators over
-    (a_v^(L-1) b_v^L)^d and key_dens[key] = prod_c c_n^(L-1) c_d^L.  With
+    (a_v^(L-1) b_v^L)^d, over the plan's key_dens.  With
     r = A/B and eta = e_1/e_2 the pair factors are N(e_1 A, e_2 B) and
     -N(e_1 B, e_2 A) over one E N(A, B), E = e_1^(L-1) e_2^L, N the
     `phi_ints`, by the reflection phi(1/z) = -z^(-1) phi(z) of 1 - z and
@@ -382,23 +405,20 @@ def point_tables(params, t, columns, primed=False):
     Coincident coordinates (A = B) are rejected."""
     mod, _, _, (e1, e2) = params.cleared
     last = params.degree
+    consts, rests, keys, key_dens, degree = plan
     ts = [num_den(mod, u) for u in t]
-    ell, degree = len(ts), len(next(iter(columns.values()), ()))
-    consts = list(dict.fromkeys(chain.from_iterable(columns.values())))
-    at_v = dict(zip(consts, params.factor_ints(ts, consts)))
-    # a key's column is the product of its other factors, which the keys of
-    # one family share (each distinct such product is built once), times
-    # its first; a column of no factor is 1
-    key_dens, rests, cols = {}, {(): [1] * ell}, []
-    for key, cs in columns.items():
-        key_dens[key] = math.prod([cn ** (last - 1) * cd ** last for cn, cd in cs])
-        rest = tuple(cs[1:])
-        if rest not in rests:
-            rests[rest] = list(map(math.prod, zip(*map(at_v.get, rest))))
-        col = list(map(operator.mul, rests[rest], at_v[cs[0]])) if cs else [1] * ell
+    ell = len(ts)
+    at_v = params.factor_ints(ts, consts)
+    # each distinct product of other factors is built once; of none, 1
+    rests = [list(map(math.prod, zip(*[at_v[i] for i in rest]))) if rest else [1] * ell
+             for rest in rests]
+    cols = []
+    for _, rest, first in keys:
+        col = list(map(operator.mul, rests[rest], at_v[first])) if first is not None \
+            else [1] * ell
         cols.append([x % mod for x in col] if mod else col)
     cols, content = primitive(cols, mod)
-    cols = dict(zip(columns, cols))
+    cols = {key: col for (key, _, _), col in zip(keys, cols)}
     den = math.prod([a ** (last - 1) * b ** last for a, b in ts]) ** degree
     # per pair w < v with r = A/B: the arguments of N(e_1 A, e_2 B),
     # N(e_1 B, e_2 A) and N(A, B)
@@ -546,9 +566,9 @@ def jing_value(eta, t, one, zero, mutate=False):
     `symmetrize`'s scales; a mutated run doubles the k = 1 prefactor."""
     ell, fld = len(t), field_of(one)
     # the weights' unprimed pair table, and columns u - 1 and u - eta^(ell-1)
-    cols, pair, den, key_dens = point_tables(
-        PolyParams((), (), eta, ell, 0, fld), t,
-        {"low": [(1, 1)], "high": [num_den(modulus(fld), eta ** (ell - 1))]})
+    params = PolyParams((), (), eta, ell, 0, fld)
+    cols, pair, den, key_dens = point_tables(params, t, column_plan(
+        params, {"low": [(1, 1)], "high": [num_den(modulus(fld), eta ** (ell - 1))]}))
     seqs = [("low",) * k + ("high",) * (ell - k) for k in range(ell + 1)]
     prefs, top = [one], eta ** ell
     for s in range(ell):

@@ -34,7 +34,7 @@ from qident.exactnum import (
     QQ, IntSeries, PrimeField, PSeries, Sampler, SamplerConfig, field_of, ints_over_den)
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
-    from_ints, jing_value, monomial_symmetric, monomials, multiplicity_prefactor,
+    column_plan, from_ints, jing_value, monomial_symmetric, monomials, multiplicity_prefactor,
     multiset_plan, point_tables, sample_eta, sample_poly_params, sample_t, symmetrize, weight,
     weights)
 from qident.reporting import DEFAULT_PRIME
@@ -546,11 +546,11 @@ def test_theta_pair_numerators_over_theta_match_pair_quotients(fld, ell, k):
 
     for primed in (False, True):
         oracle = weight_pair_table(t, params, primed)
-        _, pair, den, _ = point_tables(params, t, {}, primed)
+        _, pair, den, _ = point_tables(params, t, column_plan(params, {}), primed)
         dens = params.one
         for w in range(ell):
             for v in range(w + 1, ell):
-                _, sub, d, _ = point_tables(params, (t[w], t[v]), {}, primed)
+                _, sub, d, _ = point_tables(params, (t[w], t[v]), column_plan(params, {}), primed)
                 over_phi = d / params.phi(t[v] / t[w])
                 if k is not None:
                     assert over_phi.num[1:] == [0] * k     # a nonzero scalar
