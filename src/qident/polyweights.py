@@ -19,11 +19,12 @@ norms and window sums serve both layers: the parameter object supplies
 phi, the linear factor f and the constants of the weight columns, 1 - z,
 u - c and the columns X_m here, theta, theta(u/c) and the columns Z_m
 with their dynamical shift on `elliptic.EllParams`, and with them the
-norm and the window coefficient of each partition.  As theta(z; 0) = 1 - z, each product here has the
-shape of its elliptic twin.  One routine, `point_tables`, builds the
-tables of a point in both layers fraction-free (von zur Gathen & Gerhard,
-Modern Computer Algebra, 6) from the integer numerators of phi and of
-the column factors that the parameters supply, and `PolyParams.phi_product`
+norm and the window coefficient of each partition.  As
+theta(z; 0) = 1 - z, each product here has the shape of its elliptic
+twin.  One routine, `point_tables`, builds the tables of a point in both
+layers fraction-free (von zur Gathen & Gerhard, Modern Computer Algebra,
+6) from the integer numerators of phi and of the column factors that the
+parameters supply, and `PolyParams.phi_product`
 the kernel products of `residues` from the same numerators, so no field
 or series operation is made per factor and `symmetrize` runs both kinds
 of layers on ints or on integer coefficient lists alike, and scales and
@@ -376,12 +377,11 @@ def column_plan(params, columns):
     last = params.degree
     consts = list(dict.fromkeys(chain.from_iterable(columns.values())))
     where = {c: i for i, c in enumerate(consts)}
-    rests, keys = {}, []
+    rests, keys, key_dens = {}, [], {}
     for key, cs in columns.items():
         rest = tuple(where[c] for c in cs[1:])
         keys.append((key, rests.setdefault(rest, len(rests)), where[cs[0]] if cs else None))
-    key_dens = {key: math.prod([cn ** (last - 1) * cd ** last for cn, cd in cs])
-                for key, cs in columns.items()}
+        key_dens[key] = math.prod([cn ** (last - 1) * cd ** last for cn, cd in cs])
     return consts, list(rests), keys, key_dens, len(next(iter(columns.values()), ()))
 
 
