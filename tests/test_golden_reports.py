@@ -65,7 +65,14 @@ the symmetrized sum themselves, before the prefactors went through
 basis products and the monomials at sizes nothing above prints, are pinned
 in `PINNED_PAIR_FREE`, recorded from the subset trie that `symmetrize` ran
 with or without a pair table, before the pair-free sums ran over
-sub-multiset layers."""
+sub-multiset layers.  `detprod` at (4, 3, K=6), plain and mutated `xt` at
+(2, 4, K=8) and `jing` at ell 12, one trial at seed 1 over both fields,
+the theta subset layers, the series solve and the integer subset layers at
+sizes nothing above prints, are pinned in `PINNED_HOT_LOOPS`, recorded
+from the series eliminations and products that normalized each product and
+each difference on its own and the subset layers that made two products
+per move, before one normalization per series result and one multiply per
+move where the trie shares a column."""
 
 import os
 import sys
@@ -692,5 +699,45 @@ def test_pair_free_report_matches_pinned_digest(key):
     verdict, *pinned = PINNED_PAIR_FREE[key]
     size = dict(ell=ell, n=n, k=k) if check == "xt" else dict(ell=ell, n=n)
     report = run_one(RunConfig(check=check, field=field, seed=1, trials=1, mutate=mutate, **size))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)
+
+
+# (check, size, field, mutate) -> (verdict, digest, length) of one trial at
+# seed 1 at HOT_LOOP_SIZES: the theta subset layers (detprod), the series
+# solve (xt) and the integer subset layers (jing) at sizes that no golden
+# or other pinned table prints
+HOT_LOOP_SIZES = {
+    "detprod": dict(ell=4, n=3, k=6),
+    "xt": dict(ell=2, n=4, k=8),
+    "jing": dict(ell=12),
+}
+PINNED_HOT_LOOPS = {
+    ("detprod", "prime", False): (VERIFIED,
+        "ec8cdaa84f924b23cb20368d541f2f73cb19d67384655fa2f84fbad93cfb68fd", 1199),
+    ("detprod", "rational", False): (VERIFIED,
+        "f7c85c1223a9b53ef3b54983eb4a3afc7875604ae898dab016df3a2b08160b55", 906),
+    ("jing", "prime", False): (VERIFIED,
+        "1df10f0aa6e1e120573c47beadb381888bec7b5c00c30850d03775339f47657b", 924),
+    ("jing", "rational", False): (VERIFIED,
+        "c1d1a5674751e9d461d3dd10a10f33b9fe437073d9f36e78fc032c632db38af0", 777),
+    ("xt", "prime", False): (VERIFIED,
+        "6f3feac93caf7e0b240d7992aaf8e21ffdbb3e69192ce5c6179eb5d96524c4f6", 995),
+    ("xt", "prime", True): (FALSIFIED,
+        "1558392d9a7a91be4ec8f1ec138baf123520fe7ebda876e5c09d0caa83c05c89", 2191),
+    ("xt", "rational", False): (VERIFIED,
+        "747ea8f15205c184373117dde73b819a8128da595550923d42b8cae7a82dd6d3", 872),
+    ("xt", "rational", True): (FALSIFIED,
+        "f9b99d15ab23f436e0c600cbdb2b40530553d736ff0bfd811bb35c09ce406c23", 3937),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_HOT_LOOPS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_hot_loop_report_matches_pinned_digest(key):
+    check, field, mutate = key
+    verdict, *pinned = PINNED_HOT_LOOPS[key]
+    report = run_one(RunConfig(check=check, field=field, seed=1, trials=1, mutate=mutate,
+                               **HOT_LOOP_SIZES[check]))
     assert report.verdict == verdict
     assert digest(report) == tuple(pinned)
