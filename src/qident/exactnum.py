@@ -15,7 +15,9 @@ every q-Pochhammer constant: (p^e; p^e)_inf is theta at p^e with nome
 p^(3e) (Euler's pentagonal number theorem), so no convergence questions
 ever arise.  The theta layer's per-point tables take theta's integer
 numerator before normalization (`theta_ints`) and multiply such lists
-as `IntSeries`, normalizing only their sums.
+as `IntSeries`, normalizing only their sums.  Likewise the inner loops of
+series elimination and products, v - f w and sum x_i y_i, convolve the
+numerators and normalize once (`sub_product`, `dot`).
 """
 
 from __future__ import annotations
@@ -399,7 +401,13 @@ class PSeries:
         return o._combine(self, operator.sub)
 
     def __neg__(self):
-        return self._new([-x for x in self.num], self.den)
+        # the negation of a canonical series is canonical: the same den,
+        # and over GF(p) each residue's complement
+        out = object.__new__(PSeries)
+        mod = out.mod = self.mod
+        out.num = [-x % mod for x in self.num] if mod else [-x for x in self.num]
+        out.field, out.den, out.order = self.field, self.den, self.order
+        return out
 
     def __mul__(self, other):
         if isinstance(other, PSeries):
@@ -489,6 +497,38 @@ class PSeries:
                 terms.append("%s*p^%d" % (c, i) if i else str(c))
         body = " + ".join(terms) if terms else "0"
         return "PSeries(%s; mod p^%d)" % (body, self.order + 1)
+
+
+def sub_product(v, f, w):
+    """v - f*w for series of one order and field, reduced once: the
+    convolution of f's and w's numerators and v's numerator are brought to
+    the lcm of their denominators, and the difference is made canonical by
+    one gcd (over GF(p), one `% p` pass)."""
+    prod, dp = convolve(f.num, w.num), f.den * w.den
+    dv = v.den
+    if dv == dp:
+        num = list(map(operator.sub, v.num, prod))
+    else:
+        den = dv // math.gcd(dv, dp) * dp
+        mv, mp = den // dv, den // dp
+        num = [x * mv - y * mp for x, y in zip(v.num, prod)]
+        dv = den
+    return PSeries._from_ints(v.field, num, dv, v.order)
+
+
+def dot(xs, ys):
+    """sum_i xs[i]*ys[i] for nonempty lists of series of one order and
+    field, reduced once: each product's convolved numerators are brought to
+    the lcm of the products' denominators, and the sum is made canonical by
+    one gcd (over GF(p), one `% p` pass)."""
+    prods = [(convolve(x.num, y.num), x.den * y.den) for x, y in zip(xs, ys)]
+    den = math.lcm(*[d for _, d in prods])
+    scaled = []
+    for prod, d in prods:
+        m = den // d
+        scaled.append(prod if m == 1 else [x * m for x in prod])
+    num = [sum(c) for c in zip(*scaled)]
+    return PSeries._from_ints(xs[0].field, num, den, xs[0].order)
 
 
 def convolve(a, b):

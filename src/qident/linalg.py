@@ -13,7 +13,11 @@ elimination; `mat_det` multiplies the contents back once, and a solve needs
 nothing, as scaling a row of [a | b] leaves X unchanged.  A product, and
 the sum over points of a residue pairing (`diag_mat_mul`), is one integer
 product over cleared rows and columns.  Series matrices keep the ring
-operations of `PSeries`.
+operations of `PSeries`, except in the two inner loops: an elimination
+update v - f w and an entry of a product, a sum of products, convolve the
+integer numerators and reduce once (`exactnum.sub_product`,
+`exactnum.dot`), one gcd per result where the ring operations made one per
+product and per sum.
 """
 
 from __future__ import annotations
@@ -21,16 +25,18 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import NonInvertibleError
 from .exactnum import (
-    QQ, PrimeScalar, PSeries, field_of, ints_over_den, modulus, num_den, scalar_of)
+    QQ, PrimeScalar, PSeries, dot, field_of, ints_over_den, modulus, num_den, scalar_of,
+    sub_product)
 
 
 class SeriesRows:
-    """Rows of `PSeries` entries, by the ring operations; `invertible`
-    decides a usable pivot (a unit) and `is_zero` a zero entry."""
+    """Rows of `PSeries` entries, by the ring operations and the fused
+    update `exactnum.sub_product`; `invertible` decides a usable pivot (a
+    unit) and `is_zero` a zero entry."""
 
     def __init__(self, invertible=None, is_zero=None):
         self.invertible = invertible or PSeries.invertible
@@ -50,10 +56,11 @@ class SeriesRows:
         return row[col], tail
 
     def eliminate(self, row, col, tail):
-        """row -= row[col] * (the normalized pivot row), after `col`."""
+        """row -= row[col] * (the normalized pivot row), after `col`, each
+        entry reduced once."""
         f = row[col]
         if not self.is_zero(f):
-            row[col + 1:] = [v - f * w for v, w in zip(row[col + 1:], tail)]
+            row[col + 1:] = [sub_product(v, f, w) for v, w in zip(row[col + 1:], tail)]
 
     def values(self, row, start):
         return row[start:]
@@ -196,10 +203,11 @@ def mat_mul(a, b):
     is cleared to integers over one denominator (`ints_over_den`), so an
     entry is one integer dot product, reduced once.  The field is that of
     the first entry in the first rows of a and b that is not an int (QQ if
-    there is none)."""
+    there is none).  Over the series ring an entry is one `exactnum.dot`,
+    reduced once."""
     x = next((v for v in chain(a[0], b[0]) if type(v) is not int), 0)
     if isinstance(x, PSeries):
-        return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
+        return [[dot(row, col) for col in zip(*b)] for row in a]
     fld = field_of(x)
     return cleared_mat_mul(modulus(fld), [ints_over_den(fld, row) for row in a],
                            [ints_over_den(fld, col) for col in zip(*b)])

@@ -209,10 +209,17 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     |S| positions obeys F(S + v) += F(S) cols[seq[|S|]][v] G(S, v), where
     G(S, v) = prod_{w in S} pair[w][v] = G(S - w0, v) pair[w0][v]
     (w0 = min S) is built once per call.  The layers follow a trie of
-    sequence prefixes, so sequences sharing their first k keys share layers
-    0..k.  A point costs about ell 2^(ell-1) multiplies for G plus two per
-    (k-subset, variable outside it) per trie node at depth k, in place of
-    1 + k per sequence.
+    sequence prefixes (`subset_plan`, built once per index pattern of the
+    sequences), so sequences sharing their first k keys share layers 0..k;
+    each layer is a list indexed by mask, in which every target sums its
+    moves in place (modulo p reduced once).  Where two or more trie nodes
+    move by one key at one depth k, H(S, v) = cols[key][v] G(S, v) is built
+    once for them and each of their moves is one multiply, F(S) H(S, v);
+    a (key, depth) that one node reaches moves by the two factors.  So a
+    point costs about ell 2^(ell-1) multiplies for G, plus, per
+    (k-subset, variable outside it), C(ell, k)(ell - k) pairs in all, one
+    multiply for each shared (key, depth k) and one for each node of it,
+    or two for each unshared node, in place of 1 + k per sequence.
 
     With no pair table, a term depends only on which key each variable
     takes, so the layers run over the variables in order (`multiset_sums`):
@@ -271,46 +278,107 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
 
 
 def subset_sums(seqs, cols, pair, mod, unit):
-    """The sums of `symmetrize` with a pair table, by the subset trie."""
+    """The sums of `symmetrize` with a pair table, by the subset trie of
+    `subset_plan` over the layers of `subset_masks`."""
     ell = len(seqs[0]) if seqs else 0
+    if not ell:
+        return [unit] * len(seqs)
+    index = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
+    roots, uses = subset_plan(tuple(tuple(map(index.__getitem__, seq)) for seq in seqs))
+    cols = [cols[key] for key in index]
+    by_count, outside = subset_masks(ell)
     full = (1 << ell) - 1
     gtab = [None] * full          # G(S, v) for S != 0 and v outside S
     for s in range(1, full):
         rest, row = s & (s - 1), pair[(s & -s).bit_length() - 1]
         g = gtab[s] = [None] * ell
-        for v in range(ell):
-            if not s >> v & 1:
-                x = gtab[rest][v] * row[v] if rest else row[v]
-                g[v] = x % mod if mod else x
+        grest = gtab[rest] if rest else None
+        for v in outside[s]:
+            x = grest[v] * row[v] if rest else row[v]
+            g[v] = x % mod if mod else x
+    htabs, left = {}, dict(uses)  # H(S, v) per shared (key, depth), and its uses to come
     out = [None] * len(seqs)
-    todo = [({0: unit}, 0, range(len(seqs)))]    # (layer, depth, sequences)
+    todo = [(node, None) for node in roots]
     while todo:
-        layer, depth, members = todo.pop()
-        if depth == ell:
-            for i in members:
-                out[i] = layer[full]
-            continue
+        (key, depth, children, members), layer = todo.pop()
+        col = cols[key]
+        nxt = [None] * (full + 1)
+        if not depth:          # F(empty) = 1 and G(empty, v) = 1
+            for v in range(ell):
+                nxt[1 << v] = col[v]
+        elif (key, depth) in left:
+            h = htabs.get((key, depth))
+            if h is None:
+                h = htabs[key, depth] = [None] * full
+                for s in by_count[depth]:
+                    g, hs = gtab[s], [None] * ell
+                    for v in outside[s]:
+                        x = col[v] * g[v]
+                        hs[v] = x % mod if mod else x
+                    h[s] = hs
+            left[key, depth] -= 1
+            if not left[key, depth]:
+                del htabs[key, depth]
+            for s in by_count[depth]:
+                fs, hs = layer[s], h[s]
+                for v in outside[s]:
+                    t, term = s | 1 << v, fs * hs[v]
+                    x = nxt[t]
+                    nxt[t] = term if x is None else x + term
+        else:
+            for s in by_count[depth]:
+                fs, g = layer[s], gtab[s]
+                for v in outside[s]:
+                    t, term = s | 1 << v, fs * col[v] * g[v]
+                    x = nxt[t]
+                    nxt[t] = term if x is None else x + term
+        if mod:
+            for t in by_count[depth + 1]:
+                nxt[t] = nxt[t] % mod
+        for i in members:
+            out[i] = nxt[full]
+        todo.extend((child, nxt) for child in children)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def subset_masks(ell):
+    """(by_count, outside) over ell variables, built once per ell:
+    by_count[d] lists the masks of d variables, outside[s] the variables
+    not in the mask s."""
+    by_count = [[] for _ in range(ell + 1)]
+    outside = []
+    for s in range(1 << ell):
+        by_count[bin(s).count("1")].append(s)
+        outside.append([v for v in range(ell) if not s >> v & 1])
+    return by_count, outside
+
+
+@functools.lru_cache(maxsize=256)
+def subset_plan(seqs):
+    """(roots, uses): the trie of prefixes of key-index sequences of one
+    length ell >= 1, built once for all the points that repeat the
+    sequences' index pattern.  A node (key, depth, children, members) moves
+    the layer of its parent's prefix, of `depth` variables, by the column of
+    `key`; members are the sequences that end there, and roots the nodes of
+    depth 0.  uses[(key, depth)] counts the nodes of each (key, depth >= 1)
+    that two or more nodes reach, whose moves share one H table."""
+    ell, count = len(seqs[0]), {}
+
+    def grow(members, depth):
         groups = {}
         for i in members:
             groups.setdefault(seqs[i][depth], []).append(i)
+        nodes = []
         for key, sub in groups.items():
-            col = cols[key]
-            if not depth:      # F(empty) = 1 and G(empty, v) = 1
-                todo.append(({1 << v: col[v] for v in range(ell)}, 1, sub))
-                continue
-            nxt = {}
-            for s, fs in layer.items():
-                g = gtab[s]
-                for v in range(ell):
-                    if s >> v & 1:
-                        continue
-                    term = fs * col[v] * g[v]
-                    if mod:
-                        term %= mod
-                    sv = s | 1 << v
-                    nxt[sv] = nxt[sv] + term if sv in nxt else term
-            todo.append((nxt, depth + 1, sub))
-    return out
+            count[key, depth] = count.get((key, depth), 0) + 1
+            last = depth + 1 == ell
+            nodes.append((key, depth, () if last else grow(sub, depth + 1),
+                          tuple(sub) if last else ()))
+        return tuple(nodes)
+
+    roots = grow(range(len(seqs)), 0)
+    return roots, {kd: m for kd, m in count.items() if kd[1] and m > 1}
 
 
 def multiset_sums(seqs, cols, mod, unit):

@@ -183,9 +183,9 @@ def gram_matrix(left, right, params):
     downstream.
     """
     xs, ys = side_pairings(left, right, params)
-    sign = (-params.field.one) ** params.ell
+    odd = params.ell % 2
     for x_row, y_row in zip(xs, ys):
-        if any(x != sign * y for x, y in zip(x_row, y_row)):
+        if any(x != (-y if odd else y) for x, y in zip(x_row, y_row)):
             raise ConsistencyError(MISMATCH)
     return xs
 

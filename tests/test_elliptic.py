@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,7 +8,7 @@ import pytest
 from qident.cli import run_one, validate
 from qident.errors import UsageError
 from qident.exactnum import (
-    QQ, PrimeField, Sampler, SamplerConfig, theta, triple_pochhammer_p)
+    QQ, PrimeField, PSeries, Sampler, SamplerConfig, theta, triple_pochhammer_p)
 from qident.linalg import mat_det
 from qident.partitions import Partition, binom, enumerate_partitions, enumerate_window, x_point
 from qident.reporting import DEFAULT_PRIME, RunConfig
@@ -369,3 +371,27 @@ def test_xt_with_order_below_the_basis_valuation():
         for mutate, verdict in ((False, "verified"), (True, "falsified")):
             cfg = RunConfig(check="xt", ell=ell, n=n, k=k, trials=1, seed=1, mutate=mutate)
             assert run_one(cfg).verdict == verdict
+
+
+def test_xt_trial_reduces_each_series_result_once(monkeypatch):
+    # a deterministic work count, not a timing: one xt (2, 3, K=8) trial at
+    # seed 1 (the benchmark's largest `elliptic` entry) brings at most 600
+    # series to canonical form, one gcd each.  Elimination updates v - f w
+    # and product entries sum x_i y_i leave through one reduction each; a
+    # normalized product and a normalized sum or difference apiece made
+    # 1,018.  The report's digest was recorded before, so the values are
+    # checked too.
+    count = [0]
+    make = PSeries._from_ints.__func__
+
+    def counted(cls, *args):
+        count[0] += 1
+        return make(cls, *args)
+
+    monkeypatch.setattr(PSeries, "_from_ints", classmethod(counted))
+    report = run_one(RunConfig(check="xt", ell=2, n=3, k=8, seed=1, trials=1))
+    assert count[0] <= 600
+    assert report.verdict == "verified"
+    canonical = json.dumps(report.canonical(), sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == \
+        "ecf7b80a0500e096ee4d4f069c89e3ea84967be4210796f0b9041fccb455b904"

@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from qident.errors import (
     DegenerateInputError, NonInvertibleError, SamplingError, UsageError)
 from qident.exactnum import (
-    MR_EXACT_BELOW, PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, field_of,
-    is_probable_prime, theta, theta_ints, to_prime_field, triple_pochhammer_p)
+    MR_EXACT_BELOW, PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig, dot,
+    field_of, is_probable_prime, sub_product, theta, theta_ints, to_prime_field,
+    triple_pochhammer_p)
 from qident.reporting import DEFAULT_PRIME
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -413,6 +416,68 @@ def test_pseries_matches_fraction_series_oracle(fld, order, data):
         "mul", fld, a, fraction_series_oracle("inverse", fld, b)), fld)
     assert sa * sb == sb * sa and hash(sa * sb) == hash(sb * sa)
     assert (sa + sb) - sb == sa and hash((sa + sb) - sb) == hash(sa)
+
+
+def sub_product_oracle(v, f, w):
+    """The elimination update that `exactnum.sub_product` replaced in
+    `linalg.SeriesRows.eliminate`: a normalized product, then a normalized
+    difference."""
+    return v - f * w
+
+
+def dot_oracle(xs, ys):
+    """The product entry that `exactnum.dot` replaced in `linalg.mat_mul`:
+    every product and every partial sum normalized."""
+    return reduce(add, map(mul, xs, ys))
+
+
+# no denominator is a multiple of 101 or of 2^61 - 1, so each lies in
+# every field; 1225 = 35^2 makes products over equal denominators common
+FUSED_FIELDS = [QQ, PrimeField(DEFAULT_PRIME), PrimeField(101)]
+FUSED_DENS = st.sampled_from([1, 2, 6, 35, 1225, 10 ** 9 + 7])
+
+
+def series_over(fld, order, den):
+    """Series of the order with coefficients n/den of height up to 10^6,
+    one of them 1/den, so that over QQ den is exactly the denominator; or
+    the zero series."""
+    coeffs = st.tuples(st.integers(0, order), st.lists(
+        st.integers(-10 ** 6, 10 ** 6), min_size=order + 1, max_size=order + 1))
+    return st.just(PSeries.constant(fld, fld.zero, order)) | coeffs.map(
+        lambda c: PSeries(fld, [Fraction(1 if i == c[0] else x, den)
+                                for i, x in enumerate(c[1])], order))
+
+
+@given(st.sampled_from(FUSED_FIELDS), st.integers(0, 30), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fused_series_kernels_match_the_ring_operations(fld, order, data):
+    # v - f*w and sum x_i y_i, reduced once, against the ring operations
+    # that normalize every product and every sum; v's denominator equal to
+    # f's times w's (one branch of `sub_product`) or drawn on its own
+    df, dw = data.draw(FUSED_DENS), data.draw(FUSED_DENS)
+    f, w = data.draw(series_over(fld, order, df)), data.draw(series_over(fld, order, dw))
+    dv = data.draw(st.just(df * dw) | FUSED_DENS)
+    v = data.draw(series_over(fld, order, dv))
+    got = sub_product(v, f, w)
+    assert_canonical(got)
+    assert got == sub_product_oracle(v, f, w) and hash(got) == hash(v - f * w)
+    size = data.draw(st.integers(1, 4))
+    xs, ys = [[data.draw(series_over(fld, order, data.draw(FUSED_DENS))) for _ in range(size)]
+              for _ in range(2)]
+    got = dot(xs, ys)
+    assert_canonical(got)
+    assert got == dot_oracle(xs, ys) and hash(got) == hash(dot_oracle(xs, ys))
+
+
+@given(st.sampled_from(FUSED_FIELDS), st.integers(0, 30), st.data())
+@settings(max_examples=40, deadline=None)
+def test_negation_is_canonical_and_scales_by_minus_one(fld, order, data):
+    # -s keeps s's denominator with no gcd; modulo p each residue's
+    # complement, zero staying 0
+    s = data.draw(series_over(fld, order, data.draw(FUSED_DENS)))
+    assert_canonical(-s)
+    assert -s == s * -1 and hash(-s) == hash(s * -1)
+    assert -(-s) == s
 
 
 @given(fields_st, st.integers(0, 24), st.integers(1, 3), nonzero_fractions, nonzero_fractions)

@@ -5,7 +5,9 @@ permutation sum; and singular input, which `mat_solve` rejects and
 `mat_det` maps to zero.  At realistic heights (sampler draws, size >= 12,
 over QQ and GF(2^61 - 1)) the bare-integer paths are compared with the
 elimination on field scalars that they replaced, and a work count keeps
-`Fraction` and `PrimeScalar` arithmetic out of their loops.  Rational rows
+`Fraction` and `PrimeScalar` arithmetic out of their loops; series
+elimination and products, which reduce each entry once, are compared with
+the ring operations that normalized each product and each sum.  Rational rows
 load as primitive integer rows whose contents multiply back to the input."""
 
 from fractions import Fraction
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 from qident.errors import NonInvertibleError
 from qident.exactnum import PSeries, PrimeField, PrimeScalar, QQ, Sampler, SamplerConfig
 from qident.linalg import (
-    RatRows, diag_mat_mul, eliminate, mat_det, mat_inverse, mat_mul, mat_solve, transpose)
+    RatRows, SeriesRows, diag_mat_mul, eliminate, mat_det, mat_inverse, mat_mul, mat_solve,
+    transpose)
 
 GF101 = PrimeField(101)
 
@@ -292,6 +295,35 @@ def test_bare_integer_paths_match_the_field_scalar_oracle(field_name, shape, n):
         prod = mat_mul(left, right)
         assert prod == oracle_mul(left, right)
         assert all(type(v) is scalar for row in prod for v in row)
+
+
+class UnfusedSeriesRows(SeriesRows):
+    """Oracle: the series row update before `exactnum.sub_product`, a
+    normalized product and then a normalized difference per entry."""
+
+    def eliminate(self, row, col, tail):
+        f = row[col]
+        if not self.is_zero(f):
+            row[col + 1:] = [v - f * w for v, w in zip(row[col + 1:], tail)]
+
+
+@pytest.mark.parametrize("field_name", sorted(HEIGHT_FIELDS))
+@pytest.mark.parametrize("jordan", [False, True], ids=["det", "solve"])
+def test_series_elimination_and_products_match_the_ring_operations(field_name, jordan):
+    # series of order 8 with sampler-drawn coefficients of height 1000,
+    # every constant term nonzero (a unit pivot in every column), and a
+    # zero series in every third row's column 0, which the update skips
+    fld, order, n = HEIGHT_FIELDS[field_name], 8, 6
+    draws = drawn(fld, 31, n * (n + 2), order + 1)
+    a = [[PSeries(fld, draws[r * (n + 2) + c], order) for c in range(n + 2)] for r in range(n)]
+    for r in range(2, n, 3):
+        a[r][0] = PSeries.constant(fld, fld.zero, order)
+    fused, unfused = [list(row) for row in a], [list(row) for row in a]
+    assert eliminate(SeriesRows(), fused, n, jordan) == \
+        eliminate(UnfusedSeriesRows(), unfused, n, jordan)
+    assert fused == unfused
+    b = transpose(a)
+    assert mat_mul(a, b) == oracle_mul(a, b)
 
 
 def test_rational_entries_stay_reduced_pairs():

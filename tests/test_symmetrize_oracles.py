@@ -35,8 +35,8 @@ from qident.exactnum import (
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
     column_plan, from_ints, jing_value, monomial_symmetric, monomials, multiplicity_prefactor,
-    multiset_plan, point_tables, sample_eta, sample_poly_params, sample_t, symmetrize, weight,
-    weights)
+    multiset_plan, point_tables, sample_eta, sample_poly_params, sample_t, subset_plan,
+    symmetrize, weight, weights)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -421,6 +421,44 @@ def test_symmetrize_matches_permutation_sum_on_series_tables(data, fld, ell, wit
     assert all(isinstance(x, PSeries) and x.order == order for x in got)
 
 
+# key sequences of length 4 whose subset tries do and do not share a
+# (key, depth): in the first, key 1 at depth 1, key 1 at depth 2 and key 2
+# at depth 3 follow two or more prefixes each (one sequence repeats); in
+# the second every (key, depth) follows one prefix
+SHARING = {
+    "shared": [(0, 1, 1, 2), (1, 1, 1, 2), (2, 1, 0, 2), (0, 1, 1, 2)],
+    "unshared": [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)],
+}
+
+
+# no shrink phase, as above
+@pytest.mark.parametrize("fld", TABLE_FIELDS, ids=FIELD_IDS + ["GF101"])
+@pytest.mark.parametrize("series", [False, True], ids=["int", "series"])
+@pytest.mark.parametrize("sharing", sorted(SHARING))
+@given(st.data())
+@settings(max_examples=15, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_subset_layers_with_and_without_a_shared_column(fld, series, sharing, data):
+    # a (key, depth) that two or more trie nodes reach moves by one shared
+    # H(S, v) = col[v] G(S, v), one that one node reaches by the two
+    # factors; both against the permutation sums, on ints and on
+    # `IntSeries`
+    seqs = SHARING[sharing]
+    assert bool(subset_plan(tuple(seqs))[1]) == (sharing == "shared")
+    entry, one, zero = table_scalars(fld), fld.one, fld.zero
+    if series:
+        order = data.draw(st.integers(0, 3))
+        entry = st.lists(entry, min_size=1, max_size=order + 1).map(
+            lambda cs: PSeries(fld, cs, order))
+        one, zero = PSeries.constant(fld, one, order), PSeries.constant(fld, zero, order)
+    row = st.lists(entry, min_size=4, max_size=4)
+    cols = {key: data.draw(row) for key in range(4)}
+    pair = [[None if w == v else x for v, x in enumerate(data.draw(row))] for w in range(4)]
+    int_cols, int_pair, den = cleared_tables(fld, cols, pair)
+    assert symmetrize(seqs, int_cols, int_pair, one, den) == \
+        oracle_sums(seqs, cols, pair, one, zero)
+
+
 def test_symmetrize_zero_den_modulo_p_has_no_inverse():
     # the one exit clears 1/den through `PrimeScalar.inverse` (a scalar
     # den, also under a series `one`) or the series inverse (a series den),
@@ -668,6 +706,32 @@ def test_theta_lambdas_multiply_once_per_sub_multiset_move(monkeypatch, ell, n, 
     assert count[0] <= bound
     monkeypatch.undo()
     assert got == [theta_lambda_oracle(lam, t, params) for lam in parts]
+
+
+@pytest.mark.parametrize("ell, n, bound", [(4, 3, 447), (5, 3, 1246)])
+def test_theta_weights_multiply_once_per_shared_move(monkeypatch, ell, n, bound):
+    # a deterministic work count, not a timing: the Xi weights of every
+    # partition at one x-point, where each (key, depth) of the subset trie
+    # that two or more nodes reach moves by one product F(S) H(S, v), with
+    # H(S, v) = col[v] G(S, v) built once, and the others by two; two
+    # products per move made 615 and 1,846.  The counter wraps the real
+    # product, so the values are checked as well.
+    count = [0]
+    mul = IntSeries.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    s = sampler(1, QQ)
+    params = sample_ell_params(s, ell, n, 6)
+    parts = enumerate_partitions(ell, n)
+    t = x_point(parts[0], params).coords
+    monkeypatch.setattr(IntSeries, "__mul__", counted)
+    got = weights(parts, t, params)
+    assert count[0] <= bound
+    monkeypatch.undo()
+    assert got == [xi_oracle(lam, t, params) for lam in parts]
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
