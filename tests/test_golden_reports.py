@@ -72,7 +72,12 @@ sizes nothing above prints, are pinned in `PINNED_HOT_LOOPS`, recorded
 from the series eliminations and products that normalized each product and
 each difference on its own and the subset layers that made two products
 per move, before one normalization per series result and one multiply per
-move where the trie shares a column."""
+move where the trie shares a column.  Plain and mutated `idp2` at
+(6, 2, K=8) and `idp1` at (4, 3, 1, 3, K=6), one trial at seed 1 over both
+fields, the two-chain subset layers above ell 3, are pinned in
+`PINNED_CHAINS`, recorded from the subset layers that walked the trie
+depth first and moved an unshared node by its two factors, before they
+walked it one depth at a time."""
 
 import os
 import sys
@@ -739,5 +744,43 @@ def test_hot_loop_report_matches_pinned_digest(key):
     verdict, *pinned = PINNED_HOT_LOOPS[key]
     report = run_one(RunConfig(check=check, field=field, seed=1, trials=1, mutate=mutate,
                                **HOT_LOOP_SIZES[check]))
+    assert report.verdict == verdict
+    assert digest(report) == tuple(pinned)
+
+
+# (check, field, mutate) -> (verdict, digest, length) of one trial at seed
+# 1 at CHAIN_SIZES: the prefix and suffix chains of the subset layers at
+# sizes that no golden or other pinned table prints
+CHAIN_SIZES = {
+    "idp2": dict(ell=6, n=2, k=8),
+    "idp1": dict(ell=4, n=3, i=1, j=3, k=6),
+}
+PINNED_CHAINS = {
+    ("idp1", "prime", False): (VERIFIED,
+        "dab8c83ef7ef37db73705e5bff06ab4f7a384ddf9cad7143e2e65447e1d4b014", 1149),
+    ("idp1", "prime", True): (FALSIFIED,
+        "a49ef6ea58b564fe4195c7785fa95db25dd82f61ea9855d2832cb0b2dde7aaf0", 1272),
+    ("idp1", "rational", False): (VERIFIED,
+        "d9162807e0ee81520e7807299c0e80482abd8fb367d0ba7d021de7482b195e77", 858),
+    ("idp1", "rational", True): (FALSIFIED,
+        "0be9d4dde199cf6e63a4bdc860a3467bc56e448d52e07c2f74d71e8f663985c2", 5151),
+    ("idp2", "prime", False): (VERIFIED,
+        "6498879b5e75bbe55293b380579ff963502f3ff20b3139f9d144c9d29f6be7cb", 1289),
+    ("idp2", "prime", True): (FALSIFIED,
+        "cafc1bc3cdecb317646e073c61274b1c8ada45f17bd6c3a311b74a714b240359", 1448),
+    ("idp2", "rational", False): (VERIFIED,
+        "a74721604e2c17f7423a3158f66f39449f69f92d5bb0a99356380a429c3b16fa", 948),
+    ("idp2", "rational", True): (FALSIFIED,
+        "10c89b608a7f2ce59f93709f5de989ff37b33e8560481ca15bc63f46eb65cbb9", 9850),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_CHAINS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_chain_report_matches_pinned_digest(key):
+    check, field, mutate = key
+    verdict, *pinned = PINNED_CHAINS[key]
+    report = run_one(RunConfig(check=check, field=field, seed=1, trials=1, mutate=mutate,
+                               **CHAIN_SIZES[check]))
     assert report.verdict == verdict
     assert digest(report) == tuple(pinned)
