@@ -31,8 +31,8 @@ from .exactnum import IntSeries, PSeries, num_den, product, theta, theta_ints, t
 from .linalg import mat_det, mat_mul
 from .partitions import binom, enumerate_partitions
 from .polyweights import (
-    PolyParams, column_plan, point_tables, sample_poly_params, sample_t, symmetric_products,
-    symmetrize, weights, window_products)
+    PolyParams, alternating_sum, sample_poly_params, sample_t, symmetric_products, weights,
+    window_products)
 from .residues import (
     d_exponent, deta_rhs, kernel_residue, scalar_product, special_values,
     transition_matrix)
@@ -201,16 +201,19 @@ def xi_weight(lam, t, params, primed=False):
 def idp2_value(params, t, mutate=False):
     """The two-column window identity in its explicit form; depends on the
     parameters only through beta = eta^(1-2ell) alpha x_1/y_1.  The ell + 1
-    inner sums share their leading low columns, so they come from one
-    `symmetrize` call on the tables of `point_tables`, with the prefactors
-    theta(eta^(2k) beta) (-1)^k prod_{s<k} eta^s theta(eta^(ell-s))
-    theta(eta^s beta)/(theta(eta^(s+1)) theta(eta^(s+ell+1) beta)), one
-    running product over s, as its scales; a mutated run doubles the k = 1
-    prefactor."""
+    inner sums share their leading low columns, and `alternating_sum`
+    weighs them by the prefactors theta(eta^(2k) beta) (-1)^k prod_{s<k}
+    eta^s theta(eta^(ell-s)) theta(eta^s beta)/(theta(eta^(s+1))
+    theta(eta^(s+ell+1) beta)), one running product over s."""
     eta, th = params.eta, params.th
     ell = len(t)
     beta = eta ** (1 - 2 * ell) * params.alpha * params.x[0] / params.y[0]
     one, mod = params.field.one, params.cleared[0]
+    runs = [one]
+    for s in range(ell):
+        runs.append(runs[-1] * -eta ** s * th(eta ** (ell - s)) * th(eta ** s * beta)
+                    / (th(eta ** (s + 1)) * th(eta ** (s + ell + 1) * beta)))
+    prefs = [th(eta ** (2 * k) * beta) * run for k, run in enumerate(runs)]
     # the single factor at position a (1-based) inside, resp. after, the
     # first k positions: theta(u) theta(eta^(2-2a-ell) u/beta), resp.
     # theta(eta^(1-ell) u) theta(eta^(1-2b) u/beta), by their constants
@@ -220,17 +223,8 @@ def idp2_value(params, t, mutate=False):
         columns["low", a] = [num_den(mod, eta ** (2 - 2 * a - ell) / beta), low]
     for b in range(1, ell + 1):
         columns["high", b] = [num_den(mod, eta ** (1 - 2 * b) / beta), high]
-    seqs = [[("low" if a <= k else "high", a) for a in range(1, ell + 1)]
-            for k in range(ell + 1)]
-    cols, pair, den, key_dens = point_tables(params, t, column_plan(params, columns))
-    runs = [one]
-    for s in range(ell):
-        runs.append(runs[-1] * -eta ** s * th(eta ** (ell - s)) * th(eta ** s * beta)
-                    / (th(eta ** (s + 1)) * th(eta ** (s + ell + 1) * beta)))
-    prefs = [th(eta ** (2 * k) * beta) * run for k, run in enumerate(runs)]
-    if mutate and ell:
-        prefs[1] = prefs[1] * 2
-    return sum(symmetrize(seqs, cols, pair, params.one, den, prefs, key_dens), params.zero)
+    return alternating_sum(params, t, columns, [("low", a) for a in range(1, ell + 1)],
+                           [("high", b) for b in range(1, ell + 1)], prefs, mutate)
 
 
 # ---------------------------------------------------------------------------

@@ -212,14 +212,14 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     sequence prefixes (`subset_plan`, built once per index pattern of the
     sequences), so sequences sharing their first k keys share layers 0..k;
     each layer is a list indexed by mask, in which every target sums its
-    moves in place (modulo p reduced once).  Where two or more trie nodes
-    move by one key at one depth k, H(S, v) = cols[key][v] G(S, v) is built
-    once for them and each of their moves is one multiply, F(S) H(S, v);
-    a (key, depth) that one node reaches moves by the two factors.  So a
-    point costs about ell 2^(ell-1) multiplies for G, plus, per
-    (k-subset, variable outside it), C(ell, k)(ell - k) pairs in all, one
-    multiply for each shared (key, depth k) and one for each node of it,
-    or two for each unshared node, in place of 1 + k per sequence.
+    moves in place (modulo p reduced once).  The trie is walked one depth
+    at a time: for each key that moves nodes at depth k >= 1,
+    H(S, v) = cols[key][v] G(S, v) is built once, each of those nodes'
+    moves is one multiply, F(S) H(S, v), and H is dropped.  So a point
+    costs about ell 2^(ell-1) multiplies for G, plus, per (k-subset,
+    variable outside it), C(ell, k)(ell - k) pairs in all, one multiply
+    for each (key, depth k) and one for each of its nodes, in place of
+    1 + k per sequence.
 
     With no pair table, a term depends only on which key each variable
     takes, so the layers run over the variables in order (`multiset_sums`):
@@ -246,24 +246,27 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
     conversion: 1/den (cleared once per call, a series by its inverse,
     modulo p by `PrimeScalar.inverse`) and each scale enter as (numerator,
     denominator) pairs (`num_den`; `one` itself as (1, 1)), and each sum
-    becomes one field scalar or one series in canonical form once.
+    becomes one field scalar or one series in canonical form once
+    (`from_ints`).  Both kinds of layers take the keys numbered by first
+    appearance, whose index pattern keys their cached plans, and ell >= 1:
+    at ell = 0 each sum is the empty product and no layer runs.
     """
     ell = len(seqs[0]) if seqs else 0
     if any(len(seq) != ell for seq in seqs) or any(len(c) != ell for c in cols.values()):
         raise UsageError("the key sequences and columns at a point differ in length")
-    if isinstance(one, PSeries):
-        fld, unit = one.field, IntSeries([1] + [0] * one.order)
-
-        def make(x, d):
-            return PSeries._from_ints(fld, x.num, d, one.order)
-    else:
-        fld, unit = field_of(one), 1
-        make = functools.partial(scalar_of, modulus(fld))
+    fld = one.field if isinstance(one, PSeries) else field_of(one)
     mod = modulus(fld)
-    if pair is None:
-        out, facts = multiset_sums(seqs, cols, mod, unit)
+    # the keys numbered by first appearance: the plans are cached per
+    # index pattern, and the columns listed by index
+    index = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
+    pattern = tuple(tuple(map(index.__getitem__, seq)) for seq in seqs)
+    cols = [cols[key] for key in index]
+    if not ell:            # each sum is the empty product, one's numerator
+        out, facts = [num_den(mod, one)[0]] * len(seqs), repeat(1)
+    elif pair is None:
+        out, facts = multiset_sums(pattern, cols, mod)
     else:
-        out, facts = subset_sums(seqs, cols, pair, mod, unit), repeat(1)
+        out, facts = subset_sums(pattern, cols, pair, mod), repeat(1)
     extra = [math.prod(map(key_dens.__getitem__, seq)) if key_dens else 1 for seq in seqs]
     scales = [(1, 1) if c is one else num_den(mod, c) for c in scales or [one] * len(out)]
     if isinstance(den, PSeries):
@@ -273,19 +276,15 @@ def symmetrize(seqs, cols, pair, one, den=1, scales=None, key_dens=None):
         if mod:
             mul, div = PrimeScalar(div, mod).inverse().value, 1
     # int * IntSeries scales a list, so the multipliers go left of the sum
-    return [make(f * c * (mul * x), div * d * e)
+    return [from_ints(one, mod, f * c * (mul * x), div * d * e)
             for x, f, (c, d), e in zip(out, facts, scales, extra)]
 
 
-def subset_sums(seqs, cols, pair, mod, unit):
-    """The sums of `symmetrize` with a pair table, by the subset trie of
+def subset_sums(pattern, cols, pair, mod):
+    """The sums of `symmetrize` with a pair table for the key-index
+    sequences of `pattern`, of one length ell >= 1, by the levels of
     `subset_plan` over the layers of `subset_masks`."""
-    ell = len(seqs[0]) if seqs else 0
-    if not ell:
-        return [unit] * len(seqs)
-    index = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
-    roots, uses = subset_plan(tuple(tuple(map(index.__getitem__, seq)) for seq in seqs))
-    cols = [cols[key] for key in index]
+    ell = len(pattern[0])
     by_count, outside = subset_masks(ell)
     full = (1 << ell) - 1
     gtab = [None] * full          # G(S, v) for S != 0 and v outside S
@@ -296,48 +295,40 @@ def subset_sums(seqs, cols, pair, mod, unit):
         for v in outside[s]:
             x = grest[v] * row[v] if rest else row[v]
             g[v] = x % mod if mod else x
-    htabs, left = {}, dict(uses)  # H(S, v) per shared (key, depth), and its uses to come
-    out = [None] * len(seqs)
-    todo = [(node, None) for node in roots]
-    while todo:
-        (key, depth, children, members), layer = todo.pop()
-        col = cols[key]
-        nxt = [None] * (full + 1)
-        if not depth:          # F(empty) = 1 and G(empty, v) = 1
-            for v in range(ell):
-                nxt[1 << v] = col[v]
-        elif (key, depth) in left:
-            h = htabs.get((key, depth))
-            if h is None:
-                h = htabs[key, depth] = [None] * full
-                for s in by_count[depth]:
+    out = [None] * len(pattern)
+    below = ()                    # the layers of the level above
+    for depth, groups in enumerate(subset_plan(pattern)):
+        layers, masks = [], by_count[depth]
+        for key, nodes in groups:
+            col = cols[key]
+            if depth:             # H(S, v), shared by the nodes of the group
+                h = [None] * full
+                for s in masks:
                     g, hs = gtab[s], [None] * ell
                     for v in outside[s]:
                         x = col[v] * g[v]
                         hs[v] = x % mod if mod else x
                     h[s] = hs
-            left[key, depth] -= 1
-            if not left[key, depth]:
-                del htabs[key, depth]
-            for s in by_count[depth]:
-                fs, hs = layer[s], h[s]
-                for v in outside[s]:
-                    t, term = s | 1 << v, fs * hs[v]
-                    x = nxt[t]
-                    nxt[t] = term if x is None else x + term
-        else:
-            for s in by_count[depth]:
-                fs, g = layer[s], gtab[s]
-                for v in outside[s]:
-                    t, term = s | 1 << v, fs * col[v] * g[v]
-                    x = nxt[t]
-                    nxt[t] = term if x is None else x + term
-        if mod:
-            for t in by_count[depth + 1]:
-                nxt[t] = nxt[t] % mod
-        for i in members:
-            out[i] = nxt[full]
-        todo.extend((child, nxt) for child in children)
+            for parent, members in nodes:
+                nxt = [None] * (full + 1)
+                if not depth:     # F(empty) = 1 and G(empty, v) = 1
+                    for v in range(ell):
+                        nxt[1 << v] = col[v]
+                else:
+                    layer = below[parent]
+                    for s in masks:
+                        fs, hs = layer[s], h[s]
+                        for v in outside[s]:
+                            t, term = s | 1 << v, fs * hs[v]
+                            x = nxt[t]
+                            nxt[t] = term if x is None else x + term
+                if mod:
+                    for t in by_count[depth + 1]:
+                        nxt[t] = nxt[t] % mod
+                for i in members:
+                    out[i] = nxt[full]
+                layers.append(nxt)
+        below = layers
     return out
 
 
@@ -355,42 +346,38 @@ def subset_masks(ell):
 
 
 @functools.lru_cache(maxsize=256)
-def subset_plan(seqs):
-    """(roots, uses): the trie of prefixes of key-index sequences of one
-    length ell >= 1, built once for all the points that repeat the
-    sequences' index pattern.  A node (key, depth, children, members) moves
-    the layer of its parent's prefix, of `depth` variables, by the column of
-    `key`; members are the sequences that end there, and roots the nodes of
-    depth 0.  uses[(key, depth)] counts the nodes of each (key, depth >= 1)
-    that two or more nodes reach, whose moves share one H table."""
-    ell, count = len(seqs[0]), {}
-
-    def grow(members, depth):
+def subset_plan(pattern):
+    """The levels of the trie of prefixes of key-index sequences of one
+    length ell >= 1, built once for all the points that repeat the index
+    pattern.  The nodes of depth d extend a prefix of d keys by one:
+    levels[d] lists (key, nodes) for each key that some of them add, and
+    nodes the (parent, members) of each, parent the index of the node it
+    extends among those of level d - 1 in the order listed (0, the empty
+    prefix, at depth 0), and members the sequences that end there.
+    `subset_sums` builds one H table per key of each depth >= 1."""
+    ell, levels, fronts = len(pattern[0]), [], [range(len(pattern))]
+    for depth in range(ell):
         groups = {}
-        for i in members:
-            groups.setdefault(seqs[i][depth], []).append(i)
-        nodes = []
-        for key, sub in groups.items():
-            count[key, depth] = count.get((key, depth), 0) + 1
-            last = depth + 1 == ell
-            nodes.append((key, depth, () if last else grow(sub, depth + 1),
-                          tuple(sub) if last else ()))
-        return tuple(nodes)
+        for parent, members in enumerate(fronts):
+            children = {}
+            for i in members:
+                children.setdefault(pattern[i][depth], []).append(i)
+            for key, sub in children.items():
+                groups.setdefault(key, []).append((parent, sub))
+        fronts = [sub for nodes in groups.values() for _, sub in nodes]
+        last = depth + 1 == ell
+        levels.append(tuple((key, tuple((parent, tuple(sub) if last else ())
+                                        for parent, sub in nodes))
+                            for key, nodes in groups.items()))
+    return tuple(levels)
 
-    roots = grow(range(len(seqs)), 0)
-    return roots, {kd: m for kd, m in count.items() if kd[1] and m > 1}
 
-
-def multiset_sums(seqs, cols, mod, unit):
-    """(sums, facts) of `symmetrize` with no pair table: each sequence's
-    sum over its distinct arrangements, by the sub-multiset layers of
+def multiset_sums(pattern, cols, mod):
+    """(sums, facts) of `symmetrize` with no pair table for the key-index
+    sequences of `pattern`, of one length ell >= 1: each sequence's sum
+    over its distinct arrangements, by the sub-multiset layers of
     `multiset_plan`, and its prod_k mult_k!."""
-    if not seqs or not seqs[0]:
-        return [unit] * len(seqs), [1] * len(seqs)
-    index = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
-    first, moves, ends, facts = multiset_plan(
-        tuple(tuple(map(index.__getitem__, seq)) for seq in seqs))
-    cols = [cols[key] for key in index]
+    first, moves, ends, facts = multiset_plan(pattern)
     fs = [cols[k][0] for k in first]
     for v, layer in enumerate(moves, start=1):
         at_v = [col[v] for col in cols]
@@ -626,24 +613,35 @@ def window_products(lam, i, j, params):
 # identity values, and the check values value(cfg, params, sampler)
 # ---------------------------------------------------------------------------
 
+def alternating_sum(params, t, columns, lows, highs, prefs, mutate=False):
+    """sum_k prefs[k] times the k-th sum over S_ell at the point t, of the
+    columns of lows[:k] + highs[k:] (`columns` maps each key to the
+    cleared constants of its factors) and the unprimed pair factors: the
+    sums of `jing_value` and `elliptic.idp2_value`, k low chain keys then
+    high ones, whose ell + 1 sequences share their leading low keys.  One
+    `symmetrize` call on the tables of `point_tables` takes the
+    prefactors as its scales; a mutated run doubles prefs[1]."""
+    seqs = [lows[:k] + highs[k:] for k in range(len(t) + 1)]
+    cols, pair, den, key_dens = point_tables(params, t, column_plan(params, columns))
+    if mutate and t:
+        prefs[1] = prefs[1] * 2
+    return sum(symmetrize(seqs, cols, pair, params.one, den, prefs, key_dens), params.zero)
+
+
 def jing_value(eta, t, one, zero, mutate=False):
     """The double sum over k and S_ell whose vanishing is the base
     combinatorial identity: the k-th sum over S_ell, of k columns u - 1 and
     ell - k columns u - eta^(ell-1), times prod_{s<k} (eta^ell - eta^s)/
-    (1 - eta^(s+1)), the ell + 1 prefactors one running product passed as
-    `symmetrize`'s scales; a mutated run doubles the k = 1 prefactor."""
+    (1 - eta^(s+1)), the ell + 1 prefactors one running product, by
+    `alternating_sum` (`zero` is not needed)."""
     ell, fld = len(t), field_of(one)
-    # the weights' unprimed pair table, and columns u - 1 and u - eta^(ell-1)
-    params = PolyParams((), (), eta, ell, 0, fld)
-    cols, pair, den, key_dens = point_tables(params, t, column_plan(
-        params, {"low": [(1, 1)], "high": [num_den(modulus(fld), eta ** (ell - 1))]}))
-    seqs = [("low",) * k + ("high",) * (ell - k) for k in range(ell + 1)]
     prefs, top = [one], eta ** ell
     for s in range(ell):
         prefs.append(prefs[-1] * (top - eta ** s) / (one - eta ** (s + 1)))
-    if mutate and ell:
-        prefs[1] = prefs[1] * 2
-    return sum(symmetrize(seqs, cols, pair, one, den, prefs, key_dens), zero)
+    # the weights' unprimed pair table, and columns u - 1 and u - eta^(ell-1)
+    columns = {"low": [(1, 1)], "high": [num_den(modulus(fld), eta ** (ell - 1))]}
+    return alternating_sum(PolyParams((), (), eta, ell, 0, fld), t, columns,
+                           ("low",) * ell, ("high",) * ell, prefs, mutate)
 
 
 def window_value(params, t, i, j, mutate=False):

@@ -35,8 +35,8 @@ from qident.exactnum import (
 from qident.partitions import Partition, enumerate_partitions, x_point, y_point
 from qident.polyweights import (
     column_plan, from_ints, jing_value, monomial_symmetric, monomials, multiplicity_prefactor,
-    multiset_plan, point_tables, sample_eta, sample_poly_params, sample_t, subset_plan,
-    symmetrize, weight, weights)
+    multiset_plan, point_tables, sample_eta, sample_poly_params, sample_t, subset_masks,
+    subset_plan, symmetrize, weight, weights)
 from qident.reporting import DEFAULT_PRIME
 
 FIELDS = [QQ, PrimeField(DEFAULT_PRIME)]
@@ -310,6 +310,18 @@ def field_jing(eta, t, one, zero, mutate=False):
 def test_symmetrize_small_cases_by_hand():
     one = QQ.one
     assert symmetrize([()], {}, [], one) == [one]
+    # ell = 0, with a pair table and without: each sum is the empty
+    # product, so each leaves as its scale over den, a scalar or a series
+    # of the kind of `one`
+    for fld in (QQ, PrimeField(101)):
+        for unit in (fld.one, PSeries.constant(fld, fld.one, 2)):
+            scales = [fld.of(Fraction(3, 7)), unit, PSeries(fld, [2, -5, 4], 2)]
+            if unit is fld.one:
+                scales[2] = fld.of(-11)
+            for pair in ([], None):
+                got = symmetrize([(), (), ()], {}, pair, unit, 5, scales)
+                assert got == [unit * c / 5 for c in scales]
+                assert all(type(x) is type(unit) for x in got)
     cols = {"a": [2, 3], "b": [5, 7]}
     # orders (0, 1) and (1, 0): cols[a][0] cols[b][1] pair[0][1] + ...
     pair = [[None, 11], [13, None]]
@@ -439,12 +451,19 @@ SHARING = {
 @settings(max_examples=15, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_subset_layers_with_and_without_a_shared_column(fld, series, sharing, data):
-    # a (key, depth) that two or more trie nodes reach moves by one shared
-    # H(S, v) = col[v] G(S, v), one that one node reaches by the two
-    # factors; both against the permutation sums, on ints and on
-    # `IntSeries`
+    # every (key, depth >= 1) of the subset trie moves its nodes by one
+    # H(S, v) = col[v] G(S, v) built once, whether one node reaches it or
+    # more; against the permutation sums, on ints and on `IntSeries`.  On
+    # series, a deterministic work count as well: the G products, one H
+    # product per (S, v) of each (key, depth >= 1) and one product per
+    # move, counted from the trie's levels and the masks.  The counter
+    # wraps the real product.
     seqs = SHARING[sharing]
-    assert bool(subset_plan(tuple(seqs))[1]) == (sharing == "shared")
+    by_count, outside = subset_masks(4)
+    pairs = [sum(len(outside[s]) for s in masks) for masks in by_count]
+    work = sum(pairs[2:4]) + sum((1 + len(nodes)) * pairs[depth]
+                                 for depth, level in enumerate(subset_plan(tuple(seqs)))
+                                 if depth for _, nodes in level)
     entry, one, zero = table_scalars(fld), fld.one, fld.zero
     if series:
         order = data.draw(st.integers(0, 3))
@@ -455,8 +474,11 @@ def test_subset_layers_with_and_without_a_shared_column(fld, series, sharing, da
     cols = {key: data.draw(row) for key in range(4)}
     pair = [[None if w == v else x for v, x in enumerate(data.draw(row))] for w in range(4)]
     int_cols, int_pair, den = cleared_tables(fld, cols, pair)
-    assert symmetrize(seqs, int_cols, int_pair, one, den) == \
-        oracle_sums(seqs, cols, pair, one, zero)
+    with mock.patch.object(IntSeries, "__mul__", autospec=True,
+                           side_effect=IntSeries.__mul__) as products:
+        got = symmetrize(seqs, int_cols, int_pair, one, den)
+    assert products.call_count == (work if series else 0)
+    assert got == oracle_sums(seqs, cols, pair, one, zero)
 
 
 def test_symmetrize_zero_den_modulo_p_has_no_inverse():
