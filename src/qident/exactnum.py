@@ -504,16 +504,11 @@ def sub_product(v, f, w):
     convolution of f's and w's numerators and v's numerator are brought to
     the lcm of their denominators, and the difference is made canonical by
     one gcd (over GF(p), one `% p` pass)."""
-    prod, dp = convolve(f.num, w.num), f.den * w.den
-    dv = v.den
-    if dv == dp:
-        num = list(map(operator.sub, v.num, prod))
-    else:
-        den = dv // math.gcd(dv, dp) * dp
-        mv, mp = den // dv, den // dp
-        num = [x * mv - y * mp for x, y in zip(v.num, prod)]
-        dv = den
-    return PSeries._from_ints(v.field, num, dv, v.order)
+    prod, dv, dp = convolve(f.num, w.num), v.den, f.den * w.den
+    den = dv // math.gcd(dv, dp) * dp
+    mv, mp = den // dv, den // dp
+    num = [x * mv - y * mp for x, y in zip(v.num, prod)]
+    return PSeries._from_ints(v.field, num, den, v.order)
 
 
 def dot(xs, ys):

@@ -309,13 +309,15 @@ def subset_sums(pattern, cols, pair, mod):
                         x = col[v] * g[v]
                         hs[v] = x % mod if mod else x
                     h[s] = hs
-            for parent, members in nodes:
+            for parent, members, last in nodes:
                 nxt = [None] * (full + 1)
                 if not depth:     # F(empty) = 1 and G(empty, v) = 1
                     for v in range(ell):
                         nxt[1 << v] = col[v]
                 else:
                     layer = below[parent]
+                    if last:      # no later node reads the parent's layer
+                        below[parent] = None
                     for s in masks:
                         fs, hs = layer[s], h[s]
                         for v in outside[s]:
@@ -351,10 +353,12 @@ def subset_plan(pattern):
     length ell >= 1, built once for all the points that repeat the index
     pattern.  The nodes of depth d extend a prefix of d keys by one:
     levels[d] lists (key, nodes) for each key that some of them add, and
-    nodes the (parent, members) of each, parent the index of the node it
-    extends among those of level d - 1 in the order listed (0, the empty
-    prefix, at depth 0), and members the sequences that end there.
-    `subset_sums` builds one H table per key of each depth >= 1."""
+    nodes the (parent, members, last) of each: parent the index of the node
+    it extends among those of level d - 1 in the order listed (0, the empty
+    prefix, at depth 0), members the sequences that end there, and last
+    whether it is the parent's last child in that order.  `subset_sums`
+    builds one H table per key of each depth >= 1 and drops a parent's
+    layer at its last child."""
     ell, levels, fronts = len(pattern[0]), [], [range(len(pattern))]
     for depth in range(ell):
         groups = {}
@@ -365,8 +369,11 @@ def subset_plan(pattern):
             for key, sub in children.items():
                 groups.setdefault(key, []).append((parent, sub))
         fronts = [sub for nodes in groups.values() for _, sub in nodes]
-        last = depth + 1 == ell
-        levels.append(tuple((key, tuple((parent, tuple(sub) if last else ())
+        # the node at which each parent's children end, in walk order
+        ends = {parent: sub for nodes in groups.values() for parent, sub in nodes}
+        final = depth + 1 == ell
+        levels.append(tuple((key, tuple((parent, tuple(sub) if final else (),
+                                         ends[parent] is sub)
                                         for parent, sub in nodes))
                             for key, nodes in groups.items()))
     return tuple(levels)

@@ -481,6 +481,25 @@ def test_subset_layers_with_and_without_a_shared_column(fld, series, sharing, da
     assert got == oracle_sums(seqs, cols, pair, one, zero)
 
 
+# jing's index pattern at ell = 5: chain k holds k low keys (index 1), then
+# high ones (index 0, the key of chain 0)
+JING_CHAINS = [(1,) * k + (0,) * (5 - k) for k in range(6)]
+
+
+@pytest.mark.parametrize("seqs", [*SHARING.values(), JING_CHAINS], ids=[*SHARING, "jing"])
+def test_subset_plan_marks_each_parent_once_at_its_last_child(seqs):
+    # `subset_sums` drops a parent's layer at the node marked last, so a
+    # node is marked exactly when no later node of its level, in walk
+    # order, extends the same parent, and every node of the level above
+    # is some node's parent
+    width = 1
+    for level in subset_plan(tuple(seqs)):
+        walk = [(parent, last) for _, nodes in level for parent, _, last in nodes]
+        assert {parent for parent, _ in walk} == set(range(width))
+        for i, (parent, last) in enumerate(walk):
+            assert last == all(other != parent for other, _ in walk[i + 1:])
+        width = len(walk)
+
 def test_symmetrize_zero_den_modulo_p_has_no_inverse():
     # the one exit clears 1/den through `PrimeScalar.inverse` (a scalar
     # den, also under a series `one`) or the series inverse (a series den),
