@@ -7,8 +7,8 @@ is a row of `TABLES`, (config, verdict, sha256, length): config is a
 `qident suite` manifest entry, and the run it names must end in the verdict
 and print the report of that digest and length.  One body checks every
 row, under the test name of the table the row came from and an id made of
-the table's key options.  To pin a configuration, run it at the parent and
-add the row this prints:
+that table's key options, so every case keeps the id it has always had.
+To pin a configuration, run it at the parent and add the row this prints:
 
     PYTHONPATH=src:benchmarks python3 -c 'import json, sys
     from qident.cli import run_one; from qident.reporting import RunConfig
@@ -48,7 +48,8 @@ REPLAYS = {"test_%s%s_report_matches_golden_digest" % (mix, "_seed_2" * (seed ==
            for mix, seed in RUNS}
 
 # test name -> (the options that make a row's id, None for all but trials
-# and seed; its rows).  A row leaves unset what its run does not set.
+# and seed; its rows).  A config leaves out the defaults field="rational",
+# mutate=False and no_constraint=False.
 TABLES = {
     # PINNED_MUTATED: mutated mn and xt at seeds 1 and 2; recorded from the
     # entry-by-entry product loops that `linalg.mat_mul` replaced
@@ -272,11 +273,11 @@ TABLES = {
         (dict(check="idp2", ell=6, n=2, k=8, trials=1, seed=1, field="prime", mutate=True), FALSIFIED, "cafc1bc3cdecb317646e073c61274b1c8ada45f17bd6c3a311b74a714b240359", 1448),
         (dict(check="idp2", ell=6, n=2, k=8, trials=1, seed=1), VERIFIED, "a74721604e2c17f7423a3158f66f39449f69f92d5bb0a99356380a429c3b16fa", 948),
         (dict(check="idp2", ell=6, n=2, k=8, trials=1, seed=1, mutate=True), FALSIFIED, "10c89b608a7f2ce59f93709f5de989ff37b33e8560481ca15bc63f46eb65cbb9", 9850)]),
-    # tests/frontier.json, each entry as the manifest lists it that no row
-    # above pins.  The detq (5, 5) row is PINNED_DETQ_FRONTIER, recorded from
-    # the rational elimination before `RatRows.load` made each row primitive;
-    # the others were recorded from the level walk that kept every layer of
-    # a level until the next level was done
+    # PINNED_DETQ_FRONTIER and the full-size pins: each tests/frontier.json
+    # entry that no row above pins, as the manifest lists it.  detq (5, 5)
+    # was recorded from the rational elimination before `RatRows.load` made
+    # each row primitive, the others from the subset layers that kept every
+    # layer of the level above until the level was done
     "test_frontier_manifest_report_matches_pinned_digest": (None, [
         (dict(check="pp", ell=6, n=4, trials=1, seed=1), VERIFIED, "7b5f43af56758eac1989c028308500d9c5a6247e08e6703f5a40cad0ba33cfa4", 702),
         (dict(check="detq", ell=5, n=5, trials=1, seed=1), VERIFIED, "dd78f66a491505d058b08add9ff90eecce0e84faf1a2572993171ccd5538095e", 739),

@@ -500,6 +500,7 @@ def test_subset_plan_marks_each_parent_once_at_its_last_child(seqs):
             assert last == all(other != parent for other, _ in walk[i + 1:])
         width = len(walk)
 
+
 def test_symmetrize_zero_den_modulo_p_has_no_inverse():
     # the one exit clears 1/den through `PrimeScalar.inverse` (a scalar
     # den, also under a series `one`) or the series inverse (a series den),
